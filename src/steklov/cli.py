@@ -23,7 +23,7 @@ from steklov.experiments import (
     verify_integral_lemmas,
     verify_lemmas,
 )
-from steklov.fem_solver import FemError, solve_mixed_sn, solve_steklov
+from steklov.fem_solver import FemError, solve
 from steklov.meshing import MeshError
 
 DEVIATION_LIMIT = 0.02
@@ -145,8 +145,7 @@ def cmd_spectrum_annulus(args):
 
 def cmd_fem_solve(args):
     spec = build_domain_spec(parse_config(args.spec))
-    solve = solve_steklov if args.problem == "steklov" else solve_mixed_sn
-    solution = solve(spec, args.h, args.k)
+    solution = solve(spec, args.h, args.k, args.problem)
     _emit(solution.to_json() + "\n", args.out)
     return 0
 

@@ -30,6 +30,7 @@ __all__ = [
     "hole_signed_distance",
     "outer_signed_distance",
     "region_signed_distance",
+    "shape_dict",
     "size_field",
     "volume_matched_outer_radius",
 ]
@@ -150,16 +151,13 @@ def outer_signed_distance(outer: OuterShape, pts):
     return d[0] if scalar else d
 
 
-def _distance_to_outer_boundary(outer: OuterShape, point) -> float:
-    """Distance from an interior point to the outer boundary."""
-    px, py = float(point[0]), float(point[1])
+def shape_dict(outer: OuterShape) -> dict:
+    """Plain-data echo of an outer shape, for JSON output."""
     if isinstance(outer, Disk):
-        return outer.radius - math.hypot(px, py)
-    if isinstance(outer, Rectangle):
-        return min(0.5 * outer.width - abs(px), 0.5 * outer.height - abs(py))
+        return {"shape": "disk", "radius": outer.radius}
     if isinstance(outer, Ellipse):
-        return float(_ellipse_distance(outer.a, outer.b, px, py))
-    raise TypeError(f"unsupported outer shape: {outer!r}")
+        return {"shape": "ellipse", "a": outer.a, "b": outer.b}
+    return {"shape": "rectangle", "width": outer.width, "height": outer.height}
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,8 @@ class DomainSpec:
     @cached_property
     def clearance(self) -> float:
         """Gap between the hole circle and the outer boundary."""
-        d = _distance_to_outer_boundary(self.outer, self.hole_center)
-        return d - self.hole_radius
+        d = -outer_signed_distance(self.outer, np.array(self.hole_center))
+        return float(d) - self.hole_radius
 
     @property
     def is_order2_symmetric(self) -> bool:
@@ -221,16 +219,8 @@ class DomainSpec:
 
     def as_dict(self) -> dict:
         """Plain-data echo of the geometry, for JSON output."""
-        outer = self.outer
-        if isinstance(outer, Disk):
-            shape = {"shape": "disk", "radius": outer.radius}
-        elif isinstance(outer, Ellipse):
-            shape = {"shape": "ellipse", "a": outer.a, "b": outer.b}
-        else:
-            shape = {"shape": "rectangle", "width": outer.width,
-                     "height": outer.height}
         return {
-            "outer": shape,
+            "outer": shape_dict(self.outer),
             "hole_center": list(self.hole_center),
             "hole_radius": self.hole_radius,
         }

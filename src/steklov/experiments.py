@@ -30,7 +30,7 @@ from steklov.closed_form import (
 from steklov.domains import (
     Disk,
     DomainSpec,
-    Ellipse,
+    shape_dict,
     volume_matched_outer_radius,
 )
 from steklov.fem_solver import solve_on_mesh
@@ -41,15 +41,6 @@ from steklov.quadrature import quadrature_integrals
 MONOTONE_SLACK = 1e-3
 CLUSTER_RTOL = 1e-3
 SWEEP_PATHS = ("axis-x", "axis-y", "diagonal")
-
-
-def _shape_dict(outer):
-    if isinstance(outer, Disk):
-        return {"shape": "disk", "radius": outer.radius}
-    if isinstance(outer, Ellipse):
-        return {"shape": "ellipse", "a": outer.a, "b": outer.b}
-    return {"shape": "rectangle", "width": outer.width,
-            "height": outer.height}
 
 
 def _fmt(x):
@@ -210,7 +201,7 @@ class SweepResult:
 
     def as_dict(self):
         out = {
-            "outer": _shape_dict(self.sweep.outer),
+            "outer": shape_dict(self.sweep.outer),
             "hole_radius": self.sweep.hole_radius,
             "path": self.sweep.path,
             "h": self.sweep.h,

@@ -1,37 +1,42 @@
 """P1 finite elements for Steklov-type eigenvalue problems on holed domains.
 
-The eigenvalue sits in the boundary condition, so the discrete problem is
-reduced to the boundary before solving: the stiffness matrix (discrete
-Dirichlet energy) is Schur-complemented onto the vertices that carry the
-spectral condition, which yields the discrete Dirichlet-to-Neumann matrix.
-Its eigenpairs against the boundary mass matrix discretize the Rayleigh
-quotient of Dirichlet energy over boundary L2 norm.
+The eigenvalue sits in the boundary condition: the discrete problem is the
+generalized eigenproblem K u = lambda M u on the whole mesh, where K is the
+P1 stiffness matrix (discrete Dirichlet energy) and M the mass matrix of
+the boundary edges that carry the spectral condition.  M vanishes on every
+other vertex, so each eigenvector is discretely harmonic there: it is the
+harmonic extension of its boundary trace, and the eigenpairs are those of
+the discrete Dirichlet-to-Neumann matrix (`dtn_schur`, kept as the dense
+reference) against the boundary mass.
 
-Two problems share the pipeline and differ only in which vertices carry
-the spectral condition: the pure Steklov problem uses every boundary
-vertex, the mixed Steklov-Neumann problem only the outer ones (the hole
-is a natural boundary, eliminated together with the interior).
+Two problems share the pipeline and differ only in which edges enter M:
+the pure Steklov problem uses every boundary edge, the mixed
+Steklov-Neumann problem only the outer ones (the hole is a natural
+boundary).
 
-Boundary vertex counts stay in the low thousands at the mesh sizes this
-package targets, so the reduced eigenproblem is solved densely: Cholesky
-factorization of the boundary mass matrix, reduction to a standard
-symmetric problem, and a full symmetric eigensolve (LAPACK, via
-`scipy.linalg.eigh`).  Assembly is vectorized over triangles and edges
-with a fixed accumulation order, so repeated runs are bit-identical.
+The few smallest eigenpairs come from one sparse solve: K - SHIFT M is
+factored once (symmetric positive definite for SHIFT < 0, because K's only
+kernel is the constants and M is positive on them) and drives shift-invert
+Lanczos (ARPACK, via `scipy.sparse.linalg.eigsh`) from a fixed start
+vector.  Assembly is vectorized over triangles and edges with a fixed
+accumulation order, so repeated runs are bit-identical.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
 from steklov.domains import Disk, DomainSpec
-from steklov.meshing import INNER, OUTER, Mesh, triangulate
+from steklov.meshing import OUTER, Mesh, triangulate
+
+# Shift of the shift-invert solve: just below the zero mode, so the factored
+# matrix is positive definite and the smallest eigenvalues converge first.
+SHIFT = -1e-3
 
 
 class FemError(RuntimeError):
@@ -62,18 +67,18 @@ def assemble_stiffness(mesh):
         raise FemError(f"stiffness row sums do not vanish ({kernel:.3e})")
     return K
 
-def assemble_boundary_mass(mesh, steklov_tag="both"):
-    """Boundary mass matrix over the tagged edges (sparse CSR, full size).
+def assemble_boundary_mass(mesh, problem="steklov"):
+    """Boundary mass matrix of one problem (sparse CSR, full size).
 
-    Each edge of length e contributes e/6 * [[2, 1], [1, 2]] to its two
-    endpoints.  `steklov_tag` selects which boundary carries the spectral
-    condition: "both" for the pure Steklov problem, "outer" for the mixed
-    problem (hole edges then contribute nothing and their rows are zero).
+    Each edge of length e that carries the spectral condition contributes
+    e/6 * [[2, 1], [1, 2]] to its two endpoints: every boundary edge for
+    "steklov", the outer ones for "steklov_neumann" (hole edges then
+    contribute nothing and their rows are zero).
     """
-    if steklov_tag not in ("outer", "both"):
-        raise ValueError(f"steklov_tag must be 'outer' or 'both', got {steklov_tag!r}")
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
     edges = mesh.boundary_edges
-    if steklov_tag == "outer":
+    if problem == "steklov_neumann":
         edges = edges[mesh.boundary_tags == OUTER]
     ends = mesh.vertices[edges]
     lengths = np.hypot(ends[:, 1, 0] - ends[:, 0, 0], ends[:, 1, 1] - ends[:, 0, 1])
@@ -82,15 +87,6 @@ def assemble_boundary_mass(mesh, steklov_tag="both"):
     cols = edges[:, [0, 1, 0, 1]].ravel()
     nv = mesh.vertex_count
     return sparse.coo_matrix((weights.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-def steklov_vertex_set(mesh, problem):
-    """Sorted vertex indices carrying the spectral boundary condition."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
-    edges = mesh.boundary_edges
-    if problem == "steklov_neumann":
-        edges = edges[mesh.boundary_tags == OUTER]
-    return np.unique(edges)
 
 def dtn_schur(K, steklov_vertices):
     """Schur complement of the stiffness matrix onto the Steklov vertices.
@@ -124,17 +120,16 @@ def dtn_schur(K, steklov_vertices):
 
 @dataclass(eq=False)
 class EigenSolution:
-    """Eigenpairs of the discrete Dirichlet-to-Neumann problem.
+    """Eigenpairs of one Steklov-type problem on a mesh.
 
     Eigenvalues ascend and start at the zero mode; eigenvector columns are
-    boundary traces on `steklov_vertices`, orthonormal in the boundary
-    mass inner product.
+    discrete harmonic extensions over every mesh vertex, orthonormal in
+    the boundary mass inner product.
     """
 
     problem: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    steklov_vertices: np.ndarray = None
     mesh: Mesh = None
     h: float = None
     spec: DomainSpec = None
@@ -169,61 +164,64 @@ class EigenSolution:
     def to_json(self):
         return json.dumps(self.as_dict(), indent=2)
 
-def solve_eigs(S, M, k, problem="steklov", steklov_vertices=None,
-               mesh=None, h=None, spec=None):
-    """First k eigenpairs of S v = lambda M v, ascending, M-orthonormal.
+def solve_eigs(K, M, k, problem="steklov", mesh=None, h=None, spec=None):
+    """First k eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
-    S must be symmetric positive semidefinite and M symmetric positive
-    definite on the same vertex set; both are made dense if needed.  The
-    solve verifies the structural invariants (kernel mode at zero, ordered
+    K must be symmetric positive semidefinite with the constants as its
+    only kernel, and M symmetric positive semidefinite and positive on the
+    constants; M's nonzero rows are the spectral vertices, and k must lie
+    below their number.  K - SHIFT M is factored once and drives a
+    shift-invert Lanczos solve from a fixed start vector.  The solve
+    verifies the structural invariants (kernel mode at zero, ordered
     nonnegative spectrum, M-orthonormal vectors) and raises FemError on
     violation rather than returning a questionable spectrum.
     """
-    S = np.asarray(S.toarray() if sparse.issparse(S) else S, dtype=float)
-    M = np.asarray(M.toarray() if sparse.issparse(M) else M, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape != M.shape:
-        raise ValueError("S and M must be square matrices of one size")
-    n = S.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}, got {k}")
+    K = sparse.csc_matrix(K, dtype=float)
+    M = sparse.csc_matrix(M, dtype=float)
+    if K.shape[0] != K.shape[1] or K.shape != M.shape:
+        raise ValueError("K and M must be square matrices of one size")
+    n = K.shape[0]
     try:
-        vals, vecs = eigh(S, M, subset_by_index=[0, k - 1])
-    except LinAlgError as exc:
+        lu = splu(K - SHIFT * M)
+    except RuntimeError as exc:
         raise FemError(
-            "generalized eigensolve failed; the boundary mass matrix is "
-            "not positive definite") from exc
+            "K - SHIFT M is singular; the boundary mass matrix is not "
+            "positive on the constants") from exc
+    spectral = np.count_nonzero(M.diagonal())
+    if not 1 <= k < spectral:
+        raise ValueError(
+            f"k must be at least 1 and below the {spectral} spectral "
+            f"vertices, got {k}")
+    # A fixed start vector keeps repeated runs bit-identical; a generic one
+    # keeps the Krylov space from starting inside an eigenspace.
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    try:
+        vals, vecs = eigsh(K, k, M, sigma=SHIFT, OPinv=OPinv, v0=v0)
+    except ArpackError as exc:
+        raise FemError(f"shift-invert Lanczos failed: {exc}") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     if vals[0] < -1e-9 * scale:
-        raise FemError(f"negative eigenvalue {vals[0]:.3e}: S is not PSD")
+        raise FemError(f"negative eigenvalue {vals[0]:.3e}: K is not PSD")
     if k > 1 and not abs(vals[0]) < 1e-8 * abs(vals[1]):
         raise FemError(
             f"zero mode missing: lowest eigenvalues {vals[0]:.3e}, {vals[1]:.3e}")
-    residual = np.abs(vecs.T @ M @ vecs - np.eye(k)).max()
+    residual = np.abs(vecs.T @ (M @ vecs) - np.eye(k)).max()
     if residual > 1e-8:
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
-    return EigenSolution(problem, vals, vecs, steklov_vertices=steklov_vertices,
-                         mesh=mesh, h=h, spec=spec)
+    return EigenSolution(problem, vals, vecs, mesh=mesh, h=h, spec=spec)
 
 def solve_on_mesh(mesh, problem, k, spec=None):
     """Assemble and solve one eigenvalue problem on an existing mesh."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
-    tag = "both" if problem == "steklov" else "outer"
     K = assemble_stiffness(mesh)
-    M = assemble_boundary_mass(mesh, tag)
-    b = steklov_vertex_set(mesh, problem)
-    S = dtn_schur(K, b)
-    M_bb = M[b][:, b].toarray()
-    return solve_eigs(S, M_bb, k, problem=problem, steklov_vertices=b,
-                      mesh=mesh, h=mesh.h, spec=spec)
+    M = assemble_boundary_mass(mesh, problem)
+    return solve_eigs(K, M, k, problem=problem, mesh=mesh, h=mesh.h, spec=spec)
 
-def solve_steklov(spec, h, k):
-    """First k Steklov eigenvalues of the holed domain at mesh size h."""
-    return solve_on_mesh(triangulate(spec, h), "steklov", k, spec=spec)
-
-def solve_mixed_sn(spec, h, k):
-    """First k mixed eigenvalues: spectral outer boundary, Neumann hole."""
-    return solve_on_mesh(triangulate(spec, h), "steklov_neumann", k, spec=spec)
+def solve(spec, h, k, problem="steklov"):
+    """First k eigenvalues of one problem on the holed domain at mesh size h."""
+    return solve_on_mesh(triangulate(spec, h), problem, k, spec=spec)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,8 @@ __all__ = [
     "MeshError",
     "mesh_area",
     "mesh_min_angle",
-    "read_mesh",
     "triangulate",
     "validate_mesh",
-    "write_mesh",
 ]
 
 OUTER = "outer"
@@ -301,20 +299,6 @@ def triangulate(spec: DomainSpec, h: float) -> Mesh:
     pts, simplices = _relax(spec, h, pts, n_fixed=n_out + n_in)
     triangles = _canonical_order(_orient_ccw(pts, simplices))
 
-    edges = _sorted_edges(triangles)
-    unique, counts = np.unique(edges, axis=0, return_counts=True)
-    if np.any(counts > 2):
-        raise MeshError("non-manifold edge in triangulation")
-    boundary = unique[counts == 1]
-
-    expected = np.sort(
-        np.vstack([_cycle_edges(0, n_out), _cycle_edges(n_out, n_in)]), axis=1
-    )
-    key = boundary[:, 0] * len(pts) + boundary[:, 1]
-    expected_key = expected[:, 0] * len(pts) + expected[:, 1]
-    if not np.array_equal(np.sort(key), np.sort(expected_key)):
-        raise MeshError("triangulation does not conform to the boundary polylines")
-
     boundary_edges = np.vstack([_cycle_edges(0, n_out), _cycle_edges(n_out, n_in)])
     boundary_tags = np.array([OUTER] * n_out + [INNER] * n_in)
 
@@ -430,70 +414,3 @@ def _boundary_loops(edges):
         loops.append((loop_vertices, np.array(loop_edges, dtype=int)))
     return loops
 
-
-def write_mesh(mesh: Mesh, path) -> None:
-    """Write the plain-text mesh format (see `read_mesh`)."""
-    lines = ["# steklov mesh v1", f"# h {mesh.h!r}"]
-    lines.append(f"#vertices {mesh.vertex_count}")
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"{i} {float(x)!r} {float(y)!r}")
-    lines.append(f"#triangles {mesh.triangle_count}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    lines.append(f"#boundary {len(mesh.boundary_edges)}")
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        lines.append(f"{i} {j} {tag}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def read_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by `write_mesh`.
-
-    Floats are written with shortest round-trip precision, so a
-    write/read/write cycle reproduces the file byte for byte.
-    """
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    h = None
-    for ln in lines[:4]:
-        if ln.startswith("# h "):
-            h = float(ln[4:])
-            break
-    if h is None:
-        raise MeshError("mesh file is missing the '# h' header line")
-    body = [ln for ln in lines if not ln.startswith("# ")]
-
-    def read_section(idx, name):
-        head = body[idx].split()
-        if body[idx].split()[0] != name:
-            raise MeshError(f"expected section {name!r}, got {body[idx]!r}")
-        return int(head[1]), idx + 1
-
-    nv, at = read_section(0, "#vertices")
-    verts = np.empty((nv, 2))
-    for row in range(nv):
-        tok = body[at + row].split()
-        if int(tok[0]) != row:
-            raise MeshError("vertex indices must be consecutive from 0")
-        verts[row] = (float(tok[1]), float(tok[2]))
-    nt, at = read_section(at + nv, "#triangles")
-    tris = np.empty((nt, 3), dtype=int)
-    for row in range(nt):
-        tris[row] = [int(x) for x in body[at + row].split()]
-    nb, at = read_section(at + nt, "#boundary")
-    edges = np.empty((nb, 2), dtype=int)
-    tags = []
-    for row in range(nb):
-        tok = body[at + row].split()
-        edges[row] = (int(tok[0]), int(tok[1]))
-        tags.append(tok[2])
-    if at + nb != len(body):
-        raise MeshError("trailing content after #boundary section")
-    return Mesh(
-        vertices=verts,
-        triangles=tris,
-        boundary_edges=edges,
-        boundary_tags=np.array(tags),
-        h=h,
-    )

@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 from test_meshing import hand_ring_mesh
 
+from steklov import fem_solver
 from steklov.closed_form import AnnulusSpec, enumerate_spectrum, steklov_eigenvalue
-from steklov.domains import Disk, DomainSpec
+from steklov.domains import Disk, DomainSpec, Ellipse
 from steklov.fem_solver import (
     ConvergenceStudy,
     EigenSolution,
@@ -17,15 +20,15 @@ from steklov.fem_solver import (
     assemble_stiffness,
     convergence_study,
     dtn_schur,
+    solve,
     solve_eigs,
-    solve_mixed_sn,
     solve_on_mesh,
-    solve_steklov,
-    steklov_vertex_set,
 )
 from steklov.meshing import Mesh, triangulate
 
 ANNULUS = DomainSpec(Disk(5.0), (0.0, 0.0), 1.0)
+OFF_CENTRE_ELLIPSE = DomainSpec(Ellipse(3.0, 8.33), (0.8, 2.5), 1.0)
+PATH_GRAPH = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
 
 def single_triangle_mesh(vertices):
@@ -36,6 +39,11 @@ def single_triangle_mesh(vertices):
         np.array(["outer", "outer", "outer"]),
         h=1.0,
     )
+
+
+def spectral_vertices(M):
+    """Vertices carrying the spectral condition: the nonzero rows of M."""
+    return np.flatnonzero(M.diagonal())
 
 
 def flat_spectrum(problem, count):
@@ -101,15 +109,16 @@ def test_boundary_mass_total_and_neumann_rows(coarse_mesh):
     lengths = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
     inner = coarse_mesh.boundary_tags == "inner"
 
-    both = assemble_boundary_mass(coarse_mesh, "both")
+    both = assemble_boundary_mass(coarse_mesh, "steklov")
     assert both.sum() == pytest.approx(lengths.sum(), rel=1e-13)
-    outer_only = assemble_boundary_mass(coarse_mesh, "outer")
+    outer_only = assemble_boundary_mass(coarse_mesh, "steklov_neumann")
     assert outer_only.sum() == pytest.approx(lengths[~inner].sum(), rel=1e-13)
     inner_verts = np.unique(coarse_mesh.boundary_edges[inner])
     assert np.abs(outer_only[inner_verts].toarray()).max() == 0.0
 
-    with pytest.raises(ValueError, match="steklov_tag"):
-        assemble_boundary_mass(coarse_mesh, "inner")
+    for name in ("inner", "outer", "both"):
+        with pytest.raises(ValueError, match="unknown problem"):
+            assemble_boundary_mass(coarse_mesh, name)
 
 
 def test_steklov_vertex_sets(coarse_mesh):
@@ -117,17 +126,17 @@ def test_steklov_vertex_sets(coarse_mesh):
     outer_bnd = np.unique(
         coarse_mesh.boundary_edges[coarse_mesh.boundary_tags == "outer"]
     )
-    assert np.array_equal(steklov_vertex_set(coarse_mesh, "steklov"), all_bnd)
-    assert np.array_equal(
-        steklov_vertex_set(coarse_mesh, "steklov_neumann"), outer_bnd
-    )
+    steklov = assemble_boundary_mass(coarse_mesh, "steklov")
+    mixed = assemble_boundary_mass(coarse_mesh, "steklov_neumann")
+    assert np.array_equal(spectral_vertices(steklov), all_bnd)
+    assert np.array_equal(spectral_vertices(mixed), outer_bnd)
     assert len(outer_bnd) < len(all_bnd)
 
 
 def test_dtn_without_interior_is_plain_stiffness_block():
     mesh = hand_ring_mesh()
     K = assemble_stiffness(mesh)
-    b = steklov_vertex_set(mesh, "steklov")
+    b = spectral_vertices(assemble_boundary_mass(mesh, "steklov"))
     assert b.size == mesh.vertex_count
     S = dtn_schur(K, b)
     assert np.allclose(S, K.toarray(), atol=1e-14)
@@ -135,7 +144,7 @@ def test_dtn_without_interior_is_plain_stiffness_block():
 
 def test_dtn_matches_dense_elimination(coarse_mesh):
     K = assemble_stiffness(coarse_mesh)
-    b = steklov_vertex_set(coarse_mesh, "steklov")
+    b = spectral_vertices(assemble_boundary_mass(coarse_mesh, "steklov"))
     S = dtn_schur(K, b)
     dense = K.toarray()
     i = np.setdiff1d(np.arange(coarse_mesh.vertex_count), b)
@@ -147,22 +156,31 @@ def test_dtn_matches_dense_elimination(coarse_mesh):
     assert np.allclose(S, S.T, atol=0.0)
 
 
-def test_solve_eigs_two_by_two():
-    S = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    sol = solve_eigs(S, np.eye(2), 2)
-    assert np.allclose(sol.eigenvalues, [0.0, 2.0], atol=1e-14)
-    v0 = sol.eigenvectors[:, 0]
-    assert abs(v0[0] - v0[1]) < 1e-12
+def test_solve_eigs_path_graph():
+    # Laplacian of the path 0-1-2 has eigenvalues 0, 1, 3
+    sol = solve_eigs(PATH_GRAPH, np.eye(3), 2)
+    assert np.allclose(sol.eigenvalues, [0.0, 1.0], atol=1e-12)
+    v0, v1 = sol.eigenvectors.T
+    assert np.ptp(v0) < 1e-12
+    assert np.allclose(np.abs(v1), [2.0**-0.5, 0.0, 2.0**-0.5], atol=1e-12)
 
 
-def test_solve_eigs_input_validation():
-    S = np.array([[1.0, -1.0], [-1.0, 1.0]])
+def test_solve_eigs_input_validation(monkeypatch):
     with pytest.raises(ValueError, match="k must be"):
-        solve_eigs(S, np.eye(2), 3)
+        solve_eigs(PATH_GRAPH, np.eye(3), 3)
+    with pytest.raises(ValueError, match="k must be"):
+        solve_eigs(PATH_GRAPH, np.eye(3), 0)
     with pytest.raises(ValueError, match="square"):
-        solve_eigs(S, np.eye(3), 1)
-    with pytest.raises(FemError, match="positive definite"):
-        solve_eigs(S, np.diag([1.0, -1.0]), 2)
+        solve_eigs(PATH_GRAPH, np.eye(2), 1)
+    with pytest.raises(FemError, match="singular"):
+        solve_eigs(PATH_GRAPH, np.zeros((3, 3)), 2)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
+
+    monkeypatch.setattr(fem_solver, "eigsh", no_convergence)
+    with pytest.raises(FemError, match="Lanczos"):
+        solve_eigs(PATH_GRAPH, np.eye(3), 2)
 
 
 def test_coarse_annulus_near_closed_form(coarse_mesh):
@@ -186,21 +204,41 @@ def test_solution_invariants(fine_solutions):
         w = sol.eigenvalues
         assert np.all(np.diff(w) >= 0.0)
         assert abs(w[0]) < 1e-8 * w[1]
-        M = assemble_boundary_mass(
-            sol.mesh, "both" if sol.problem == "steklov" else "outer"
-        )
-        b = sol.steklov_vertices
-        gram = sol.eigenvectors.T @ M[b][:, b].toarray() @ sol.eigenvectors
+        M = assemble_boundary_mass(sol.mesh, sol.problem)
+        assert sol.eigenvectors.shape == (sol.mesh.vertex_count, len(w))
+        gram = sol.eigenvectors.T @ (M @ sol.eigenvectors)
         assert np.abs(gram - np.eye(len(w))).max() < 1e-8
 
 
 def test_mixed_problem_sees_only_outer_boundary(fine_solutions):
     sn = fine_solutions[1]
-    outer = steklov_vertex_set(sn.mesh, "steklov_neumann")
-    assert np.array_equal(sn.steklov_vertices, outer)
+    mesh = sn.mesh
+    outer = np.unique(mesh.boundary_edges[mesh.boundary_tags == "outer"])
+    M = assemble_boundary_mass(mesh, sn.problem)
+    assert np.array_equal(spectral_vertices(M), outer)
     # the double mixed eigenvalue splits only by discretization
     mu1, mu2 = sn.eigenvalues[1], sn.eigenvalues[2]
     assert abs(mu2 - mu1) / mu1 < 1e-2
+
+
+@pytest.mark.parametrize("problem", ["steklov", "steklov_neumann"])
+@pytest.mark.parametrize("spec", [ANNULUS, OFF_CENTRE_ELLIPSE],
+                         ids=["annulus", "off_centre_ellipse"])
+def test_sparse_solve_matches_dense_dtn_reference(spec, problem):
+    mesh = triangulate(spec, 0.5)
+    K = assemble_stiffness(mesh)
+    M = assemble_boundary_mass(mesh, problem)
+    b = spectral_vertices(M)
+    want = eigh(dtn_schur(K, b), M[b][:, b].toarray(),
+                eigvals_only=True, subset_by_index=[0, 5])
+    sol = solve_on_mesh(mesh, problem, 6, spec=spec)
+    got = sol.eigenvalues
+    assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * want[1:].min()
+    # nonzero modes are discretely harmonic off the spectral boundary
+    off = np.setdiff1d(np.arange(mesh.vertex_count), b)
+    for v in sol.eigenvectors[:, 1:].T:
+        Kv = K @ v
+        assert np.abs(Kv[off]).max() <= 1e-8 * np.abs(Kv).max()
 
 
 def test_eigensolution_clusters():
@@ -224,11 +262,14 @@ def test_eigensolution_json_round_trip(fine_solutions):
 
 
 def test_solve_wrappers_agree(coarse_mesh):
-    direct = solve_steklov(ANNULUS, 0.5, 3)
+    direct = solve(ANNULUS, 0.5, 3)
     on_mesh = solve_on_mesh(coarse_mesh, "steklov", 3, spec=ANNULUS)
     assert np.array_equal(direct.eigenvalues, on_mesh.eigenvalues)
-    mixed = solve_mixed_sn(ANNULUS, 0.5, 3)
+    mixed = solve(ANNULUS, 0.5, 3, "steklov_neumann")
     assert mixed.problem == "steklov_neumann"
+    assert np.array_equal(
+        mixed.eigenvalues,
+        solve_on_mesh(coarse_mesh, "steklov_neumann", 3).eigenvalues)
     assert mixed.eigenvalues[1] != pytest.approx(direct.eigenvalues[1], rel=1e-3)
 
 

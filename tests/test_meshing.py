@@ -1,4 +1,4 @@
-"""Tests for the triangle mesh generator and mesh file format."""
+"""Tests for the triangle mesh generator and mesh validation."""
 
 import math
 
@@ -11,10 +11,8 @@ from steklov.meshing import (
     MeshError,
     mesh_area,
     mesh_min_angle,
-    read_mesh,
     triangulate,
     validate_mesh,
-    write_mesh,
 )
 
 
@@ -157,29 +155,6 @@ def test_degenerate_gap_raises():
     validate_mesh(mesh)
 
 
-def test_mesh_file_roundtrip(tmp_path):
-    mesh = triangulate(annulus_spec(), 0.5)
-    path = tmp_path / "annulus.mesh"
-    write_mesh(mesh, path)
-    again = read_mesh(path)
-    assert again.h == mesh.h
-    assert np.array_equal(again.vertices, mesh.vertices)
-    assert np.array_equal(again.triangles, mesh.triangles)
-    assert np.array_equal(again.boundary_edges, mesh.boundary_edges)
-    assert np.array_equal(again.boundary_tags, mesh.boundary_tags)
-    validate_mesh(again)
-    twice = tmp_path / "annulus2.mesh"
-    write_mesh(again, twice)
-    assert path.read_bytes() == twice.read_bytes()
-
-
-def test_read_mesh_requires_header(tmp_path):
-    path = tmp_path / "broken.mesh"
-    path.write_text("#vertices 0\n#triangles 0\n#boundary 0\n")
-    with pytest.raises(MeshError, match="# h"):
-        read_mesh(path)
-
-
 def test_validate_rejects_flipped_triangle():
     mesh = hand_ring_mesh()
     mesh.triangles[0] = mesh.triangles[0][[0, 2, 1]]
@@ -213,6 +188,11 @@ def test_validate_rejects_missing_boundary_edge():
     mesh.boundary_edges = mesh.boundary_edges[1:]
     mesh.boundary_tags = mesh.boundary_tags[1:]
     with pytest.raises(MeshError):
+        validate_mesh(mesh)
+    # same edge count, but one outer edge swapped for a chord of the octagon
+    mesh = hand_ring_mesh()
+    mesh.boundary_edges[0] = [0, 2]
+    with pytest.raises(MeshError, match="does not match"):
         validate_mesh(mesh)
 
 
