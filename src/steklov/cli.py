@@ -111,7 +111,6 @@ def build_sweep(entries):
         _require(entries, "path"),
         centers,
         float(_require(entries, "h")),
-        int(entries.get("k", "3")),
     )
 
 

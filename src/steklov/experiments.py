@@ -34,7 +34,7 @@ from steklov.domains import (
     volume_matched_outer_radius,
 )
 from steklov.fem_solver import solve_on_mesh
-from steklov.golden import QUANTITIES, golden_table
+from steklov.golden import HOLE_RADIUS, QUANTITIES, golden_table
 from steklov.meshing import triangulate
 from steklov.quadrature import quadrature_integrals
 
@@ -109,62 +109,53 @@ class TableArtifact:
         return "\n".join(lines) + "\n"
 
 
+def _compare(golden, computed):
+    """Golden and computed values of the golden quantities, with the
+    relative deviation of each."""
+    return {
+        "golden": dict(golden),
+        "computed": {q: computed[q] for q in golden},
+        "deviation": {
+            q: abs(computed[q] - golden[q]) / golden[q] for q in golden
+        },
+    }
+
+
 def reproduce_table(table_id, h):
     """Recompute one golden table with the FEM pipeline at mesh size h."""
     table = golden_table(table_id)
     rows = []
     if table["kind"] == "comparison":
         for name, spec in table["domains"].items():
-            golden = table["values"][name]
-            mesh = triangulate(spec, h)
-            computed_all = _four_eigenvalues(mesh, spec)
-            computed = {q: computed_all[q] for q in golden}
-            rows.append({
-                "domain": name,
-                "golden": dict(golden),
-                "computed": computed,
-                "deviation": {
-                    q: abs(computed[q] - golden[q]) / golden[q] for q in golden
-                },
-            })
+            computed = _four_eigenvalues(triangulate(spec, h), spec)
+            rows.append({"domain": name,
+                         **_compare(table["values"][name], computed)})
     else:
-        for idx, center in enumerate(table["centers"]):
-            spec = DomainSpec(table["outer"], center, 1.0)
-            mesh = triangulate(spec, h)
-            computed = _four_eigenvalues(mesh, spec)
+        sweep = run_sweep(SweepSpec(table["outer"], HOLE_RADIUS, table["path"],
+                                    table["centers"], h))
+        for idx, row in enumerate(sweep.rows):
             golden = {q: table["values"][q][idx] for q in QUANTITIES}
-            rows.append({
-                "center": list(center),
-                "distance": math.hypot(*center),
-                "golden": golden,
-                "computed": computed,
-                "deviation": {
-                    q: abs(computed[q] - golden[q]) / golden[q]
-                    for q in QUANTITIES
-                },
-            })
+            rows.append({"center": row["center"], "distance": row["distance"],
+                         **_compare(golden, row)})
     return TableArtifact(table_id, table["kind"], float(h), tuple(rows))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A hole-position sweep: fixed outer shape and hole radius, explicit
-    list of hole centers along a path, one mesh size, k eigenvalues."""
+    list of hole centers along a path, one mesh size."""
 
     outer: object
     hole_radius: float
     path: str
     centers: tuple
     h: float
-    k: int = 3
 
     def __post_init__(self):
         if self.path not in SWEEP_PATHS:
             raise ValueError(f"path must be one of {SWEEP_PATHS}")
         if not self.centers:
             raise ValueError("sweep needs at least one center")
-        if self.k < 3:
-            raise ValueError("k must be at least 3 (two nonzero eigenvalues)")
         centers = tuple(
             (float(c[0]), float(c[1])) for c in self.centers
         )

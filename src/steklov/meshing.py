@@ -4,9 +4,11 @@ The generator is a force-based relaxation over a Delaunay triangulation
 (truss smoothing in the style of Persson & Strang): boundary vertices are
 fixed where `boundary_polylines` placed them, interior points start on a
 density-matched grid and repel each other until edge lengths track the
-graded size field.  Interior points that drift too close to a boundary are
-deleted; triangles whose centroid falls outside the region (inside the
-hole) are discarded.  Everything is deterministic for a fixed spec and h:
+graded size field.  Each triangulation, including a final one of the
+settled cloud, first deletes interior points too close to a boundary (the
+standoff) and then discards triangles whose centroid falls outside the
+region.  A relaxation that has not settled after MAX_ITER iterations
+raises MeshError.  Everything is deterministic for a fixed spec and h:
 seeding uses a low-discrepancy sequence instead of a random generator.
 
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
@@ -49,6 +51,9 @@ INNER = "inner"
 
 # Relaxation parameters (edge-length overshoot, pseudo-time step, move
 # tolerances for retriangulation and convergence, boundary standoff).
+# `_settle` enforces the standoff at each triangulation, and no point moves
+# more than TTOL*fh before the next one, so with TTOL < ESCAPE_FRACTION
+# points stay (ESCAPE_FRACTION - TTOL)*fh inside the region in between.
 FSCALE = 1.2
 DELTA_T = 0.2
 TTOL = 0.1
@@ -180,47 +185,32 @@ def _seed_points(spec: DomainSpec, h: float):
     return np.vstack(seeds)
 
 
-def _region_triangles(spec, pts, simplices, geps):
-    """Keep simplices whose centroid lies inside the region."""
+def _settle(spec, h, pts, n_fixed, geps):
+    """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
+    then triangulate and keep the simplices whose centroid lies inside the
+    region.  Returns the kept points, their size field, simplices, bars."""
+    fh = size_field(spec, h, pts)
+    keep = np.ones(len(pts), bool)
+    keep[n_fixed:] = (
+        region_signed_distance(spec, pts[n_fixed:]) <= -ESCAPE_FRACTION * fh[n_fixed:]
+    )
+    pts, fh = pts[keep], fh[keep]
+    simplices = Delaunay(pts).simplices
     centroids = pts[simplices].mean(axis=1)
-    inside = region_signed_distance(spec, centroids) < -geps
-    return simplices[inside]
-
-
-def _delaunay_pass(spec, pts, geps):
-    tri = Delaunay(pts)
-    simplices = _region_triangles(spec, pts, tri.simplices, geps)
+    simplices = simplices[region_signed_distance(spec, centroids) < -geps]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
-    bars = np.unique(_sorted_edges(simplices), axis=0)
-    return simplices, bars
+    return pts, fh, simplices, np.unique(_sorted_edges(simplices), axis=0)
 
 
 def _relax(spec, h, pts, n_fixed):
     """Move interior points until bar lengths track the size field."""
     geps = 1e-3 * h
     last = None  # positions at the most recent triangulation
-    bars = None
-    simplices = None
-    fh_pts = size_field(spec, h, pts)
-
     for _ in range(MAX_ITER):
-        interior = pts[n_fixed:]
-        escaped = (
-            region_signed_distance(spec, interior)
-            > -ESCAPE_FRACTION * fh_pts[n_fixed:]
-        )
-        moved = (
-            last is None
-            or np.max(np.hypot(*(pts - last).T) / fh_pts) > TTOL
-        )
-        if moved or np.any(escaped):
-            if np.any(escaped):
-                keep = np.concatenate([np.ones(n_fixed, bool), ~escaped])
-                pts = pts[keep]
-            simplices, bars = _delaunay_pass(spec, pts, geps)
-            last = pts.copy()
-            fh_pts = size_field(spec, h, pts)
+        if last is None or np.max(np.hypot(*(pts - last).T) / fh_pts) > TTOL:
+            pts, fh_pts, _, bars = _settle(spec, h, pts, n_fixed, geps)
+            last = pts
             mids = 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]])
             h_bars = size_field(spec, h, mids)
 
@@ -239,17 +229,10 @@ def _relax(spec, h, pts, n_fixed):
         step = DELTA_T * np.hypot(total[n_fixed:, 0], total[n_fixed:, 1])
         if len(step) == 0 or np.max(step / fh_pts[n_fixed:]) < PTOL:
             break
+    else:
+        raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    # Final cleanup: drop any interior point that ended too close to a
-    # boundary, then triangulate the settled cloud.
-    interior = pts[n_fixed:]
-    fh_pts = size_field(spec, h, pts)
-    escaped = (
-        region_signed_distance(spec, interior) > -ESCAPE_FRACTION * fh_pts[n_fixed:]
-    )
-    if np.any(escaped):
-        pts = pts[np.concatenate([np.ones(n_fixed, bool), ~escaped])]
-    simplices, _ = _delaunay_pass(spec, pts, geps)
+    pts, _, simplices, _ = _settle(spec, h, pts, n_fixed, geps)
     return pts, simplices
 
 

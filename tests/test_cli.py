@@ -90,7 +90,6 @@ def test_build_sweep():
     sweep = build_sweep({"outer": "disk", "radius": "5", "path": "axis-x",
                          "centers": "0.5,0 ; 1.5,0", "h": "0.4"})
     assert sweep.centers == ((0.5, 0.0), (1.5, 0.0))
-    assert sweep.k == 3
     with pytest.raises(ValueError, match="missing required key 'centers'"):
         build_sweep({"outer": "disk", "radius": "5", "path": "axis-x",
                      "h": "0.4"})

@@ -41,8 +41,6 @@ def test_sweep_spec_validation():
         SweepSpec(Disk(5.0), 1.0, "spiral", ((0.5, 0.0),), H)
     with pytest.raises(ValueError, match="center"):
         SweepSpec(Disk(5.0), 1.0, "axis-x", (), H)
-    with pytest.raises(ValueError, match="k"):
-        SweepSpec(Disk(5.0), 1.0, "axis-x", ((0.5, 0.0),), H, k=2)
     # a center whose hole pokes through the outer boundary is rejected
     with pytest.raises(ValueError):
         SweepSpec(Disk(5.0), 1.0, "axis-x", ((4.8, 0.0),), H)
@@ -114,7 +112,7 @@ def test_single_center_sweep_is_trivially_monotone():
 def test_sweep_is_deterministic(disk_sweep):
     spec, result = disk_sweep
     again = run_sweep(SweepSpec(spec.outer, spec.hole_radius, spec.path,
-                                spec.centers, spec.h, spec.k))
+                                spec.centers, spec.h))
     assert json.dumps(again.as_dict()) == json.dumps(result.as_dict())
     assert again.to_csv() == result.to_csv()
 

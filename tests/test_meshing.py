@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle, boundary_polylines
+from steklov import meshing
+from steklov.domains import (
+    Disk,
+    DomainSpec,
+    Ellipse,
+    Rectangle,
+    boundary_polylines,
+    region_signed_distance,
+    size_field,
+)
 from steklov.meshing import (
+    ESCAPE_FRACTION,
     Mesh,
     MeshError,
     mesh_area,
@@ -144,6 +154,31 @@ def test_thin_gap_ellipse_meshes_cleanly():
     mesh = triangulate(spec, 0.125)
     validate_mesh(mesh)
     assert mesh_min_angle(mesh) >= 20.0
+    # boundary standoff: interior vertices keep ESCAPE_FRACTION of the local size
+    interior = np.setdiff1d(np.arange(mesh.vertex_count), mesh.boundary_edges)
+    pts = mesh.vertices[interior]
+    assert np.all(
+        region_signed_distance(spec, pts)
+        <= -ESCAPE_FRACTION * size_field(spec, 0.125, pts) + 1e-12 * 0.125
+    )
+
+
+def test_settle_drops_points_inside_the_standoff():
+    spec = annulus_spec()  # size field is h = 0.5 near the outer circle
+    outer, inner = boundary_polylines(spec, 0.5)
+    fixed = np.vstack([outer, inner])
+    band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
+    pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
+    kept, fh, simplices, bars = meshing._settle(spec, 0.5, pts, len(fixed), 5e-4)
+    assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
+    assert np.array_equal(fh, size_field(spec, 0.5, kept))
+    assert simplices.max() < len(kept) and bars.max() < len(kept)
+
+
+def test_relaxation_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(meshing, "MAX_ITER", 5)
+    with pytest.raises(MeshError, match="did not converge in 5 iterations"):
+        triangulate(annulus_spec(), 0.5)
 
 
 def test_degenerate_gap_raises():
