@@ -138,15 +138,12 @@ def aux_poly_deg2(n: int, L: float) -> float:
     return first * (L**n - 1.0) ** 2 - second**2 * (1.0 + L) ** 2
 
 
-def _scan_nonneg(fn, lo, hi, samples, label_prefix, scale_fn=None):
+def _scan_nonneg(fn, lo, hi, samples, label_prefix):
     """Yield (label, margin, scale) for fn >= 0 on [lo, hi]: dense samples
     plus refined local minima bracketed by derivative sign changes."""
     ts = np.linspace(lo, hi, samples)
     vals = np.array([fn(t) for t in ts])
-    if scale_fn is None:
-        scale = float(np.max(np.abs(vals)))
-    else:
-        scale = scale_fn(vals)
+    scale = float(np.max(np.abs(vals)))
     for t, v in zip(ts, vals):
         yield f"{label_prefix} t={t:.6g}", float(v), scale
     # refine interior local minima: v[i] below both neighbours
@@ -160,16 +157,22 @@ def _scan_nonneg(fn, lo, hi, samples, label_prefix, scale_fn=None):
                float(res.fun), scale)
 
 
+def _scan_dimensions(fn, grid, name):
+    """Scan entries for fn(n, t) >= 0 over n in {3..8} together with the
+    grid's n >= 3 values, and t in [1, 10]."""
+    ns = sorted(set(range(3, 9)) | {n for n in grid.n_values if n >= 3})
+    entries = []
+    for n in ns:
+        entries.extend(_scan_nonneg(lambda t, n=n: fn(n, t), 1.0, 10.0,
+                                    grid.t_samples, f"{name} n={n}"))
+    return entries
+
+
 def poly_positivity_report(grid: GridSpec) -> VerificationReport:
     """poly_h(n, t) >= 0 over n in {3..8} (or the grid's n >= 3 values,
     whichever is larger) and t in [1, 10]."""
-    ns = sorted(set(n for n in range(3, 9)) | {n for n in grid.n_values
-                                               if n >= 3})
-    entries = []
-    for n in ns:
-        entries.extend(_scan_nonneg(lambda t, n=n: poly_h(n, t), 1.0, 10.0,
-                                    grid.t_samples, f"poly_h n={n}"))
-    return _build_report("poly_h_nonneg", entries)
+    return _build_report("poly_h_nonneg",
+                         _scan_dimensions(poly_h, grid, "poly_h"))
 
 
 def aux_log_report(grid: GridSpec) -> VerificationReport:
@@ -183,14 +186,9 @@ def aux_log_report(grid: GridSpec) -> VerificationReport:
 
 def aux_poly_deg2_report(grid: GridSpec) -> VerificationReport:
     """aux_poly_deg2(n, L) >= 0 over n in {3..8}, L in [1, 10]."""
-    ns = sorted(set(n for n in range(3, 9)) | {n for n in grid.n_values
-                                               if n >= 3})
-    entries = []
-    for n in ns:
-        entries.extend(_scan_nonneg(lambda L, n=n: aux_poly_deg2(n, L),
-                                    1.0, 10.0, grid.t_samples,
-                                    f"aux_poly_deg2 n={n}"))
-    return _build_report("aux_poly_deg2_nonneg", entries)
+    return _build_report("aux_poly_deg2_nonneg",
+                         _scan_dimensions(aux_poly_deg2, grid,
+                                          "aux_poly_deg2"))
 
 
 # ----------------------------------------------------------- F/G monotonicity
@@ -207,7 +205,8 @@ def profile_G(profile: RadialProfile, r):
     return 2.0 * f * df + (profile.n - 1) * f**2 / np.asarray(r, float)
 
 
-def _degree1_profile(spec: AnnulusSpec, problem: str) -> RadialProfile:
+def degree1_profile(spec: AnnulusSpec, problem: str) -> RadialProfile:
+    """Radial profile of the first nonzero (degree-1) eigenfunction."""
     if problem == "steklov":
         return steklov_profile(spec, 1, 1)
     if problem == "steklov_neumann":
@@ -252,7 +251,7 @@ def monotone_F_G(spec: AnnulusSpec, problem: str,
     r = np.asarray(sorted(r_grid), dtype=float)
     if r.size < 2:
         raise ValueError("need at least two radii")
-    prof = _degree1_profile(spec, problem)
+    prof = degree1_profile(spec, problem)
     F = profile_F(prof, r)
     G = profile_G(prof, r)
     dF = profile_F_deriv(prof, r)

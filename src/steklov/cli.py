@@ -11,11 +11,11 @@ the run passed; 1 means a check failed; 2 means bad input.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from steklov.analysis import GridSpec
 from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
-from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
+from steklov.domains import SHAPES, DomainSpec
 from steklov.experiments import (
     SweepSpec,
     reproduce_table,
@@ -66,17 +66,14 @@ def _pair(text):
 
 
 def build_outer(entries):
+    """The outer shape named by 'outer'; its field names are the keys."""
     kind = _require(entries, "outer")
-    if kind == "disk":
-        return Disk(float(_require(entries, "radius")))
-    if kind == "ellipse":
-        return Ellipse(float(_require(entries, "a")),
-                       float(_require(entries, "b")))
-    if kind == "rectangle":
-        return Rectangle(float(_require(entries, "width")),
-                         float(_require(entries, "height")))
-    raise ValueError(
-        f"outer must be disk, ellipse, or rectangle, got {kind!r}")
+    if kind not in SHAPES:
+        *head, last = SHAPES
+        raise ValueError(
+            f"outer must be {', '.join(head)}, or {last}, got {kind!r}")
+    shape = SHAPES[kind]
+    return shape(*(float(_require(entries, f.name)) for f in fields(shape)))
 
 
 def build_domain_spec(entries):

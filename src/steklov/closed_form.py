@@ -78,26 +78,6 @@ def multiplicity(n: int, l: int) -> int:
     return num // den
 
 
-def quad_coeffs(n: int, L: float, l: int) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of the per-degree quadratic A*s^2 + B*s + C = 0.
-
-    Imposing du/dnu = s*u on both spheres of the normalized annulus (1, L)
-    for the degree-l radial solution a*r^l + b*r^-(l+n-2) and eliminating
-    (a, b) yields this quadratic in s.  It degenerates for l = 0 in the
-    plane (the second radial solution is log r there), which is rejected.
-    """
-    _check_degree_args(n, L, l)
-    if l == 0 and n == 2:
-        raise ValueError("l = 0 in dimension 2 is a logarithmic mode; "
-                         "the quadratic in sigma degenerates")
-    m = 2 * l + n - 2
-    Lm = L**m
-    A = L * (Lm - 1.0)
-    B = -(l * Lm + (l + n - 2) * Lm * L + l * L + (l + n - 2))
-    C = l * (l + n - 2) * (Lm - 1.0)
-    return A, B, C
-
-
 def _check_degree_args(n, L, l):
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n}")

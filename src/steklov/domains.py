@@ -7,6 +7,11 @@ meshing needs (signed distances, a graded size field) plus the boundary
 discretization and the radius of the area-matched disk used when a domain
 is compared against a concentric annulus.
 
+Each shape class carries its own geometry: `half_extents` (the half-widths
+of its bounding box), `signed_distance(x, y)`, `area` and `matched_radius`
+(the radius of the disk of equal area).  `SHAPES` maps the shape names
+used in configs and JSON to the classes, and is the only list of shapes.
+
 Conventions: signed distances are negative inside a shape, polylines are
 arrays of shape (N, 2) that close implicitly (segment N-1 -> 0), the outer
 polyline is counterclockwise and the hole polyline is clockwise.
@@ -15,7 +20,7 @@ polyline is counterclockwise and the hole polyline is clockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Union
 
@@ -25,6 +30,7 @@ __all__ = [
     "Disk",
     "Ellipse",
     "Rectangle",
+    "SHAPES",
     "DomainSpec",
     "boundary_polylines",
     "hole_signed_distance",
@@ -44,6 +50,9 @@ MIN_SIZE_DIVISOR = 40.0
 # Minimum number of segments a closed boundary polyline may have.
 MIN_CLOSED_SEGMENTS = 8
 
+# Smallest dense parameter grid `_march_curve` integrates the density on.
+DENSE_FLOOR = 4096
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -58,6 +67,17 @@ class Disk:
     @property
     def area(self):
         return math.pi * self.radius**2
+
+    @property
+    def half_extents(self):
+        return self.radius, self.radius
+
+    @property
+    def matched_radius(self):
+        return self.radius
+
+    def signed_distance(self, x, y):
+        return np.hypot(x, y) - self.radius
 
 
 @dataclass(frozen=True)
@@ -75,6 +95,21 @@ class Ellipse:
     def area(self):
         return math.pi * self.a * self.b
 
+    @property
+    def half_extents(self):
+        return self.a, self.b
+
+    @property
+    def matched_radius(self):
+        return math.sqrt(self.a * self.b)
+
+    def signed_distance(self, x, y):
+        # Magnitude from the nearest-point solve, sign from the algebraic
+        # equation (exact on either side).
+        dist = _ellipse_distance(self.a, self.b, x, y)
+        level = (x / self.a) ** 2 + (y / self.b) ** 2 - 1.0
+        return np.where(level < 0.0, -dist, dist)
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -91,8 +126,26 @@ class Rectangle:
     def area(self):
         return self.width * self.height
 
+    @property
+    def half_extents(self):
+        return 0.5 * self.width, 0.5 * self.height
 
-OuterShape = Union[Disk, Ellipse, Rectangle]
+    @property
+    def matched_radius(self):
+        return math.sqrt(self.width * self.height / math.pi)
+
+    def signed_distance(self, x, y):
+        qx = np.abs(x) - 0.5 * self.width
+        qy = np.abs(y) - 0.5 * self.height
+        outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+        inside = np.minimum(np.maximum(qx, qy), 0.0)
+        return outside + inside
+
+
+SHAPES = {"disk": Disk, "ellipse": Ellipse, "rectangle": Rectangle}
+
+OuterShape = Union[tuple(SHAPES.values())]
+
 
 def _ellipse_distance(a, b, x, y):
     """Distance from points to the ellipse x^2/a^2 + y^2/b^2 = 1.
@@ -131,33 +184,14 @@ def _as_points(pts):
 def outer_signed_distance(outer: OuterShape, pts):
     """Signed distance to the outer boundary (negative inside the shape)."""
     p, scalar = _as_points(pts)
-    x, y = p[:, 0], p[:, 1]
-    if isinstance(outer, Disk):
-        d = np.hypot(x, y) - outer.radius
-    elif isinstance(outer, Rectangle):
-        qx = np.abs(x) - 0.5 * outer.width
-        qy = np.abs(y) - 0.5 * outer.height
-        outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
-        inside = np.minimum(np.maximum(qx, qy), 0.0)
-        d = outside + inside
-    elif isinstance(outer, Ellipse):
-        # Magnitude from the nearest-point solve, sign from the algebraic
-        # equation (exact on either side).
-        dist = _ellipse_distance(outer.a, outer.b, x, y)
-        level = (x / outer.a) ** 2 + (y / outer.b) ** 2 - 1.0
-        d = np.where(level < 0.0, -dist, dist)
-    else:
-        raise TypeError(f"unsupported outer shape: {outer!r}")
+    d = outer.signed_distance(p[:, 0], p[:, 1])
     return d[0] if scalar else d
 
 
 def shape_dict(outer: OuterShape) -> dict:
     """Plain-data echo of an outer shape, for JSON output."""
-    if isinstance(outer, Disk):
-        return {"shape": "disk", "radius": outer.radius}
-    if isinstance(outer, Ellipse):
-        return {"shape": "ellipse", "a": outer.a, "b": outer.b}
-    return {"shape": "rectangle", "width": outer.width, "height": outer.height}
+    name = next(name for name, cls in SHAPES.items() if isinstance(outer, cls))
+    return {"shape": name, **asdict(outer)}
 
 
 @dataclass(frozen=True)
@@ -176,8 +210,9 @@ class DomainSpec:
     hole_radius: float
 
     def __post_init__(self):
-        if not isinstance(self.outer, (Disk, Ellipse, Rectangle)):
-            raise TypeError("outer must be a Disk, Ellipse, or Rectangle")
+        if not isinstance(self.outer, tuple(SHAPES.values())):
+            names = ", ".join(cls.__name__ for cls in SHAPES.values())
+            raise TypeError(f"outer must be one of {names}")
         center = (float(self.hole_center[0]), float(self.hole_center[1]))
         object.__setattr__(self, "hole_center", center)
         object.__setattr__(self, "hole_radius", float(self.hole_radius))
@@ -205,13 +240,8 @@ class DomainSpec:
     @property
     def is_order4_symmetric(self) -> bool:
         """Invariant under rotation by pi/2 about the origin."""
-        if not self.is_order2_symmetric:
-            return False
-        if isinstance(self.outer, Disk):
-            return True
-        if isinstance(self.outer, Ellipse):
-            return self.outer.a == self.outer.b
-        return self.outer.width == self.outer.height
+        a, b = self.outer.half_extents
+        return self.is_order2_symmetric and a == b
 
     @property
     def area(self) -> float:
@@ -263,15 +293,10 @@ def size_field(spec: DomainSpec, h: float, pts):
 
 def volume_matched_outer_radius(spec: DomainSpec) -> float:
     """Radius of the disk whose area equals the outer shape's area."""
-    outer = spec.outer
-    if isinstance(outer, Disk):
-        return outer.radius
-    if isinstance(outer, Ellipse):
-        return math.sqrt(outer.a * outer.b)
-    return math.sqrt(outer.width * outer.height / math.pi)
+    return spec.outer.matched_radius
 
 
-def _march_curve(curve, t_lo, t_hi, fh, closed, dense_floor=4096):
+def _march_curve(curve, t_lo, t_hi, fh, closed):
     """Place points along a parametric curve so gaps track the size field.
 
     Integrates ds/fh over a dense parameter grid and emits points at the
@@ -279,7 +304,7 @@ def _march_curve(curve, t_lo, t_hi, fh, closed, dense_floor=4096):
     For a closed curve the first point is curve(t_lo) and the count equals
     the segment count; an open curve keeps both endpoints.
     """
-    m = dense_floor
+    m = DENSE_FLOOR
     for _ in range(4):
         ts = np.linspace(t_lo, t_hi, m + 1)
         pts = curve(ts)
@@ -309,11 +334,11 @@ def _march_curve(curve, t_lo, t_hi, fh, closed, dense_floor=4096):
     return curve(t_samples)
 
 
-def _circle_curve(center, radius):
+def _ellipse_curve(center, a, b):
     cx, cy = center
 
     def curve(ts):
-        return np.column_stack([cx + radius * np.cos(ts), cy + radius * np.sin(ts)])
+        return np.column_stack([cx + a * np.cos(ts), cy + b * np.sin(ts)])
 
     return curve
 
@@ -333,21 +358,9 @@ def boundary_polylines(spec: DomainSpec, h: float):
     def fh(pts):
         return size_field(spec, h, pts)
 
-    outer = spec.outer
-    if isinstance(outer, Disk):
-        outer_poly = _march_curve(
-            _circle_curve((0.0, 0.0), outer.radius), 0.0, 2.0 * math.pi, fh, True
-        )
-    elif isinstance(outer, Ellipse):
-        a, b = outer.a, outer.b
-
-        def curve(ts):
-            return np.column_stack([a * np.cos(ts), b * np.sin(ts)])
-
-        outer_poly = _march_curve(curve, 0.0, 2.0 * math.pi, fh, True)
-    else:
-        w2, h2 = 0.5 * outer.width, 0.5 * outer.height
-        corners = [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)]
+    a, b = spec.outer.half_extents
+    if isinstance(spec.outer, Rectangle):
+        corners = [(-a, -b), (a, -b), (a, b), (-a, b)]
         sides = []
         for k in range(4):
             p0 = np.array(corners[k])
@@ -364,9 +377,14 @@ def boundary_polylines(spec: DomainSpec, h: float):
                 "h too coarse: boundary polyline would have "
                 f"{len(outer_poly)} segments (need at least {MIN_CLOSED_SEGMENTS})"
             )
+    else:
+        outer_poly = _march_curve(
+            _ellipse_curve((0.0, 0.0), a, b), 0.0, 2.0 * math.pi, fh, True
+        )
 
+    r = spec.hole_radius
     inner_ccw = _march_curve(
-        _circle_curve(spec.hole_center, spec.hole_radius), 0.0, 2.0 * math.pi, fh, True
+        _ellipse_curve(spec.hole_center, r, r), 0.0, 2.0 * math.pi, fh, True
     )
     inner_poly = inner_ccw[::-1].copy()
     return outer_poly, inner_poly

@@ -16,17 +16,13 @@ from steklov.analysis import (
     VerificationReport,
     aux_log_report,
     aux_poly_deg2_report,
+    degree1_profile,
     eigenvalue_order_check,
     monotone_F_G,
     poly_positivity_report,
     theorem21_bruteforce,
 )
-from steklov.closed_form import (
-    PROBLEMS,
-    AnnulusSpec,
-    sn_profile,
-    steklov_profile,
-)
+from steklov.closed_form import PROBLEMS, AnnulusSpec
 from steklov.domains import (
     Disk,
     DomainSpec,
@@ -336,10 +332,7 @@ def verify_integral_lemmas(spec, h):
                       "value": value,
                       "passed": bool(abs(value) <= tolerance)})
 
-    profiles = {
-        "steklov": steklov_profile(annulus, 1, 1),
-        "steklov_neumann": sn_profile(annulus, 1),
-    }
+    profiles = {p: degree1_profile(annulus, p) for p in PROBLEMS}
     for pname, prof in profiles.items():
         energy = quadrature_integrals(mesh, "F", prof)
         energy0 = quadrature_integrals(mesh0, "F", prof)

@@ -131,8 +131,12 @@ class EigenSolution:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     mesh: Mesh = None
-    h: float = None
     spec: DomainSpec = None
+
+    @property
+    def h(self):
+        """Target edge length of the mesh, or None without a mesh."""
+        return None if self.mesh is None else self.mesh.h
 
     def clusters(self, rtol=1e-3):
         """Indices grouped into near-multiple clusters.
@@ -164,7 +168,7 @@ class EigenSolution:
     def to_json(self):
         return json.dumps(self.as_dict(), indent=2)
 
-def solve_eigs(K, M, k, problem="steklov", mesh=None, h=None, spec=None):
+def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None):
     """First k eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
     K must be symmetric positive semidefinite with the constants as its
@@ -211,13 +215,13 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, h=None, spec=None):
     residual = np.abs(vecs.T @ (M @ vecs) - np.eye(k)).max()
     if residual > 1e-8:
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
-    return EigenSolution(problem, vals, vecs, mesh=mesh, h=h, spec=spec)
+    return EigenSolution(problem, vals, vecs, mesh=mesh, spec=spec)
 
 def solve_on_mesh(mesh, problem, k, spec=None):
     """Assemble and solve one eigenvalue problem on an existing mesh."""
     K = assemble_stiffness(mesh)
     M = assemble_boundary_mass(mesh, problem)
-    return solve_eigs(K, M, k, problem=problem, mesh=mesh, h=mesh.h, spec=spec)
+    return solve_eigs(K, M, k, problem=problem, mesh=mesh, spec=spec)
 
 def solve(spec, h, k, problem="steklov"):
     """First k eigenvalues of one problem on the holed domain at mesh size h."""
@@ -278,15 +282,12 @@ def _concentric_reference(spec, problem, count):
 def _richardson(h_list, values):
     """(extrapolated value, observed order) from the last three levels.
 
-    Assumes error = C h^p and a fixed refinement ratio.  Returns the
-    finest value and no order when the differences do not behave (sign
-    change or stagnation), rather than inventing a rate.
+    Assumes error = C h^p and a fixed refinement ratio, which the caller
+    checks.  Returns the finest value and no order when the differences
+    do not behave (sign change or stagnation), rather than inventing a rate.
     """
-    h0, h1, h2 = h_list[-3:]
+    r = h_list[-3] / h_list[-2]
     v0, v1, v2 = values[-3:]
-    r = h0 / h1
-    if abs(h1 / h2 - r) > 1e-9 * r:
-        raise ValueError("refinement ratio must be fixed across levels")
     d0, d1 = v1 - v0, v2 - v1
     if d1 == 0.0 or d0 / d1 <= 1.0:
         return v2, None
@@ -296,17 +297,21 @@ def _richardson(h_list, values):
 def convergence_study(spec, problem, h_list, k=6, index=1):
     """Refine the mesh over `h_list` and track eigenvalue `index`.
 
-    Needs at least three strictly descending mesh sizes with a fixed
-    refinement ratio.  On a concentric annulus every level is compared
-    against the closed form and the observed order is the least-squares
-    slope of the error; otherwise the order comes from the extrapolation
-    differences alone.
+    Needs at least three strictly descending mesh sizes whose last three
+    share one refinement ratio; the inputs are checked before any mesh is
+    built.  On a concentric annulus every level is compared against the
+    closed form and the observed order is the least-squares slope of the
+    error; otherwise the order comes from the extrapolation differences
+    alone.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("need at least three refinement levels")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("mesh sizes must be strictly descending")
+    h0, h1, h2 = h_list[-3:]
+    if abs(h1 / h2 - h0 / h1) > 1e-9 * (h0 / h1):
+        raise ValueError("refinement ratio must be fixed across levels")
     if not 0 <= index < k:
         raise ValueError("tracked eigenvalue index must lie below k")
     reference = _concentric_reference(spec, problem, k)

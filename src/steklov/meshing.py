@@ -27,9 +27,7 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .domains import (
-    Disk,
     DomainSpec,
-    Ellipse,
     GRADE_FRACTION,
     MIN_SIZE_DIVISOR,
     boundary_polylines,
@@ -40,7 +38,6 @@ from .domains import (
 __all__ = [
     "Mesh",
     "MeshError",
-    "mesh_area",
     "mesh_min_angle",
     "triangulate",
     "validate_mesh",
@@ -97,11 +94,6 @@ def _triangle_signed_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def mesh_area(mesh: Mesh) -> float:
-    """Total area of the triangulation."""
-    return float(np.sum(_triangle_signed_areas(mesh.vertices, mesh.triangles)))
-
-
 def mesh_min_angle(mesh: Mesh) -> float:
     """Smallest interior angle over all triangles, in degrees."""
     v = mesh.vertices
@@ -137,21 +129,6 @@ def _hex_grid(xmin, xmax, ymin, ymax, spacing):
     return np.vstack(rows)
 
 
-def _bounding_box(spec: DomainSpec):
-    outer = spec.outer
-    if isinstance(outer, Disk):
-        r = outer.radius
-        return -r, r, -r, r
-    if isinstance(outer, Ellipse):
-        return -outer.a, outer.a, -outer.b, outer.b
-    return (
-        -0.5 * outer.width,
-        0.5 * outer.width,
-        -0.5 * outer.height,
-        0.5 * outer.height,
-    )
-
-
 def _seed_points(spec: DomainSpec, h: float):
     """Interior starting points with density matched to the size field.
 
@@ -160,8 +137,8 @@ def _seed_points(spec: DomainSpec, h: float):
     target size is thinned by low-discrepancy rejection so the local point
     density approaches 1/fh^2.
     """
-    xmin, xmax, ymin, ymax = _bounding_box(spec)
-    coarse = _hex_grid(xmin, xmax, ymin, ymax, h)
+    a, b = spec.outer.half_extents
+    coarse = _hex_grid(-a, a, -b, b, h)
     fh = size_field(spec, h, coarse)
     sd = region_signed_distance(spec, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
@@ -169,7 +146,7 @@ def _seed_points(spec: DomainSpec, h: float):
 
     fh_min = max(h / MIN_SIZE_DIVISOR, min(h, GRADE_FRACTION * spec.clearance))
     if fh_min < h * (1.0 - 1e-9):
-        probe = _hex_grid(xmin, xmax, ymin, ymax, h / 2.0)
+        probe = _hex_grid(-a, a, -b, b, h / 2.0)
         graded = size_field(spec, h, probe) < h * (1.0 - 1e-9)
         if np.any(graded):
             gx, gy = probe[graded, 0], probe[graded, 1]

@@ -20,7 +20,7 @@ from steklov.closed_form import (
     sn_eigenvalue,
     steklov_eigenvalue,
 )
-from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
+from steklov.domains import Disk, DomainSpec, Rectangle
 from steklov.experiments import (
     SweepSpec,
     reproduce_table,

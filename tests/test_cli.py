@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-import math
 import subprocess
 import sys
 
@@ -15,7 +14,7 @@ from steklov.cli import (
     main,
     parse_config,
 )
-from steklov.domains import Disk, Ellipse, Rectangle
+from steklov.domains import SHAPES, shape_dict
 
 ANNULUS_CFG = """\
 # the benchmark annulus
@@ -57,23 +56,40 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(path))
 
 
+SHAPE_CONFIGS = {
+    "disk": {"radius": "5"},
+    "ellipse": {"a": "3", "b": "8.33"},
+    "rectangle": {"width": "13.095", "height": "6"},
+}
+
+
 def test_build_domain_spec_variants():
+    assert set(SHAPE_CONFIGS) == set(SHAPES)
+    for name, shape in SHAPES.items():
+        keys = SHAPE_CONFIGS[name]
+        spec = build_domain_spec({"outer": name, **keys})
+        assert type(spec.outer) is shape
+        echo = shape_dict(spec.outer)
+        assert echo == {"shape": name, **{k: float(v) for k, v in keys.items()}}
+        assert list(echo)[1:] == list(keys)
+        for missing in keys:
+            partial = {k: v for k, v in keys.items() if k != missing}
+            with pytest.raises(ValueError,
+                               match=f"missing required key '{missing}'"):
+                build_domain_spec({"outer": name, **partial})
     disk = build_domain_spec({"outer": "disk", "radius": "5"})
-    assert isinstance(disk.outer, Disk)
     assert disk.hole_center == (0.0, 0.0)
     assert disk.hole_radius == 1.0
     ell = build_domain_spec({"outer": "ellipse", "a": "3", "b": "8.33",
                              "hole_center": "0.4,0"})
-    assert isinstance(ell.outer, Ellipse)
     assert ell.hole_center == (0.4, 0.0)
     rect = build_domain_spec({"outer": "rectangle", "width": "13.095",
                               "height": "6", "hole_radius": "0.5"})
-    assert isinstance(rect.outer, Rectangle)
     assert rect.hole_radius == 0.5
-    with pytest.raises(ValueError, match="outer must be"):
+    with pytest.raises(ValueError,
+                       match="outer must be disk, ellipse, or rectangle, "
+                             "got 'triangle'"):
         build_domain_spec({"outer": "triangle"})
-    with pytest.raises(ValueError, match="missing required key 'radius'"):
-        build_domain_spec({"outer": "disk"})
     with pytest.raises(ValueError, match="pair"):
         build_domain_spec({"outer": "disk", "radius": "5",
                            "hole_center": "1,2,3"})

@@ -20,7 +20,6 @@ from steklov import (
     AnnulusSpec,
     enumerate_spectrum,
     multiplicity,
-    quad_coeffs,
     radial_eval,
     sigma_21_closed,
     sn_eigenvalue,
@@ -31,6 +30,27 @@ from steklov import (
 
 NS = [2, 3, 4, 5]
 LS = [1.1, 1.5, 2.0, 5.0, 10.0]
+
+
+def quad_coeffs(n, L, l):
+    """Coefficients (A, B, C) of the per-degree quadratic A*s^2 + B*s + C = 0.
+
+    Imposing du/dnu = s*u on both spheres of the normalized annulus (1, L)
+    for the degree-l radial solution a*r^l + b*r^-(l+n-2) and eliminating
+    (a, b) yields this quadratic in s.  This is the unscaled reference for
+    the closed form, which solves a copy scaled by L^-(2l+n-2).  It
+    degenerates for l = 0 in the plane (the second radial solution is
+    log r there), which is rejected.
+    """
+    if l == 0 and n == 2:
+        raise ValueError("l = 0 in dimension 2 is a logarithmic mode; "
+                         "the quadratic in sigma degenerates")
+    m = 2 * l + n - 2
+    Lm = L**m
+    A = L * (Lm - 1.0)
+    B = -(l * Lm + (l + n - 2) * Lm * L + l * L + (l + n - 2))
+    C = l * (l + n - 2) * (Lm - 1.0)
+    return A, B, C
 
 
 def det_boundary_system(n, L, l, sigma):

@@ -129,6 +129,10 @@ def test_symmetry_flags():
     assert rect.is_order2_symmetric and not rect.is_order4_symmetric
     ell = DomainSpec(Ellipse(3.0, 8.33), (0.0, 0.0), 1.0)
     assert ell.is_order2_symmetric and not ell.is_order4_symmetric
+    round_ell = DomainSpec(Ellipse(4.0, 4.0), (0.0, 0.0), 1.0)
+    assert round_ell.is_order4_symmetric
+    off_ell = DomainSpec(Ellipse(4.0, 4.0), (0.5, 0.0), 1.0)
+    assert not off_ell.is_order2_symmetric and not off_ell.is_order4_symmetric
 
 
 def test_size_field_frozen_values():

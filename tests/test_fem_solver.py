@@ -283,11 +283,15 @@ def test_richardson_recovers_quadratic_model():
     # stagnating values fall back to the finest level without an order
     flat_ext, flat_order = _richardson(h, [0.7, 0.7, 0.7])
     assert flat_ext == 0.7 and flat_order is None
+
+
+def test_convergence_study_validation(monkeypatch):
+    def no_meshing(spec, h):
+        raise AssertionError("input validation must run before meshing")
+
+    monkeypatch.setattr(fem_solver, "triangulate", no_meshing)
     with pytest.raises(ValueError, match="ratio"):
-        _richardson([0.4, 0.2, 0.15], vals)
-
-
-def test_convergence_study_validation():
+        convergence_study(ANNULUS, "steklov", [0.5, 0.25, 0.2])
     with pytest.raises(ValueError, match="three"):
         convergence_study(ANNULUS, "steklov", [0.5, 0.25])
     with pytest.raises(ValueError, match="descending"):

@@ -19,11 +19,16 @@ from steklov.meshing import (
     ESCAPE_FRACTION,
     Mesh,
     MeshError,
-    mesh_area,
     mesh_min_angle,
     triangulate,
     validate_mesh,
 )
+
+
+def mesh_area(mesh):
+    """Total signed area of the triangulation."""
+    areas = meshing._triangle_signed_areas(mesh.vertices, mesh.triangles)
+    return float(np.sum(areas))
 
 
 def annulus_spec(r_outer=5.0, r_hole=1.0):
