@@ -34,8 +34,10 @@ __all__ = [
     "DomainSpec",
     "boundary_polylines",
     "hole_signed_distance",
+    "is_round",
     "outer_signed_distance",
     "region_signed_distance",
+    "region_distance_and_size",
     "shape_dict",
     "size_field",
     "volume_matched_outer_radius",
@@ -147,29 +149,46 @@ SHAPES = {"disk": Disk, "ellipse": Ellipse, "rectangle": Rectangle}
 OuterShape = Union[tuple(SHAPES.values())]
 
 
-def _ellipse_distance(a, b, x, y):
-    """Distance from points to the ellipse x^2/a^2 + y^2/b^2 = 1.
+# Rounding level of phi = 1 - F^(-1/2) in `_ellipse_distance`: F^(1/2)
+# near 1 is formed with a few roundings of at most half an ulp each.
+_NEWTON_TOL = 8.0 * np.finfo(float).eps
 
-    The nearest boundary point is (a^2 u / (t + a^2), b^2 v / (t + b^2))
-    where t is the unique root of a monotone rational equation; the root
-    is bracketed by [max(au - a^2, bv - b^2), hypot(au, bv)] and found by
-    bisection, which vectorizes cleanly and converges to machine
-    precision.  Exact-axis inputs are nudged by a relative 1e-9 so the
-    iteration also recovers the off-axis nearest point inside the evolute.
+
+def _ellipse_distance(a, b, x, y):
+    """Distance from the points (x, y) to the ellipse x^2/a^2 + y^2/b^2 = 1.
+
+    With (u, v) = (|x|, |y|) the nearest boundary point is
+    (a^2 u / (t + a^2), b^2 v / (t + b^2)), where t is the largest root of
+    F(t) = (au / (t + a^2))^2 + (bv / (t + b^2))^2 = 1 (D. Eberly, "Distance
+    from a point to an ellipse, an ellipsoid, or a hyperellipsoid", 2013).
+    Newton's method runs on phi = 1 - F^(-1/2), which is convex, decreasing
+    and nearly linear next to the pole t = -min(a^2, b^2), from the lower
+    bracket max(au - a^2, bv - b^2), so no step passes the root.  It
+    iterates on s = t + min(a^2, b^2): inside the evolute near the major
+    axis t sits next to the pole, and t + a^2 would cancel.  A point stops
+    after the step at which |phi| reaches rounding level, so its distance
+    does not depend on the other points; 64 steps are a safeguard only.
+    Exact-axis inputs are nudged by a relative 1e-100 so the iteration also
+    finds the off-axis nearest point inside the evolute.
     """
-    u = np.maximum(np.abs(np.asarray(x, float)), 1e-9 * a)
-    v = np.maximum(np.abs(np.asarray(y, float)), 1e-9 * b)
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    u = np.maximum(np.abs(x.ravel()), 1e-100 * a)
+    v = np.maximum(np.abs(y.ravel()), 1e-100 * b)
     au, bv = a * u, b * v
-    lo = np.maximum(au - a * a, bv - b * b)
-    hi = np.hypot(au, bv)
+    da, db = a * a - min(a * a, b * b), b * b - min(a * a, b * b)
+    s = np.maximum(au - da, bv - db)
+    live = np.arange(len(s))
     for _ in range(64):
-        t = 0.5 * (lo + hi)
-        f = (au / (t + a * a)) ** 2 + (bv / (t + b * b)) ** 2 - 1.0
-        above = f > 0.0
-        lo = np.where(above, t, lo)
-        hi = np.where(above, hi, t)
-    t = 0.5 * (lo + hi)
-    return np.hypot(u - a * a * u / (t + a * a), v - b * b * v / (t + b * b))
+        p, q = s[live] + da, s[live] + db
+        wa, wb = au[live] / p, bv[live] / q
+        f = wa * wa + wb * wb
+        r = np.sqrt(f)  # phi = 1 - 1/r, phi' = -(wa^2/p + wb^2/q) / r^3
+        s[live] += (r - 1.0) * f / (wa * wa / p + wb * wb / q)
+        live = live[np.abs(r - 1.0) > _NEWTON_TOL]
+        if len(live) == 0:
+            break
+    d = np.hypot(u - a * a * u / (s + da), v - b * b * v / (s + db))
+    return d.reshape(x.shape)
 
 
 def _as_points(pts):
@@ -186,6 +205,12 @@ def outer_signed_distance(outer: OuterShape, pts):
     p, scalar = _as_points(pts)
     d = outer.signed_distance(p[:, 0], p[:, 1])
     return d[0] if scalar else d
+
+
+def is_round(outer: OuterShape) -> bool:
+    """True for a disk and for an ellipse with equal semi-axes."""
+    a, b = outer.half_extents
+    return a == b and not isinstance(outer, Rectangle)
 
 
 def shape_dict(outer: OuterShape) -> dict:
@@ -284,11 +309,22 @@ def size_field(spec: DomainSpec, h: float, pts):
     layers across the thinnest gap while leaving the bulk at h.
     """
     p, scalar = _as_points(pts)
-    lfs = np.abs(outer_signed_distance(spec.outer, p)) + np.abs(
-        hole_signed_distance(spec, p)
-    )
-    fh = np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
+    fh = _grade(h, outer_signed_distance(spec.outer, p), hole_signed_distance(spec, p))
     return fh[0] if scalar else fh
+
+
+def _grade(h, d_out, d_hole):
+    """The size field from the two boundary distances (see `size_field`)."""
+    lfs = np.abs(d_out) + np.abs(d_hole)
+    return np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
+
+
+def region_distance_and_size(spec: DomainSpec, h: float, pts):
+    """`region_signed_distance` and `size_field` at an (m, 2) point array,
+    from one evaluation of each boundary distance."""
+    d_out = outer_signed_distance(spec.outer, pts)
+    d_hole = hole_signed_distance(spec, pts)
+    return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole)
 
 
 def volume_matched_outer_radius(spec: DomainSpec) -> float:

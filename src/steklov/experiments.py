@@ -26,6 +26,7 @@ from steklov.closed_form import PROBLEMS, AnnulusSpec
 from steklov.domains import (
     Disk,
     DomainSpec,
+    is_round,
     shape_dict,
     volume_matched_outer_radius,
 )
@@ -220,9 +221,9 @@ def run_sweep(sweep):
 
     Eigenvalues are listed per center together with the center's distance
     from the origin; each quantity gets a path verdict.  When the outer
-    shape is a disk the result also reports whether the first two mixed
-    eigenvalues stay within the cluster tolerance at every center (the
-    double-eigenvalue observation).
+    shape is round (a disk, or an ellipse with equal semi-axes) the result
+    also reports whether the first two mixed eigenvalues stay within the
+    cluster tolerance at every center (the double-eigenvalue observation).
     """
     rows = []
     for index, center in enumerate(sweep.centers):
@@ -238,7 +239,7 @@ def run_sweep(sweep):
         q: _monotonicity([row[q] for row in rows]) for q in QUANTITIES
     }
     clustered = None
-    if isinstance(sweep.outer, Disk):
+    if is_round(sweep.outer):
         clustered = tuple(
             abs(row["mu2"] - row["mu1"])
             <= CLUSTER_RTOL * max(row["mu1"], row["mu2"])

@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
-from steklov.domains import Disk, DomainSpec
+from steklov.domains import DomainSpec, is_round
 from steklov.meshing import OUTER, Mesh, triangulate
 
 # Shift of the shift-invert solve: just below the zero mode, so the factored
@@ -270,9 +270,9 @@ class ConvergenceStudy:
 
 def _concentric_reference(spec, problem, count):
     """Closed-form eigenvalues when the domain is a concentric annulus."""
-    if not (isinstance(spec.outer, Disk) and spec.hole_center == (0.0, 0.0)):
+    if not (is_round(spec.outer) and spec.hole_center == (0.0, 0.0)):
         return None
-    annulus = AnnulusSpec(2, spec.hole_radius, spec.outer.radius)
+    annulus = AnnulusSpec(2, spec.hole_radius, spec.outer.half_extents[0])
     flat = []
     for line in enumerate_spectrum(annulus, problem, count):
         flat.extend([line.value] * line.multiplicity)

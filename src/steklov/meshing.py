@@ -7,9 +7,12 @@ density-matched grid and repel each other until edge lengths track the
 graded size field.  Each triangulation, including a final one of the
 settled cloud, first deletes interior points too close to a boundary (the
 standoff) and then discards triangles whose centroid falls outside the
-region.  A relaxation that has not settled after MAX_ITER iterations
-raises MeshError.  Everything is deterministic for a fixed spec and h:
-seeding uses a low-discrepancy sequence instead of a random generator.
+region.  The standoff test and the size field share one evaluation of
+each boundary distance, so a triangulation measures the outer distance
+twice: on the points and on the triangle centroids.  A relaxation that has
+not settled after MAX_ITER iterations raises MeshError.  Everything is
+deterministic for a fixed spec and h: seeding uses a low-discrepancy
+sequence instead of a random generator.
 
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
 polyline, the next n_inner the hole polyline, so a boundary edge joins
@@ -31,6 +34,7 @@ from .domains import (
     GRADE_FRACTION,
     MIN_SIZE_DIVISOR,
     boundary_polylines,
+    region_distance_and_size,
     region_signed_distance,
     size_field,
 )
@@ -115,6 +119,18 @@ def _sorted_edges(triangles):
     return np.sort(edges, axis=1)
 
 
+def _unique_edges(triangles, n):
+    """Distinct edges of the triangles over n vertices, each as (i, j) with
+    i < j, in lexicographic order, and the number of triangles sharing each.
+
+    Deduplicates on the 1-D key i*n + j, which sorts like the (i, j) rows."""
+    edges = _sorted_edges(triangles)
+    key, counts = np.unique(
+        edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True
+    )
+    return np.column_stack([key // n, key % n]).astype(triangles.dtype), counts
+
+
 def _hex_grid(xmin, xmax, ymin, ymax, spacing):
     dy = spacing * math.sqrt(3.0) / 2.0
     rows = []
@@ -139,8 +155,7 @@ def _seed_points(spec: DomainSpec, h: float):
     """
     a, b = spec.outer.half_extents
     coarse = _hex_grid(-a, a, -b, b, h)
-    fh = size_field(spec, h, coarse)
-    sd = region_signed_distance(spec, coarse)
+    sd, fh = region_distance_and_size(spec, h, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
     seeds = [coarse[keep]]
 
@@ -153,8 +168,7 @@ def _seed_points(spec: DomainSpec, h: float):
             fine = _hex_grid(
                 gx.min() - h, gx.max() + h, gy.min() - h, gy.max() + h, fh_min
             )
-            fh_f = size_field(spec, h, fine)
-            sd_f = region_signed_distance(spec, fine)
+            sd_f, fh_f = region_distance_and_size(spec, h, fine)
             cand = (fh_f < h * (1.0 - 1e-9)) & (sd_f < -SEED_MARGIN * fh_f)
             fine, fh_f = fine[cand], fh_f[cand]
             u = np.mod(np.arange(1, len(fine) + 1) * _WEYL, 1.0)
@@ -166,18 +180,27 @@ def _settle(spec, h, pts, n_fixed, geps):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then triangulate and keep the simplices whose centroid lies inside the
     region.  Returns the kept points, their size field, simplices, bars."""
-    fh = size_field(spec, h, pts)
+    sd, fh = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
-    keep[n_fixed:] = (
-        region_signed_distance(spec, pts[n_fixed:]) <= -ESCAPE_FRACTION * fh[n_fixed:]
-    )
+    keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
     pts, fh = pts[keep], fh[keep]
     simplices = Delaunay(pts).simplices
     centroids = pts[simplices].mean(axis=1)
     simplices = simplices[region_signed_distance(spec, centroids) < -geps]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
-    return pts, fh, simplices, np.unique(_sorted_edges(simplices), axis=0)
+    return pts, fh, simplices, _unique_edges(simplices, len(pts))[0]
+
+
+def _scatter_forces(ends, force, n):
+    """Net force per vertex: +force at each bar's first end, -force at its
+    second, with `ends` the first ends followed by the second ends.  One
+    weighted bincount per coordinate adds in the same order as two
+    `np.add.at` calls would, so the sums agree bit for bit."""
+    signed = np.concatenate([force, -force])
+    return np.column_stack(
+        [np.bincount(ends, signed[:, k], minlength=n) for k in (0, 1)]
+    )
 
 
 def _relax(spec, h, pts, n_fixed):
@@ -188,6 +211,7 @@ def _relax(spec, h, pts, n_fixed):
         if last is None or np.max(np.hypot(*(pts - last).T) / fh_pts) > TTOL:
             pts, fh_pts, _, bars = _settle(spec, h, pts, n_fixed, geps)
             last = pts
+            ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
             mids = 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]])
             h_bars = size_field(spec, h, mids)
 
@@ -197,9 +221,7 @@ def _relax(spec, h, pts, n_fixed):
         want = h_bars * FSCALE * scale
         push = np.maximum(want - lengths, 0.0) / lengths
         force = vec * push[:, None]
-        total = np.zeros_like(pts)
-        np.add.at(total, bars[:, 0], force)
-        np.add.at(total, bars[:, 1], -force)
+        total = _scatter_forces(ends, force, len(pts))
         total[:n_fixed] = 0.0
         pts = pts + DELTA_T * total
 
@@ -290,8 +312,7 @@ def validate_mesh(mesh: Mesh) -> None:
     if np.any(areas <= 0):
         raise MeshError("triangles must be counterclockwise with positive area")
 
-    edges = _sorted_edges(t)
-    unique, counts = np.unique(edges, axis=0, return_counts=True)
+    unique, counts = _unique_edges(t, len(v))
     if np.any(counts > 2):
         raise MeshError("non-manifold edge")
     boundary = unique[counts == 1]

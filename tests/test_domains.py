@@ -77,6 +77,54 @@ def test_ellipse_signed_distance_matches_scan_oracle():
         assert got == pytest.approx(want, abs=2e-5)
 
 
+def scan_distance(a, b, x, y, n=4096):
+    """Distance from (x, y) to the ellipse: sample the angle, then bisect
+    the derivative of the squared distance in every sampled local minimum."""
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    d2 = (a * np.cos(th) - x) ** 2 + (b * np.sin(th) - y) ** 2
+    k = np.flatnonzero((d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1)))
+    lo, hi = th[k] - 2.0 * math.pi / n, th[k] + 2.0 * math.pi / n
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        c, s = np.cos(mid), np.sin(mid)
+        up = (b * s - y) * b * c - (a * c - x) * a * s > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    t = np.concatenate([lo, hi])
+    return np.min(np.hypot(a * np.cos(t) - x, b * np.sin(t) - y))
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 8.33), (8.33, 3.0)])
+def test_ellipse_distance_on_the_major_axis_inside_the_evolute(a, b):
+    # The nearest points are off the axis, at distance
+    # minor * sqrt(1 - w^2 / (major^2 - minor^2)); w = 0.1746 and the
+    # table 3 hole centres 0.5 ... 6.5 lie on this segment.
+    minor, major = min(a, b), max(a, b)
+    cusp = (major**2 - minor**2) / major
+    w = np.concatenate(
+        [[0.0, 0.1746], np.arange(0.5, 7.0), cusp * np.linspace(-0.999, 0.999, 41)]
+    )
+    closed = minor * np.sqrt(1.0 - w**2 / (major**2 - minor**2))
+    zero = np.zeros_like(w)
+    pts = np.column_stack([zero, w] if b > a else [w, zero])
+    got = -outer_signed_distance(Ellipse(a, b), pts)
+    assert np.allclose(got, closed, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 8.33), (6.5475, 3.0), (5.0, 5.0)])
+def test_ellipse_distance_matches_refined_reference(a, b):
+    rng = np.random.default_rng(3)
+    random = rng.uniform(-1.5, 1.5, (60, 2)) * [a, b]
+    axes = np.array([[0.0, 0.0], [0.0, 0.3 * b], [0.0, -1.2 * b], [0.6 * a, 0.0],
+                     [-1.4 * a, 0.0], [a, 0.0], [0.0, b], [4.0 * a, 3.0 * b]])
+    pts = np.vstack([random, axes])
+    ell = Ellipse(a, b)
+    got = np.abs(outer_signed_distance(ell, pts))
+    want = [scan_distance(a, b, x, y) for x, y in pts]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(a, b))
+    # a point's distance does not depend on the other points of the call
+    assert np.array_equal(got, [abs(ell.signed_distance(x, y)) for x, y in pts])
+
+
 def test_region_signed_distance_frozen_points():
     spec = DomainSpec(Disk(5.0), (3.5, 0.0), 1.0)
     pts = np.array([[0.0, 0.0], [3.5, 0.0], [6.0, 0.0], [4.75, 0.0]])

@@ -100,6 +100,13 @@ def test_disk_sweep_csv(disk_sweep):
     assert lines[-1] == "# mu_multiplicity_two,true"
 
 
+def test_round_ellipse_sweep_reports_the_mu_cluster():
+    spec = SweepSpec(Ellipse(5.0, 5.0), 1.0, "axis-x", ((0.5, 0.0), (2.5, 0.0)), H)
+    result = run_sweep(spec)
+    assert result.mu_pair_clustered == (True, True)
+    assert result.as_dict()["mu_multiplicity_two"] is True
+
+
 def test_single_center_sweep_is_trivially_monotone():
     spec = SweepSpec(Rectangle(13.095, 6.0), 1.0, "axis-x", ((0.0, 0.0),), 0.5)
     result = run_sweep(spec)

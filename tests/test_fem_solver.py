@@ -313,3 +313,12 @@ def test_convergence_study_on_annulus():
     )
     table = study.as_dict()
     assert [row["h"] for row in table["rows"]] == [0.8, 0.4, 0.2]
+
+
+def test_convergence_study_on_round_ellipse_uses_closed_form():
+    # a centred Ellipse(5, 5) is the same concentric annulus as Disk(5)
+    spec = DomainSpec(Ellipse(5.0, 5.0), (0.0, 0.0), 1.0)
+    study = convergence_study(spec, "steklov", [0.8, 0.4, 0.2], k=4)
+    sigma_11 = steklov_eigenvalue(AnnulusSpec(2, 1.0, 5.0), 1, 1)
+    assert study.reference == pytest.approx(sigma_11, rel=1e-12)
+    assert all(row.error is not None for row in study.rows)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from steklov import meshing
+from steklov import domains, meshing
 from steklov.domains import (
     Disk,
     DomainSpec,
     Ellipse,
     Rectangle,
     boundary_polylines,
+    outer_signed_distance,
     region_signed_distance,
     size_field,
 )
@@ -178,6 +179,50 @@ def test_settle_drops_points_inside_the_standoff():
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
+
+
+def test_settle_evaluates_the_outer_distance_twice(monkeypatch):
+    # once on the points (standoff and size field) and once on the centroids
+    spec = DomainSpec(Ellipse(3.0, 8.33), (0.0, 2.5), 1.0)
+    outer, inner = boundary_polylines(spec, 0.5)
+    fixed = np.vstack([outer, inner])
+    pts = np.vstack([fixed, meshing._seed_points(spec, 0.5)])
+    calls = []
+
+    def counted(shape, p):
+        calls.append(len(p))
+        return outer_signed_distance(shape, p)
+
+    monkeypatch.setattr(domains, "outer_signed_distance", counted)
+    meshing._settle(spec, 0.5, pts, len(fixed), 5e-4)
+    assert len(calls) == 2 and calls[0] == len(pts)
+
+
+def test_bars_are_the_sorted_unique_simplex_edges():
+    spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
+    mesh = triangulate(spec, 0.25)
+    _, _, simplices, bars = meshing._settle(
+        spec, 0.25, mesh.vertices, len(mesh.boundary_edges), 2.5e-4
+    )
+    rows = np.unique(meshing._sorted_edges(simplices), axis=0)
+    assert bars.dtype == rows.dtype and np.array_equal(bars, rows)
+    edges, counts = meshing._unique_edges(mesh.triangles, mesh.vertex_count)
+    want, want_counts = np.unique(
+        meshing._sorted_edges(mesh.triangles), axis=0, return_counts=True
+    )
+    assert np.array_equal(edges, want) and np.array_equal(counts, want_counts)
+
+
+def test_force_scatter_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(7)
+    n = 50
+    bars = np.sort(rng.integers(0, n, size=(4000, 2)), axis=1)
+    force = rng.standard_normal((4000, 2)) * 10.0 ** rng.uniform(-8, 8, (4000, 1))
+    want = np.zeros((n, 2))
+    np.add.at(want, bars[:, 0], force)
+    np.add.at(want, bars[:, 1], -force)
+    got = meshing._scatter_forces(bars.T.ravel(), force, n)
+    assert np.array_equal(got, want)
 
 
 def test_relaxation_that_does_not_converge_raises(monkeypatch):
