@@ -185,17 +185,19 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None):
     if K.shape[0] != K.shape[1] or K.shape != M.shape:
         raise ValueError("K and M must be square matrices of one size")
     n = K.shape[0]
+    # Without spectral vertices M vanishes on the constants: the
+    # factorization reports that, not k.
+    spectral = np.count_nonzero(M.diagonal())
+    if spectral and not 1 <= k < spectral:
+        raise ValueError(
+            f"k must be at least 1 and below the {spectral} spectral "
+            f"vertices, got {k}")
     try:
         lu = splu(K - SHIFT * M)
     except RuntimeError as exc:
         raise FemError(
             "K - SHIFT M is singular; the boundary mass matrix is not "
             "positive on the constants") from exc
-    spectral = np.count_nonzero(M.diagonal())
-    if not 1 <= k < spectral:
-        raise ValueError(
-            f"k must be at least 1 and below the {spectral} spectral "
-            f"vertices, got {k}")
     # A fixed start vector keeps repeated runs bit-identical; a generic one
     # keeps the Krylov space from starting inside an eigenspace.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)

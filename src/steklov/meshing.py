@@ -14,6 +14,17 @@ not settled after MAX_ITER iterations raises MeshError.  Everything is
 deterministic for a fixed spec and h: seeding uses a low-discrepancy
 sequence instead of a random generator.
 
+Qhull triangulates the first settle of a relaxation and any settle whose
+standoff dropped a point.  Otherwise no point moved more than TTOL*fh since
+the previous settle, and Lawson edge flips repair the previous full
+triangulation (hole triangles included) at the new positions.  The hull
+vertices are fixed boundary vertices, so once every triangle is positive
+and every edge is locally Delaunay the repaired triangulation is the
+Delaunay triangulation; where that is unique it is Qhull's, and the kept
+triangles and bars are the same arrays.  Where uniqueness or positivity
+cannot be shown (an inverted triangle, a near-cocircular quad with a
+moving vertex, too many flip rounds) the settle calls Qhull after all.
+
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
 polyline, the next n_inner the hole polyline, so a boundary edge joins
 cyclically consecutive indices and its tag follows from the range it lies
@@ -62,6 +73,16 @@ PTOL = 2e-3
 ESCAPE_FRACTION = 0.3
 SEED_MARGIN = 0.45
 MAX_ITER = 1500
+
+# In-circle determinants within FLIP_TIE_RTOL of their permanent (the sum of
+# the absolute values of their terms) are ties: the four points are
+# cocircular up to rounding and Qhull's choice of diagonal cannot be
+# predicted, so the flip repair hands such a settle to Qhull.
+# Mirror-symmetric domains produce such quads at about 4e-14.
+# Between two settles a repair takes at most four rounds of flips on the
+# golden domains; one that reaches MAX_FLIP_ROUNDS is handed to Qhull too.
+FLIP_TIE_RTOL = 1e-10
+MAX_FLIP_ROUNDS = 50
 
 MIN_ANGLE_DEG = 20.0
 
@@ -176,20 +197,100 @@ def _seed_points(spec: DomainSpec, h: float):
     return np.vstack(seeds)
 
 
-def _settle(spec, h, pts, n_fixed, geps):
+def _incircle(p, a, b, c, d):
+    """In-circle determinant of d against each counterclockwise triangle
+    (a, b, c), positive when d lies inside the circumcircle, and its
+    permanent."""
+    x, y = p[:, 0], p[:, 1]
+    xd, yd = x[d], y[d]
+    adx, ady = x[a] - xd, y[a] - yd
+    bdx, bdy = x[b] - xd, y[b] - yd
+    cdx, cdy = x[c] - xd, y[c] - yd
+    terms = [
+        (adx * adx + ady * ady, bdx * cdy, cdx * bdy),
+        (bdx * bdx + bdy * bdy, cdx * ady, adx * cdy),
+        (cdx * cdx + cdy * cdy, adx * bdy, bdx * ady),
+    ]
+    det = sum(lift * (s - t) for lift, s, t in terms)
+    perm = sum(lift * (np.abs(s) + np.abs(t)) for lift, s, t in terms)
+    return det, perm
+
+
+def _flip_to_delaunay(pts, tri, n_fixed):
+    """Lawson-flip the counterclockwise triangulation `tri` of `pts` until
+    every edge is locally Delaunay; return it, or None when the result
+    cannot be shown to be the Delaunay triangulation Qhull would build.
+
+    Each round pairs the two half-edges of every interior edge on the key
+    i*n + j and tests the opposite vertex of one against the circumcircle
+    of the other.  It then flips the failing edges that are the
+    lowest-numbered failing edge of both their triangles, which makes the
+    flips of a round independent: (a, b, c) and its neighbour (b, a, d)
+    across a -> b become (a, d, c) and (d, b, c).  Returns None when a
+    triangle is not positive, when a quad with a vertex at or above
+    `n_fixed` is a tie, or after MAX_FLIP_ROUNDS rounds.  A tie among four
+    fixed vertices is kept as it is: those never move."""
+    tri = tri.copy()
+    n = len(pts)
+    changed = np.ones(len(tri), bool)  # triangles whose edges need a test
+    for _ in range(MAX_FLIP_ROUNDS):
+        if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
+            return None
+        a, b, c = tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+        key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+        order = np.argsort(key)
+        twin = key[order[1:]] == key[order[:-1]]
+        e1, e2 = order[:-1][twin], order[1:][twin]  # a -> b and b -> a
+        near = changed[e1 // 3] | changed[e2 // 3]
+        e1, e2 = e1[near], e2[near]
+        a, b, c, d = a[e1], b[e1], c[e1], c[e2]
+        det, perm = _incircle(pts, a, b, c, d)
+        tol = FLIP_TIE_RTOL * perm
+        moving = np.maximum(np.maximum(a, b), np.maximum(c, d)) >= n_fixed
+        if np.any(moving & (np.abs(det) <= tol)):
+            return None
+        bad = np.flatnonzero(det > tol)
+        if len(bad) == 0:
+            return tri
+        t1, t2 = e1[bad] // 3, e2[bad] // 3
+        changed[:] = False
+        changed[t1] = changed[t2] = True  # flipped, or still to flip
+        lowest = np.full(len(tri), len(det))
+        np.minimum.at(lowest, t1, bad)
+        np.minimum.at(lowest, t2, bad)
+        pick = (lowest[t1] == bad) & (lowest[t2] == bad)
+        bad, t1, t2 = bad[pick], t1[pick], t2[pick]
+        tri[t1] = np.column_stack([a[bad], d[bad], c[bad]])
+        tri[t2] = np.column_stack([d[bad], b[bad], c[bad]])
+    return None
+
+
+def _settle(spec, h, pts, n_fixed, geps, full=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then triangulate and keep the simplices whose centroid lies inside the
-    region.  Returns the kept points, their size field, simplices, bars."""
+    region.  Returns the kept points, their size field, simplices, bars and
+    the full counterclockwise triangulation before the centroid filter.
+
+    `full` is the previous settle's full triangulation, or None.  Qhull
+    runs when there is none, when the standoff dropped a point, and when
+    `_flip_to_delaunay` cannot repair it; the repair returns exactly the
+    Delaunay triangulation, so either way the kept simplices are the same
+    set and the sorted bars the same array."""
     sd, fh = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
+    if full is not None and keep.all():
+        full = _flip_to_delaunay(pts, full, n_fixed)
+    else:
+        full = None
     pts, fh = pts[keep], fh[keep]
-    simplices = Delaunay(pts).simplices
-    centroids = pts[simplices].mean(axis=1)
-    simplices = simplices[region_signed_distance(spec, centroids) < -geps]
+    if full is None:
+        full = _orient_ccw(pts, Delaunay(pts).simplices)
+    centroids = pts[full].mean(axis=1)
+    simplices = full[region_signed_distance(spec, centroids) < -geps]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
-    return pts, fh, simplices, _unique_edges(simplices, len(pts))[0]
+    return pts, fh, simplices, _unique_edges(simplices, len(pts))[0], full
 
 
 def _scatter_forces(ends, force, n):
@@ -204,12 +305,16 @@ def _scatter_forces(ends, force, n):
 
 
 def _relax(spec, h, pts, n_fixed):
-    """Move interior points until bar lengths track the size field."""
+    """Move interior points until bar lengths track the size field.
+
+    Each settle hands its full triangulation to the next, which repairs it
+    by edge flips instead of calling Qhull where it can."""
     geps = 1e-3 * h
     last = None  # positions at the most recent triangulation
+    full = None  # the most recent full triangulation
     for _ in range(MAX_ITER):
         if last is None or np.max(np.hypot(*(pts - last).T) / fh_pts) > TTOL:
-            pts, fh_pts, _, bars = _settle(spec, h, pts, n_fixed, geps)
+            pts, fh_pts, _, bars, full = _settle(spec, h, pts, n_fixed, geps, full)
             last = pts
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
             mids = 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]])
@@ -231,7 +336,7 @@ def _relax(spec, h, pts, n_fixed):
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, simplices, _ = _settle(spec, h, pts, n_fixed, geps)
+    pts, _, simplices, _, _ = _settle(spec, h, pts, n_fixed, geps, full)
     return pts, simplices
 
 
@@ -279,7 +384,7 @@ def triangulate(spec: DomainSpec, h: float) -> Mesh:
     pts = np.vstack([fixed, _seed_points(spec, h)])
 
     pts, simplices = _relax(spec, h, pts, n_fixed=n_out + n_in)
-    triangles = _canonical_order(_orient_ccw(pts, simplices))
+    triangles = _canonical_order(simplices)
 
     boundary_edges = np.vstack([_cycle_edges(0, n_out), _cycle_edges(n_out, n_in)])
     boundary_tags = np.array([OUTER] * n_out + [INNER] * n_in)

@@ -182,6 +182,14 @@ def test_solve_eigs_input_validation(monkeypatch):
     with pytest.raises(FemError, match="Lanczos"):
         solve_eigs(PATH_GRAPH, np.eye(3), 2)
 
+    # a bad k is rejected before K - SHIFT M is factored
+    def no_factorization(A):
+        raise AssertionError("factored before checking k")
+
+    monkeypatch.setattr(fem_solver, "splu", no_factorization)
+    with pytest.raises(ValueError, match="below the 2 spectral vertices, got 2"):
+        solve_eigs(PATH_GRAPH, np.diag([1.0, 0.0, 1.0]), 2)
+
 
 def test_coarse_annulus_near_closed_form(coarse_mesh):
     sol = solve_on_mesh(coarse_mesh, "steklov", 4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov import domains, meshing
+from steklov import domains, golden, meshing
 from steklov.domains import (
     Disk,
     DomainSpec,
@@ -175,7 +175,7 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, simplices, bars = meshing._settle(spec, 0.5, pts, len(fixed), 5e-4)
+    kept, fh, simplices, bars, _ = meshing._settle(spec, 0.5, pts, len(fixed), 5e-4)
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
@@ -201,7 +201,7 @@ def test_settle_evaluates_the_outer_distance_twice(monkeypatch):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    _, _, simplices, bars = meshing._settle(
+    _, _, simplices, bars, _ = meshing._settle(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges), 2.5e-4
     )
     rows = np.unique(meshing._sorted_edges(simplices), axis=0)
@@ -223,6 +223,96 @@ def test_force_scatter_matches_add_at_bit_for_bit():
     np.add.at(want, bars[:, 1], -force)
     got = meshing._scatter_forces(bars.T.ravel(), force, n)
     assert np.array_equal(got, want)
+
+
+def square_with_random_interior(n, seed):
+    """The unit square's corners (the fixed hull, first) and n random points
+    inside it, with their Delaunay triangulation, counterclockwise."""
+    rng = np.random.default_rng(seed)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    pts = np.vstack([corners, rng.uniform(0.05, 0.95, (n, 2))])
+    tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
+    return pts, tri
+
+
+def sorted_rows(tri):
+    """The triangles as a set: each row sorted, then the rows."""
+    rows = np.sort(tri, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def test_flip_repair_equals_qhull_after_a_small_move():
+    pts, tri = square_with_random_interior(400, 3)
+    rng = np.random.default_rng(4)
+    moved = pts.copy()
+    moved[4:] += rng.uniform(-1e-3, 1e-3, (400, 2))  # inverts no triangle
+    repaired = meshing._flip_to_delaunay(moved, tri, 4)
+    assert repaired is not None
+    assert not np.array_equal(sorted_rows(repaired), sorted_rows(tri))
+    want = meshing.Delaunay(moved).simplices
+    assert np.array_equal(sorted_rows(repaired), sorted_rows(want))
+    # every interior edge is locally Delaunay: the vertex across it lies
+    # outside the circumcircle of each of its triangles
+    opposite = {}
+    for t in repaired:
+        for k in range(3):
+            opposite[(t[k], t[(k + 1) % 3])] = t[(k + 2) % 3]
+    for (i, j), c in opposite.items():
+        d = opposite.get((j, i))
+        if d is not None:
+            rows = [np.append(moved[v] - moved[d], np.sum((moved[v] - moved[d]) ** 2))
+                    for v in (i, j, c)]
+            assert np.linalg.det(np.array(rows)) < 0
+
+
+def test_flip_repair_falls_back_on_an_inverted_triangle():
+    pts, tri = square_with_random_interior(100, 5)
+    moved = pts.copy()
+    v = tri[0][np.argmax(tri[0])]  # an interior vertex of triangle 0
+    others = [w for w in tri[0] if w != v]
+    moved[v] = 2.0 * moved[others].mean(axis=0) - moved[v]  # across its edge
+    assert np.any(meshing._triangle_signed_areas(moved, tri) <= 0)
+    assert meshing._flip_to_delaunay(moved, tri, 4) is None
+
+
+def test_flip_repair_falls_back_on_a_cocircular_moving_quad():
+    grid = np.arange(6.0)
+    pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
+    tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
+    assert meshing._flip_to_delaunay(pts, tri, 0) is None
+    # the same ties among fixed vertices stay as they are
+    assert np.array_equal(meshing._flip_to_delaunay(pts, tri, len(pts)), tri)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *golden.TABLE1_DOMAINS.values(),
+        DomainSpec(golden.ELLIPSE_OUTER, (0.0, 2.5), 1.0),  # mirror-symmetric
+        DomainSpec(golden.RECT_OUTER, (3.0, 1.0), 1.0),
+    ],
+    ids=["annulus", "rectangle", "ellipse", "ellipse-y-axis", "rectangle-off-centre"],
+)
+def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, spec):
+    calls = {"qhull": 0, "settle": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(meshing, "Delaunay", counted("qhull", meshing.Delaunay))
+    monkeypatch.setattr(meshing, "_settle", counted("settle", meshing._settle))
+    mesh = triangulate(spec, 0.25)
+    assert 0 < calls["qhull"] < calls["settle"]
+    monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)  # always fall back
+    calls["qhull"] = calls["settle"] = 0
+    qhull_mesh = triangulate(spec, 0.25)
+    assert calls["qhull"] == calls["settle"]
+    assert np.array_equal(mesh.vertices, qhull_mesh.vertices)
+    assert np.array_equal(mesh.triangles, qhull_mesh.triangles)
 
 
 def test_relaxation_that_does_not_converge_raises(monkeypatch):
