@@ -67,6 +67,7 @@ def assemble_stiffness(mesh):
         raise FemError(f"stiffness row sums do not vanish ({kernel:.3e})")
     return K
 
+
 def assemble_boundary_mass(mesh, problem="steklov"):
     """Boundary mass matrix of one problem (sparse CSR, full size).
 
@@ -87,6 +88,7 @@ def assemble_boundary_mass(mesh, problem="steklov"):
     cols = edges[:, [0, 1, 0, 1]].ravel()
     nv = mesh.vertex_count
     return sparse.coo_matrix((weights.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
 
 def dtn_schur(K, steklov_vertices):
     """Schur complement of the stiffness matrix onto the Steklov vertices.
@@ -168,6 +170,7 @@ class EigenSolution:
     def to_json(self):
         return json.dumps(self.as_dict(), indent=2)
 
+
 def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None):
     """First k eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
@@ -219,11 +222,13 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None):
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
     return EigenSolution(problem, vals, vecs, mesh=mesh, spec=spec)
 
+
 def solve_on_mesh(mesh, problem, k, spec=None):
     """Assemble and solve one eigenvalue problem on an existing mesh."""
     K = assemble_stiffness(mesh)
     M = assemble_boundary_mass(mesh, problem)
     return solve_eigs(K, M, k, problem=problem, mesh=mesh, spec=spec)
+
 
 def solve(spec, h, k, problem="steklov"):
     """First k eigenvalues of one problem on the holed domain at mesh size h."""
@@ -295,6 +300,7 @@ def _richardson(h_list, values):
         return v2, None
     p = math.log(d0 / d1) / math.log(r)
     return v2 + (v2 - v1) / (r**p - 1.0), p
+
 
 def convergence_study(spec, problem, h_list, k=6, index=1):
     """Refine the mesh over `h_list` and track eigenvalue `index`.

@@ -19,11 +19,12 @@ standoff dropped a point.  Otherwise no point moved more than TTOL*fh since
 the previous settle, and Lawson edge flips repair the previous full
 triangulation (hole triangles included) at the new positions.  The hull
 vertices are fixed boundary vertices, so once every triangle is positive
-and every edge is locally Delaunay the repaired triangulation is the
-Delaunay triangulation; where that is unique it is Qhull's, and the kept
-triangles and bars are the same arrays.  Where uniqueness or positivity
-cannot be shown (an inverted triangle, a near-cocircular quad with a
-moving vertex, too many flip rounds) the settle calls Qhull after all.
+and every edge is locally Delaunay the repaired triangulation is a
+Delaunay triangulation.  Where that is unique it is Qhull's.  Where four
+points are cocircular up to rounding, as across the axis of a
+mirror-symmetric domain, the repair keeps the current diagonal, which need
+not be the one Qhull would pick.  An inverted triangle or too many flip
+rounds send the settle to Qhull after all.
 
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
 polyline, the next n_inner the hole polyline, so a boundary edge joins
@@ -76,11 +77,11 @@ MAX_ITER = 1500
 
 # In-circle determinants within FLIP_TIE_RTOL of their permanent (the sum of
 # the absolute values of their terms) are ties: the four points are
-# cocircular up to rounding and Qhull's choice of diagonal cannot be
-# predicted, so the flip repair hands such a settle to Qhull.
-# Mirror-symmetric domains produce such quads at about 4e-14.
+# cocircular up to rounding, either diagonal is Delaunay, and the flip
+# repair keeps the current one.  Mirror-symmetric domains produce such
+# quads at about 4e-14.
 # Between two settles a repair takes at most four rounds of flips on the
-# golden domains; one that reaches MAX_FLIP_ROUNDS is handed to Qhull too.
+# golden domains; one that reaches MAX_FLIP_ROUNDS is handed to Qhull.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -216,20 +217,19 @@ def _incircle(p, a, b, c, d):
     return det, perm
 
 
-def _flip_to_delaunay(pts, tri, n_fixed):
+def _flip_to_delaunay(pts, tri):
     """Lawson-flip the counterclockwise triangulation `tri` of `pts` until
-    every edge is locally Delaunay; return it, or None when the result
-    cannot be shown to be the Delaunay triangulation Qhull would build.
+    every edge is locally Delaunay; return it, or None when that cannot be
+    shown.
 
     Each round pairs the two half-edges of every interior edge on the key
     i*n + j and tests the opposite vertex of one against the circumcircle
     of the other.  It then flips the failing edges that are the
     lowest-numbered failing edge of both their triangles, which makes the
     flips of a round independent: (a, b, c) and its neighbour (b, a, d)
-    across a -> b become (a, d, c) and (d, b, c).  Returns None when a
-    triangle is not positive, when a quad with a vertex at or above
-    `n_fixed` is a tie, or after MAX_FLIP_ROUNDS rounds.  A tie among four
-    fixed vertices is kept as it is: those never move."""
+    across a -> b become (a, d, c) and (d, b, c).  A tie is not flipped,
+    so of several cocircular choices the current diagonal stays.  Returns
+    None when a triangle is not positive or after MAX_FLIP_ROUNDS rounds."""
     tri = tri.copy()
     n = len(pts)
     changed = np.ones(len(tri), bool)  # triangles whose edges need a test
@@ -245,11 +245,7 @@ def _flip_to_delaunay(pts, tri, n_fixed):
         e1, e2 = e1[near], e2[near]
         a, b, c, d = a[e1], b[e1], c[e1], c[e2]
         det, perm = _incircle(pts, a, b, c, d)
-        tol = FLIP_TIE_RTOL * perm
-        moving = np.maximum(np.maximum(a, b), np.maximum(c, d)) >= n_fixed
-        if np.any(moving & (np.abs(det) <= tol)):
-            return None
-        bad = np.flatnonzero(det > tol)
+        bad = np.flatnonzero(det > FLIP_TIE_RTOL * perm)
         if len(bad) == 0:
             return tri
         t1, t2 = e1[bad] // 3, e2[bad] // 3
@@ -273,14 +269,15 @@ def _settle(spec, h, pts, n_fixed, geps, full=None):
 
     `full` is the previous settle's full triangulation, or None.  Qhull
     runs when there is none, when the standoff dropped a point, and when
-    `_flip_to_delaunay` cannot repair it; the repair returns exactly the
-    Delaunay triangulation, so either way the kept simplices are the same
-    set and the sorted bars the same array."""
+    `_flip_to_delaunay` cannot repair it.  Either way the result is a
+    Delaunay triangulation of the kept points; where that is unique (no
+    cocircular quad) both give the same kept simplices as a set, and so
+    the same sorted bars."""
     sd, fh = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
     if full is not None and keep.all():
-        full = _flip_to_delaunay(pts, full, n_fixed)
+        full = _flip_to_delaunay(pts, full)
     else:
         full = None
     pts, fh = pts[keep], fh[keep]
@@ -294,49 +291,68 @@ def _settle(spec, h, pts, n_fixed, geps, full=None):
 
 
 def _scatter_forces(ends, force, n):
-    """Net force per vertex: +force at each bar's first end, -force at its
-    second, with `ends` the first ends followed by the second ends.  One
-    weighted bincount per coordinate adds in the same order as two
+    """Net force per vertex along one coordinate: +force at each bar's first
+    end, -force at its second, with `ends` the first ends followed by the
+    second ends.  A weighted bincount adds in the same order as two
     `np.add.at` calls would, so the sums agree bit for bit."""
-    signed = np.concatenate([force, -force])
-    return np.column_stack(
-        [np.bincount(ends, signed[:, k], minlength=n) for k in (0, 1)]
-    )
+    return np.bincount(ends, np.concatenate([force, -force]), minlength=n)
+
+
+def _force_step(x, y, ends, h_want, h_sq, n_fixed):
+    """One pseudo-time step of the truss forces on positions (x, y).
+
+    `ends` holds the bars' first ends followed by their second ends,
+    `h_want` is FSCALE times the size field at the bar midpoints and `h_sq`
+    the sum of the squared size field there.  Bars shorter than their
+    target length push their ends apart; the first n_fixed points stay.
+    Returns the new positions and the step length of each interior
+    point."""
+    m = len(h_want)
+    b0, b1 = ends[:m], ends[m:]
+    dx = np.take(x, b0) - np.take(x, b1)  # take gathers faster than x[b0]
+    dy = np.take(y, b0) - np.take(y, b1)
+    lengths = np.maximum(np.hypot(dx, dy), 1e-300)
+    scale = math.sqrt(np.sum(lengths**2) / h_sq)
+    push = np.maximum(h_want * scale - lengths, 0.0) / lengths
+    tx = _scatter_forces(ends, dx * push, len(x))
+    ty = _scatter_forces(ends, dy * push, len(x))
+    tx[:n_fixed] = ty[:n_fixed] = 0.0
+    step = DELTA_T * np.hypot(tx[n_fixed:], ty[n_fixed:])
+    return x + DELTA_T * tx, y + DELTA_T * ty, step
 
 
 def _relax(spec, h, pts, n_fixed):
     """Move interior points until bar lengths track the size field.
 
     Each settle hands its full triangulation to the next, which repairs it
-    by edge flips instead of calling Qhull where it can."""
+    by edge flips instead of calling Qhull where it can.  Between settles
+    the positions live in two flat coordinate arrays, and what changes only
+    at a settle (bar ends, target lengths, interior sizes) is computed once
+    per settle."""
     geps = 1e-3 * h
-    last = None  # positions at the most recent triangulation
     full = None  # the most recent full triangulation
+    last = None  # positions at the most recent settle
+    x, y = pts[:, 0], pts[:, 1]
     for _ in range(MAX_ITER):
-        if last is None or np.max(np.hypot(*(pts - last).T) / fh_pts) > TTOL:
-            pts, fh_pts, _, bars, full = _settle(spec, h, pts, n_fixed, geps, full)
-            last = pts
+        if last is None or np.max(np.hypot(x - last[0], y - last[1]) / fh_pts) > TTOL:
+            pts, fh_pts, _, bars, full = _settle(
+                spec, h, np.column_stack([x, y]), n_fixed, geps, full
+            )
+            last = x, y = pts[:, 0].copy(), pts[:, 1].copy()
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
-            mids = 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]])
-            h_bars = size_field(spec, h, mids)
+            h_bars = size_field(spec, h, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
+            h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
+            fh_free = fh_pts[n_fixed:]
 
-        vec = pts[bars[:, 0]] - pts[bars[:, 1]]
-        lengths = np.maximum(np.hypot(vec[:, 0], vec[:, 1]), 1e-300)
-        scale = math.sqrt(np.sum(lengths**2) / np.sum(h_bars**2))
-        want = h_bars * FSCALE * scale
-        push = np.maximum(want - lengths, 0.0) / lengths
-        force = vec * push[:, None]
-        total = _scatter_forces(ends, force, len(pts))
-        total[:n_fixed] = 0.0
-        pts = pts + DELTA_T * total
-
-        step = DELTA_T * np.hypot(total[n_fixed:, 0], total[n_fixed:, 1])
-        if len(step) == 0 or np.max(step / fh_pts[n_fixed:]) < PTOL:
+        x, y, step = _force_step(x, y, ends, h_want, h_sq, n_fixed)
+        if len(step) == 0 or np.max(step / fh_free) < PTOL:
             break
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, simplices, _, _ = _settle(spec, h, pts, n_fixed, geps, full)
+    pts, _, simplices, _, _ = _settle(
+        spec, h, np.column_stack([x, y]), n_fixed, geps, full
+    )
     return pts, simplices
 
 

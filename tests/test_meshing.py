@@ -1,9 +1,12 @@
 """Tests for the triangle mesh generator and mesh validation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import domains, golden, meshing
 from steklov.domains import (
@@ -16,6 +19,7 @@ from steklov.domains import (
     region_signed_distance,
     size_field,
 )
+from steklov.fem_solver import solve_on_mesh
 from steklov.meshing import (
     ESCAPE_FRACTION,
     Mesh,
@@ -221,8 +225,44 @@ def test_force_scatter_matches_add_at_bit_for_bit():
     want = np.zeros((n, 2))
     np.add.at(want, bars[:, 0], force)
     np.add.at(want, bars[:, 1], -force)
-    got = meshing._scatter_forces(bars.T.ravel(), force, n)
-    assert np.array_equal(got, want)
+    for k in (0, 1):
+        got = meshing._scatter_forces(bars.T.ravel(), force[:, k], n)
+        assert np.array_equal(got, want[:, k])
+
+
+def force_step_on_point_array(pts, bars, h_bars, n_fixed):
+    """Reference relaxation step on an (n, 2) position array: the same
+    floating-point operations as `_force_step`, in the same order."""
+    vec = pts[bars[:, 0]] - pts[bars[:, 1]]
+    lengths = np.maximum(np.hypot(vec[:, 0], vec[:, 1]), 1e-300)
+    scale = math.sqrt(np.sum(lengths**2) / np.sum(h_bars**2))
+    want = h_bars * meshing.FSCALE * scale
+    push = np.maximum(want - lengths, 0.0) / lengths
+    force = vec * push[:, None]
+    total = np.zeros((len(pts), 2))
+    np.add.at(total, bars[:, 0], force)
+    np.add.at(total, bars[:, 1], -force)
+    total[:n_fixed] = 0.0
+    step = meshing.DELTA_T * np.hypot(total[n_fixed:, 0], total[n_fixed:, 1])
+    return pts + meshing.DELTA_T * total, step
+
+
+def test_force_step_matches_the_point_array_step_bit_for_bit():
+    spec = DomainSpec(golden.ELLIPSE_OUTER, (0.0, 2.5), 1.0)
+    outer, inner = boundary_polylines(spec, 0.25)
+    n_fixed = len(outer) + len(inner)
+    pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)])
+    pts, _, _, bars, _ = meshing._settle(spec, 0.25, pts, n_fixed, 2.5e-4)
+    h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    for _ in range(20):
+        pts, want_step = force_step_on_point_array(pts, bars, h_bars, n_fixed)
+        x, y, step = meshing._force_step(
+            x, y, bars.T.ravel(), h_bars * meshing.FSCALE, np.sum(h_bars**2), n_fixed
+        )
+        assert np.array_equal(x, pts[:, 0]) and np.array_equal(y, pts[:, 1])
+        assert np.array_equal(step, want_step)
+    assert np.max(step) > 0
 
 
 def square_with_random_interior(n, seed):
@@ -246,7 +286,7 @@ def test_flip_repair_equals_qhull_after_a_small_move():
     rng = np.random.default_rng(4)
     moved = pts.copy()
     moved[4:] += rng.uniform(-1e-3, 1e-3, (400, 2))  # inverts no triangle
-    repaired = meshing._flip_to_delaunay(moved, tri, 4)
+    repaired = meshing._flip_to_delaunay(moved, tri)
     assert repaired is not None
     assert not np.array_equal(sorted_rows(repaired), sorted_rows(tri))
     want = meshing.Delaunay(moved).simplices
@@ -272,47 +312,130 @@ def test_flip_repair_falls_back_on_an_inverted_triangle():
     others = [w for w in tri[0] if w != v]
     moved[v] = 2.0 * moved[others].mean(axis=0) - moved[v]  # across its edge
     assert np.any(meshing._triangle_signed_areas(moved, tri) <= 0)
-    assert meshing._flip_to_delaunay(moved, tri, 4) is None
+    assert meshing._flip_to_delaunay(moved, tri) is None
 
 
-def test_flip_repair_falls_back_on_a_cocircular_moving_quad():
+def test_flip_repair_keeps_cocircular_diagonals():
+    # every cell of the lattice is a cocircular quad, so no edge is flipped
     grid = np.arange(6.0)
     pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
     tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
-    assert meshing._flip_to_delaunay(pts, tri, 0) is None
-    # the same ties among fixed vertices stay as they are
-    assert np.array_equal(meshing._flip_to_delaunay(pts, tri, len(pts)), tri)
+    assert np.array_equal(meshing._flip_to_delaunay(pts, tri), tri)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        *golden.TABLE1_DOMAINS.values(),
-        DomainSpec(golden.ELLIPSE_OUTER, (0.0, 2.5), 1.0),  # mirror-symmetric
-        DomainSpec(golden.RECT_OUTER, (3.0, 1.0), 1.0),
-    ],
-    ids=["annulus", "rectangle", "ellipse", "ellipse-y-axis", "rectangle-off-centre"],
+def incircle_reference(pts, i, j, c, d):
+    """In-circle determinant of d against the counterclockwise triangles
+    (i, j, c), positive when d is inside, and its permanent, both by the
+    six-term expansion of the lifted 3 x 3 determinant."""
+    rel = pts[np.stack([i, j, c], axis=1)] - pts[d][:, None, :]
+    rows = np.concatenate([rel, np.sum(rel**2, axis=2, keepdims=True)], axis=2)
+    det = perm = 0.0
+    for cols in itertools.permutations(range(3)):
+        inversions = sum(a > b for a, b in itertools.combinations(cols, 2))
+        term = rows[:, 0, cols[0]] * rows[:, 1, cols[1]] * rows[:, 2, cols[2]]
+        det = det + (-1) ** inversions * term
+        perm = perm + np.abs(term)
+    return det, perm
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(8, 60),
+    seed=st.integers(0, 2**32 - 1),
+    mirror=st.booleans(),
+    move=st.sampled_from([1e-3, 1e-2, 3e-2, 1e-6, 1e-12, 0.0]),
+    mirror_move=st.booleans(),
 )
-def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, spec):
+def test_flip_repair_returns_a_delaunay_triangulation(
+    n, seed, mirror, move, mirror_move
+):
+    # a cloud in the centred unit square with its corners fixed (first),
+    # triangulated by Qhull, then moved and repaired.  A cloud mirrored
+    # across the y-axis (negation is exact) makes every quad straddling
+    # the axis an isosceles trapezoid, a tie, and so does a mirrored move.
+    rng = np.random.default_rng(seed)
+    corners = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    cloud = rng.uniform(-0.45, 0.45, (n, 2))
+    shift = rng.uniform(-move, move, (n, 2))
+    if mirror:
+        cloud[:, 0] = -np.abs(cloud[:, 0])
+        cloud = np.vstack([cloud, cloud * [-1.0, 1.0]])
+        shift = np.vstack([shift, shift * [-1.0, 1.0] if mirror_move else shift])
+    pts = np.vstack([corners, cloud])
+    tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
+    moved = pts + np.vstack([np.zeros((4, 2)), shift])
+    repaired = meshing._flip_to_delaunay(moved, tri)
+    # a flip only replaces the diagonal of a convex quad, so the repair
+    # gives up exactly when the move inverted a triangle
+    inverted = np.any(meshing._triangle_signed_areas(moved, tri) <= 0)
+    assert (repaired is None) == inverted
+    if inverted:
+        return
+    areas = meshing._triangle_signed_areas(moved, repaired)
+    assert np.all(areas > 0)
+    assert np.sum(areas) == pytest.approx(1.0, rel=1e-12)
+    opposite = {}
+    for t in repaired:
+        for k in range(3):
+            opposite[(t[k], t[(k + 1) % 3])] = t[(k + 2) % 3]
+    quads = np.array([
+        (i, j, c, opposite[(j, i)])
+        for (i, j), c in opposite.items()
+        if (j, i) in opposite
+    ])
+    det, perm = incircle_reference(moved, *quads.T)
+    tol = meshing.FLIP_TIE_RTOL * perm
+    assert np.all(det <= tol)  # every interior edge locally Delaunay
+    if np.all(np.abs(det) > tol):  # no tie: the Delaunay triangulation is unique
+        want = meshing.Delaunay(moved).simplices
+        assert np.array_equal(sorted_rows(repaired), sorted_rows(want))
+
+
+MESH_SPECS = {
+    "annulus": golden.TABLE1_DOMAINS["annulus"],
+    "rectangle": golden.TABLE1_DOMAINS["rectangle"],
+    "ellipse": golden.TABLE1_DOMAINS["ellipse"],
+    "ellipse-y-axis": DomainSpec(golden.ELLIPSE_OUTER, (0.0, 2.5), 1.0),
+    "rectangle-off-centre": DomainSpec(golden.RECT_OUTER, (3.0, 1.0), 1.0),
+}
+
+
+def four_eigenvalues(mesh):
+    sigma = solve_on_mesh(mesh, "steklov", 3).eigenvalues
+    mu = solve_on_mesh(mesh, "steklov_neumann", 3).eigenvalues
+    return np.array([sigma[1], sigma[2], mu[1], mu[2]])
+
+
+@pytest.mark.parametrize("name", MESH_SPECS)
+def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
+    # the default mesh calls Qhull once; with MAX_FLIP_ROUNDS = 0 every
+    # settle calls it.  Ties may pick other diagonals during the relaxation,
+    # which moves vertices by rounding only.
+    spec, h = MESH_SPECS[name], 0.25
     calls = {"qhull": 0, "settle": 0}
 
-    def counted(name, fn):
+    def counted(key, fn):
         def wrapped(*args):
-            calls[name] += 1
+            calls[key] += 1
             return fn(*args)
 
         return wrapped
 
     monkeypatch.setattr(meshing, "Delaunay", counted("qhull", meshing.Delaunay))
     monkeypatch.setattr(meshing, "_settle", counted("settle", meshing._settle))
-    mesh = triangulate(spec, 0.25)
-    assert 0 < calls["qhull"] < calls["settle"]
+    mesh = triangulate(spec, h)
+    assert calls["qhull"] == 1 and calls["settle"] > 1
     monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)  # always fall back
     calls["qhull"] = calls["settle"] = 0
-    qhull_mesh = triangulate(spec, 0.25)
+    qhull_mesh = triangulate(spec, h)
     assert calls["qhull"] == calls["settle"]
-    assert np.array_equal(mesh.vertices, qhull_mesh.vertices)
     assert np.array_equal(mesh.triangles, qhull_mesh.triangles)
+    if name.startswith("rectangle"):  # no cocircular quad: bit for bit
+        assert np.array_equal(mesh.vertices, qhull_mesh.vertices)
+    assert np.max(np.abs(mesh.vertices - qhull_mesh.vertices)) <= 1e-10 * h
+    np.testing.assert_allclose(
+        four_eigenvalues(mesh), four_eigenvalues(qhull_mesh), rtol=1e-12, atol=0
+    )
 
 
 def test_relaxation_that_does_not_converge_raises(monkeypatch):

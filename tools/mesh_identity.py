@@ -1,0 +1,159 @@
+"""Record the meshes of a fixed case set, or compare two such records.
+
+    PYTHONPATH=src python tools/mesh_identity.py --write after.npz
+    PYTHONPATH=src python tools/mesh_identity.py --compare before.npz after.npz
+
+`--write` meshes every case with the `steklov` package found on the path
+and stores its vertices, triangles and (sigma1, sigma2, mu1, mu2), or the
+error that `triangulate` raised.  Point PYTHONPATH at another checkout's
+`src` to record that tree.  `--compare` reports how far two records agree:
+bit-identical meshes, meshes with identical triangles, the largest vertex
+move, the largest relative eigenvalue drift and every case whose raised
+error differs.
+
+The case set is fixed (174 cases):
+- the three table-1 domains at h = 0.25, 0.125 and 0.0625;
+- every golden sweep centre (disk, ellipse axes and diagonal) at h = 0.25
+  and 0.125 whose clearance is at least h/10;
+- 120 random specs drawn from a fixed seed, 40 per outer shape, at
+  h = 0.5 or 0.25.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from steklov import golden
+from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
+from steklov.fem_solver import solve_on_mesh
+from steklov.meshing import MeshError, triangulate
+
+SEED = 20241018
+RANDOM_PER_SHAPE = 40
+
+
+def _random_spec(rng, shape):
+    """One admissible spec: outer size, hole radius and a hole centre drawn
+    uniformly in the bounding box until the hole fits."""
+    if shape == "disk":
+        outer = Disk(rng.uniform(2.5, 6.0))
+    elif shape == "ellipse":
+        outer = Ellipse(rng.uniform(2.0, 4.5), rng.uniform(3.0, 8.5))
+    else:
+        outer = Rectangle(rng.uniform(4.0, 13.0), rng.uniform(3.5, 8.0))
+    radius = rng.uniform(0.75, 1.5)
+    a, b = outer.half_extents
+    while True:
+        centre = (rng.uniform(-a, a), rng.uniform(-b, b))
+        try:
+            return DomainSpec(outer, centre, radius)
+        except ValueError:
+            continue
+
+
+def cases():
+    """(label, spec, h) for every case, in a fixed order."""
+    out = []
+    for h in (0.25, 0.125, 0.0625):
+        for name, spec in golden.TABLE1_DOMAINS.items():
+            out.append((f"table1-{name}-h{h}", spec, h))
+    sweeps = [("disk", golden.DISK_OUTER, golden.DISK_CENTERS)] + [
+        (f"ellipse-{path}", golden.ELLIPSE_OUTER, centers)
+        for path, centers in (
+            ("axis-x", golden.ELLIPSE_X_CENTERS),
+            ("axis-y", golden.ELLIPSE_Y_CENTERS),
+            ("diagonal", golden.ELLIPSE_DIAG_CENTERS),
+        )
+    ]
+    for h in (0.25, 0.125):
+        for name, outer, centers in sweeps:
+            for c in centers:
+                spec = DomainSpec(outer, c, golden.HOLE_RADIUS)
+                if spec.clearance >= h / 10.0:
+                    out.append((f"{name}-{c[0]}-{c[1]}-h{h}", spec, h))
+    rng = np.random.default_rng(SEED)
+    for shape in ("disk", "ellipse", "rectangle"):
+        for k in range(RANDOM_PER_SHAPE):
+            spec = _random_spec(rng, shape)
+            h = float(rng.choice([0.5, 0.25]))
+            out.append((f"random-{shape}-{k}-h{h}", spec, h))
+    return out
+
+
+def write(path):
+    arrays = {}
+    labels, errors = [], []
+    for i, (label, spec, h) in enumerate(cases()):
+        labels.append(label)
+        try:
+            mesh = triangulate(spec, h)
+        except (MeshError, ValueError) as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+            print(f"{label}: {errors[-1]}", file=sys.stderr)
+            continue
+        errors.append("")
+        st = solve_on_mesh(mesh, "steklov", 3, spec=spec).eigenvalues
+        sn = solve_on_mesh(mesh, "steklov_neumann", 3, spec=spec).eigenvalues
+        arrays[f"{i}/vertices"] = mesh.vertices
+        arrays[f"{i}/triangles"] = mesh.triangles
+        arrays[f"{i}/eigs"] = np.array([st[1], st[2], sn[1], sn[2]])
+        print(f"{label}: nv={mesh.vertex_count}", file=sys.stderr)
+    np.savez_compressed(
+        path, labels=np.array(labels), errors=np.array(errors), **arrays
+    )
+
+
+def compare(path_a, path_b):
+    a, b = np.load(path_a), np.load(path_b)
+    labels = list(a["labels"])
+    if labels != list(b["labels"]):
+        raise SystemExit("the two records hold different case sets")
+    meshed = same_error = identical = same_triangles = 0
+    vertex_move = eig_drift = 0.0
+    mismatched = []
+    for i, label in enumerate(labels):
+        err_a, err_b = str(a["errors"][i]), str(b["errors"][i])
+        if err_a != err_b:
+            mismatched.append(f"  {label}: {err_a or 'meshed'} | {err_b or 'meshed'}")
+            continue
+        if err_a:
+            same_error += 1
+            continue
+        meshed += 1
+        va, vb = a[f"{i}/vertices"], b[f"{i}/vertices"]
+        ta, tb = a[f"{i}/triangles"], b[f"{i}/triangles"]
+        tri_equal = np.array_equal(ta, tb)
+        same_triangles += tri_equal
+        identical += tri_equal and np.array_equal(va, vb)
+        if va.shape == vb.shape:
+            vertex_move = max(vertex_move, float(np.max(np.abs(va - vb))))
+        else:
+            vertex_move = np.inf
+        ea, eb = a[f"{i}/eigs"], b[f"{i}/eigs"]
+        eig_drift = max(eig_drift, float(np.max(np.abs(ea - eb) / np.abs(eb))))
+    print(f"cases: {len(labels)}, meshed in both: {meshed}, "
+          f"raised the same error in both: {same_error}")
+    print(f"bit-identical meshes: {identical} of {meshed}")
+    print(f"identical triangles: {same_triangles} of {meshed}")
+    print(f"largest vertex move: {vertex_move:.3g}")
+    print(f"largest relative eigenvalue drift: {eig_drift:.3g}")
+    print(f"cases whose raised error differs: {len(mismatched)}")
+    for line in mismatched:
+        print(line)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--write", metavar="FILE")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.write:
+        write(args.write)
+    else:
+        compare(*args.compare)
+
+
+if __name__ == "__main__":
+    main()
