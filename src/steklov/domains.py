@@ -12,6 +12,12 @@ of its bounding box), `signed_distance(x, y)`, `area` and `matched_radius`
 (the radius of the disk of equal area).  `SHAPES` maps the shape names
 used in configs and JSON to the classes, and is the only list of shapes.
 
+Every outer shape is convex, so its signed distance is a convex function
+of the point: at a midpoint or a centroid it is at most the mean of the
+values at the ends or corners.  `meshing` relies on this bound to skip
+outer distances that cannot change its results, so a new shape must be
+convex too.
+
 Conventions: signed distances are negative inside a shape, polylines are
 arrays of shape (N, 2) that close implicitly (segment N-1 -> 0), the outer
 polyline is counterclockwise and the hole polyline is clockwise.
@@ -320,11 +326,12 @@ def _grade(h, d_out, d_hole):
 
 
 def region_distance_and_size(spec: DomainSpec, h: float, pts):
-    """`region_signed_distance` and `size_field` at an (m, 2) point array,
-    from one evaluation of each boundary distance."""
+    """`region_signed_distance`, `size_field` and the outer signed distance
+    at an (m, 2) point array, from one evaluation of each boundary
+    distance."""
     d_out = outer_signed_distance(spec.outer, pts)
     d_hole = hole_signed_distance(spec, pts)
-    return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole)
+    return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole), d_out
 
 
 def volume_matched_outer_radius(spec: DomainSpec) -> float:

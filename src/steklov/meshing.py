@@ -8,11 +8,15 @@ graded size field.  Each triangulation, including a final one of the
 settled cloud, first deletes interior points too close to a boundary (the
 standoff) and then discards triangles whose centroid falls outside the
 region.  The standoff test and the size field share one evaluation of
-each boundary distance, so a triangulation measures the outer distance
-twice: on the points and on the triangle centroids.  A relaxation that has
-not settled after MAX_ITER iterations raises MeshError.  Everything is
-deterministic for a fixed spec and h: seeding uses a low-discrepancy
-sequence instead of a random generator.
+each boundary distance, so a triangulation measures the outer distance in
+full only on the points.  Every outer shape is convex, so at a triangle
+centroid or a bar midpoint the outer distance is at most the mean of its
+values at the corners; the centroid filter and the bar target sizes
+evaluate it only where that bound cannot decide the result, along the
+outer boundary and in graded gaps.  A relaxation that has not settled
+after MAX_ITER iterations raises MeshError.  Everything is deterministic
+for a fixed spec and h: seeding uses a low-discrepancy sequence instead
+of a random generator.
 
 Qhull triangulates the first settle of a relaxation and any settle whose
 standoff dropped a point.  Otherwise no point moved more than TTOL*fh since
@@ -46,6 +50,7 @@ from .domains import (
     GRADE_FRACTION,
     MIN_SIZE_DIVISOR,
     boundary_polylines,
+    hole_signed_distance,
     region_distance_and_size,
     region_signed_distance,
     size_field,
@@ -84,6 +89,13 @@ MAX_ITER = 1500
 # golden domains; one that reaches MAX_FLIP_ROUNDS is handed to Qhull.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
+
+# Margin, relative to h, by which a convexity bound in `_settle` must
+# clear its threshold before it decides a centroid or a bar size without
+# the outer distance.  Rounding in the bounds is a few ulps of the
+# coordinates (measured below 5e-16 times the domain's size), so the
+# margin holds for any h above 1e-5 times that size.
+SCREEN_MARGIN = 1e-9
 
 MIN_ANGLE_DEG = 20.0
 
@@ -177,7 +189,7 @@ def _seed_points(spec: DomainSpec, h: float):
     """
     a, b = spec.outer.half_extents
     coarse = _hex_grid(-a, a, -b, b, h)
-    sd, fh = region_distance_and_size(spec, h, coarse)
+    sd, fh, _ = region_distance_and_size(spec, h, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
     seeds = [coarse[keep]]
 
@@ -190,7 +202,7 @@ def _seed_points(spec: DomainSpec, h: float):
             fine = _hex_grid(
                 gx.min() - h, gx.max() + h, gy.min() - h, gy.max() + h, fh_min
             )
-            sd_f, fh_f = region_distance_and_size(spec, h, fine)
+            sd_f, fh_f, _ = region_distance_and_size(spec, h, fine)
             cand = (fh_f < h * (1.0 - 1e-9)) & (sd_f < -SEED_MARGIN * fh_f)
             fine, fh_f = fine[cand], fh_f[cand]
             u = np.mod(np.arange(1, len(fine) + 1) * _WEYL, 1.0)
@@ -264,8 +276,9 @@ def _flip_to_delaunay(pts, tri):
 def _settle(spec, h, pts, n_fixed, geps, full=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then triangulate and keep the simplices whose centroid lies inside the
-    region.  Returns the kept points, their size field, simplices, bars and
-    the full counterclockwise triangulation before the centroid filter.
+    region.  Returns the kept points, their size field, simplices, bars,
+    the size field at the bar midpoints, and the full counterclockwise
+    triangulation before the centroid filter.
 
     `full` is the previous settle's full triangulation, or None.  Qhull
     runs when there is none, when the standoff dropped a point, and when
@@ -273,52 +286,92 @@ def _settle(spec, h, pts, n_fixed, geps, full=None):
     Delaunay triangulation of the kept points; where that is unique (no
     cocircular quad) both give the same kept simplices as a set, and so
     the same sorted bars."""
-    sd, fh = region_distance_and_size(spec, h, pts)
+    sd, fh, d_out = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
     if full is not None and keep.all():
         full = _flip_to_delaunay(pts, full)
     else:
         full = None
-    pts, fh = pts[keep], fh[keep]
+    pts, fh, d_out = pts[keep], fh[keep], d_out[keep]
     if full is None:
         full = _orient_ccw(pts, Delaunay(pts).simplices)
-    centroids = pts[full].mean(axis=1)
-    simplices = full[region_signed_distance(spec, centroids) < -geps]
+    simplices = full[_centroids_inside(spec, h, pts, d_out, full, geps)]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
-    return pts, fh, simplices, _unique_edges(simplices, len(pts))[0], full
+    bars = _unique_edges(simplices, len(pts))[0]
+    return pts, fh, simplices, bars, _bar_sizes(spec, h, pts, d_out, bars), full
 
 
-def _scatter_forces(ends, force, n):
-    """Net force per vertex along one coordinate: +force at each bar's first
-    end, -force at its second, with `ends` the first ends followed by the
-    second ends.  A weighted bincount adds in the same order as two
-    `np.add.at` calls would, so the sums agree bit for bit."""
-    return np.bincount(ends, np.concatenate([force, -force]), minlength=n)
+def _centroids_inside(spec, h, pts, d_out, tri, geps):
+    """`region_signed_distance(spec, centroids) < -geps` for the triangles
+    `tri` of `pts`, bit for bit, where `d_out` is the outer distance at
+    `pts`.
+
+    Every outer shape is convex, so at a centroid the outer distance is at
+    most the vertex mean of `d_out`.  Where that mean is below -geps by
+    SCREEN_MARGIN*h the hole alone decides, and the outer distance is
+    evaluated only at the other centroids."""
+    t0, t1, t2 = tri.T
+    z = pts.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
+    centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
+    centroids = centroids.reshape(-1, 2)
+    mean = (d_out.take(t0) + d_out.take(t1) + d_out.take(t2)) / 3.0
+    undecided = mean >= -geps - SCREEN_MARGIN * h
+    inside = hole_signed_distance(spec, centroids) > geps
+    inside[undecided] = region_signed_distance(spec, centroids[undecided]) < -geps
+    return inside
 
 
-def _force_step(x, y, ends, h_want, h_sq, n_fixed):
-    """One pseudo-time step of the truss forces on positions (x, y).
+def _bar_sizes(spec, h, pts, d_out, bars):
+    """`size_field` at the midpoints of `bars`, bit for bit, where `d_out`
+    is the outer distance at `pts`.
 
-    `ends` holds the bars' first ends followed by their second ends,
-    `h_want` is FSCALE times the size field at the bar midpoints and `h_sq`
-    the sum of the squared size field there.  Bars shorter than their
-    target length push their ends apart; the first n_fixed points stay.
-    Returns the new positions and the step length of each interior
+    By convexity the outer distance at a midpoint is at most the endpoint
+    mean u of `d_out`, so |d_out(mid)| >= -u whatever the sign of u.  Where
+    GRADE_FRACTION*(|d_hole(mid)| - u) reaches h by SCREEN_MARGIN*h the
+    size is exactly h, and the outer distance is evaluated only at the
+    other midpoints: along the outer boundary and in graded gaps."""
+    b0, b1 = bars.T
+    z = pts.view(complex).ravel()
+    mids = (0.5 * (z.take(b0) + z.take(b1)).view(float)).reshape(-1, 2)
+    u = 0.5 * (d_out.take(b0) + d_out.take(b1))
+    bound = GRADE_FRACTION * (np.abs(hole_signed_distance(spec, mids)) - u)
+    undecided = bound < h * (1.0 + SCREEN_MARGIN)
+    sizes = np.full(len(bars), h, dtype=float)
+    sizes[undecided] = size_field(spec, h, mids[undecided])
+    return sizes
+
+
+def _scatter_forces(slots, force, n):
+    """Net force per vertex as x + iy: +force at each bar's first end and
+    -force at its second, with `force` the (m, 2) force per bar and `slots`
+    the real and imaginary slot of each end, the first ends' followed by
+    the second ends'.  A weighted bincount adds in the same order as
+    `np.add.at` on an (n, 2) array would, so the sums agree bit for bit."""
+    weights = np.concatenate([force, -force]).ravel()
+    return np.bincount(slots, weights, minlength=2 * n).view(complex)
+
+
+def _force_step(z, ends, slots, h_want, h_sq, n_fixed):
+    """One pseudo-time step of the truss forces on positions z = x + iy.
+
+    `ends` holds the bars' first ends followed by their second ends and
+    `slots` their real and imaginary slots (see `_scatter_forces`).
+    `h_want` is FSCALE times the size field at the bar midpoints and
+    `h_sq` the sum of the squared size field there.  Bars shorter than
+    their target length push their ends apart; the first n_fixed points
+    stay.  Returns the new positions and the step length of each interior
     point."""
     m = len(h_want)
-    b0, b1 = ends[:m], ends[m:]
-    dx = np.take(x, b0) - np.take(x, b1)  # take gathers faster than x[b0]
-    dy = np.take(y, b0) - np.take(y, b1)
-    lengths = np.maximum(np.hypot(dx, dy), 1e-300)
+    vec = np.take(z, ends[:m]) - np.take(z, ends[m:])  # take beats z[b0]
+    lengths = np.maximum(np.abs(vec), 1e-300)
     scale = math.sqrt(np.sum(lengths**2) / h_sq)
     push = np.maximum(h_want * scale - lengths, 0.0) / lengths
-    tx = _scatter_forces(ends, dx * push, len(x))
-    ty = _scatter_forces(ends, dy * push, len(x))
-    tx[:n_fixed] = ty[:n_fixed] = 0.0
-    step = DELTA_T * np.hypot(tx[n_fixed:], ty[n_fixed:])
-    return x + DELTA_T * tx, y + DELTA_T * ty, step
+    force = vec.view(float).reshape(m, 2) * push[:, None]  # (dx, dy) * push
+    total = _scatter_forces(slots, force, len(z))
+    total[:n_fixed] = 0.0
+    return z + DELTA_T * total, DELTA_T * np.abs(total[n_fixed:])
 
 
 def _relax(spec, h, pts, n_fixed):
@@ -326,32 +379,32 @@ def _relax(spec, h, pts, n_fixed):
 
     Each settle hands its full triangulation to the next, which repairs it
     by edge flips instead of calling Qhull where it can.  Between settles
-    the positions live in two flat coordinate arrays, and what changes only
-    at a settle (bar ends, target lengths, interior sizes) is computed once
-    per settle."""
+    the positions live in one complex array z = x + iy, an (n, 2) point
+    array viewed as complex, and what changes only at a settle (bar ends,
+    target lengths, interior sizes) is computed once per settle."""
     geps = 1e-3 * h
     full = None  # the most recent full triangulation
     last = None  # positions at the most recent settle
-    x, y = pts[:, 0], pts[:, 1]
+    z = pts.view(complex).ravel()
     for _ in range(MAX_ITER):
-        if last is None or np.max(np.hypot(x - last[0], y - last[1]) / fh_pts) > TTOL:
-            pts, fh_pts, _, bars, full = _settle(
-                spec, h, np.column_stack([x, y]), n_fixed, geps, full
+        if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
+            pts, fh_pts, _, bars, h_bars, full = _settle(
+                spec, h, z.view(float).reshape(-1, 2), n_fixed, geps, full
             )
-            last = x, y = pts[:, 0].copy(), pts[:, 1].copy()
+            last = z = pts.view(complex).ravel()
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
-            h_bars = size_field(spec, h, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
+            slots = (2 * ends[:, None] + [0, 1]).ravel()
             h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
             fh_free = fh_pts[n_fixed:]
 
-        x, y, step = _force_step(x, y, ends, h_want, h_sq, n_fixed)
+        z, step = _force_step(z, ends, slots, h_want, h_sq, n_fixed)
         if len(step) == 0 or np.max(step / fh_free) < PTOL:
             break
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, simplices, _, _ = _settle(
-        spec, h, np.column_stack([x, y]), n_fixed, geps, full
+    pts, _, simplices, _, _, _ = _settle(
+        spec, h, z.view(float).reshape(-1, 2), n_fixed, geps, full
     )
     return pts, simplices
 

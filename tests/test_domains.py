@@ -1,11 +1,15 @@
 """Tests for the planar domain geometry helpers."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov.domains import (
+    SHAPES,
     Disk,
     DomainSpec,
     Ellipse,
@@ -123,6 +127,35 @@ def test_ellipse_distance_matches_refined_reference(a, b):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(a, b))
     # a point's distance does not depend on the other points of the call
     assert np.array_equal(got, [abs(ell.signed_distance(x, y)) for x, y in pts])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SHAPES)),
+    sizes=st.lists(st.floats(0.5, 10.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_outer_signed_distance_is_convex(name, sizes, seed):
+    # meshing skips outer distances by this bound: at a midpoint and at a
+    # centroid the distance is at most the mean of the corner values, up
+    # to rounding (measured below 5e-16 times the shape's size).  Corner
+    # triples spread from 1e-6 to 1 times the size, centred inside and
+    # outside the shape.
+    cls = SHAPES[name]
+    shape = cls(*sizes[: len(fields(cls))])
+    a, b = shape.half_extents
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1.5, 1.5, (200, 1, 2)) * [a, b]
+    spread = 10.0 ** rng.uniform(-6.0, 0.0, (200, 1, 1)) * max(a, b)
+    corners = centres + spread * rng.uniform(-1.0, 1.0, (200, 3, 2))
+    d = outer_signed_distance(shape, corners.reshape(-1, 2)).reshape(200, 3)
+    assert np.any(d < 0) and np.any(d > 0)
+    tol = 1e-14 * max(a, b)
+    mid = outer_signed_distance(shape, 0.5 * (corners[:, 0] + corners[:, 1]))
+    assert np.all(mid <= 0.5 * (d[:, 0] + d[:, 1]) + tol)
+    centroid = outer_signed_distance(shape, corners.mean(axis=1))
+    assert np.all(centroid <= d.mean(axis=1) + tol)
+    assert outer_signed_distance(shape, np.empty((0, 2))).shape == (0,)
 
 
 def test_region_signed_distance_frozen_points():

@@ -1,0 +1,72 @@
+"""Tests for the mesh identity report's comparison of two records."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "mesh_identity.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("mesh_identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_record(path, errors, meshes):
+    """A record of len(errors) cases; `meshes` maps a case index to its
+    (vertices, triangles, eigenvalues)."""
+    arrays = {}
+    for i, (vertices, triangles, eigs) in meshes.items():
+        arrays[f"{i}/vertices"] = np.asarray(vertices, float)
+        arrays[f"{i}/triangles"] = np.asarray(triangles)
+        arrays[f"{i}/eigs"] = np.asarray(eigs, float)
+    labels = [f"case-{i}" for i in range(len(errors))]
+    np.savez_compressed(
+        path, labels=np.array(labels), errors=np.array(errors), **arrays
+    )
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+TRIANGLES = [[0, 1, 2], [0, 2, 3]]
+EIGS = [0.1, 0.2, 0.3, 0.4]
+
+
+def test_compare_names_the_cases_behind_the_largest_differences(tmp_path, capsys):
+    tool = load_tool()
+    moved = np.array(SQUARE)
+    moved[2] += 1e-9
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    errors = ["", "", "", "MeshError: degenerate"]
+    write_record(before, errors, {i: (SQUARE, TRIANGLES, EIGS) for i in range(3)})
+    write_record(after, errors, {
+        0: (SQUARE, TRIANGLES, EIGS),
+        1: (moved, TRIANGLES, EIGS),
+        2: (SQUARE, [[0, 1, 3], [1, 2, 3]], [0.1, 0.2, 0.3, 0.4 * (1 + 1e-6)]),
+    })
+    assert tool.compare(before, after) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "cases: 4, meshed in both: 3, raised the same error in both: 1",
+        "bit-identical meshes: 1 of 3",
+        "identical triangles: 2 of 3",
+        "largest vertex move: 1e-09 (case-1)",
+        "largest relative eigenvalue drift: 1e-06 (case-2)",
+        "cases whose raised error differs: 0",
+    ]
+    assert tool.compare(before, before) == 0
+    assert "largest vertex move: 0\n" in capsys.readouterr().out
+
+
+def test_compare_fails_when_a_raised_error_differs(tmp_path, capsys):
+    tool = load_tool()
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    write_record(before, ["", "MeshError: degenerate"], {0: (SQUARE, TRIANGLES, EIGS)})
+    write_record(after, ["", ""], {i: (SQUARE, TRIANGLES, EIGS) for i in range(2)})
+    assert tool.compare(before, after) == 1
+    out = capsys.readouterr().out
+    assert "cases whose raised error differs: 1\n" in out
+    assert "  case-1: MeshError: degenerate | meshed\n" in out
+    assert tool.main(["--compare", str(after), str(after)]) == 0

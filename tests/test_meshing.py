@@ -179,18 +179,30 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, simplices, bars, _ = meshing._settle(spec, 0.5, pts, len(fixed), 5e-4)
+    kept, fh, simplices, bars, _, _ = meshing._settle(
+        spec, 0.5, pts, len(fixed), 5e-4
+    )
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
 
 
-def test_settle_evaluates_the_outer_distance_twice(monkeypatch):
-    # once on the points (standoff and size field) and once on the centroids
-    spec = DomainSpec(Ellipse(3.0, 8.33), (0.0, 2.5), 1.0)
-    outer, inner = boundary_polylines(spec, 0.5)
+@pytest.mark.parametrize(
+    "center, h, share",
+    [((0.0, 2.5), 0.5, 0.0), ((1.9, 1.9), 0.125, 0.1)],
+    ids=["ellipse-y-axis", "thin-gap-ellipse"],
+)
+def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
+    monkeypatch, center, h, share
+):
+    # once on every point (standoff and size field), then only on the
+    # centroids and bar midpoints that the convexity screens leave open:
+    # none on the ungraded y-axis ellipse, the graded gap's midpoints on
+    # the thin-gap one
+    spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
+    outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
-    pts = np.vstack([fixed, meshing._seed_points(spec, 0.5)])
+    pts = np.vstack([fixed, meshing._seed_points(spec, h)])
     calls = []
 
     def counted(shape, p):
@@ -198,14 +210,95 @@ def test_settle_evaluates_the_outer_distance_twice(monkeypatch):
         return outer_signed_distance(shape, p)
 
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
-    meshing._settle(spec, 0.5, pts, len(fixed), 5e-4)
-    assert len(calls) == 2 and calls[0] == len(pts)
+    _, _, _, bars, h_bars, full = meshing._settle(
+        spec, h, pts, len(fixed), 1e-3 * h
+    )
+    assert len(calls) == 3 and calls[0] == len(pts)
+    assert calls[1] <= share * len(full)
+    assert calls[2] <= share * len(bars)
+    assert calls[2] >= np.sum(h_bars < h)  # every graded bar is evaluated
+
+
+def settle_screens_reference(spec, h, pts, n_fixed):
+    """`_settle` on pts, and the kept simplices and bar sizes it should give,
+    from the outer distance at every centroid and every midpoint."""
+    geps = 1e-3 * h
+    kept, _, simplices, bars, h_bars, full = meshing._settle(
+        spec, h, pts, n_fixed, geps
+    )
+    centroids = kept[full].mean(axis=1)
+    want = full[region_signed_distance(spec, centroids) < -geps]
+    mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
+    return (simplices, h_bars), (want, size_field(spec, h, mids))
+
+
+def random_spec(seed):
+    """An admissible spec of a random outer shape, size and hole."""
+    rng = np.random.default_rng(seed)
+    outer = [
+        Disk(rng.uniform(2.5, 6.0)),
+        Ellipse(rng.uniform(2.0, 4.5), rng.uniform(3.0, 8.5)),
+        Rectangle(rng.uniform(4.0, 13.0), rng.uniform(3.5, 8.0)),
+    ][seed % 3]
+    a, b = outer.half_extents
+    radius = rng.uniform(0.75, 1.5)
+    while True:
+        try:
+            return DomainSpec(outer, (rng.uniform(-a, a), rng.uniform(-b, b)), radius)
+        except ValueError:
+            continue
+
+
+SCREEN_CASES = {
+    "annulus": (golden.TABLE1_DOMAINS["annulus"], 0.25),
+    "rectangle": (golden.TABLE1_DOMAINS["rectangle"], 0.25),
+    "ellipse": (golden.TABLE1_DOMAINS["ellipse"], 0.25),
+    "thin-gap-ellipse": (DomainSpec(golden.ELLIPSE_OUTER, (1.9, 1.9), 1.0), 0.125),
+    "rectangle-off-centre": (DomainSpec(golden.RECT_OUTER, (3.0, 1.0), 1.0), 0.25),
+    **{f"random-{seed}": (random_spec(seed), 0.25) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_settle_screens_match_the_full_evaluations_bit_for_bit(name):
+    # on the seeded cloud, on the cloud moved by up to 0.3 h (the standoff
+    # drops some points), on the relaxed mesh, and on the boundary with a
+    # point 2e-3 h inside each outer edge's midpoint, all fixed so the
+    # standoff keeps them: on straight sides their triangles have a vertex
+    # mean and a centroid distance of -2e-3 h / 3, which only the exact
+    # distance can reject
+    spec, h = SCREEN_CASES[name]
+    outer, inner = boundary_polylines(spec, h)
+    fixed = np.vstack([outer, inner])
+    seeds = meshing._seed_points(spec, h)
+    rng = np.random.default_rng(len(seeds))
+    moved = seeds + rng.uniform(-0.3 * h, 0.3 * h, seeds.shape)
+    chord = np.roll(outer, -1, axis=0) - outer
+    inward = np.column_stack([-chord[:, 1], chord[:, 0]])  # outer is ccw
+    hugging = outer + 0.5 * chord + 2e-3 * h * inward / np.hypot(*chord.T)[:, None]
+    hugging_cloud = np.vstack([fixed, hugging])
+    clouds = [
+        (np.vstack([fixed, seeds]), len(fixed)),
+        (np.vstack([fixed, moved]), len(fixed)),
+        (triangulate(spec, h).vertices, len(fixed)),
+        (hugging_cloud, len(hugging_cloud)),
+    ]
+    graded = False
+    for pts, n_fixed in clouds:
+        got, want = settle_screens_reference(spec, h, pts, n_fixed)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        graded |= bool(np.any(want[1] < h))
+    if name == "thin-gap-ellipse":
+        assert graded
+    if isinstance(spec.outer, Rectangle):  # kept at geps = 0, dropped at 1e-3 h
+        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed, 0.0)[2])
 
 
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    _, _, simplices, bars, _ = meshing._settle(
+    _, _, simplices, bars, _, _ = meshing._settle(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges), 2.5e-4
     )
     rows = np.unique(meshing._sorted_edges(simplices), axis=0)
@@ -217,6 +310,11 @@ def test_bars_are_the_sorted_unique_simplex_edges():
     assert np.array_equal(edges, want) and np.array_equal(counts, want_counts)
 
 
+def force_slots(bars):
+    """The real and imaginary slot of each bar end, first ends first."""
+    return (2 * bars.T.ravel()[:, None] + [0, 1]).ravel()
+
+
 def test_force_scatter_matches_add_at_bit_for_bit():
     rng = np.random.default_rng(7)
     n = 50
@@ -225,16 +323,21 @@ def test_force_scatter_matches_add_at_bit_for_bit():
     want = np.zeros((n, 2))
     np.add.at(want, bars[:, 0], force)
     np.add.at(want, bars[:, 1], -force)
-    for k in (0, 1):
-        got = meshing._scatter_forces(bars.T.ravel(), force[:, k], n)
-        assert np.array_equal(got, want[:, k])
+    got = meshing._scatter_forces(force_slots(bars), force, n)
+    assert np.array_equal(got.real, want[:, 0])
+    assert np.array_equal(got.imag, want[:, 1])
+
+
+def modulus(vec):
+    """Length of each row of an (m, 2) array, as the complex modulus."""
+    return np.abs(vec[:, 0] + 1j * vec[:, 1])
 
 
 def force_step_on_point_array(pts, bars, h_bars, n_fixed):
     """Reference relaxation step on an (n, 2) position array: the same
     floating-point operations as `_force_step`, in the same order."""
     vec = pts[bars[:, 0]] - pts[bars[:, 1]]
-    lengths = np.maximum(np.hypot(vec[:, 0], vec[:, 1]), 1e-300)
+    lengths = np.maximum(modulus(vec), 1e-300)
     scale = math.sqrt(np.sum(lengths**2) / np.sum(h_bars**2))
     want = h_bars * meshing.FSCALE * scale
     push = np.maximum(want - lengths, 0.0) / lengths
@@ -243,7 +346,7 @@ def force_step_on_point_array(pts, bars, h_bars, n_fixed):
     np.add.at(total, bars[:, 0], force)
     np.add.at(total, bars[:, 1], -force)
     total[:n_fixed] = 0.0
-    step = meshing.DELTA_T * np.hypot(total[n_fixed:, 0], total[n_fixed:, 1])
+    step = meshing.DELTA_T * modulus(total[n_fixed:])
     return pts + meshing.DELTA_T * total, step
 
 
@@ -252,15 +355,20 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)])
-    pts, _, _, bars, _ = meshing._settle(spec, 0.25, pts, n_fixed, 2.5e-4)
+    pts, _, _, bars, _, _ = meshing._settle(spec, 0.25, pts, n_fixed, 2.5e-4)
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    z = pts[:, 0] + 1j * pts[:, 1]
     for _ in range(20):
         pts, want_step = force_step_on_point_array(pts, bars, h_bars, n_fixed)
-        x, y, step = meshing._force_step(
-            x, y, bars.T.ravel(), h_bars * meshing.FSCALE, np.sum(h_bars**2), n_fixed
+        z, step = meshing._force_step(
+            z,
+            bars.T.ravel(),
+            force_slots(bars),
+            h_bars * meshing.FSCALE,
+            np.sum(h_bars**2),
+            n_fixed,
         )
-        assert np.array_equal(x, pts[:, 0]) and np.array_equal(y, pts[:, 1])
+        assert np.array_equal(z.real, pts[:, 0]) and np.array_equal(z.imag, pts[:, 1])
         assert np.array_equal(step, want_step)
     assert np.max(step) > 0
 

@@ -8,8 +8,9 @@ and stores its vertices, triangles and (sigma1, sigma2, mu1, mu2), or the
 error that `triangulate` raised.  Point PYTHONPATH at another checkout's
 `src` to record that tree.  `--compare` reports how far two records agree:
 bit-identical meshes, meshes with identical triangles, the largest vertex
-move, the largest relative eigenvalue drift and every case whose raised
-error differs.
+move and the largest relative eigenvalue drift, each with the case it
+comes from, and every case whose raised error differs.  It exits with
+status 1 when some case's raised error differs, and 0 otherwise.
 
 The case set is fixed (174 cases):
 - the three table-1 domains at h = 0.25, 0.125 and 0.0625;
@@ -105,12 +106,14 @@ def write(path):
 
 
 def compare(path_a, path_b):
+    """Print how far the records at path_a and path_b agree.  Returns 1 when
+    some case's raised error differs between them, else 0."""
     a, b = np.load(path_a), np.load(path_b)
     labels = list(a["labels"])
     if labels != list(b["labels"]):
         raise SystemExit("the two records hold different case sets")
     meshed = same_error = identical = same_triangles = 0
-    vertex_move = eig_drift = 0.0
+    vertex_move, eig_drift = (0.0, None), (0.0, None)  # (largest, its case)
     mismatched = []
     for i, label in enumerate(labels):
         err_a, err_b = str(a["errors"][i]), str(b["errors"][i])
@@ -126,21 +129,24 @@ def compare(path_a, path_b):
         tri_equal = np.array_equal(ta, tb)
         same_triangles += tri_equal
         identical += tri_equal and np.array_equal(va, vb)
-        if va.shape == vb.shape:
-            vertex_move = max(vertex_move, float(np.max(np.abs(va - vb))))
-        else:
-            vertex_move = np.inf
+        move = float(np.max(np.abs(va - vb))) if va.shape == vb.shape else np.inf
+        if move > vertex_move[0]:
+            vertex_move = move, label
         ea, eb = a[f"{i}/eigs"], b[f"{i}/eigs"]
-        eig_drift = max(eig_drift, float(np.max(np.abs(ea - eb) / np.abs(eb))))
+        drift = float(np.max(np.abs(ea - eb) / np.abs(eb)))
+        if drift > eig_drift[0]:
+            eig_drift = drift, label
     print(f"cases: {len(labels)}, meshed in both: {meshed}, "
           f"raised the same error in both: {same_error}")
     print(f"bit-identical meshes: {identical} of {meshed}")
     print(f"identical triangles: {same_triangles} of {meshed}")
-    print(f"largest vertex move: {vertex_move:.3g}")
-    print(f"largest relative eigenvalue drift: {eig_drift:.3g}")
+    for name, (value, label) in (("largest vertex move", vertex_move),
+                                 ("largest relative eigenvalue drift", eig_drift)):
+        print(f"{name}: {value:.3g}" + (f" ({label})" if value > 0 else ""))
     print(f"cases whose raised error differs: {len(mismatched)}")
     for line in mismatched:
         print(line)
+    return 1 if mismatched else 0
 
 
 def main(argv=None):
@@ -151,9 +157,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.write:
         write(args.write)
-    else:
-        compare(*args.compare)
+        return 0
+    return compare(*args.compare)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
