@@ -46,7 +46,6 @@ __all__ = [
     "region_distance_and_size",
     "shape_dict",
     "size_field",
-    "volume_matched_outer_radius",
 ]
 
 # Grading constants for the mesh size field: target edge lengths shrink to
@@ -332,11 +331,6 @@ def region_distance_and_size(spec: DomainSpec, h: float, pts):
     d_out = outer_signed_distance(spec.outer, pts)
     d_hole = hole_signed_distance(spec, pts)
     return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole), d_out
-
-
-def volume_matched_outer_radius(spec: DomainSpec) -> float:
-    """Radius of the disk whose area equals the outer shape's area."""
-    return spec.outer.matched_radius
 
 
 def _march_curve(curve, t_lo, t_hi, fh, closed):

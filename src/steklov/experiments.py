@@ -28,12 +28,11 @@ from steklov.domains import (
     DomainSpec,
     is_round,
     shape_dict,
-    volume_matched_outer_radius,
 )
 from steklov.fem_solver import solve_on_mesh
 from steklov.golden import HOLE_RADIUS, QUANTITIES, golden_table
-from steklov.meshing import triangulate
-from steklov.quadrature import quadrature_integrals
+from steklov.meshing import OUTER, triangulate
+from steklov.quadrature import boundary_rule, radial_grams, volume_rule
 
 MONOTONE_SLACK = 1e-3
 CLUSTER_RTOL = 1e-3
@@ -304,105 +303,84 @@ def verify_integral_lemmas(spec, h):
     radial test functions are built around).  Both the domain mesh and the
     volume-matched concentric annulus mesh are built at size h; the radial
     profiles come from the matched annulus's first nonzero eigenvalue of
-    each problem.  Inequalities are reported as signed normalized slacks
-    (nonnegative up to quadrature error); identities as normalized values
-    (zero up to quadrature error).  Odd-moment identities require the
-    half-turn symmetry of the domain, mixed-moment and equal-split ones a
-    quarter turn; only the applicable ones are evaluated.
+    each problem.  Every item is read off the mass and gradient Gram
+    matrices of the trial space (f, f x1/r, f x2/r) and the integral of F
+    (`quadrature.radial_grams`), taken once per mesh, region and profile:
+    over the volume, the outer boundary and the whole boundary.
+    Inequalities are reported as signed normalized slacks (nonnegative up
+    to quadrature error); identities as normalized values (zero up to
+    quadrature error).  Odd-moment identities require the half-turn
+    symmetry of the domain, mixed-moment and equal-split ones a quarter
+    turn; only the applicable ones are evaluated.
     """
     if spec.hole_radius != 1.0 or spec.hole_center != (0.0, 0.0):
         raise ValueError(
             "integral checks require the unit hole centered at the origin")
     h = float(h)
-    matched_radius = volume_matched_outer_radius(spec)
+    matched_radius = spec.outer.matched_radius
     annulus_domain = DomainSpec(Disk(matched_radius), (0.0, 0.0), 1.0)
-    mesh = triangulate(spec, h)
-    mesh0 = triangulate(annulus_domain, h)
     annulus = AnnulusSpec(2, 1.0, matched_radius)
+    rules = [(volume_rule(m), boundary_rule(m, OUTER), boundary_rule(m))
+             for m in (triangulate(spec, h), triangulate(annulus_domain, h))]
+    # grams[problem][mesh] = (volume, outer, boundary) radial_grams; the
+    # mesh index is 0 for the domain and 1 for the matched annulus
+    grams = {
+        p: [[radial_grams(degree1_profile(annulus, p), rule) for rule in r]
+            for r in rules]
+        for p in PROBLEMS
+    }
     tolerance = 10.0 * h * h
     items = []
 
     def inequality(name, lhs, rhs, slack):
-        items.append({"name": name, "kind": "inequality", "lhs": lhs,
-                      "rhs": rhs, "slack": slack,
+        items.append({"name": name, "kind": "inequality", "lhs": float(lhs),
+                      "rhs": float(rhs), "slack": float(slack),
                       "passed": bool(slack >= -tolerance)})
 
     def identity(name, integral, scale):
-        value = integral / scale
-        items.append({"name": name, "kind": "identity", "integral": integral,
-                      "value": value,
+        value = float(integral / scale)
+        items.append({"name": name, "kind": "identity",
+                      "integral": float(integral), "value": value,
                       "passed": bool(abs(value) <= tolerance)})
 
-    profiles = {p: degree1_profile(annulus, p) for p in PROBLEMS}
-    for pname, prof in profiles.items():
-        energy = quadrature_integrals(mesh, "F", prof)
-        energy0 = quadrature_integrals(mesh0, "F", prof)
+    for pname in PROBLEMS:
+        (volume, outer, _), (volume0, outer0, _) = grams[pname]
+        energy, energy0 = volume[2], volume0[2]
         inequality(f"volume_energy_{pname}", energy, energy0,
                    (energy0 - energy) / abs(energy0))
-        outer = quadrature_integrals(mesh, "f2", prof, region="outer")
-        outer0 = quadrature_integrals(mesh0, "f2", prof, region="outer")
-        inequality(f"outer_boundary_trace_{pname}", outer, outer0,
-                   (outer - outer0) / outer0)
+        trace, trace0 = outer[0][0, 0], outer0[0][0, 0]
+        inequality(f"outer_boundary_trace_{pname}", trace, trace0,
+                   (trace - trace0) / trace0)
 
-    prof = profiles["steklov"]
-    full = quadrature_integrals(mesh, "f2", prof, region="boundary")
-    full0 = quadrature_integrals(mesh0, "f2", prof, region="boundary")
-    inequality("full_boundary_trace_steklov", full, full0,
-               (full - full0) / full0)
-
-    trace_scale = full
-    volume_scale = quadrature_integrals(mesh, "f2", prof)
-    energy_scale = quadrature_integrals(mesh, "F", prof)
+    (volume, _, boundary), (_, _, boundary0) = grams["steklov"]
+    mass_v, grad_v, energy_scale = volume
+    mass_b = boundary[0]
+    trace_scale, full0 = mass_b[0, 0], boundary0[0][0, 0]
+    volume_scale = mass_v[0, 0]
+    inequality("full_boundary_trace_steklov", trace_scale, full0,
+               (trace_scale - full0) / full0)
 
     if spec.is_order2_symmetric:
-        for i in (0, 1):
-            identity(
-                f"odd_moment_volume_x{i + 1}",
-                quadrature_integrals(mesh, "f2_xi_over_r", prof, i=i),
-                volume_scale)
-            identity(
-                f"odd_moment_boundary_x{i + 1}",
-                quadrature_integrals(mesh, "f2_xi_over_r", prof, i=i,
-                                     region="boundary"),
-                trace_scale)
-            identity(
-                f"radial_cross_gradient_x{i + 1}",
-                quadrature_integrals(mesh, "grad_f_dot_grad_fxi", prof, i=i),
-                energy_scale)
+        for i in (1, 2):
+            identity(f"odd_moment_volume_x{i}", mass_v[0, i], volume_scale)
+            identity(f"odd_moment_boundary_x{i}", mass_b[0, i], trace_scale)
+            identity(f"radial_cross_gradient_x{i}", grad_v[0, i],
+                     energy_scale)
 
-    # coordinate-square splits; their sums are pointwise-exact identities
-    trace_split = [
-        quadrature_integrals(mesh, "f2_xixj_over_r2", prof, i=i, j=i,
-                             region="boundary")
-        for i in (0, 1)
-    ]
-    gradient_split = [
-        quadrature_integrals(mesh, "grad_fxi_dot_grad_fxj", prof, i=i, j=i)
-        for i in (0, 1)
-    ]
-    identity("trace_sum_rule", sum(trace_split) - trace_scale, trace_scale)
-    identity("gradient_sum_rule", sum(gradient_split) - energy_scale,
+    # the coordinate-square splits sum pointwise to the scales
+    identity("trace_sum_rule", mass_b[1, 1] + mass_b[2, 2] - trace_scale,
+             trace_scale)
+    identity("gradient_sum_rule", grad_v[1, 1] + grad_v[2, 2] - energy_scale,
              energy_scale)
 
     if spec.is_order4_symmetric:
-        identity(
-            "mixed_moment_boundary",
-            quadrature_integrals(mesh, "f2_xixj_over_r2", prof, i=0, j=1,
-                                 region="boundary"),
-            trace_scale)
-        identity(
-            "mixed_moment_volume",
-            quadrature_integrals(mesh, "f2_xixj_over_r2", prof, i=0, j=1),
-            volume_scale)
-        identity(
-            "mixed_gradient_volume",
-            quadrature_integrals(mesh, "grad_fxi_dot_grad_fxj", prof,
-                                 i=0, j=1),
-            energy_scale)
-        identity("coordinate_split_boundary",
-                 trace_split[0] - trace_split[1], trace_scale)
-        identity("coordinate_split_gradient",
-                 gradient_split[0] - gradient_split[1], energy_scale)
+        identity("mixed_moment_boundary", mass_b[1, 2], trace_scale)
+        identity("mixed_moment_volume", mass_v[1, 2], volume_scale)
+        identity("mixed_gradient_volume", grad_v[1, 2], energy_scale)
+        identity("coordinate_split_boundary", mass_b[1, 1] - mass_b[2, 2],
+                 trace_scale)
+        identity("coordinate_split_gradient", grad_v[1, 1] - grad_v[2, 2],
+                 energy_scale)
 
     return {
         "spec": spec.as_dict(),

@@ -24,7 +24,7 @@ accumulation order, so repeated runs are bit-identical.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -261,18 +261,7 @@ class ConvergenceStudy:
     observed_order: float
 
     def as_dict(self):
-        return {
-            "problem": self.problem,
-            "index": self.index,
-            "rows": [
-                {"h": r.h, "eigenvalues": list(r.eigenvalues),
-                 "error": r.error, "order": r.order}
-                for r in self.rows
-            ],
-            "reference": self.reference,
-            "extrapolated": self.extrapolated,
-            "observed_order": self.observed_order,
-        }
+        return asdict(self)
 
 
 def _concentric_reference(spec, problem, count):
@@ -325,7 +314,7 @@ def convergence_study(spec, problem, h_list, k=6, index=1):
     reference = _concentric_reference(spec, problem, k)
     tracked, rows = [], []
     for h in h_list:
-        sol = solve_on_mesh(triangulate(spec, h), problem, k, spec=spec)
+        sol = solve(spec, h, k, problem)
         tracked.append(float(sol.eigenvalues[index]))
         error = order = None
         if reference is not None:

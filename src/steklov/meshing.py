@@ -319,7 +319,9 @@ def _centroids_inside(spec, h, pts, d_out, tri, geps):
     mean = (d_out.take(t0) + d_out.take(t1) + d_out.take(t2)) / 3.0
     undecided = mean >= -geps - SCREEN_MARGIN * h
     inside = hole_signed_distance(spec, centroids) > geps
-    inside[undecided] = region_signed_distance(spec, centroids[undecided]) < -geps
+    if undecided.any():
+        inside[undecided] = (
+            region_signed_distance(spec, centroids[undecided]) < -geps)
     return inside
 
 
@@ -339,7 +341,8 @@ def _bar_sizes(spec, h, pts, d_out, bars):
     bound = GRADE_FRACTION * (np.abs(hole_signed_distance(spec, mids)) - u)
     undecided = bound < h * (1.0 + SCREEN_MARGIN)
     sizes = np.full(len(bars), h, dtype=float)
-    sizes[undecided] = size_field(spec, h, mids[undecided])
+    if undecided.any():
+        sizes[undecided] = size_field(spec, h, mids[undecided])
     return sizes
 
 

@@ -1,138 +1,76 @@
-"""Quadrature of radial test functions over doubly connected meshes.
+"""Quadrature of the paper's degree-1 trial space over doubly connected meshes.
 
-Volume integrals use the three-point edge-midpoint rule, exact for
-quadratics on each triangle; boundary integrals use the midpoint rule on
-the tagged boundary edges.  Integrands are built from a degree-1 radial
-profile f(r) by `make_integrand`, which also provides the gradient
-products that arise when testing trial spaces of the form
-{f, f x_1 / r, f x_2 / r}:
+A rule is a pair (points, weights).  `volume_rule` is the three-point
+edge-midpoint rule, exact for quadratics on each triangle;
+`boundary_rule` is the midpoint rule on the boundary edges, all of them or
+those carrying one mesh tag.
 
-    <grad f, grad(f x_i / r)>            = f'(r)^2 x_i / r
-    <grad(f x_i / r), grad(f x_j / r)>   = f'^2 x_i x_j / r^2
-                                           + f^2 (delta_ij / r^2
-                                                  - x_i x_j / r^4)
+The upper bounds on sigma_1 and mu_1 test the trial space
+u = (f, f x_1 / r, f x_2 / r) built from a degree-1 radial profile f(r).
+`radial_grams` integrates it as two 3x3 Gram matrices.  With
+e = (1, x_1 / r, x_2 / r) and e_hat = (0, x_1 / r, x_2 / r) the pointwise
+entries are
+
+    u_a u_b               = f^2 e_a e_b
+    <grad u_a, grad u_b>  = f'^2 e_a e_b
+                            + (f / r)^2 (delta_ab [a >= 1] - e_hat_a e_hat_b)
 
 (the mixed f f' terms cancel because grad(x_i / r) is orthogonal to the
-radial direction).  Quadrature points can sit marginally inside the hole
-radius where a polygon chord cuts the circle; the radial evaluation clamps
-r there, a perturbation of the same O(h^2) order as the polygonal
-geometry itself.
+radial direction).  Moments, coordinate splits and mixed terms of the
+trial space are entries of these matrices.  Quadrature points can sit
+marginally inside the hole radius where a polygon chord cuts the circle;
+r is clamped there, a perturbation of the same O(h^2) order as the
+polygonal geometry itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import profile_F, profile_G
+from .analysis import profile_F
 from .closed_form import RadialProfile, radial_eval
-from .meshing import Mesh
+from .meshing import INNER, OUTER, Mesh, _triangle_signed_areas
 
-__all__ = [
-    "boundary_integral",
-    "make_integrand",
-    "quadrature_integrals",
-    "volume_integral",
-]
-
-INTEGRAND_KINDS = (
-    "F",
-    "G",
-    "f2",
-    "f2_xi_over_r",
-    "f2_xixj_over_r2",
-    "grad_f_dot_grad_fxi",
-    "grad_fxi_dot_grad_fxj",
-)
+__all__ = ["boundary_rule", "radial_grams", "volume_rule"]
 
 
-def volume_integral(mesh: Mesh, fn) -> float:
-    """Integrate fn(points) over the mesh by the edge-midpoint rule."""
+def volume_rule(mesh: Mesh):
+    """Edge midpoints of every triangle, each weighted by a third of its
+    area."""
     pts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    d1 = pts[:, 1] - pts[:, 0]
-    d2 = pts[:, 2] - pts[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     mids = 0.5 * (pts + np.roll(pts, -1, axis=1)).reshape(-1, 2)
-    vals = np.asarray(fn(mids)).reshape(len(mesh.triangles), 3)
-    return float(np.sum(areas / 3.0 * np.sum(vals, axis=1)))
+    areas = _triangle_signed_areas(mesh.vertices, mesh.triangles)
+    return mids, np.repeat(areas / 3.0, 3)
 
 
-def boundary_integral(mesh: Mesh, fn, tag=None) -> float:
-    """Integrate fn over boundary edges by the midpoint rule.
-
-    `tag` restricts to one boundary component ("outer" or "inner"); None
-    integrates over the whole boundary.
-    """
+def boundary_rule(mesh: Mesh, tag=None):
+    """Midpoints and lengths of the boundary edges tagged `tag` ("outer"
+    or "inner"), or of every boundary edge when `tag` is None."""
     edges = mesh.boundary_edges
     if tag is not None:
-        if tag not in ("outer", "inner"):
+        if tag not in (OUTER, INNER):
             raise ValueError(f"unknown boundary tag {tag!r}")
         edges = edges[mesh.boundary_tags == tag]
     p0 = mesh.vertices[edges[:, 0]]
     p1 = mesh.vertices[edges[:, 1]]
-    lengths = np.hypot(*(p1 - p0).T)
-    vals = np.asarray(fn(0.5 * (p0 + p1)))
-    return float(np.sum(lengths * vals))
+    return 0.5 * (p0 + p1), np.hypot(*(p1 - p0).T)
 
 
-def make_integrand(profile: RadialProfile, kind: str, i: int = 0, j: int = 1):
-    """Build a pointwise integrand from a radial profile.
-
-    Kinds: "F" and "G" are the monotone radial combinations used by the
-    volume-comparison inequalities; "f2" is f(r)^2; the x_i kinds multiply
-    by Cartesian angular factors; the grad kinds are the closed forms in
-    the module docstring.  i and j pick coordinate axes (0 or 1).
-    """
-    if kind not in INTEGRAND_KINDS:
-        raise ValueError(f"unknown integrand kind {kind!r}")
-    if not (0 <= i <= 1 and 0 <= j <= 1):
-        raise ValueError("coordinate axes must be 0 or 1")
-
-    def fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        r = np.maximum(r, profile.r_inner)
-        if kind == "F":
-            return profile_F(profile, r)
-        if kind == "G":
-            return profile_G(profile, r)
-        f, df = radial_eval(profile, r)
-        if kind == "f2":
-            return f**2
-        xi = pts[:, i]
-        if kind == "f2_xi_over_r":
-            return f**2 * xi / r
-        if kind == "grad_f_dot_grad_fxi":
-            return df**2 * xi / r
-        xj = pts[:, j]
-        if kind == "f2_xixj_over_r2":
-            return f**2 * xi * xj / r**2
-        # grad(f x_i / r) dot grad(f x_j / r)
-        out = df**2 * xi * xj / r**2 - f**2 * xi * xj / r**4
-        if i == j:
-            out = out + f**2 / r**2
-        return out
-
-    return fn
+def _gram(weights, u):
+    """sum_q weights_q u_qa u_qb."""
+    return (weights * u.T) @ u
 
 
-def quadrature_integrals(
-    mesh: Mesh,
-    kind: str,
-    profile: RadialProfile,
-    i: int = 0,
-    j: int = 1,
-    region: str = "volume",
-) -> float:
-    """Integrate a selected radial integrand over a mesh region.
-
-    `region` is "volume" for the interior or "outer"/"inner"/"boundary"
-    for boundary components.
-    """
-    fn = make_integrand(profile, kind, i=i, j=j)
-    if region == "volume":
-        return volume_integral(mesh, fn)
-    if region == "boundary":
-        return boundary_integral(mesh, fn, tag=None)
-    if region in ("outer", "inner"):
-        return boundary_integral(mesh, fn, tag=region)
-    raise ValueError(f"unknown region {region!r}")
+def radial_grams(profile: RadialProfile, rule):
+    """(mass Gram, gradient Gram, integral of F) of the trial space under
+    `rule`; F is `analysis.profile_F`."""
+    pts, weights = rule
+    r = np.maximum(np.hypot(pts[:, 0], pts[:, 1]), profile.r_inner)
+    f, df = radial_eval(profile, r)
+    e_hat = np.column_stack([np.zeros_like(r), pts[:, 0] / r, pts[:, 1] / r])
+    e = e_hat + [1.0, 0.0, 0.0]
+    angular = weights * (f / r) ** 2
+    mass = _gram(weights * f**2, e)
+    gradient = (_gram(weights * df**2, e) - _gram(angular, e_hat)
+                + np.diag([0.0, 1.0, 1.0]) * np.sum(angular))
+    return mass, gradient, float(weights @ profile_F(profile, r))

@@ -19,7 +19,6 @@ from steklov.domains import (
     outer_signed_distance,
     region_signed_distance,
     size_field,
-    volume_matched_outer_radius,
 )
 
 
@@ -41,10 +40,10 @@ def test_volume_matched_radius_examples():
     ell = DomainSpec(Ellipse(8.33, 3.0), (0.0, 0.0), 1.0)
     rect = DomainSpec(Rectangle(13.095, 6.0), (0.0, 0.0), 1.0)
     disk = annulus_spec()
-    assert volume_matched_outer_radius(ell) == math.sqrt(8.33 * 3.0)
-    assert abs(volume_matched_outer_radius(ell) - 4.99900) < 1e-5
-    assert abs(volume_matched_outer_radius(rect) - 5.00095) < 2e-5
-    assert volume_matched_outer_radius(disk) == 5.0
+    assert ell.outer.matched_radius == math.sqrt(8.33 * 3.0)
+    assert abs(ell.outer.matched_radius - 4.99900) < 1e-5
+    assert abs(rect.outer.matched_radius - 5.00095) < 2e-5
+    assert disk.outer.matched_radius == 5.0
 
 
 def test_matched_disk_preserves_area():
@@ -52,7 +51,7 @@ def test_matched_disk_preserves_area():
         DomainSpec(Ellipse(3.0, 8.33), (0.0, 0.0), 1.0),
         DomainSpec(Rectangle(13.095, 6.0), (0.0, 0.0), 1.0),
     ):
-        radius = volume_matched_outer_radius(spec)
+        radius = spec.outer.matched_radius
         assert math.pi * radius**2 == pytest.approx(spec.outer.area, rel=1e-15)
 
 

@@ -198,25 +198,37 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     # once on every point (standoff and size field), then only on the
     # centroids and bar midpoints that the convexity screens leave open:
     # none on the ungraded y-axis ellipse, the graded gap's midpoints on
-    # the thin-gap one
+    # the thin-gap one; a screen that leaves nothing open makes no call
     spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
     pts = np.vstack([fixed, meshing._seed_points(spec, h)])
     calls = []
+    screened = {"region_signed_distance": 0, "size_field": 0}
 
     def counted(shape, p):
         calls.append(len(p))
         return outer_signed_distance(shape, p)
 
+    def screen_counter(name, fn):
+        def wrapped(*args):
+            screened[name] += len(args[-1])
+            return fn(*args)
+
+        return wrapped
+
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
+    for name in screened:
+        monkeypatch.setattr(meshing, name, screen_counter(name, getattr(meshing, name)))
     _, _, _, bars, h_bars, full = meshing._settle(
         spec, h, pts, len(fixed), 1e-3 * h
     )
-    assert len(calls) == 3 and calls[0] == len(pts)
-    assert calls[1] <= share * len(full)
-    assert calls[2] <= share * len(bars)
-    assert calls[2] >= np.sum(h_bars < h)  # every graded bar is evaluated
+    assert calls[0] == len(pts) and 0 not in calls
+    assert sum(calls[1:]) == sum(screened.values())
+    assert screened["region_signed_distance"] <= share * len(full)
+    assert screened["size_field"] <= share * len(bars)
+    # every graded bar is evaluated
+    assert screened["size_field"] >= np.sum(h_bars < h)
 
 
 def settle_screens_reference(spec, h, pts, n_fixed):

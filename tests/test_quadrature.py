@@ -1,4 +1,4 @@
-"""Tests for mesh quadrature of radial integrands."""
+"""Tests for the quadrature rules and the trial-space Gram matrices."""
 
 import math
 
@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from steklov.analysis import profile_F, profile_G
+from steklov.analysis import profile_F
 from steklov.closed_form import AnnulusSpec, radial_eval, sn_profile, steklov_profile
 from steklov.domains import Disk, DomainSpec
 from steklov.meshing import Mesh, triangulate
-from steklov.quadrature import (
-    boundary_integral,
-    make_integrand,
-    quadrature_integrals,
-    volume_integral,
-)
+from steklov.quadrature import boundary_rule, radial_grams, volume_rule
 
 
 def reference_triangle_mesh():
@@ -26,8 +21,13 @@ def reference_triangle_mesh():
     return Mesh(vertices, triangles, edges, tags, h=1.0)
 
 
+def integrate(rule, fn):
+    points, weights = rule
+    return float(weights @ fn(points))
+
+
 def test_volume_rule_is_exact_for_quadratics():
-    mesh = reference_triangle_mesh()
+    rule = volume_rule(reference_triangle_mesh())
     cases = [
         (lambda p: np.ones(len(p)), 0.5),
         (lambda p: p[:, 0], 1.0 / 6.0),
@@ -36,15 +36,15 @@ def test_volume_rule_is_exact_for_quadratics():
         (lambda p: p[:, 0] * p[:, 1], 1.0 / 24.0),
     ]
     for fn, want in cases:
-        assert volume_integral(mesh, fn) == pytest.approx(want, abs=1e-15)
+        assert integrate(rule, fn) == pytest.approx(want, abs=1e-15)
 
 
 def test_boundary_rule_sums_midpoint_values():
-    mesh = reference_triangle_mesh()
-    total = boundary_integral(mesh, lambda p: np.ones(len(p)))
+    rule = boundary_rule(reference_triangle_mesh())
+    total = integrate(rule, lambda p: np.ones(len(p)))
     assert total == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
     # x integrates to x-midpoint times length on each edge
-    got = boundary_integral(mesh, lambda p: p[:, 0])
+    got = integrate(rule, lambda p: p[:, 0])
     want = 1.0 * 0.5 + math.sqrt(2.0) * 0.5 + 0.0
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -61,100 +61,82 @@ def profiles():
 
 
 def test_volume_integrals_match_radial_reduction(annulus_mesh, profiles):
-    # on the concentric annulus, integral of g(r) dV = 2 pi * int g(r) r dr
+    # on the concentric annulus, integral of F(r) dV = 2 pi * int F(r) r dr
+    rule = volume_rule(annulus_mesh)
     for profile in profiles:
-        for kind, g in (("F", profile_F), ("G", profile_G)):
-            got = quadrature_integrals(annulus_mesh, kind, profile)
-            want = (
-                2.0
-                * math.pi
-                * quad(lambda r: float(g(profile, r)) * r, 1.0, 5.0, epsabs=1e-13)[0]
-            )
-            assert abs(got - want) / abs(want) < 4e-3
+        got = radial_grams(profile, rule)[2]
+        want = (
+            2.0
+            * math.pi
+            * quad(lambda r: float(profile_F(profile, r)) * r, 1.0, 5.0, epsabs=1e-13)[0]
+        )
+        assert abs(got - want) / abs(want) < 4e-3
 
 
 def test_boundary_integrals_match_circle_values(annulus_mesh, profiles):
     for profile in profiles:
         f5 = radial_eval(profile, 5.0)[0]
         f1 = radial_eval(profile, 1.0)[0]
-        outer = quadrature_integrals(annulus_mesh, "f2", profile, region="outer")
-        inner = quadrature_integrals(annulus_mesh, "f2", profile, region="inner")
-        both = quadrature_integrals(annulus_mesh, "f2", profile, region="boundary")
+        outer, inner, both = (
+            radial_grams(profile, boundary_rule(annulus_mesh, tag))[0][0, 0]
+            for tag in ("outer", "inner", None)
+        )
         assert abs(outer - 2.0 * math.pi * 5.0 * f5**2) / outer < 4e-3
         assert abs(inner - 2.0 * math.pi * f1**2) / inner < 1e-2
         assert both == pytest.approx(outer + inner, rel=1e-14)
 
 
 def test_odd_integrands_cancel_on_symmetric_mesh(annulus_mesh, profiles):
-    profile = profiles[0]
-    scale_b = quadrature_integrals(annulus_mesh, "f2", profile, region="outer")
-    scale_v = quadrature_integrals(annulus_mesh, "f2", profile)
-    for i in (0, 1):
-        odd_b = quadrature_integrals(
-            annulus_mesh, "f2_xi_over_r", profile, i=i, region="outer"
-        )
+    mass_b = radial_grams(profiles[0], boundary_rule(annulus_mesh, "outer"))[0]
+    mass_v = radial_grams(profiles[0], volume_rule(annulus_mesh))[0]
+    for i in (1, 2):
         # uniform circle sampling cancels odd harmonics to roundoff
-        assert abs(odd_b) < 1e-12 * scale_b
-        odd_v = quadrature_integrals(annulus_mesh, "f2_xi_over_r", profile, i=i)
-        assert abs(odd_v) < 1e-6 * scale_v
-    cross = quadrature_integrals(
-        annulus_mesh, "f2_xixj_over_r2", profile, i=0, j=1, region="outer"
-    )
-    assert abs(cross) < 1e-12 * scale_b
+        assert abs(mass_b[0, i]) < 1e-12 * mass_b[0, 0]
+        assert abs(mass_v[0, i]) < 1e-6 * mass_v[0, 0]
+    assert abs(mass_b[1, 2]) < 1e-12 * mass_b[0, 0]
+
+
+def test_grams_are_symmetric(annulus_mesh, profiles):
+    for rule in (volume_rule(annulus_mesh), boundary_rule(annulus_mesh)):
+        for gram in radial_grams(profiles[1], rule)[:2]:
+            # mirrored entries sum the same products, rounded in another order
+            assert np.abs(gram - gram.T).max() <= 1e-14 * np.abs(gram).max()
 
 
 def test_gradient_integrands_match_finite_differences(profiles):
-    # <grad(f xi/r), grad(f xj/r)> and <grad f, grad(f xi/r)> closed forms
+    # on a one-point rule of weight 1 the gradient Gram is the pointwise
+    # matrix of <grad u_a, grad u_b> for u = (f, f x1/r, f x2/r)
     delta = 1e-6
 
-    def u(profile, i, p):
+    def trial(profile, p):
         r = math.hypot(p[0], p[1])
-        return radial_eval(profile, r)[0] * p[i] / r
-
-    def grad(fun, p):
-        return np.array(
-            [
-                (fun((p[0] + delta, p[1])) - fun((p[0] - delta, p[1]))) / (2 * delta),
-                (fun((p[0], p[1] + delta)) - fun((p[0], p[1] - delta))) / (2 * delta),
-            ]
-        )
+        f = radial_eval(profile, r)[0]
+        return np.array([f, f * p[0] / r, f * p[1] / r])
 
     samples = [(1.3, 0.4), (-2.0, 1.7), (0.9, -1.1), (3.3, 2.8)]
     for profile in profiles:
         for p in samples:
-            arr = np.array([p])
-            g0 = grad(lambda q: u(profile, 0, q), p)
-            g1 = grad(lambda q: u(profile, 1, q), p)
-            gf = grad(lambda q: radial_eval(profile, math.hypot(*q))[0], p)
-            pairs = [
-                ("grad_f_dot_grad_fxi", dict(i=0), gf @ g0),
-                ("grad_f_dot_grad_fxi", dict(i=1), gf @ g1),
-                ("grad_fxi_dot_grad_fxj", dict(i=0, j=1), g0 @ g1),
-                ("grad_fxi_dot_grad_fxj", dict(i=0, j=0), g0 @ g0),
-                ("grad_fxi_dot_grad_fxj", dict(i=1, j=1), g1 @ g1),
-            ]
-            for kind, axes, want in pairs:
-                got = float(make_integrand(profile, kind, **axes)(arr)[0])
-                assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
+            jac = np.column_stack(
+                [
+                    (trial(profile, (p[0] + delta, p[1]))
+                     - trial(profile, (p[0] - delta, p[1]))) / (2 * delta),
+                    (trial(profile, (p[0], p[1] + delta))
+                     - trial(profile, (p[0], p[1] - delta))) / (2 * delta),
+                ]
+            )
+            gradient = radial_grams(profile, (np.array([p]), np.ones(1)))[1]
+            np.testing.assert_allclose(gradient, jac @ jac.T, rtol=1e-5, atol=1e-8)
 
 
 def test_clamp_keeps_hole_chord_midpoints_evaluable(annulus_mesh, profiles):
-    # chord midpoints on the hole dip below r_inner; the integrand clamps
-    fn = make_integrand(profiles[0], "f2")
-    inner = annulus_mesh.boundary_edges[annulus_mesh.boundary_tags == "inner"]
-    mids = 0.5 * (
-        annulus_mesh.vertices[inner[:, 0]] + annulus_mesh.vertices[inner[:, 1]]
-    )
-    assert np.min(np.hypot(mids[:, 0], mids[:, 1])) < 1.0
-    assert np.all(np.isfinite(fn(mids)))
+    # chord midpoints on the hole dip below r_inner; the Grams clamp r
+    rule = boundary_rule(annulus_mesh, "inner")
+    assert np.min(np.hypot(rule[0][:, 0], rule[0][:, 1])) < 1.0
+    mass, gradient, energy = radial_grams(profiles[0], rule)
+    assert np.all(np.isfinite(mass)) and np.all(np.isfinite(gradient))
+    assert math.isfinite(energy)
 
 
-def test_unknown_kind_and_region_raise(annulus_mesh, profiles):
-    with pytest.raises(ValueError, match="kind"):
-        make_integrand(profiles[0], "nope")
-    with pytest.raises(ValueError, match="axes"):
-        make_integrand(profiles[0], "f2_xi_over_r", i=2)
-    with pytest.raises(ValueError, match="region"):
-        quadrature_integrals(annulus_mesh, "f2", profiles[0], region="sideways")
+def test_unknown_boundary_tag_raises(annulus_mesh):
     with pytest.raises(ValueError, match="tag"):
-        boundary_integral(annulus_mesh, lambda p: np.ones(len(p)), tag="top")
+        boundary_rule(annulus_mesh, "top")

@@ -1,15 +1,19 @@
-"""Every name a module imports is used in it (no linter is installed)."""
+"""Every name a module imports is used in it (no linter is installed), and
+the package exports exactly what its `__init__` imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import steklov
+
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_INIT = ROOT / "src" / "steklov" / "__init__.py"
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "steklov").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
-    key=lambda p: p.name,
+    [p for p in PACKAGE_INIT.parent.glob("*.py") if p != PACKAGE_INIT]
+    + [p for d in ("tests", "tools", "demos") for p in (ROOT / d).glob("*.py")],
+    key=lambda p: p.relative_to(ROOT),
 )
 
 
@@ -29,3 +33,17 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.parent.name + "/" + p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_what_it_imports():
+    tree = ast.parse(PACKAGE_INIT.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(steklov.__all__) == imported
+    assert len(steklov.__all__) == len(imported)
+    for name in steklov.__all__:
+        assert getattr(steklov, name) is not None
