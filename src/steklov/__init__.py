@@ -31,7 +31,6 @@ from steklov.fem_solver import (
     assemble_boundary_mass,
     assemble_stiffness,
     convergence_study,
-    dtn_schur,
     solve,
     solve_eigs,
     solve_on_mesh,
@@ -62,7 +61,6 @@ __all__ = [
     "assemble_stiffness",
     "boundary_rule",
     "convergence_study",
-    "dtn_schur",
     "enumerate_spectrum",
     "golden_table",
     "multiplicity",

@@ -29,7 +29,7 @@ from steklov.domains import (
     is_round,
     shape_dict,
 )
-from steklov.fem_solver import solve_on_mesh
+from steklov.fem_solver import factor_stiffness, solve_on_mesh
 from steklov.golden import HOLE_RADIUS, QUANTITIES, golden_table
 from steklov.meshing import OUTER, triangulate
 from steklov.quadrature import boundary_rule, radial_grams, volume_rule
@@ -44,9 +44,12 @@ def _fmt(x):
 
 
 def _four_eigenvalues(mesh, spec):
-    """(sigma1, sigma2, mu1, mu2) on one mesh."""
-    st = solve_on_mesh(mesh, "steklov", 3, spec=spec)
-    sn = solve_on_mesh(mesh, "steklov_neumann", 3, spec=spec)
+    """(sigma1, sigma2, mu1, mu2) on one mesh, both problems solved
+    against one stiffness factorization."""
+    stiffness = factor_stiffness(mesh)
+    st = solve_on_mesh(mesh, "steklov", 3, spec=spec, stiffness=stiffness)
+    sn = solve_on_mesh(mesh, "steklov_neumann", 3, spec=spec,
+                       stiffness=stiffness)
     return {
         "sigma1": float(st.eigenvalues[1]),
         "sigma2": float(st.eigenvalues[2]),

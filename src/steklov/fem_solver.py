@@ -14,12 +14,13 @@ the pure Steklov problem uses every boundary edge, the mixed
 Steklov-Neumann problem only the outer ones (the hole is a natural
 boundary).
 
-The few smallest eigenpairs come from one sparse solve: K - SHIFT M is
-factored once (symmetric positive definite for SHIFT < 0, because K's only
-kernel is the constants and M is positive on them) and drives shift-invert
-Lanczos (ARPACK, via `scipy.sparse.linalg.eigsh`) from a fixed start
-vector.  Assembly is vectorized over triangles and edges with a fixed
-accumulation order, so repeated runs are bit-identical.
+Both problems solve against one factorization per mesh: K grounded by
+deleting its last vertex, symmetric positive definite when the constants
+are K's only kernel.  The zero mode is exact; Lanczos (ARPACK, via
+`scipy.sparse.linalg.eigsh`, from a fixed start vector) finds the largest
+inverse eigenvalues of the Dirichlet-to-Neumann map on the boundary trace.
+Assembly is vectorized over triangles and edges with a fixed accumulation
+order, so repeated runs are bit-identical.
 """
 
 import json
@@ -28,15 +29,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cholesky
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
 from steklov.domains import DomainSpec, is_round
 from steklov.meshing import OUTER, Mesh, triangulate
 
-# Shift of the shift-invert solve: just below the zero mode, so the factored
-# matrix is positive definite and the smallest eigenvalues converge first.
-SHIFT = -1e-3
+# Lanczos accepts a Ritz value theta once its residual is at most
+# LANCZOS_TOL * theta.  Its error is then at most LANCZOS_TOL**2 * theta**2
+# / gap when a gap separates it from the rest of the spectrum, and at most
+# LANCZOS_TOL * theta inside a cluster.  At k = 3 on the golden meshes the
+# first pass of 20 Lanczos vectors converges.
+LANCZOS_TOL = 1e-8
 
 
 class FemError(RuntimeError):
@@ -126,7 +131,10 @@ class EigenSolution:
 
     Eigenvalues ascend and start at the zero mode; eigenvector columns are
     discrete harmonic extensions over every mesh vertex, orthonormal in
-    the boundary mass inner product.
+    the boundary mass inner product.  The solver also records the largest
+    entry of |X^T M X - I| over the eigenvectors X (`orthonormality`) and
+    how often Lanczos applied its operator (`lanczos_applications`);
+    `as_dict` leaves both out.
     """
 
     problem: str
@@ -134,6 +142,8 @@ class EigenSolution:
     eigenvectors: np.ndarray
     mesh: Mesh = None
     spec: DomainSpec = None
+    orthonormality: float = None
+    lanczos_applications: int = None
 
     @property
     def h(self):
@@ -171,63 +181,112 @@ class EigenSolution:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None):
+def ground(K):
+    """LU factor of K without its last row and column: symmetric positive
+    definite when the constants are K's only kernel."""
+    try:
+        return splu(sparse.csc_matrix(K, dtype=float)[:-1, :-1])
+    except RuntimeError as exc:
+        raise FemError(
+            "the grounded stiffness factorization is singular: K has a "
+            "kernel beyond the constants") from exc
+
+
+def factor_stiffness(mesh):
+    """(K, ground(K)): the one stiffness factorization per mesh."""
+    K = assemble_stiffness(mesh)
+    return K, ground(K)
+
+
+def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     """First k eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
-    K must be symmetric positive semidefinite with the constants as its
-    only kernel, and M symmetric positive semidefinite and positive on the
-    constants; M's nonzero rows are the spectral vertices, and k must lie
-    below their number.  K - SHIFT M is factored once and drives a
-    shift-invert Lanczos solve from a fixed start vector.  The solve
-    verifies the structural invariants (kernel mode at zero, ordered
-    nonnegative spectrum, M-orthonormal vectors) and raises FemError on
-    violation rather than returning a questionable spectrum.
+    K is symmetric positive semidefinite with the constants as its only
+    kernel; M's nonzero rows, the spectral vertices s, carry a positive
+    definite block M_ss = L L^T, and k lies below their number.  `lu` is
+    `ground(K)`.  Lanczos finds the k - 1 largest 1/lambda of
+    C = P L^T G L P, G the grounded inverse of K on s and P the projection
+    off L^T 1, which makes every right-hand side sum to zero and drops the
+    grounding constant; one grounded solve of the Ritz vectors gives their
+    harmonic extensions.  Raises FemError rather than return a
+    questionable spectrum.
     """
-    K = sparse.csc_matrix(K, dtype=float)
-    M = sparse.csc_matrix(M, dtype=float)
+    K = sparse.csr_matrix(K, dtype=float)
+    M = sparse.csr_matrix(M, dtype=float)
     if K.shape[0] != K.shape[1] or K.shape != M.shape:
         raise ValueError("K and M must be square matrices of one size")
     n = K.shape[0]
-    # Without spectral vertices M vanishes on the constants: the
-    # factorization reports that, not k.
-    spectral = np.count_nonzero(M.diagonal())
-    if spectral and not 1 <= k < spectral:
+    s = np.flatnonzero(M.diagonal())
+    if s.size == 0:
+        raise FemError(
+            "M is singular: no vertex carries the spectral condition")
+    if not 1 <= k < s.size:
         raise ValueError(
-            f"k must be at least 1 and below the {spectral} spectral "
+            f"k must be at least 1 and below the {s.size} spectral "
             f"vertices, got {k}")
-    try:
-        lu = splu(K - SHIFT * M)
-    except RuntimeError as exc:
+    lu = ground(K) if lu is None else lu
+    # M_ss is symmetric, so its transpose is the Fortran-ordered copy that
+    # LAPACK factors in place
+    L = cholesky(M[s][:, s].toarray().T, lower=True, overwrite_a=True)
+    q = L.T @ np.ones(s.size)
+    q /= np.linalg.norm(q)
+    applications = 0
+
+    def grounded(f_s):
+        """Solution of K u = f, f supported on s, zero at the last vertex."""
+        u = np.zeros((n,) + f_s.shape[1:])
+        u[s] = f_s
+        u[:-1], u[-1] = lu.solve(u[:-1]), 0.0
+        return u
+
+    def apply(y):
+        nonlocal applications
+        applications += 1
+        z = L.T @ grounded(L @ (y - q * (q @ y)))[s]
+        return z - q * (q @ z)
+
+    theta, Y = np.empty(0), np.empty((s.size, 0))
+    if k > 1:
+        # A fixed start vector keeps repeated runs bit-identical; a generic
+        # one keeps the Krylov space from starting inside an eigenspace.
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, s.size)
+        C = LinearOperator((s.size, s.size), matvec=apply, dtype=float)
+        try:
+            theta, Y = eigsh(C, k - 1, which="LA", v0=v0 - q * (q @ v0),
+                             tol=LANCZOS_TOL)
+        except ArpackError as exc:
+            raise FemError(f"Lanczos on the boundary trace failed: {exc}") from exc
+        order = np.argsort(-theta)
+        theta, Y = theta[order], Y[:, order]
+    vals = np.concatenate([[0.0], 1.0 / theta])
+    # A further kernel of K that roundoff kept off the factor's pivots, or
+    # a negative direction, shows as an eigenvalue at roundoff or below.
+    if k > 1 and vals[1:].min() <= 1e-12 * np.abs(K.data).max() / M.data.max():
         raise FemError(
-            "K - SHIFT M is singular; the boundary mass matrix is not "
-            "positive on the constants") from exc
-    # A fixed start vector keeps repeated runs bit-identical; a generic one
-    # keeps the Krylov space from starting inside an eigenspace.
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    try:
-        vals, vecs = eigsh(K, k, M, sigma=SHIFT, OPinv=OPinv, v0=v0)
-    except ArpackError as exc:
-        raise FemError(f"shift-invert Lanczos failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    if vals[0] < -1e-9 * scale:
-        raise FemError(f"negative eigenvalue {vals[0]:.3e}: K is not PSD")
-    if k > 1 and not abs(vals[0]) < 1e-8 * abs(vals[1]):
-        raise FemError(
-            f"zero mode missing: lowest eigenvalues {vals[0]:.3e}, {vals[1]:.3e}")
+            f"eigenvalue {vals[1:].min():.3e} at roundoff or below: the "
+            "grounded stiffness factorization is numerically singular")
+    ones = np.ones(n)
+    vecs = np.column_stack([ones, grounded(L @ Y)])
+    mass_of_ones = M @ ones
+    vecs[:, 1:] -= np.outer(ones, mass_of_ones @ vecs[:, 1:] / mass_of_ones.sum())
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
     residual = np.abs(vecs.T @ (M @ vecs) - np.eye(k)).max()
     if residual > 1e-8:
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
-    return EigenSolution(problem, vals, vecs, mesh=mesh, spec=spec)
+    return EigenSolution(problem, vals, vecs, mesh=mesh, spec=spec,
+                         orthonormality=float(residual),
+                         lanczos_applications=applications)
 
 
-def solve_on_mesh(mesh, problem, k, spec=None):
-    """Assemble and solve one eigenvalue problem on an existing mesh."""
-    K = assemble_stiffness(mesh)
+def solve_on_mesh(mesh, problem, k, spec=None, stiffness=None):
+    """Assemble and solve one eigenvalue problem on an existing mesh.
+
+    `stiffness` is the mesh's `factor_stiffness`, built here when not
+    given; callers that solve both problems build it once for both.
+    """
+    K, lu = factor_stiffness(mesh) if stiffness is None else stiffness
     M = assemble_boundary_mass(mesh, problem)
-    return solve_eigs(K, M, k, problem=problem, mesh=mesh, spec=spec)
+    return solve_eigs(K, M, k, problem=problem, mesh=mesh, spec=spec, lu=lu)
 
 
 def solve(spec, h, k, problem="steklov"):

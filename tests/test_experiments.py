@@ -7,10 +7,12 @@ import math
 
 import pytest
 
+from steklov import fem_solver
 from steklov.analysis import GridSpec
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.experiments import (
     SweepSpec,
+    _four_eigenvalues,
     _monotonicity,
     reproduce_table,
     run_sweep,
@@ -18,6 +20,7 @@ from steklov.experiments import (
     verify_lemmas,
 )
 from steklov.golden import QUANTITIES, golden_table
+from steklov.meshing import triangulate
 
 H = 0.4
 
@@ -63,6 +66,27 @@ def test_monotonicity_verdicts():
     # 0.1% relative slack absorbs discretization noise in either direction
     assert _monotonicity([1.0, 1.0005, 0.9]) == "nonincreasing"
     assert _monotonicity([1.0, 0.9995, 1.1]) == "nondecreasing"
+
+
+# ------------------------------------------------------------- one mesh unit
+
+def test_four_eigenvalues_factor_the_stiffness_once(monkeypatch):
+    spec = DomainSpec(Ellipse(3.0, 8.33), (0.8, 2.5), 1.0)
+    mesh = triangulate(spec, H)
+    st = fem_solver.solve_on_mesh(mesh, "steklov", 3).eigenvalues
+    sn = fem_solver.solve_on_mesh(mesh, "steklov_neumann", 3).eigenvalues
+    calls = {"assemble_stiffness": 0, "splu": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(fem_solver, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(fem_solver, name, counted)
+    values = _four_eigenvalues(mesh, spec)
+    assert calls == {"assemble_stiffness": 1, "splu": 1}
+    want = dict(zip(QUANTITIES, (st[1], st[2], sn[1], sn[2])))
+    for q in QUANTITIES:
+        assert values[q] == pytest.approx(want[q], rel=1e-12, abs=0.0)
 
 
 # -------------------------------------------------------------------- sweeps

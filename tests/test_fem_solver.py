@@ -4,13 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 from test_meshing import hand_ring_mesh
 
 from steklov import fem_solver
-from steklov.closed_form import AnnulusSpec, enumerate_spectrum, steklov_eigenvalue
-from steklov.domains import Disk, DomainSpec, Ellipse
+from steklov.closed_form import (
+    PROBLEMS,
+    AnnulusSpec,
+    enumerate_spectrum,
+    steklov_eigenvalue,
+)
+from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.fem_solver import (
     ConvergenceStudy,
     EigenSolution,
@@ -24,11 +32,18 @@ from steklov.fem_solver import (
     solve_eigs,
     solve_on_mesh,
 )
+from steklov.golden import TABLE1_DOMAINS
 from steklov.meshing import Mesh, triangulate
 
 ANNULUS = DomainSpec(Disk(5.0), (0.0, 0.0), 1.0)
 OFF_CENTRE_ELLIPSE = DomainSpec(Ellipse(3.0, 8.33), (0.8, 2.5), 1.0)
 PATH_GRAPH = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+# outer shapes by their half-extents (a, b); a disk uses a alone
+OUTER_BY_HALF_EXTENTS = {
+    "disk": lambda a, b: Disk(a),
+    "ellipse": Ellipse,
+    "rectangle": lambda a, b: Rectangle(2.0 * a, 2.0 * b),
+}
 
 
 def single_triangle_mesh(vertices):
@@ -182,7 +197,7 @@ def test_solve_eigs_input_validation(monkeypatch):
     with pytest.raises(FemError, match="Lanczos"):
         solve_eigs(PATH_GRAPH, np.eye(3), 2)
 
-    # a bad k is rejected before K - SHIFT M is factored
+    # a bad k is rejected before K is factored
     def no_factorization(A):
         raise AssertionError("factored before checking k")
 
@@ -229,24 +244,81 @@ def test_mixed_problem_sees_only_outer_boundary(fine_solutions):
     assert abs(mu2 - mu1) / mu1 < 1e-2
 
 
-@pytest.mark.parametrize("problem", ["steklov", "steklov_neumann"])
-@pytest.mark.parametrize("spec", [ANNULUS, OFF_CENTRE_ELLIPSE],
-                         ids=["annulus", "off_centre_ellipse"])
-def test_sparse_solve_matches_dense_dtn_reference(spec, problem):
-    mesh = triangulate(spec, 0.5)
+def test_second_stiffness_kernel_raises(coarse_mesh):
+    # two disconnected path graphs: the grounded factor is exactly singular
+    two_paths = sparse.block_diag([PATH_GRAPH, PATH_GRAPH])
+    with pytest.raises(FemError, match="grounded stiffness factorization is "
+                                       "singular"):
+        solve_eigs(two_paths, np.eye(6), 2)
+    # two copies of one mesh: roundoff keeps the last pivot off zero, and
+    # the second zero mode shows in the spectrum instead
+    K = assemble_stiffness(coarse_mesh)
+    M = assemble_boundary_mass(coarse_mesh)
+    with pytest.raises(FemError, match="numerically singular"):
+        solve_eigs(sparse.block_diag([K, K]), sparse.block_diag([M, M]), 3)
+
+
+def assert_matches_dense_reference(mesh, problem, k):
+    """The sparse solve against the dense Schur-complement reference:
+    eigenvalues, discrete harmonicity off the spectral vertices, and
+    M-orthonormality."""
     K = assemble_stiffness(mesh)
     M = assemble_boundary_mass(mesh, problem)
     b = spectral_vertices(M)
     want = eigh(dtn_schur(K, b), M[b][:, b].toarray(),
-                eigvals_only=True, subset_by_index=[0, 5])
-    sol = solve_on_mesh(mesh, problem, 6, spec=spec)
+                eigvals_only=True, subset_by_index=[0, k - 1])
+    sol = solve_on_mesh(mesh, problem, k)
     got = sol.eigenvalues
+    assert got[0] == 0.0
     assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * want[1:].min()
-    # nonzero modes are discretely harmonic off the spectral boundary
     off = np.setdiff1d(np.arange(mesh.vertex_count), b)
     for v in sol.eigenvectors[:, 1:].T:
         Kv = K @ v
         assert np.abs(Kv[off]).max() <= 1e-8 * np.abs(Kv).max()
+    gram = sol.eigenvectors.T @ (M @ sol.eigenvectors)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-12
+    assert sol.orthonormality <= 1e-12
+
+
+@pytest.mark.parametrize("problem", ["steklov", "steklov_neumann"])
+@pytest.mark.parametrize("spec", [ANNULUS, OFF_CENTRE_ELLIPSE],
+                         ids=["annulus", "off_centre_ellipse"])
+def test_sparse_solve_matches_dense_dtn_reference(spec, problem):
+    assert_matches_dense_reference(triangulate(spec, 0.5), problem, 6)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(OUTER_BY_HALF_EXTENTS)),
+    half_extents=st.lists(st.floats(2.5, 6.0), min_size=2, max_size=2),
+    radius=st.floats(0.75, 1.5),
+    offset=st.lists(st.floats(-0.8, 0.8), min_size=2, max_size=2),
+)
+def test_solve_matches_dense_reference_on_random_geometry(
+        name, half_extents, radius, offset):
+    a, b = half_extents
+    outer = OUTER_BY_HALF_EXTENTS[name](a, b)
+    a, b = outer.half_extents
+    centre = (offset[0] * (a - radius), offset[1] * (b - radius))
+    try:
+        spec = DomainSpec(outer, centre, radius)
+    except ValueError:
+        assume(False)
+    assume(spec.clearance >= 0.05)
+    mesh = triangulate(spec, 0.5)
+    for problem in PROBLEMS:
+        assert_matches_dense_reference(mesh, problem, 6)
+
+
+def test_solution_records_lanczos_work():
+    spec = TABLE1_DOMAINS["ellipse"]
+    mesh = triangulate(spec, 0.25)
+    for problem in PROBLEMS:
+        sol = solve_on_mesh(mesh, problem, 3, spec=spec)
+        # one pass of 20 Lanczos vectors converges
+        assert 0 < sol.lanczos_applications <= 21
+        assert 0.0 <= sol.orthonormality <= 1e-12
+        assert not {"orthonormality", "lanczos_applications"} & set(sol.as_dict())
 
 
 def test_eigensolution_clusters():
