@@ -339,3 +339,13 @@ def theorem21_bruteforce(spec: AnnulusSpec) -> bool:
     if sum(ln.multiplicity for ln in second) != multiplicity(n, 2):
         return False
     return True
+
+
+def spectrum_structure_report(grid: GridSpec) -> VerificationReport:
+    """`theorem21_bruteforce` over the grid: margin 0 where it holds, else -1."""
+    entries = []
+    for n in grid.n_values:
+        for L in grid.L_values:
+            ok = theorem21_bruteforce(AnnulusSpec(n, 1.0, L))
+            entries.append((f"n={n} L={L}", 0.0 if ok else -1.0, 0.0))
+    return _build_report("spectrum_structure_bruteforce", entries)

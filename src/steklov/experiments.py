@@ -13,14 +13,13 @@ import numpy as np
 
 from steklov.analysis import (
     GridSpec,
-    VerificationReport,
     aux_log_report,
     aux_poly_deg2_report,
     degree1_profile,
     eigenvalue_order_check,
     monotone_F_G,
     poly_positivity_report,
-    theorem21_bruteforce,
+    spectrum_structure_report,
 )
 from steklov.closed_form import PROBLEMS, AnnulusSpec
 from steklov.domains import (
@@ -29,13 +28,12 @@ from steklov.domains import (
     is_round,
     shape_dict,
 )
-from steklov.fem_solver import factor_stiffness, solve_on_mesh
+from steklov.fem_solver import CLUSTER_RTOL, factor_stiffness, solve_on_mesh
 from steklov.golden import HOLE_RADIUS, QUANTITIES, golden_table
-from steklov.meshing import OUTER, triangulate
+from steklov.meshing import triangulate
 from steklov.quadrature import boundary_rule, radial_grams, volume_rule
 
 MONOTONE_SLACK = 1e-3
-CLUSTER_RTOL = 1e-3
 SWEEP_PATHS = ("axis-x", "axis-y", "diagonal")
 
 
@@ -166,11 +164,12 @@ class SweepSpec:
         return DomainSpec(self.outer, self.centers[index], self.hole_radius)
 
 
-def _monotonicity(values, slack=MONOTONE_SLACK):
+def _monotonicity(values):
     """'nonincreasing' / 'nondecreasing' / 'both' / 'neither' with relative
-    slack absorbing discretization noise between consecutive points."""
-    noninc = all(b <= a * (1.0 + slack) for a, b in zip(values, values[1:]))
-    nondec = all(b >= a * (1.0 - slack) for a, b in zip(values, values[1:]))
+    slack MONOTONE_SLACK absorbing discretization noise between points."""
+    pairs = list(zip(values, values[1:]))
+    noninc = all(b <= a * (1.0 + MONOTONE_SLACK) for a, b in pairs)
+    nondec = all(b >= a * (1.0 - MONOTONE_SLACK) for a, b in pairs)
     if noninc and nondec:
         return "both"
     if noninc:
@@ -267,8 +266,6 @@ def verify_lemmas(grid):
         aux_poly_deg2_report(grid),
     ]
     entries = [r.to_dict() for r in reports]
-    brute_violations = []
-    count = 0
     for n in grid.n_values:
         for L in grid.L_values:
             spec = AnnulusSpec(n, 1.0, L)
@@ -277,15 +274,7 @@ def verify_lemmas(grid):
                 report = monotone_F_G(spec, problem, r_grid).to_dict()
                 report["claim"] += f" n={n} L={L}"
                 entries.append(report)
-            count += 1
-            if not theorem21_bruteforce(spec):
-                brute_violations.append(
-                    {"point": f"n={n} L={L}", "margin": -1.0})
-    brute = VerificationReport(
-        "spectrum_structure_bruteforce", count,
-        -1.0 if brute_violations else 0.0,
-        not brute_violations, brute_violations)
-    entries.append(brute.to_dict())
+    entries.append(spectrum_structure_report(grid).to_dict())
     return {
         "grid": {
             "n_values": list(grid.n_values),
@@ -323,7 +312,8 @@ def verify_integral_lemmas(spec, h):
     matched_radius = spec.outer.matched_radius
     annulus_domain = DomainSpec(Disk(matched_radius), (0.0, 0.0), 1.0)
     annulus = AnnulusSpec(2, 1.0, matched_radius)
-    rules = [(volume_rule(m), boundary_rule(m, OUTER), boundary_rule(m))
+    rules = [(volume_rule(m), boundary_rule(m, m.outer_edges),
+              boundary_rule(m, m.boundary_edges))
              for m in (triangulate(spec, h), triangulate(annulus_domain, h))]
     # grams[problem][mesh] = (volume, outer, boundary) radial_grams; the
     # mesh index is 0 for the domain and 1 for the matched annulus

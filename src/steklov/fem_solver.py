@@ -34,7 +34,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
 from steklov.domains import DomainSpec, is_round
-from steklov.meshing import OUTER, Mesh, triangulate
+from steklov.meshing import Mesh, triangulate
 
 # Lanczos accepts a Ritz value theta once its residual is at most
 # LANCZOS_TOL * theta.  Its error is then at most LANCZOS_TOL**2 * theta**2
@@ -42,6 +42,9 @@ from steklov.meshing import OUTER, Mesh, triangulate
 # LANCZOS_TOL * theta inside a cluster.  At k = 3 on the golden meshes the
 # first pass of 20 Lanczos vectors converges.
 LANCZOS_TOL = 1e-8
+
+# Relative gap up to which adjacent eigenvalues form one cluster.
+CLUSTER_RTOL = 1e-3
 
 
 class FemError(RuntimeError):
@@ -83,9 +86,8 @@ def assemble_boundary_mass(mesh, problem="steklov"):
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    edges = mesh.boundary_edges
-    if problem == "steklov_neumann":
-        edges = edges[mesh.boundary_tags == OUTER]
+    edges = (mesh.outer_edges if problem == "steklov_neumann"
+             else mesh.boundary_edges)
     ends = mesh.vertices[edges]
     lengths = np.hypot(ends[:, 1, 0] - ends[:, 0, 0], ends[:, 1, 1] - ends[:, 0, 1])
     weights = lengths[:, None] / 6.0 * np.array([2.0, 1.0, 1.0, 2.0])
@@ -150,7 +152,7 @@ class EigenSolution:
         """Target edge length of the mesh, or None without a mesh."""
         return None if self.mesh is None else self.mesh.h
 
-    def clusters(self, rtol=1e-3):
+    def clusters(self, rtol=CLUSTER_RTOL):
         """Indices grouped into near-multiple clusters.
 
         Adjacent eigenvalues whose gap is below `rtol` relative to their

@@ -32,9 +32,11 @@ rounds send the settle to Qhull after all.
 
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
 polyline, the next n_inner the hole polyline, so a boundary edge joins
-cyclically consecutive indices and its tag follows from the range it lies
-in.  Both circles and convex outer polygons are always present as Delaunay
-edges, so the recovery is a checked invariant rather than a repair step.
+cyclically consecutive indices.  The edges are listed in that order, two
+closed chains, so an edge's loop follows from the range it lies in
+(`Mesh.outer_edges`).  Both circles and convex outer polygons are always
+present as Delaunay edges, so the recovery is a checked invariant rather
+than a repair step.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ __all__ = [
     "triangulate",
     "validate_mesh",
 ]
-
-OUTER = "outer"
-INNER = "inner"
 
 # Relaxation parameters (edge-length overshoot, pseudo-time step, move
 # tolerances for retriangulation and convergence, boundary standoff).
@@ -112,9 +111,14 @@ class Mesh:
 
     vertices: np.ndarray  # (nv, 2) float
     triangles: np.ndarray  # (nt, 3) int, counterclockwise
-    boundary_edges: np.ndarray  # (nb, 2) int
-    boundary_tags: np.ndarray  # (nb,) str, "outer" or "inner"
+    boundary_edges: np.ndarray  # (nb, 2) int, outer then hole loop, chained
+    n_outer: int  # the first n_outer boundary edges are the outer loop
     h: float  # target edge length the mesh was built for
+
+    @property
+    def outer_edges(self):
+        """The outer loop's rows of `boundary_edges`."""
+        return self.boundary_edges[: self.n_outer]
 
     @property
     def vertex_count(self):
@@ -430,12 +434,6 @@ def _canonical_order(triangles):
     return rolled[order]
 
 
-def _cycle_edges(start, count):
-    idx = np.arange(start, start + count)
-    nxt = np.concatenate([idx[1:], idx[:1]])
-    return np.column_stack([idx, nxt])
-
-
 def triangulate(spec: DomainSpec, h: float) -> Mesh:
     """Mesh the region between the outer boundary and the hole.
 
@@ -451,21 +449,21 @@ def triangulate(spec: DomainSpec, h: float) -> Mesh:
             f"{spec.clearance:.6g} is below h/10 = {h / 10.0:.6g}"
         )
     outer_poly, inner_poly = boundary_polylines(spec, h)
-    n_out, n_in = len(outer_poly), len(inner_poly)
+    n_out = len(outer_poly)
     fixed = np.vstack([outer_poly, inner_poly])
     pts = np.vstack([fixed, _seed_points(spec, h)])
 
-    pts, simplices = _relax(spec, h, pts, n_fixed=n_out + n_in)
+    pts, simplices = _relax(spec, h, pts, n_fixed=len(fixed))
     triangles = _canonical_order(simplices)
 
-    boundary_edges = np.vstack([_cycle_edges(0, n_out), _cycle_edges(n_out, n_in)])
-    boundary_tags = np.array([OUTER] * n_out + [INNER] * n_in)
-
+    # vertex i joins i + 1, except that each loop's last joins its first
+    nxt = np.arange(1, len(fixed) + 1)
+    nxt[[n_out - 1, -1]] = 0, n_out
     mesh = Mesh(
         vertices=pts,
         triangles=triangles,
-        boundary_edges=boundary_edges,
-        boundary_tags=boundary_tags,
+        boundary_edges=np.column_stack([np.arange(len(fixed)), nxt]),
+        n_outer=n_out,
         h=float(h),
     )
     validate_mesh(mesh)
@@ -494,42 +492,30 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("non-manifold edge")
     boundary = unique[counts == 1]
 
-    tagged = np.sort(mesh.boundary_edges, axis=1)
-    if len(tagged) != len(boundary):
+    e, n_outer = mesh.boundary_edges, mesh.n_outer
+    listed, stride = np.sort(e, axis=1), np.int64(len(v))  # int64 keys
+    if not np.array_equal(boundary[:, 0] * stride + boundary[:, 1],
+                          np.sort(listed[:, 0] * stride + listed[:, 1])):
         raise MeshError("boundary edge list does not match the triangulation")
-    stride = len(v)
-    if not np.array_equal(
-        np.sort(boundary[:, 0] * stride + boundary[:, 1]),
-        np.sort(tagged[:, 0] * stride + tagged[:, 1]),
-    ):
-        raise MeshError("boundary edge list does not match the triangulation")
-    tags = set(np.unique(mesh.boundary_tags))
-    if not tags == {OUTER, INNER}:
-        raise MeshError(f"boundary tags must partition into outer/inner, got {tags}")
-    if len(mesh.boundary_tags) != len(mesh.boundary_edges):
-        raise MeshError("each boundary edge needs exactly one tag")
 
     # Every boundary vertex joins exactly two boundary edges (closed loops).
     bverts, bcounts = np.unique(mesh.boundary_edges.ravel(), return_counts=True)
     if np.any(bcounts != 2):
         raise MeshError("boundary edges do not form closed loops")
 
-    loops = _boundary_loops(mesh.boundary_edges)
-    if len(loops) != 2:
-        raise MeshError(f"boundary must form exactly two loops, got {len(loops)}")
-    loop_area = []
-    for loop_vertices, loop_edges in loops:
-        loop_tags = set(mesh.boundary_tags[loop_edges])
-        if len(loop_tags) != 1:
-            raise MeshError("a boundary loop carries mixed tags")
-        poly = v[loop_vertices]
-        area = 0.5 * np.sum(
-            poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1]
-        )
-        loop_area.append((abs(area), loop_tags.pop()))
-    loop_area.sort()
-    if [tag for _, tag in loop_area] != [INNER, OUTER]:
-        raise MeshError("outer tag must belong to the enclosing boundary loop")
+    # The listed edges are distinct (their keys are the triangulation's)
+    # and every boundary vertex has degree 2, so a range that is a closed
+    # chain passes no vertex twice: it is one simple cycle, one loop.
+    if not 3 <= n_outer <= len(e) - 3:
+        raise MeshError(f"n_outer {n_outer} leaves fewer than 3 edges in a loop")
+    area = []
+    for loop in (e[:n_outer], e[n_outer:]):
+        if not np.array_equal(loop[:, 1], np.roll(loop[:, 0], -1)):
+            raise MeshError("a boundary edge range is not a closed chain")
+        x, y = v[loop[:, 0]].T
+        area.append(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    if area[0] <= area[1]:
+        raise MeshError("the first n_outer boundary edges must enclose the rest")
 
     euler = len(v) - len(unique) + len(t)
     if euler != 0:
@@ -538,37 +524,3 @@ def validate_mesh(mesh: Mesh) -> None:
     angle = mesh_min_angle(mesh)
     if angle < MIN_ANGLE_DEG - 1e-9:
         raise MeshError(f"minimum triangle angle {angle:.3f} deg below 20 deg")
-
-
-def _boundary_loops(edges):
-    """Split boundary edges into closed loops.
-
-    Returns a list of (vertex index list, edge index array) pairs; assumes
-    every vertex has degree 2 (checked by the caller).
-    """
-    adjacency: dict = {}
-    for k, (i, j) in enumerate(edges):
-        adjacency.setdefault(int(i), []).append((int(j), k))
-        adjacency.setdefault(int(j), []).append((int(i), k))
-    seen = set()
-    loops = []
-    for start in range(len(edges)):
-        if start in seen:
-            continue
-        i0, j0 = int(edges[start][0]), int(edges[start][1])
-        loop_vertices = [i0]
-        loop_edges = [start]
-        seen.add(start)
-        cur = j0
-        while cur != i0:
-            loop_vertices.append(cur)
-            following = [(w, k) for w, k in adjacency[cur] if k not in seen]
-            if not following:
-                raise MeshError("boundary loop is not closed")
-            w, k = following[0]
-            seen.add(k)
-            loop_edges.append(k)
-            cur = w
-        loops.append((loop_vertices, np.array(loop_edges, dtype=int)))
-    return loops
-

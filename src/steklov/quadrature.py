@@ -2,8 +2,8 @@
 
 A rule is a pair (points, weights).  `volume_rule` is the three-point
 edge-midpoint rule, exact for quadratics on each triangle;
-`boundary_rule` is the midpoint rule on the boundary edges, all of them or
-those carrying one mesh tag.
+`boundary_rule` is the midpoint rule on given boundary edges, such as
+`Mesh.boundary_edges` or `Mesh.outer_edges`.
 
 The upper bounds on sigma_1 and mu_1 test the trial space
 u = (f, f x_1 / r, f x_2 / r) built from a degree-1 radial profile f(r).
@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import profile_F
 from .closed_form import RadialProfile, radial_eval
-from .meshing import INNER, OUTER, Mesh, _triangle_signed_areas
+from .meshing import Mesh, _triangle_signed_areas
 
 __all__ = ["boundary_rule", "radial_grams", "volume_rule"]
 
@@ -43,14 +43,9 @@ def volume_rule(mesh: Mesh):
     return mids, np.repeat(areas / 3.0, 3)
 
 
-def boundary_rule(mesh: Mesh, tag=None):
-    """Midpoints and lengths of the boundary edges tagged `tag` ("outer"
-    or "inner"), or of every boundary edge when `tag` is None."""
-    edges = mesh.boundary_edges
-    if tag is not None:
-        if tag not in (OUTER, INNER):
-            raise ValueError(f"unknown boundary tag {tag!r}")
-        edges = edges[mesh.boundary_tags == tag]
+def boundary_rule(mesh: Mesh, edges):
+    """Midpoints and lengths of `edges`, rows (i, j) of mesh vertex
+    indices."""
     p0 = mesh.vertices[edges[:, 0]]
     p1 = mesh.vertices[edges[:, 1]]
     return 0.5 * (p0 + p1), np.hypot(*(p1 - p0).T)

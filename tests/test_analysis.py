@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from steklov import AnnulusSpec, sn_profile, steklov_profile
+from steklov import AnnulusSpec, analysis, sn_profile, steklov_profile
 from steklov.analysis import (
     GridSpec,
     aux_log_h,
@@ -21,6 +21,7 @@ from steklov.analysis import (
     profile_F_deriv,
     profile_G,
     profile_G_deriv,
+    spectrum_structure_report,
     theorem21_bruteforce,
 )
 
@@ -156,6 +157,18 @@ def test_order_frozen_margin():
                                  (4, 1.1)])
 def test_theorem21_bruteforce(n, L):
     assert theorem21_bruteforce(AnnulusSpec(n, 1.0, L))
+
+
+def test_spectrum_structure_report(monkeypatch):
+    grid = GridSpec(n_values=(2, 3), L_values=(1.5, 5.0))
+    report = spectrum_structure_report(grid)
+    assert (report.claim, report.grid_size) == ("spectrum_structure_bruteforce", 4)
+    assert report.passed and report.worst_margin == 0.0 and not report.violations
+    monkeypatch.setattr(analysis, "theorem21_bruteforce", lambda spec: spec.n != 3)
+    report = spectrum_structure_report(grid)
+    assert not report.passed and report.worst_margin == -1.0
+    assert report.violations == [{"point": "n=3 L=1.5", "margin": -1.0},
+                                 {"point": "n=3 L=5.0", "margin": -1.0}]
 
 
 def test_grid_spec_validation():

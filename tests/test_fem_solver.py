@@ -51,7 +51,7 @@ def single_triangle_mesh(vertices):
         np.asarray(vertices, dtype=float),
         np.array([[0, 1, 2]]),
         np.array([[0, 1], [1, 2], [2, 0]]),
-        np.array(["outer", "outer", "outer"]),
+        n_outer=3,
         h=1.0,
     )
 
@@ -111,7 +111,7 @@ def test_boundary_mass_single_edge_block():
         mesh.vertices,
         mesh.triangles,
         np.array([[0, 1]]),
-        np.array(["outer"]),
+        n_outer=1,
         h=1.0,
     )
     M = assemble_boundary_mass(mesh).toarray()
@@ -122,7 +122,7 @@ def test_boundary_mass_single_edge_block():
 def test_boundary_mass_total_and_neumann_rows(coarse_mesh):
     ends = coarse_mesh.vertices[coarse_mesh.boundary_edges]
     lengths = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
-    inner = coarse_mesh.boundary_tags == "inner"
+    inner = np.arange(len(ends)) >= coarse_mesh.n_outer
 
     both = assemble_boundary_mass(coarse_mesh, "steklov")
     assert both.sum() == pytest.approx(lengths.sum(), rel=1e-13)
@@ -138,9 +138,7 @@ def test_boundary_mass_total_and_neumann_rows(coarse_mesh):
 
 def test_steklov_vertex_sets(coarse_mesh):
     all_bnd = np.unique(coarse_mesh.boundary_edges)
-    outer_bnd = np.unique(
-        coarse_mesh.boundary_edges[coarse_mesh.boundary_tags == "outer"]
-    )
+    outer_bnd = np.unique(coarse_mesh.outer_edges)
     steklov = assemble_boundary_mass(coarse_mesh, "steklov")
     mixed = assemble_boundary_mass(coarse_mesh, "steklov_neumann")
     assert np.array_equal(spectral_vertices(steklov), all_bnd)
@@ -236,7 +234,7 @@ def test_solution_invariants(fine_solutions):
 def test_mixed_problem_sees_only_outer_boundary(fine_solutions):
     sn = fine_solutions[1]
     mesh = sn.mesh
-    outer = np.unique(mesh.boundary_edges[mesh.boundary_tags == "outer"])
+    outer = np.unique(mesh.outer_edges)
     M = assemble_boundary_mass(mesh, sn.problem)
     assert np.array_equal(spectral_vertices(M), outer)
     # the double mixed eigenvalue splits only by discretization

@@ -17,11 +17,13 @@ def load_tool():
 
 def write_record(path, errors, meshes):
     """A record of len(errors) cases; `meshes` maps a case index to its
-    (vertices, triangles, eigenvalues)."""
+    (vertices, triangles, eigenvalues) or (vertices, triangles,
+    eigenvalues, boundary edges), the boundary edges BOUNDARY by default."""
     arrays = {}
-    for i, (vertices, triangles, eigs) in meshes.items():
+    for i, (vertices, triangles, eigs, *boundary) in meshes.items():
         arrays[f"{i}/vertices"] = np.asarray(vertices, float)
         arrays[f"{i}/triangles"] = np.asarray(triangles)
+        arrays[f"{i}/boundary_edges"] = np.asarray((boundary or [BOUNDARY])[0])
         arrays[f"{i}/eigs"] = np.asarray(eigs, float)
     labels = [f"case-{i}" for i in range(len(errors))]
     np.savez_compressed(
@@ -31,6 +33,7 @@ def write_record(path, errors, meshes):
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 TRIANGLES = [[0, 1, 2], [0, 2, 3]]
+BOUNDARY = [[0, 1], [1, 2], [2, 3], [3, 0]]
 EIGS = [0.1, 0.2, 0.3, 0.4]
 
 
@@ -58,6 +61,17 @@ def test_compare_names_the_cases_behind_the_largest_differences(tmp_path, capsys
     ]
     assert tool.compare(before, before) == 0
     assert "largest vertex move: 0\n" in capsys.readouterr().out
+
+
+def test_compare_counts_a_boundary_change_as_not_bit_identical(tmp_path, capsys):
+    tool = load_tool()
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    write_record(before, [""], {0: (SQUARE, TRIANGLES, EIGS)})
+    write_record(after, [""], {0: (SQUARE, TRIANGLES, EIGS, BOUNDARY[::-1])})
+    assert tool.compare(before, after) == 0
+    out = capsys.readouterr().out
+    assert "bit-identical meshes: 0 of 1\n" in out
+    assert "identical triangles: 1 of 1\n" in out
 
 
 def test_compare_fails_when_a_raised_error_differs(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,12 +67,11 @@ def hand_ring_mesh():
             t[1], t[2] = t[2], t[1]
     edges = [[k, (k + 1) % 8] for k in range(8)]
     edges += [[8 + k, 8 + (k + 1) % 8] for k in range(8)]
-    tags = np.array(["outer"] * 8 + ["inner"] * 8)
     return Mesh(
         vertices=vertices,
         triangles=triangles,
         boundary_edges=np.array(edges),
-        boundary_tags=tags,
+        n_outer=8,
         h=1.0,
     )
 
@@ -92,9 +92,7 @@ def test_annulus_mesh_invariants():
     mesh = triangulate(spec, 0.5)
     validate_mesh(mesh)
     assert mesh_min_angle(mesh) >= 20.0
-    n_outer = int(np.sum(mesh.boundary_tags == "outer"))
-    n_inner = int(np.sum(mesh.boundary_tags == "inner"))
-    assert n_outer == 63 and n_inner == 13
+    assert mesh.n_outer == 63 and len(mesh.boundary_edges) == 63 + 13
     edges = np.vstack(
         [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]
     )
@@ -146,7 +144,7 @@ def test_triangulate_is_deterministic():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.boundary_edges, b.boundary_edges)
-    assert np.array_equal(a.boundary_tags, b.boundary_tags)
+    assert a.n_outer == b.n_outer
 
 
 def test_rectangle_mesh_area_and_corners():
@@ -581,31 +579,28 @@ def test_validate_rejects_flipped_triangle():
 
 
 def test_validate_rejects_bad_tags():
+    """An outer count that does not split the boundary into its two loops,
+    outer first."""
     mesh = hand_ring_mesh()
-    mesh.boundary_tags = np.array(["outer"] * 16)
-    with pytest.raises(MeshError):
+    mesh.n_outer = 16  # every edge counted as outer
+    with pytest.raises(MeshError, match="fewer than 3"):
         validate_mesh(mesh)
     mesh = hand_ring_mesh()
-    tags = mesh.boundary_tags.copy()
-    tags[0] = "inner"  # one outer-loop edge mislabeled
-    mesh.boundary_tags = tags
-    with pytest.raises(MeshError, match="mixed tags"):
+    mesh.n_outer = 7  # the last outer-loop edge counted with the hole
+    with pytest.raises(MeshError, match="closed chain"):
         validate_mesh(mesh)
     mesh = hand_ring_mesh()
-    swapped = mesh.boundary_tags.copy()
-    swapped[swapped == "outer"] = "tmp"
-    swapped[swapped == "inner"] = "outer"
-    swapped[swapped == "tmp"] = "inner"
-    mesh.boundary_tags = swapped  # loops labeled inside-out
-    with pytest.raises(MeshError, match="enclosing"):
+    edges = mesh.boundary_edges
+    mesh.boundary_edges = np.vstack([edges[8:], edges[:8]])  # inside-out
+    with pytest.raises(MeshError, match="enclos"):
         validate_mesh(mesh)
 
 
 def test_validate_rejects_missing_boundary_edge():
     mesh = hand_ring_mesh()
     mesh.boundary_edges = mesh.boundary_edges[1:]
-    mesh.boundary_tags = mesh.boundary_tags[1:]
-    with pytest.raises(MeshError):
+    mesh.n_outer = 7
+    with pytest.raises(MeshError, match="does not match"):
         validate_mesh(mesh)
     # same edge count, but one outer edge swapped for a chord of the octagon
     mesh = hand_ring_mesh()
@@ -619,9 +614,15 @@ def test_validate_rejects_disk_topology():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     triangles = np.array([[0, 1, 2], [0, 2, 3]])
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    tags = np.array(["outer", "outer", "inner", "inner"])
-    mesh = Mesh(vertices, triangles, edges, tags, h=1.0)
+    mesh = Mesh(vertices, triangles, edges, n_outer=2, h=1.0)
     with pytest.raises(MeshError):
+        validate_mesh(mesh)
+    # two disjoint triangles: two boundary loops, Euler characteristic 2
+    vertices = np.vstack([vertices[:3] * 4.0, vertices[:3] + 5.0])
+    triangles = np.array([[0, 1, 2], [3, 4, 5]])
+    edges = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
+    mesh = Mesh(vertices, triangles, edges, n_outer=3, h=1.0)
+    with pytest.raises(MeshError, match="Euler"):
         validate_mesh(mesh)
 
 
@@ -631,3 +632,74 @@ def test_validate_rejects_sliver_angles():
     mesh.vertices[1] = mesh.vertices[0] + np.array([1e-3, 1e-3])
     with pytest.raises(MeshError):
         validate_mesh(mesh)
+
+
+OFF_CENTRE_HOLES = {
+    "disk": DomainSpec(Disk(5.0), (1.5, -1.0), 1.0),
+    "ellipse": DomainSpec(golden.ELLIPSE_OUTER, (0.5, 2.5), 1.0),
+    "rectangle": DomainSpec(golden.RECT_OUTER, (3.0, 1.0), 1.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OFF_CENTRE_HOLES))
+def off_centre_mesh(request):
+    return triangulate(OFF_CENTRE_HOLES[request.param], 0.5)
+
+
+def test_validate_accepts_only_the_true_outer_count(off_centre_mesh):
+    mesh = off_centre_mesh
+    validate_mesh(mesh)
+    for n_outer in range(len(mesh.boundary_edges) + 1):
+        if n_outer != mesh.n_outer:
+            with pytest.raises(MeshError):
+                validate_mesh(replace(mesh, n_outer=n_outer))
+
+
+def test_validate_rejects_the_hole_loop_listed_first(off_centre_mesh):
+    edges, n_outer = off_centre_mesh.boundary_edges, off_centre_mesh.n_outer
+    swapped = replace(off_centre_mesh,
+                      boundary_edges=np.vstack([edges[n_outer:], edges[:n_outer]]),
+                      n_outer=len(edges) - n_outer)
+    with pytest.raises(MeshError, match="enclos"):
+        validate_mesh(swapped)
+
+
+@pytest.mark.parametrize("loop", ["outer", "hole"])
+def test_validate_accepts_either_loop_direction(off_centre_mesh, loop):
+    edges, n_outer = off_centre_mesh.boundary_edges, off_centre_mesh.n_outer
+    outer, hole = edges[:n_outer], edges[n_outer:]
+    if loop == "outer":
+        outer = outer[::-1, ::-1]  # the same chain walked backwards
+    else:
+        hole = hole[::-1, ::-1]
+    validate_mesh(replace(off_centre_mesh, boundary_edges=np.vstack([outer, hole])))
+
+
+def test_validate_edge_keys_do_not_wrap_on_large_meshes():
+    """A square grid annulus of 48 480 vertices with int32 triangles, as
+    Qhull returns them: an int32 edge key i*nv + j wraps above 46 341
+    vertices."""
+    n, lo, hi = 220, 100, 120  # n x n unit cells, the hole [lo, hi]^2
+    i, j = (c.ravel() for c in np.meshgrid(range(n), range(n), indexing="ij"))
+    keep = ~((lo <= i) & (i < hi) & (lo <= j) & (j < hi))
+    i, j = i[keep], j[keep]
+    corners = [(i + di) * (n + 1) + j + dj
+               for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    triangles = np.vstack([np.column_stack(corners[:3]),
+                           np.column_stack([corners[0], corners[2], corners[3]])])
+    used = np.unique(triangles)
+    remap = np.zeros((n + 1) ** 2, np.int32)
+    remap[used] = np.arange(len(used))
+    grid = np.stack(np.meshgrid(range(n + 1), range(n + 1), indexing="ij"), -1)
+
+    def loop(a, b):  # the square [a, b]^2 walked counterclockwise
+        s = np.arange(a, b)
+        x = np.concatenate([s, np.full(b - a, b), s[::-1] + 1, np.full(b - a, a)])
+        y = np.concatenate([np.full(b - a, a), s, np.full(b - a, b), s[::-1] + 1])
+        ring = remap[x * (n + 1) + y]
+        return np.column_stack([ring, np.roll(ring, -1)])
+
+    mesh = Mesh(grid.reshape(-1, 2)[used].astype(float), remap[triangles],
+                np.vstack([loop(0, n), loop(lo, hi)]), n_outer=4 * n, h=1.0)
+    assert mesh.vertex_count > 46341 and mesh.triangles.dtype == np.int32
+    validate_mesh(mesh)

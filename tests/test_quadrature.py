@@ -17,8 +17,7 @@ def reference_triangle_mesh():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     triangles = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
-    tags = np.array(["outer", "outer", "outer"])
-    return Mesh(vertices, triangles, edges, tags, h=1.0)
+    return Mesh(vertices, triangles, edges, n_outer=3, h=1.0)
 
 
 def integrate(rule, fn):
@@ -40,7 +39,8 @@ def test_volume_rule_is_exact_for_quadratics():
 
 
 def test_boundary_rule_sums_midpoint_values():
-    rule = boundary_rule(reference_triangle_mesh())
+    mesh = reference_triangle_mesh()
+    rule = boundary_rule(mesh, mesh.boundary_edges)
     total = integrate(rule, lambda p: np.ones(len(p)))
     assert total == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
     # x integrates to x-midpoint times length on each edge
@@ -77,9 +77,11 @@ def test_boundary_integrals_match_circle_values(annulus_mesh, profiles):
     for profile in profiles:
         f5 = radial_eval(profile, 5.0)[0]
         f1 = radial_eval(profile, 1.0)[0]
+        edges = annulus_mesh.boundary_edges
         outer, inner, both = (
-            radial_grams(profile, boundary_rule(annulus_mesh, tag))[0][0, 0]
-            for tag in ("outer", "inner", None)
+            radial_grams(profile, boundary_rule(annulus_mesh, e))[0][0, 0]
+            for e in (annulus_mesh.outer_edges, edges[annulus_mesh.n_outer:],
+                      edges)
         )
         assert abs(outer - 2.0 * math.pi * 5.0 * f5**2) / outer < 4e-3
         assert abs(inner - 2.0 * math.pi * f1**2) / inner < 1e-2
@@ -87,7 +89,8 @@ def test_boundary_integrals_match_circle_values(annulus_mesh, profiles):
 
 
 def test_odd_integrands_cancel_on_symmetric_mesh(annulus_mesh, profiles):
-    mass_b = radial_grams(profiles[0], boundary_rule(annulus_mesh, "outer"))[0]
+    rule = boundary_rule(annulus_mesh, annulus_mesh.outer_edges)
+    mass_b = radial_grams(profiles[0], rule)[0]
     mass_v = radial_grams(profiles[0], volume_rule(annulus_mesh))[0]
     for i in (1, 2):
         # uniform circle sampling cancels odd harmonics to roundoff
@@ -97,7 +100,8 @@ def test_odd_integrands_cancel_on_symmetric_mesh(annulus_mesh, profiles):
 
 
 def test_grams_are_symmetric(annulus_mesh, profiles):
-    for rule in (volume_rule(annulus_mesh), boundary_rule(annulus_mesh)):
+    for rule in (volume_rule(annulus_mesh),
+                 boundary_rule(annulus_mesh, annulus_mesh.boundary_edges)):
         for gram in radial_grams(profiles[1], rule)[:2]:
             # mirrored entries sum the same products, rounded in another order
             assert np.abs(gram - gram.T).max() <= 1e-14 * np.abs(gram).max()
@@ -130,13 +134,10 @@ def test_gradient_integrands_match_finite_differences(profiles):
 
 def test_clamp_keeps_hole_chord_midpoints_evaluable(annulus_mesh, profiles):
     # chord midpoints on the hole dip below r_inner; the Grams clamp r
-    rule = boundary_rule(annulus_mesh, "inner")
+    hole = annulus_mesh.boundary_edges[annulus_mesh.n_outer:]
+    rule = boundary_rule(annulus_mesh, hole)
     assert np.min(np.hypot(rule[0][:, 0], rule[0][:, 1])) < 1.0
     mass, gradient, energy = radial_grams(profiles[0], rule)
     assert np.all(np.isfinite(mass)) and np.all(np.isfinite(gradient))
     assert math.isfinite(energy)
 
-
-def test_unknown_boundary_tag_raises(annulus_mesh):
-    with pytest.raises(ValueError, match="tag"):
-        boundary_rule(annulus_mesh, "top")

@@ -4,13 +4,14 @@
     PYTHONPATH=src python tools/mesh_identity.py --compare before.npz after.npz
 
 `--write` meshes every case with the `steklov` package found on the path
-and stores its vertices, triangles and (sigma1, sigma2, mu1, mu2), or the
-error that `triangulate` raised.  Point PYTHONPATH at another checkout's
-`src` to record that tree.  `--compare` reports how far two records agree:
-bit-identical meshes, meshes with identical triangles, the largest vertex
-move and the largest relative eigenvalue drift, each with the case it
-comes from, and every case whose raised error differs.  It exits with
-status 1 when some case's raised error differs, and 0 otherwise.
+and stores its vertices, triangles, boundary edges and (sigma1, sigma2,
+mu1, mu2), or the error that `triangulate` raised.  Point PYTHONPATH at
+another checkout's `src` to record that tree.  `--compare` reports how far
+two records agree: bit-identical meshes (vertices, triangles and boundary
+edges), meshes with identical triangles, the largest vertex move and the
+largest relative eigenvalue drift, each with the case it comes from, and
+every case whose raised error differs.  It exits with status 1 when some
+case's raised error differs, and 0 otherwise.
 
 The case set is fixed (174 cases):
 - the three table-1 domains at h = 0.25, 0.125 and 0.0625;
@@ -98,6 +99,7 @@ def write(path):
         sn = solve_on_mesh(mesh, "steklov_neumann", 3, spec=spec).eigenvalues
         arrays[f"{i}/vertices"] = mesh.vertices
         arrays[f"{i}/triangles"] = mesh.triangles
+        arrays[f"{i}/boundary_edges"] = mesh.boundary_edges
         arrays[f"{i}/eigs"] = np.array([st[1], st[2], sn[1], sn[2]])
         print(f"{label}: nv={mesh.vertex_count}", file=sys.stderr)
     np.savez_compressed(
@@ -128,7 +130,8 @@ def compare(path_a, path_b):
         ta, tb = a[f"{i}/triangles"], b[f"{i}/triangles"]
         tri_equal = np.array_equal(ta, tb)
         same_triangles += tri_equal
-        identical += tri_equal and np.array_equal(va, vb)
+        identical += (tri_equal and np.array_equal(va, vb) and np.array_equal(
+            a[f"{i}/boundary_edges"], b[f"{i}/boundary_edges"]))
         move = float(np.max(np.abs(va - vb))) if va.shape == vb.shape else np.inf
         if move > vertex_move[0]:
             vertex_move = move, label
