@@ -12,7 +12,7 @@ from steklov import Disk, DomainSpec, convergence_study
 def show_study(study):
     print(f"\n{study.problem}, eigenvalue index {study.index} "
           f"(reference {study.reference:.10f}):")
-    print(f"  {'h':>6}  {'value':>14}  {'rel error':>10}  {'order':>6}")
+    print(f"  {'h':>6}  {'value':>14}  {'abs error':>10}  {'order':>6}")
     for row in study.rows:
         order = f"{row.order:.2f}" if row.order is not None else "-"
         print(f"  {row.h:6.3f}  {row.eigenvalues[study.index]:14.10f}  "

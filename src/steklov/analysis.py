@@ -21,6 +21,7 @@ from scipy.optimize import minimize_scalar
 from steklov.closed_form import (
     AnnulusSpec,
     RadialProfile,
+    clusters,
     radial_eval,
     sigma_21_closed,
     sn_profile,
@@ -316,14 +317,8 @@ def theorem21_bruteforce(spec: AnnulusSpec) -> bool:
     """
     n = spec.n
     lines = enumerate_spectrum(spec, "steklov", 3 * n + 6)
-    groups: list[list] = []
-
-    for ln in lines:
-        if groups and abs(ln.value - groups[-1][0].value) <= 1e-12 * max(
-                abs(ln.value), abs(groups[-1][0].value), 1e-300):
-            groups[-1].append(ln)
-        else:
-            groups.append([ln])
+    groups = [[lines[i] for i in group]
+              for group in clusters([ln.value for ln in lines], 1e-12)]
     nonzero = [g for g in groups if g[0].value > 1e-12]
     if len(nonzero) < 2:
         return False

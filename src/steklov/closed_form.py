@@ -78,13 +78,9 @@ def multiplicity(n: int, l: int) -> int:
     return num // den
 
 
-def _check_degree_args(n, L, l):
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+def _check_degree(l):
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"degree must be an integer >= 0, got {l}")
-    if not L > 1.0:
-        raise ValueError(f"radii ratio must exceed 1, got {L}")
 
 
 def _steklov_normalized(n: int, L: float, l: int, branch: int) -> float:
@@ -119,7 +115,7 @@ def steklov_eigenvalue(spec: AnnulusSpec, l: int, branch: int) -> float:
     stable pairing root1 = C / (A * root2) so no digits are lost to
     cancellation for any ratio.
     """
-    _check_degree_args(spec.n, spec.ratio, l)
+    _check_degree(l)
     return _steklov_normalized(spec.n, spec.ratio, l, branch) / spec.r_inner
 
 
@@ -150,7 +146,7 @@ def sn_eigenvalue(spec: AnnulusSpec, l: int) -> float:
 
     One branch per degree; mu_0 = 0.
     """
-    _check_degree_args(spec.n, spec.ratio, l)
+    _check_degree(l)
     if l == 0:
         return 0.0
     n = spec.n
@@ -265,37 +261,49 @@ def enumerate_spectrum(spec: AnnulusSpec, problem: Problem,
     """First k eigenvalues (counted with multiplicity) in ascending order.
 
     Returns the per-degree lines whose cumulative multiplicity first
-    reaches k, sorted by value.  The degree cutoff is grown (doubled) until
-    the smallest candidate beyond it provably exceeds the k-th value: the
-    lower Steklov branch is increasing in l, and the mixed-problem curve is
-    checked for monotonicity on each enumeration rather than assumed.
+    reaches k, sorted by value, from degrees up to l_max = max(4, 2k): the
+    lower branch is increasing in l (checked, for the mixed problem), so
+    degrees below k give k values below every degree beyond l_max.  Raises
+    RuntimeError if that tail bound fails.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     l_max = max(4, 2 * k)
-    while True:
-        lines = _all_lines(spec, problem, l_max)
-        lines.sort(key=lambda ln: ln.value)
-        total = 0
-        cut = None
-        for i, ln in enumerate(lines):
-            total += ln.multiplicity
-            if total >= k:
-                cut = i
-                break
-        if cut is not None:
-            v_k = lines[cut].value
-            if problem == "steklov":
-                tail_min = steklov_eigenvalue(spec, l_max, 1)
-            else:
-                tail_min = sn_eigenvalue(spec, l_max)
-            if tail_min >= v_k:
-                return lines[:cut + 1]
-        if l_max > 1 << 20:
-            raise RuntimeError("degree cutoff grew without bound")
-        l_max *= 2
+    lines = sorted(_all_lines(spec, problem, l_max), key=lambda ln: ln.value)
+    total = 0
+    for cut, ln in enumerate(lines):
+        total += ln.multiplicity
+        if total >= k:
+            break
+    if problem == "steklov":
+        tail_min = steklov_eigenvalue(spec, l_max, 1)
+    else:
+        tail_min = sn_eigenvalue(spec, l_max)
+    if tail_min < lines[cut].value:
+        raise RuntimeError(
+            f"degrees above {l_max} may hold one of the first {k} eigenvalues")
+    return lines[:cut + 1]
+
+
+def clusters(values, rtol):
+    """Indices of the ascending `values` grouped into near-multiple clusters.
+
+    Adjacent values whose gap is at most `rtol` relative to the larger
+    magnitude land in one group.  With a tight `rtol` this groups the
+    distinct closed-form values; with a loose one it recovers the
+    multiplicities that a discretization splits by about the squared
+    mesh size.
+    """
+    groups = [[0]]
+    for i in range(1, len(values)):
+        scale = max(abs(values[i - 1]), abs(values[i]))
+        if values[i] - values[i - 1] <= rtol * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def _all_lines(spec, problem, l_max):

@@ -18,9 +18,9 @@ values at the ends or corners.  `meshing` relies on this bound to skip
 outer distances that cannot change its results, so a new shape must be
 convex too.
 
-Conventions: signed distances are negative inside a shape, polylines are
-arrays of shape (N, 2) that close implicitly (segment N-1 -> 0), the outer
-polyline is counterclockwise and the hole polyline is clockwise.
+Conventions: point queries take (m, 2) arrays, signed distances are
+negative inside a shape, polylines are (N, 2) arrays that close implicitly
+(segment N-1 -> 0), the outer one counterclockwise, the hole one clockwise.
 """
 
 from __future__ import annotations
@@ -198,18 +198,15 @@ def _ellipse_distance(a, b, x, y):
 
 def _as_points(pts):
     arr = np.asarray(pts, dtype=float)
-    scalar = arr.ndim == 1
-    arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("points must have shape (2,) or (m, 2)")
-    return arr, scalar
+        raise ValueError("points must have shape (m, 2)")
+    return arr
 
 
 def outer_signed_distance(outer: OuterShape, pts):
     """Signed distance to the outer boundary (negative inside the shape)."""
-    p, scalar = _as_points(pts)
-    d = outer.signed_distance(p[:, 0], p[:, 1])
-    return d[0] if scalar else d
+    p = _as_points(pts)
+    return outer.signed_distance(p[:, 0], p[:, 1])
 
 
 def is_round(outer: OuterShape) -> bool:
@@ -248,7 +245,7 @@ class DomainSpec:
         object.__setattr__(self, "hole_radius", float(self.hole_radius))
         if not self.hole_radius > 0:
             raise ValueError("hole radius must be positive")
-        if outer_signed_distance(self.outer, np.array(center)) >= 0:
+        if self.outer.signed_distance(*center) >= 0:
             raise ValueError("hole center lies outside the outer shape")
         if not self.clearance > 0:
             raise ValueError(
@@ -259,7 +256,7 @@ class DomainSpec:
     @cached_property
     def clearance(self) -> float:
         """Gap between the hole circle and the outer boundary."""
-        d = -outer_signed_distance(self.outer, np.array(self.hole_center))
+        d = -self.outer.signed_distance(*self.hole_center)
         return float(d) - self.hole_radius
 
     @property
@@ -288,10 +285,9 @@ class DomainSpec:
 
 def hole_signed_distance(spec: DomainSpec, pts):
     """Signed distance to the hole circle (negative inside the hole)."""
-    p, scalar = _as_points(pts)
+    p = _as_points(pts)
     cx, cy = spec.hole_center
-    d = np.hypot(p[:, 0] - cx, p[:, 1] - cy) - spec.hole_radius
-    return d[0] if scalar else d
+    return np.hypot(p[:, 0] - cx, p[:, 1] - cy) - spec.hole_radius
 
 
 def region_signed_distance(spec: DomainSpec, pts):
@@ -313,9 +309,8 @@ def size_field(spec: DomainSpec, h: float, pts):
     so grading the target length by GRADE_FRACTION of it buys a few element
     layers across the thinnest gap while leaving the bulk at h.
     """
-    p, scalar = _as_points(pts)
-    fh = _grade(h, outer_signed_distance(spec.outer, p), hole_signed_distance(spec, p))
-    return fh[0] if scalar else fh
+    return _grade(h, outer_signed_distance(spec.outer, pts),
+                  hole_signed_distance(spec, pts))
 
 
 def _grade(h, d_out, d_hole):
@@ -358,11 +353,6 @@ def _march_curve(curve, t_lo, t_hi, fh, closed):
     cum = np.concatenate([[0.0], np.cumsum(w)])
     if closed:
         count = int(round(total))
-        if count < MIN_CLOSED_SEGMENTS:
-            raise ValueError(
-                "h too coarse: boundary polyline would have "
-                f"{count} segments (need at least {MIN_CLOSED_SEGMENTS})"
-            )
         targets = total * np.arange(count) / count
     else:
         count = max(int(round(total)), 1)
@@ -409,11 +399,6 @@ def boundary_polylines(spec: DomainSpec, h: float):
             side = _march_curve(curve, 0.0, 1.0, fh, False)
             sides.append(side[:-1])  # endpoint duplicates the next corner
         outer_poly = np.vstack(sides)
-        if len(outer_poly) < MIN_CLOSED_SEGMENTS:
-            raise ValueError(
-                "h too coarse: boundary polyline would have "
-                f"{len(outer_poly)} segments (need at least {MIN_CLOSED_SEGMENTS})"
-            )
     else:
         outer_poly = _march_curve(
             _ellipse_curve((0.0, 0.0), a, b), 0.0, 2.0 * math.pi, fh, True
@@ -423,5 +408,10 @@ def boundary_polylines(spec: DomainSpec, h: float):
     inner_ccw = _march_curve(
         _ellipse_curve(spec.hole_center, r, r), 0.0, 2.0 * math.pi, fh, True
     )
-    inner_poly = inner_ccw[::-1].copy()
-    return outer_poly, inner_poly
+    for poly in (outer_poly, inner_ccw):
+        if len(poly) < MIN_CLOSED_SEGMENTS:
+            raise ValueError(
+                "h too coarse: boundary polyline would have "
+                f"{len(poly)} segments (need at least {MIN_CLOSED_SEGMENTS})"
+            )
+    return outer_poly, inner_ccw[::-1].copy()

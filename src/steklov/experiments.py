@@ -21,7 +21,7 @@ from steklov.analysis import (
     poly_positivity_report,
     spectrum_structure_report,
 )
-from steklov.closed_form import PROBLEMS, AnnulusSpec
+from steklov.closed_form import PROBLEMS, AnnulusSpec, clusters
 from steklov.domains import (
     Disk,
     DomainSpec,
@@ -39,6 +39,22 @@ SWEEP_PATHS = ("axis-x", "axis-y", "diagonal")
 
 def _fmt(x):
     return f"{x:.6g}"
+
+
+def _csv_lines(rows, columns, values):
+    """CSV header and lines of `rows`: the cells that locate each row (its
+    domain name, or its hole center and that center's distance from the
+    origin), then the numbers `values(row)` under the names `columns`."""
+    def locate(row):
+        if "domain" in row:
+            return {"domain": row["domain"]}
+        (t1, t2), distance = row["center"], row["distance"]
+        return {"t1": _fmt(t1), "t2": _fmt(t2), "distance": _fmt(distance)}
+
+    lines = [",".join([*locate(rows[0]), *columns])]
+    lines += [",".join([*locate(row).values(), *map(_fmt, values(row))])
+              for row in rows]
+    return lines
 
 
 def _four_eigenvalues(mesh, spec):
@@ -82,27 +98,10 @@ class TableArtifact:
 
     def to_csv(self):
         quantities = [q for q in QUANTITIES if q in self.rows[0]["golden"]]
-        value_header = ",".join(
-            f"{q}_golden,{q}_computed,{q}_deviation" for q in quantities
-        )
-        if self.kind == "comparison":
-            lines = [f"domain,{value_header}"]
-        else:
-            lines = [f"t1,t2,distance,{value_header}"]
-        for row in self.rows:
-            cells = []
-            if self.kind == "comparison":
-                cells.append(row["domain"])
-            else:
-                cells.extend(_fmt(c) for c in row["center"])
-                cells.append(_fmt(row["distance"]))
-            for q in quantities:
-                cells.extend(
-                    _fmt(v)
-                    for v in (row["golden"][q], row["computed"][q],
-                              row["deviation"][q])
-                )
-            lines.append(",".join(cells))
+        parts = ("golden", "computed", "deviation")
+        lines = _csv_lines(
+            self.rows, [f"{q}_{p}" for q in quantities for p in parts],
+            lambda row: [row[p][q] for q in quantities for p in parts])
         return "\n".join(lines) + "\n"
 
 
@@ -203,12 +202,8 @@ class SweepResult:
         return out
 
     def to_csv(self):
-        lines = ["t1,t2,distance,sigma1,sigma2,mu1,mu2"]
-        for row in self.rows:
-            cells = [_fmt(row["center"][0]), _fmt(row["center"][1]),
-                     _fmt(row["distance"])]
-            cells.extend(_fmt(row[q]) for q in QUANTITIES)
-            lines.append(",".join(cells))
+        lines = _csv_lines(self.rows, QUANTITIES,
+                           lambda row: [row[q] for q in QUANTITIES])
         for q in QUANTITIES:
             lines.append(f"# verdict,{q},{self.verdicts[q]}")
         if self.mu_pair_clustered is not None:
@@ -242,8 +237,7 @@ def run_sweep(sweep):
     clustered = None
     if is_round(sweep.outer):
         clustered = tuple(
-            abs(row["mu2"] - row["mu1"])
-            <= CLUSTER_RTOL * max(row["mu1"], row["mu2"])
+            len(clusters([row["mu1"], row["mu2"]], CLUSTER_RTOL)) == 1
             for row in rows
         )
     return SweepResult(sweep, tuple(rows), verdicts, clustered)

@@ -32,9 +32,11 @@ from scipy import sparse
 from scipy.linalg import cholesky
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
+from steklov.closed_form import (PROBLEMS, AnnulusSpec, clusters,
+                                 enumerate_spectrum)
 from steklov.domains import DomainSpec, is_round
 from steklov.meshing import Mesh, triangulate
+from steklov.quadrature import boundary_rule
 
 # Lanczos accepts a Ritz value theta once its residual is at most
 # LANCZOS_TOL * theta.  Its error is then at most LANCZOS_TOL**2 * theta**2
@@ -88,8 +90,7 @@ def assemble_boundary_mass(mesh, problem="steklov"):
         raise ValueError(f"unknown problem {problem!r}")
     edges = (mesh.outer_edges if problem == "steklov_neumann"
              else mesh.boundary_edges)
-    ends = mesh.vertices[edges]
-    lengths = np.hypot(ends[:, 1, 0] - ends[:, 0, 0], ends[:, 1, 1] - ends[:, 0, 1])
+    lengths = boundary_rule(mesh, edges)[1]
     weights = lengths[:, None] / 6.0 * np.array([2.0, 1.0, 1.0, 2.0])
     rows = edges[:, [0, 0, 1, 1]].ravel()
     cols = edges[:, [0, 1, 0, 1]].ravel()
@@ -152,31 +153,13 @@ class EigenSolution:
         """Target edge length of the mesh, or None without a mesh."""
         return None if self.mesh is None else self.mesh.h
 
-    def clusters(self, rtol=CLUSTER_RTOL):
-        """Indices grouped into near-multiple clusters.
-
-        Adjacent eigenvalues whose gap is below `rtol` relative to their
-        magnitude land in one group; discretization splits exact multiple
-        eigenvalues by about the squared mesh size, so the groups recover
-        the continuous multiplicities on fine meshes.
-        """
-        vals = self.eigenvalues
-        groups = [[0]]
-        for i in range(1, len(vals)):
-            scale = max(abs(vals[i - 1]), abs(vals[i]))
-            if vals[i] - vals[i - 1] <= rtol * scale:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
-
     def as_dict(self):
         return {
             "problem": self.problem,
             "spec": None if self.spec is None else self.spec.as_dict(),
             "h": self.h,
             "eigenvalues": [float(f"{v:.17g}") for v in self.eigenvalues],
-            "clusters": self.clusters(),
+            "clusters": clusters(self.eigenvalues, CLUSTER_RTOL),
         }
 
     def to_json(self):
@@ -309,7 +292,8 @@ class ConvergenceStudy:
     """Eigenvalue refinement table for one domain and problem.
 
     `reference` is the exact eigenvalue when the domain is a concentric
-    annulus (closed form), else None; `extrapolated` eliminates the
+    annulus (closed form), else None, and each row's `error` is then the
+    absolute error |value - reference|; `extrapolated` eliminates the
     leading error term from the last three levels, and `observed_order`
     is the fitted convergence rate of the tracked eigenvalue.
     """

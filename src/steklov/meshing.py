@@ -150,19 +150,14 @@ def mesh_min_angle(mesh: Mesh) -> float:
     return float(np.min(np.column_stack(angles)))
 
 
-def _sorted_edges(triangles):
-    edges = np.vstack(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    return np.sort(edges, axis=1)
-
-
 def _unique_edges(triangles, n):
     """Distinct edges of the triangles over n vertices, each as (i, j) with
     i < j, in lexicographic order, and the number of triangles sharing each.
 
     Deduplicates on the 1-D key i*n + j, which sorts like the (i, j) rows."""
-    edges = _sorted_edges(triangles)
+    edges = np.sort(np.vstack(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
+    ), axis=1)
     key, counts = np.unique(
         edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True
     )
@@ -493,6 +488,10 @@ def validate_mesh(mesh: Mesh) -> None:
     boundary = unique[counts == 1]
 
     e, n_outer = mesh.boundary_edges, mesh.n_outer
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise MeshError("boundary_edges must be an integer (nb, 2) array")
+    if not isinstance(n_outer, (int, np.integer)):
+        raise MeshError(f"n_outer must be an integer, got {n_outer!r}")
     listed, stride = np.sort(e, axis=1), np.int64(len(v))  # int64 keys
     if not np.array_equal(boundary[:, 0] * stride + boundary[:, 1],
                           np.sort(listed[:, 0] * stride + listed[:, 1])):

@@ -167,7 +167,7 @@ def test_criterion_4_fem_convergence_oracle():
     for problem, study in studies.items():
         order = study.observed_order
         finest = study.rows[-1].error
-        details.append(f"{problem}: order {order:.2f}, finest rel err "
+        details.append(f"{problem}: order {order:.2f}, finest abs err "
                        f"{finest:.1e}")
         ok = ok and order >= 1.8 and finest <= 0.01
     report(4, ok, "; ".join(details) + f" ({elapsed:.0f}s)")

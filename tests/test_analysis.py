@@ -178,3 +178,16 @@ def test_grid_spec_validation():
         GridSpec(L_values=(0.9,))
     with pytest.raises(ValueError):
         GridSpec(r_samples=4)
+
+
+def test_scan_refines_an_interior_local_minimum():
+    """No sample lands on the bottom of (t - 2.3)^2 - 0.01; the bounded
+    refinement between the lowest sample's neighbours finds it."""
+    entries = list(analysis._scan_nonneg(lambda t: (t - 2.3) ** 2 - 0.01,
+                                         1.0, 10.0, 64, "dip"))
+    refined = [e for e in entries if "local-min" in e[0]]
+    assert len(entries) == 65 and len(refined) == 1
+    label, margin, _ = refined[0]
+    assert label == "dip local-min t=2.3"
+    assert margin == pytest.approx(-0.01, abs=1e-12)
+    assert min(m for _, m, _ in entries[:64]) > margin

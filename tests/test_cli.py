@@ -8,6 +8,7 @@ import pytest
 
 from steklov.analysis import GridSpec
 from steklov.cli import (
+    DEVIATION_LIMIT,
     build_domain_spec,
     build_grid,
     build_sweep,
@@ -166,6 +167,54 @@ def test_sweep_command_csv_and_out(capsys, tmp_path):
     capsys.readouterr()
     assert rc2 == 0
     assert out_path.read_text() == out
+
+
+def csv_rows(text):
+    """The data rows of CLI CSV output as dicts keyed by the header."""
+    header, *rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def assert_six_digits(cell, value):
+    assert float(cell) == pytest.approx(value, rel=5e-6, abs=0.0)
+
+
+def test_reproduce_table_command_json_and_csv(capsys):
+    args = ("reproduce-table", "--id", "1", "--h", "0.5")
+    rc, out, _ = run_cli(capsys, *args)
+    payload = json.loads(out)
+    assert payload["table_id"] == 1 and payload["h"] == 0.5
+    assert rc == (0 if payload["max_deviation"] <= DEVIATION_LIMIT else 1)
+    rc_csv, out_csv, _ = run_cli(capsys, *args, "--csv")
+    assert rc_csv == rc
+    rows = csv_rows(out_csv)
+    assert [r["domain"] for r in rows] == [r["domain"] for r in payload["rows"]]
+    for cells, row in zip(rows, payload["rows"]):
+        assert len(cells) == 1 + 3 * len(row["golden"])
+        for q in row["golden"]:
+            for part in ("golden", "computed", "deviation"):
+                assert_six_digits(cells[f"{q}_{part}"], row[part][q])
+
+
+def test_sweep_command_json_matches_csv(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("outer = disk\nradius = 5\npath = axis-x\n"
+                   "centers = 0.5,0 ; 1.5,0\nh = 0.4\n")
+    rc, out, _ = run_cli(capsys, "sweep", "--spec", str(cfg))
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["outer"] == {"shape": "disk", "radius": 5.0}
+    assert [row["center"] for row in payload["rows"]] == [[0.5, 0.0], [1.5, 0.0]]
+    _, out_csv, _ = run_cli(capsys, "sweep", "--spec", str(cfg), "--csv")
+    for cells, row in zip(csv_rows(out_csv), payload["rows"], strict=True):
+        assert_six_digits(cells["t1"], row["center"][0])
+        assert_six_digits(cells["t2"], row["center"][1])
+        for q in ("distance", "sigma1", "sigma2", "mu1", "mu2"):
+            assert_six_digits(cells[q], row[q])
+    for q, verdict in payload["verdicts"].items():
+        assert f"# verdict,{q},{verdict}\n" in out_csv
+    flag = str(payload["mu_multiplicity_two"]).lower()
+    assert f"# mu_multiplicity_two,{flag}\n" in out_csv
 
 
 def test_cli_runs_are_deterministic(capsys, annulus_cfg):

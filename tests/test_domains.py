@@ -76,7 +76,7 @@ def test_ellipse_signed_distance_matches_scan_oracle():
         oracle = np.min(np.hypot(bnd[:, 0] - p[0], bnd[:, 1] - p[1]))
         inside = (p[0] / ell.a) ** 2 + (p[1] / ell.b) ** 2 < 1.0
         want = -oracle if inside else oracle
-        got = outer_signed_distance(ell, np.array(p))
+        (got,) = outer_signed_distance(ell, np.array([p]))
         assert got == pytest.approx(want, abs=2e-5)
 
 
@@ -166,8 +166,10 @@ def test_region_signed_distance_frozen_points():
 
 def test_hole_signed_distance():
     spec = DomainSpec(Disk(5.0), (3.5, 0.0), 1.0)
-    assert hole_signed_distance(spec, np.array([3.5, 0.0])) == -1.0
-    assert hole_signed_distance(spec, np.array([3.5, 2.0])) == 1.0
+    assert hole_signed_distance(spec, np.array([[3.5, 0.0]])).tolist() == [-1.0]
+    assert hole_signed_distance(spec, np.array([[3.5, 2.0]])).tolist() == [1.0]
+    with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+        hole_signed_distance(spec, np.array([3.5, 0.0]))
 
 
 def test_clearance_disk_exact():

@@ -15,11 +15,13 @@ from steklov import fem_solver
 from steklov.closed_form import (
     PROBLEMS,
     AnnulusSpec,
+    clusters,
     enumerate_spectrum,
     steklov_eigenvalue,
 )
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.fem_solver import (
+    CLUSTER_RTOL,
     ConvergenceStudy,
     EigenSolution,
     FemError,
@@ -325,8 +327,8 @@ def test_eigensolution_clusters():
         np.array([0.0, 0.17829, 0.17831, 0.398, 0.52, 0.5201]),
         np.zeros((6, 6)),
     )
-    assert sol.clusters() == [[0], [1, 2], [3], [4, 5]]
-    assert sol.clusters(rtol=1e-6) == [[0], [1], [2], [3], [4], [5]]
+    assert sol.as_dict()["clusters"] == [[0], [1, 2], [3], [4, 5]]
+    assert clusters(sol.eigenvalues, 1e-6) == [[0], [1], [2], [3], [4], [5]]
 
 
 def test_eigensolution_json_round_trip(fine_solutions):
@@ -336,7 +338,7 @@ def test_eigensolution_json_round_trip(fine_solutions):
     assert data["spec"] == ANNULUS.as_dict()
     assert data["h"] == 0.25
     assert np.allclose(data["eigenvalues"], sol.eigenvalues, rtol=0.0, atol=0.0)
-    assert data["clusters"] == sol.clusters()
+    assert data["clusters"] == clusters(sol.eigenvalues, CLUSTER_RTOL)
 
 
 def test_solve_wrappers_agree(coarse_mesh):

@@ -305,17 +305,25 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name):
         assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed, 0.0)[2])
 
 
+def sorted_edges(triangles):
+    """Every triangle side as an (i, j) row with i < j, duplicates kept."""
+    edges = np.vstack(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
+    )
+    return np.sort(edges, axis=1)
+
+
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
     _, _, simplices, bars, _, _ = meshing._settle(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges), 2.5e-4
     )
-    rows = np.unique(meshing._sorted_edges(simplices), axis=0)
+    rows = np.unique(sorted_edges(simplices), axis=0)
     assert bars.dtype == rows.dtype and np.array_equal(bars, rows)
     edges, counts = meshing._unique_edges(mesh.triangles, mesh.vertex_count)
     want, want_counts = np.unique(
-        meshing._sorted_edges(mesh.triangles), axis=0, return_counts=True
+        sorted_edges(mesh.triangles), axis=0, return_counts=True
     )
     assert np.array_equal(edges, want) and np.array_equal(counts, want_counts)
 
@@ -593,6 +601,19 @@ def test_validate_rejects_bad_tags():
     edges = mesh.boundary_edges
     mesh.boundary_edges = np.vstack([edges[8:], edges[:8]])  # inside-out
     with pytest.raises(MeshError, match="enclos"):
+        validate_mesh(mesh)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("boundary_edges", lambda e: e.ravel()),  # numpy raised AxisError
+    ("boundary_edges", lambda e: e.astype(float)),  # IndexError
+    ("n_outer", lambda n: 8.0),  # TypeError
+    ("n_outer", lambda n: 8.5),  # TypeError
+])
+def test_validate_rejects_malformed_boundary(field, value):
+    mesh = hand_ring_mesh()
+    mesh = replace(mesh, **{field: value(getattr(mesh, field))})
+    with pytest.raises(MeshError, match="integer"):
         validate_mesh(mesh)
 
 
