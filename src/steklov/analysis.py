@@ -13,7 +13,7 @@ attempt that is expected to come up empty.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -50,8 +50,9 @@ class GridSpec:
             raise ValueError("grid must be nonempty")
         if any(n < 2 for n in self.n_values):
             raise ValueError("dimensions must be >= 2")
-        if any(L <= 1.0 for L in self.L_values):
-            raise ValueError("ratios must exceed 1")
+        if not all(1.0 < L < math.inf for L in self.L_values):
+            raise ValueError(
+                f"ratios must be finite and exceed 1, got {self.L_values}")
         if self.r_samples < 16 or self.t_samples < 16:
             raise ValueError("sample counts must be >= 16")
 
@@ -69,9 +70,6 @@ class VerificationReport:
     worst_margin: float
     passed: bool
     violations: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _build_report(claim, entries):

@@ -125,6 +125,14 @@ def _emit_json(payload, out_path):
     _emit(json.dumps(payload, indent=2) + "\n", out_path)
 
 
+def _emit_table(result, args):
+    """A tabular result as CSV under --csv, else as JSON."""
+    if args.csv:
+        _emit(result.to_csv(), args.out)
+    else:
+        _emit_json(result.as_dict(), args.out)
+
+
 def cmd_spectrum_annulus(args):
     spec = AnnulusSpec(args.n, args.inner, args.outer)
     lines = enumerate_spectrum(spec, args.problem, args.k)
@@ -142,7 +150,7 @@ def cmd_spectrum_annulus(args):
 def cmd_fem_solve(args):
     spec = build_domain_spec(parse_config(args.spec))
     solution = solve(spec, args.h, args.k, args.problem)
-    _emit(solution.to_json() + "\n", args.out)
+    _emit_json(solution.as_dict(), args.out)
     return 0
 
 
@@ -162,19 +170,12 @@ def cmd_verify_integrals(args):
 
 def cmd_reproduce_table(args):
     artifact = reproduce_table(args.id, args.h)
-    if args.csv:
-        _emit(artifact.to_csv(), args.out)
-    else:
-        _emit_json(artifact.as_dict(), args.out)
+    _emit_table(artifact, args)
     return 0 if artifact.max_deviation() <= DEVIATION_LIMIT else 1
 
 
 def cmd_sweep(args):
-    result = run_sweep(build_sweep(parse_config(args.spec)))
-    if args.csv:
-        _emit(result.to_csv(), args.out)
-    else:
-        _emit_json(result.as_dict(), args.out)
+    _emit_table(run_sweep(build_sweep(parse_config(args.spec))), args)
     return 0
 
 
@@ -245,7 +246,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, MeshError, FemError) as exc:
+    except (ValueError, OverflowError, OSError, MeshError, FemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

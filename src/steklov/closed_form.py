@@ -38,9 +38,9 @@ class AnnulusSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
-        if not (0.0 < self.r_inner < self.r_outer):
+        if not (0.0 < self.r_inner < self.r_outer < math.inf):
             raise ValueError(
-                f"radii must satisfy 0 < r_inner < r_outer, got "
+                f"radii must satisfy 0 < r_inner < r_outer < inf, got "
                 f"({self.r_inner}, {self.r_outer})"
             )
 
@@ -166,10 +166,8 @@ class RadialProfile:
     `log_mode` is set.  Radii and eigenvalue are in physical units.
     """
 
-    problem: Problem
     n: int
     l: int
-    branch: int
     r_inner: float
     eigenvalue: float
     coef: float
@@ -195,11 +193,9 @@ def steklov_profile(spec: AnnulusSpec, l: int, branch: int) -> RadialProfile:
     n = spec.n
     if l == 0 and n == 2:
         # f(t) = 1 - s*log(t); covers both the zero mode (s = 0) and branch 2
-        return RadialProfile("steklov", n, l, branch, spec.r_inner,
-                             sigma, -s_norm, log_mode=True)
+        return RadialProfile(n, l, spec.r_inner, sigma, -s_norm, log_mode=True)
     if l == 0 and branch == 1:
-        return RadialProfile("steklov", n, l, branch, spec.r_inner,
-                             sigma, 0.0)
+        return RadialProfile(n, l, spec.r_inner, sigma, 0.0)
     p = l + n - 2
     if branch == 1:
         den = p - s_norm
@@ -211,8 +207,7 @@ def steklov_profile(spec: AnnulusSpec, l: int, branch: int) -> RadialProfile:
     else:
         L = spec.ratio
         coef = -(L ** (2 * l + n - 2)) * (s_norm * L - l) / (s_norm * L + p)
-    return RadialProfile("steklov", n, l, branch, spec.r_inner,
-                         sigma, coef)
+    return RadialProfile(n, l, spec.r_inner, sigma, coef)
 
 
 def sn_profile(spec: AnnulusSpec, l: int) -> RadialProfile:
@@ -221,16 +216,10 @@ def sn_profile(spec: AnnulusSpec, l: int) -> RadialProfile:
     f(r) = r^l + l r_inner^{2l+n-2} / ((l+n-2) r^{l+n-2}) in physical r;
     its derivative vanishes at r_inner by construction.  Degree 0 is the
     constant zero mode.  Stored in the normalized variable t = r/r_inner,
-    where the coefficient is simply l/(l+n-2).
+    where the coefficient is simply l/(l+n-2), and 0 at degree 0.
     """
-    mu = sn_eigenvalue(spec, l)
-    if l == 0:
-        log_mode = spec.n == 2
-        return RadialProfile("steklov_neumann", spec.n, l, 1, spec.r_inner,
-                             mu, 0.0, log_mode=log_mode)
-    coef = l / (l + spec.n - 2)
-    return RadialProfile("steklov_neumann", spec.n, l, 1, spec.r_inner,
-                         mu, coef)
+    return RadialProfile(spec.n, l, spec.r_inner, sn_eigenvalue(spec, l),
+                         l / (l + spec.n - 2) if l else 0.0)
 
 
 def radial_eval(profile: RadialProfile, r):

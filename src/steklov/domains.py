@@ -68,8 +68,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(
+                f"disk radius must be positive and finite, got {self.radius}")
 
     @property
     def area(self):
@@ -95,8 +96,9 @@ class Ellipse:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("ellipse semi-axes must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("ellipse semi-axes must be positive and finite, "
+                             f"got ({self.a}, {self.b})")
 
     @property
     def area(self):
@@ -126,8 +128,9 @@ class Rectangle:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("rectangle sides must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("rectangle sides must be positive and finite, "
+                             f"got ({self.width}, {self.height})")
 
     @property
     def area(self):
@@ -328,13 +331,13 @@ def region_distance_and_size(spec: DomainSpec, h: float, pts):
     return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole), d_out
 
 
-def _march_curve(curve, t_lo, t_hi, fh, closed):
+def _march_curve(curve, t_lo, t_hi, fh):
     """Place points along a parametric curve so gaps track the size field.
 
     Integrates ds/fh over a dense parameter grid and emits points at the
     parameter values where the accumulated density crosses uniform targets.
-    For a closed curve the first point is curve(t_lo) and the count equals
-    the segment count; an open curve keeps both endpoints.
+    The first point is curve(t_lo) and curve(t_hi) is left out, so the
+    count is the number of segments up to t_hi, at least one.
     """
     m = DENSE_FLOOR
     for _ in range(4):
@@ -351,12 +354,8 @@ def _march_curve(curve, t_lo, t_hi, fh, closed):
             break
         m = int(16 * total) + 1
     cum = np.concatenate([[0.0], np.cumsum(w)])
-    if closed:
-        count = int(round(total))
-        targets = total * np.arange(count) / count
-    else:
-        count = max(int(round(total)), 1)
-        targets = total * np.arange(count + 1) / count
+    count = max(int(round(total)), 1)
+    targets = total * np.arange(count) / count
     t_samples = np.interp(targets, cum, ts)
     return curve(t_samples)
 
@@ -396,17 +395,16 @@ def boundary_polylines(spec: DomainSpec, h: float):
             def curve(ts, p0=p0, p1=p1):
                 return p0[None, :] + np.asarray(ts)[:, None] * (p1 - p0)[None, :]
 
-            side = _march_curve(curve, 0.0, 1.0, fh, False)
-            sides.append(side[:-1])  # endpoint duplicates the next corner
+            sides.append(_march_curve(curve, 0.0, 1.0, fh))
         outer_poly = np.vstack(sides)
     else:
         outer_poly = _march_curve(
-            _ellipse_curve((0.0, 0.0), a, b), 0.0, 2.0 * math.pi, fh, True
+            _ellipse_curve((0.0, 0.0), a, b), 0.0, 2.0 * math.pi, fh
         )
 
     r = spec.hole_radius
     inner_ccw = _march_curve(
-        _ellipse_curve(spec.hole_center, r, r), 0.0, 2.0 * math.pi, fh, True
+        _ellipse_curve(spec.hole_center, r, r), 0.0, 2.0 * math.pi, fh
     )
     for poly in (outer_poly, inner_ccw):
         if len(poly) < MIN_CLOSED_SEGMENTS:

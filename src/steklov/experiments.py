@@ -7,7 +7,7 @@ returns plain-data results that serialize to JSON or CSV.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,13 +57,12 @@ def _csv_lines(rows, columns, values):
     return lines
 
 
-def _four_eigenvalues(mesh, spec):
+def four_eigenvalues(mesh):
     """(sigma1, sigma2, mu1, mu2) on one mesh, both problems solved
     against one stiffness factorization."""
     stiffness = factor_stiffness(mesh)
-    st = solve_on_mesh(mesh, "steklov", 3, spec=spec, stiffness=stiffness)
-    sn = solve_on_mesh(mesh, "steklov_neumann", 3, spec=spec,
-                       stiffness=stiffness)
+    st = solve_on_mesh(mesh, "steklov", 3, stiffness=stiffness)
+    sn = solve_on_mesh(mesh, "steklov_neumann", 3, stiffness=stiffness)
     return {
         "sigma1": float(st.eigenvalues[1]),
         "sigma2": float(st.eigenvalues[2]),
@@ -123,7 +122,7 @@ def reproduce_table(table_id, h):
     rows = []
     if table["kind"] == "comparison":
         for name, spec in table["domains"].items():
-            computed = _four_eigenvalues(triangulate(spec, h), spec)
+            computed = four_eigenvalues(triangulate(spec, h))
             rows.append({"domain": name,
                          **_compare(table["values"][name], computed)})
     else:
@@ -223,9 +222,7 @@ def run_sweep(sweep):
     """
     rows = []
     for index, center in enumerate(sweep.centers):
-        spec = sweep.domain(index)
-        mesh = triangulate(spec, sweep.h)
-        values = _four_eigenvalues(mesh, spec)
+        values = four_eigenvalues(triangulate(sweep.domain(index), sweep.h))
         rows.append({
             "center": list(center),
             "distance": math.hypot(*center),
@@ -259,16 +256,16 @@ def verify_lemmas(grid):
         aux_log_report(grid),
         aux_poly_deg2_report(grid),
     ]
-    entries = [r.to_dict() for r in reports]
+    entries = [asdict(r) for r in reports]
     for n in grid.n_values:
         for L in grid.L_values:
             spec = AnnulusSpec(n, 1.0, L)
             r_grid = np.linspace(1.0, L, grid.r_samples)
             for problem in PROBLEMS:
-                report = monotone_F_G(spec, problem, r_grid).to_dict()
+                report = asdict(monotone_F_G(spec, problem, r_grid))
                 report["claim"] += f" n={n} L={L}"
                 entries.append(report)
-    entries.append(spectrum_structure_report(grid).to_dict())
+    entries.append(asdict(spectrum_structure_report(grid)))
     return {
         "grid": {
             "n_values": list(grid.n_values),

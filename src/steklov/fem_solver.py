@@ -23,9 +23,8 @@ Assembly is vectorized over triangles and edges with a fixed accumulation
 order, so repeated runs are bit-identical.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -53,6 +52,16 @@ class FemError(RuntimeError):
     """A structural invariant of the discrete problem failed."""
 
 
+def _scatter(cells, local, nv):
+    """Sum the (m, p, p) element matrices `local` over the (m, p) vertex
+    rows `cells` into one nv x nv CSR matrix."""
+    p = cells.shape[1]
+    rows = np.repeat(cells, p, axis=1).ravel()
+    cols = np.tile(cells, (1, p)).ravel()
+    return sparse.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(nv, nv)).tocsr()
+
+
 def assemble_stiffness(mesh):
     """P1 stiffness matrix (sparse CSR, symmetric positive semidefinite).
 
@@ -68,10 +77,8 @@ def assemble_stiffness(mesh):
     if np.any(doubled_area <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     local = np.einsum("tid,tjd->tij", e, e) / (2.0 * doubled_area)[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
     nv = mesh.vertex_count
-    K = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    K = _scatter(tris, local, nv)
     kernel = np.abs(K @ np.ones(nv)).max()
     if kernel > 1e-12 * max(1.0, np.abs(K.data).max()):
         raise FemError(f"stiffness row sums do not vanish ({kernel:.3e})")
@@ -91,11 +98,8 @@ def assemble_boundary_mass(mesh, problem="steklov"):
     edges = (mesh.outer_edges if problem == "steklov_neumann"
              else mesh.boundary_edges)
     lengths = boundary_rule(mesh, edges)[1]
-    weights = lengths[:, None] / 6.0 * np.array([2.0, 1.0, 1.0, 2.0])
-    rows = edges[:, [0, 0, 1, 1]].ravel()
-    cols = edges[:, [0, 1, 0, 1]].ravel()
-    nv = mesh.vertex_count
-    return sparse.coo_matrix((weights.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    local = lengths[:, None, None] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return _scatter(edges, local, mesh.vertex_count)
 
 
 def dtn_schur(K, steklov_vertices):
@@ -158,12 +162,9 @@ class EigenSolution:
             "problem": self.problem,
             "spec": None if self.spec is None else self.spec.as_dict(),
             "h": self.h,
-            "eigenvalues": [float(f"{v:.17g}") for v in self.eigenvalues],
+            "eigenvalues": [float(v) for v in self.eigenvalues],
             "clusters": clusters(self.eigenvalues, CLUSTER_RTOL),
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def ground(K):
@@ -289,7 +290,7 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Eigenvalue refinement table for one domain and problem.
+    """First-nonzero-eigenvalue refinement table for one domain and problem.
 
     `reference` is the exact eigenvalue when the domain is a concentric
     annulus (closed form), else None, and each row's `error` is then the
@@ -299,25 +300,19 @@ class ConvergenceStudy:
     """
 
     problem: str
-    index: int
     rows: tuple
     reference: float
     extrapolated: float
     observed_order: float
 
-    def as_dict(self):
-        return asdict(self)
 
-
-def _concentric_reference(spec, problem, count):
-    """Closed-form eigenvalues when the domain is a concentric annulus."""
+def _concentric_reference(spec, problem):
+    """Closed-form first nonzero eigenvalue when the domain is a concentric
+    annulus, else None."""
     if not (is_round(spec.outer) and spec.hole_center == (0.0, 0.0)):
         return None
     annulus = AnnulusSpec(2, spec.hole_radius, spec.outer.half_extents[0])
-    flat = []
-    for line in enumerate_spectrum(annulus, problem, count):
-        flat.extend([line.value] * line.multiplicity)
-    return flat[:count]
+    return enumerate_spectrum(annulus, problem, 2)[-1].value
 
 
 def _richardson(h_list, values):
@@ -336,15 +331,15 @@ def _richardson(h_list, values):
     return v2 + (v2 - v1) / (r**p - 1.0), p
 
 
-def convergence_study(spec, problem, h_list, k=6, index=1):
-    """Refine the mesh over `h_list` and track eigenvalue `index`.
+def convergence_study(spec, problem, h_list, k=6):
+    """Refine the mesh over `h_list` and track the first nonzero eigenvalue.
 
     Needs at least three strictly descending mesh sizes whose last three
-    share one refinement ratio; the inputs are checked before any mesh is
-    built.  On a concentric annulus every level is compared against the
-    closed form and the observed order is the least-squares slope of the
-    error; otherwise the order comes from the extrapolation differences
-    alone.
+    share one refinement ratio, and k >= 2; the inputs are checked before
+    any mesh is built.  On a concentric annulus every level is compared
+    against the closed form and the observed order is the least-squares
+    slope of the error; otherwise the order comes from the extrapolation
+    differences alone.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
@@ -354,16 +349,16 @@ def convergence_study(spec, problem, h_list, k=6, index=1):
     h0, h1, h2 = h_list[-3:]
     if abs(h1 / h2 - h0 / h1) > 1e-9 * (h0 / h1):
         raise ValueError("refinement ratio must be fixed across levels")
-    if not 0 <= index < k:
-        raise ValueError("tracked eigenvalue index must lie below k")
-    reference = _concentric_reference(spec, problem, k)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    reference = _concentric_reference(spec, problem)
     tracked, rows = [], []
     for h in h_list:
         sol = solve(spec, h, k, problem)
-        tracked.append(float(sol.eigenvalues[index]))
+        tracked.append(float(sol.eigenvalues[1]))
         error = order = None
         if reference is not None:
-            error = abs(tracked[-1] - reference[index])
+            error = abs(tracked[-1] - reference)
             if rows and rows[-1].error and error > 0.0:
                 order = (math.log(rows[-1].error / error)
                          / math.log(h_list[len(rows) - 1] / h))
@@ -376,6 +371,5 @@ def convergence_study(spec, problem, h_list, k=6, index=1):
         observed = float(slope)
     else:
         observed = rich_order
-    return ConvergenceStudy(problem, index, tuple(rows),
-                            None if reference is None else reference[index],
-                            extrapolated, observed)
+    return ConvergenceStudy(problem, tuple(rows), reference, extrapolated,
+                            observed)

@@ -468,10 +468,11 @@ def triangulate(spec: DomainSpec, h: float) -> Mesh:
 def validate_mesh(mesh: Mesh) -> None:
     """Check every structural invariant; raise MeshError on a violation."""
     v, t = mesh.vertices, mesh.triangles
-    if v.ndim != 2 or v.shape[1] != 2 or not np.all(np.isfinite(v)):
-        raise MeshError("vertices must be a finite (nv, 2) array")
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise MeshError("triangles must be an (nt, 3) array")
+    if (v.ndim != 2 or v.shape[1] != 2 or v.dtype.kind != "f"
+            or not np.all(np.isfinite(v))):
+        raise MeshError("vertices must be a finite float (nv, 2) array")
+    if t.ndim != 2 or t.shape[1] != 3 or t.dtype.kind not in "iu":
+        raise MeshError("triangles must be an integer (nt, 3) array")
     if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
         raise MeshError("triangle vertex index out of range")
     used = np.zeros(len(v), bool)

@@ -176,6 +176,8 @@ def test_grid_spec_validation():
         GridSpec(n_values=())
     with pytest.raises(ValueError):
         GridSpec(L_values=(0.9,))
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(L_values=(1.5, float("inf")))
     with pytest.raises(ValueError):
         GridSpec(r_samples=4)
 

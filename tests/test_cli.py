@@ -236,6 +236,27 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert "outer must be" in err
 
 
+def test_infinite_sizes_exit_2(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, "spectrum-annulus", "--n", "2",
+                           "--inner", "1", "--outer", "inf")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: radii must") and "(1.0, inf)" in err
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("outer = disk\nradius = inf\n")
+    rc, out, err = run_cli(capsys, "fem-solve", "--spec", str(cfg),
+                           "--h", "0.5")
+    assert (rc, out) == (2, "")
+    assert err == "error: disk radius must be positive and finite, got inf\n"
+
+
+@pytest.mark.parametrize("n,outer", [("3", "1e200"), ("500", "5")])
+def test_overflow_exits_2(capsys, n, outer):
+    rc, out, err = run_cli(capsys, "spectrum-annulus", "--n", n,
+                           "--inner", "1", "--outer", outer)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_usage_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["reproduce-table", "--id", "7", "--h", "0.4"])

@@ -365,6 +365,8 @@ def test_annulus_spec_validation():
         AnnulusSpec(2, 2.0, 1.0)
     with pytest.raises(ValueError):
         AnnulusSpec(2, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"got \(1\.0, inf\)"):
+        AnnulusSpec(2, 1.0, math.inf)
 
 
 def test_bad_branch_and_degree():

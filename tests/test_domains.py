@@ -200,6 +200,15 @@ def test_hole_must_sit_strictly_inside():
         Rectangle(0.0, 1.0)
 
 
+@pytest.mark.parametrize("make", [
+    Disk, lambda x: Ellipse(x, 1.0), lambda x: Ellipse(1.0, x),
+    lambda x: Rectangle(x, 1.0), lambda x: Rectangle(1.0, x),
+])
+def test_outer_shapes_reject_infinite_sizes(make):
+    with pytest.raises(ValueError, match="positive and finite, got .*inf"):
+        make(math.inf)
+
+
 def test_symmetry_flags():
     assert annulus_spec().is_order4_symmetric
     assert annulus_spec().is_order2_symmetric
@@ -289,6 +298,9 @@ def test_too_coarse_h_raises():
         boundary_polylines(annulus_spec(), 1.0)  # inner circle needs 8 segments
     with pytest.raises(ValueError):
         boundary_polylines(annulus_spec(), -0.5)
+    # a hole far below h still gets its one starting point
+    with pytest.raises(ValueError, match="have 1 segments"):
+        boundary_polylines(DomainSpec(Disk(5.0), (0.0, 0.0), 0.01), 0.5)
 
 
 def test_spec_area():

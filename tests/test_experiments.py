@@ -12,8 +12,8 @@ from steklov.analysis import GridSpec
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.experiments import (
     SweepSpec,
-    _four_eigenvalues,
     _monotonicity,
+    four_eigenvalues,
     reproduce_table,
     run_sweep,
     verify_integral_lemmas,
@@ -82,7 +82,7 @@ def test_four_eigenvalues_factor_the_stiffness_once(monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(fem_solver, name, counted)
-    values = _four_eigenvalues(mesh, spec)
+    values = four_eigenvalues(mesh)
     assert calls == {"assemble_stiffness": 1, "splu": 1}
     want = dict(zip(QUANTITIES, (st[1], st[2], sn[1], sn[2])))
     for q in QUANTITIES:

@@ -1,6 +1,7 @@
 """Tests for the P1 eigenvalue pipeline."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 from test_meshing import hand_ring_mesh
 
-from steklov import fem_solver
+from steklov import cli, fem_solver
 from steklov.closed_form import (
     PROBLEMS,
     AnnulusSpec,
@@ -331,9 +332,14 @@ def test_eigensolution_clusters():
     assert clusters(sol.eigenvalues, 1e-6) == [[0], [1], [2], [3], [4], [5]]
 
 
-def test_eigensolution_json_round_trip(fine_solutions):
-    sol = fine_solutions[0]
-    data = json.loads(sol.to_json())
+def test_eigensolution_json_round_trip(fine_solutions, capsys, tmp_path):
+    sol = fine_solutions[0]  # what solve(ANNULUS, 0.25, 6) returns
+    cfg = tmp_path / "annulus.cfg"
+    cfg.write_text("outer = disk\nradius = 5\nhole_radius = 1\n")
+    assert cli.main(["fem-solve", "--spec", str(cfg), "--h", "0.25"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(sol.as_dict(), indent=2) + "\n"
+    data = json.loads(out)
     assert data["problem"] == "steklov"
     assert data["spec"] == ANNULUS.as_dict()
     assert data["h"] == 0.25
@@ -376,8 +382,8 @@ def test_convergence_study_validation(monkeypatch):
         convergence_study(ANNULUS, "steklov", [0.5, 0.25])
     with pytest.raises(ValueError, match="descending"):
         convergence_study(ANNULUS, "steklov", [0.25, 0.5, 0.125])
-    with pytest.raises(ValueError, match="index"):
-        convergence_study(ANNULUS, "steklov", [0.5, 0.25, 0.125], k=4, index=4)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        convergence_study(ANNULUS, "steklov", [0.5, 0.25, 0.125], k=1)
 
 
 def test_convergence_study_on_annulus():
@@ -391,7 +397,7 @@ def test_convergence_study_on_annulus():
     assert abs(study.extrapolated - sigma_11) < abs(
         study.rows[-1].eigenvalues[1] - sigma_11
     )
-    table = study.as_dict()
+    table = asdict(study)
     assert [row["h"] for row in table["rows"]] == [0.8, 0.4, 0.2]
 
 

@@ -20,7 +20,7 @@ from steklov.domains import (
     region_signed_distance,
     size_field,
 )
-from steklov.fem_solver import solve_on_mesh
+from steklov.experiments import four_eigenvalues
 from steklov.meshing import (
     ESCAPE_FRACTION,
     Mesh,
@@ -526,12 +526,6 @@ MESH_SPECS = {
 }
 
 
-def four_eigenvalues(mesh):
-    sigma = solve_on_mesh(mesh, "steklov", 3).eigenvalues
-    mu = solve_on_mesh(mesh, "steklov_neumann", 3).eigenvalues
-    return np.array([sigma[1], sigma[2], mu[1], mu[2]])
-
-
 @pytest.mark.parametrize("name", MESH_SPECS)
 def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     # the default mesh calls Qhull once; with MAX_FLIP_ROUNDS = 0 every
@@ -559,9 +553,9 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     if name.startswith("rectangle"):  # no cocircular quad: bit for bit
         assert np.array_equal(mesh.vertices, qhull_mesh.vertices)
     assert np.max(np.abs(mesh.vertices - qhull_mesh.vertices)) <= 1e-10 * h
-    np.testing.assert_allclose(
-        four_eigenvalues(mesh), four_eigenvalues(qhull_mesh), rtol=1e-12, atol=0
-    )
+    want = four_eigenvalues(qhull_mesh)
+    for q, value in four_eigenvalues(mesh).items():
+        assert value == pytest.approx(want[q], rel=1e-12, abs=0.0), q
 
 
 def test_relaxation_that_does_not_converge_raises(monkeypatch):
@@ -609,11 +603,14 @@ def test_validate_rejects_bad_tags():
     ("boundary_edges", lambda e: e.astype(float)),  # IndexError
     ("n_outer", lambda n: 8.0),  # TypeError
     ("n_outer", lambda n: 8.5),  # TypeError
+    ("triangles", lambda t: t.astype(float)),  # IndexError
+    ("vertices", lambda v: v.astype(complex)),  # TypeError from np.hypot
 ])
 def test_validate_rejects_malformed_boundary(field, value):
     mesh = hand_ring_mesh()
     mesh = replace(mesh, **{field: value(getattr(mesh, field))})
-    with pytest.raises(MeshError, match="integer"):
+    kind = "float" if field == "vertices" else "integer"
+    with pytest.raises(MeshError, match=f"{field} must be .*{kind}"):
         validate_mesh(mesh)
 
 

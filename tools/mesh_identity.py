@@ -28,7 +28,7 @@ import numpy as np
 
 from steklov import golden
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
-from steklov.fem_solver import solve_on_mesh
+from steklov.experiments import four_eigenvalues
 from steklov.meshing import MeshError, triangulate
 
 SEED = 20241018
@@ -95,12 +95,11 @@ def write(path):
             print(f"{label}: {errors[-1]}", file=sys.stderr)
             continue
         errors.append("")
-        st = solve_on_mesh(mesh, "steklov", 3, spec=spec).eigenvalues
-        sn = solve_on_mesh(mesh, "steklov_neumann", 3, spec=spec).eigenvalues
+        values = four_eigenvalues(mesh)
         arrays[f"{i}/vertices"] = mesh.vertices
         arrays[f"{i}/triangles"] = mesh.triangles
         arrays[f"{i}/boundary_edges"] = mesh.boundary_edges
-        arrays[f"{i}/eigs"] = np.array([st[1], st[2], sn[1], sn[2]])
+        arrays[f"{i}/eigs"] = np.array([values[q] for q in golden.QUANTITIES])
         print(f"{label}: nv={mesh.vertex_count}", file=sys.stderr)
     np.savez_compressed(
         path, labels=np.array(labels), errors=np.array(errors), **arrays
