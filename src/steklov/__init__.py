@@ -16,21 +16,21 @@ from steklov.closed_form import (
 )
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.experiments import (
+    ConvergenceStudy,
     SweepResult,
     SweepSpec,
     TableArtifact,
+    convergence_study,
     reproduce_table,
     run_sweep,
     verify_integral_lemmas,
     verify_lemmas,
 )
 from steklov.fem_solver import (
-    ConvergenceStudy,
     EigenSolution,
     FemError,
     assemble_boundary_mass,
     assemble_stiffness,
-    convergence_study,
     solve,
     solve_eigs,
     solve_on_mesh,

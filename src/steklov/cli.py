@@ -11,7 +11,7 @@ the run passed; 1 means a check failed; 2 means bad input.
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 from steklov.analysis import GridSpec
 from steklov.closed_form import PROBLEMS, AnnulusSpec, enumerate_spectrum
@@ -44,14 +44,10 @@ def parse_config(path):
             if not sep or not key or not value:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             entries[key] = value
     return entries
-
-
-def _require(entries, key):
-    if key not in entries:
-        raise ValueError(f"config is missing required key '{key}'")
-    return entries[key]
 
 
 def _floats(text):
@@ -65,50 +61,61 @@ def _pair(text):
     return parts
 
 
-def build_outer(entries):
-    """The outer shape named by 'outer'; its field names are the keys."""
-    kind = _require(entries, "outer")
-    if kind not in SHAPES:
-        *head, last = SHAPES
-        raise ValueError(
-            f"outer must be {', '.join(head)}, or {last}, got {kind!r}")
-    shape = SHAPES[kind]
-    return shape(*(float(_require(entries, f.name)) for f in fields(shape)))
+# How a config value is read, by field name; every other field is a float.
+READERS = {
+    "hole_center": _pair,
+    "centers": lambda text: tuple(_pair(part) for part in text.split(";")),
+    "path": str,
+    "n_values": lambda text: tuple(int(part) for part in text.split(",")),
+    "L_values": _floats,
+    "r_samples": int,
+    "t_samples": int,
+}
+
+
+def build_config(cls, entries, **defaults):
+    """The dataclass `cls` from config entries keyed by its fields and, under
+    'outer', the named shape's; `defaults` fill absent keys.  A missing
+    required key and a key that names no field are errors."""
+    entries = {**defaults, **entries}
+    known = set()
+
+    def read(kind):
+        known.update(f.name for f in fields(kind))
+        kwargs = {}
+        for f in fields(kind):
+            text = entries.get(f.name)
+            if text is None:
+                if f.default is MISSING:
+                    raise ValueError(
+                        f"config is missing required key '{f.name}'")
+            elif f.name == "outer":
+                if text not in SHAPES:
+                    *head, last = SHAPES
+                    raise ValueError(f"outer must be {', '.join(head)}, "
+                                     f"or {last}, got {text!r}")
+                kwargs["outer"] = SHAPES[text](**read(SHAPES[text]))
+            else:
+                kwargs[f.name] = READERS.get(f.name, float)(text)
+        return kwargs
+
+    kwargs = read(cls)
+    for key in entries:
+        if key not in known:
+            raise ValueError(f"unknown config key '{key}'")
+    return cls(**kwargs)
 
 
 def build_domain_spec(entries):
-    return DomainSpec(
-        build_outer(entries),
-        _pair(entries.get("hole_center", "0,0")),
-        float(entries.get("hole_radius", "1")),
-    )
+    return build_config(DomainSpec, entries, hole_center="0,0", hole_radius="1")
 
 
 def build_grid(entries):
-    kwargs = {}
-    if "n_values" in entries:
-        kwargs["n_values"] = tuple(int(p) for p in
-                                   entries["n_values"].split(","))
-    if "L_values" in entries:
-        kwargs["L_values"] = _floats(entries["L_values"])
-    if "r_samples" in entries:
-        kwargs["r_samples"] = int(entries["r_samples"])
-    if "t_samples" in entries:
-        kwargs["t_samples"] = int(entries["t_samples"])
-    return GridSpec(**kwargs)
+    return build_config(GridSpec, entries)
 
 
 def build_sweep(entries):
-    centers = tuple(
-        _pair(part) for part in _require(entries, "centers").split(";")
-    )
-    return SweepSpec(
-        build_outer(entries),
-        float(entries.get("hole_radius", "1")),
-        _require(entries, "path"),
-        centers,
-        float(_require(entries, "h")),
-    )
+    return build_config(SweepSpec, entries, hole_radius="1")
 
 
 # ---------------------------------------------------------------- commands

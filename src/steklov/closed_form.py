@@ -18,11 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Literal
 
 import numpy as np
-
-Problem = Literal["steklov", "steklov_neumann"]
 
 PROBLEMS = ("steklov", "steklov_neumann")
 
@@ -84,23 +81,24 @@ def _check_degree(l):
 
 
 def _steklov_normalized(n: int, L: float, l: int, branch: int) -> float:
-    """Steklov eigenvalue of degree l on the normalized annulus (1, L)."""
+    """Steklov eigenvalue of degree l on the normalized annulus (1, L);
+    OverflowError when its quadratic overflows."""
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
-    if l == 0:
-        if branch == 1:
-            return 0.0
-        if n == 2:
-            # logarithmic radial solution 1 - s*log r
-            return (1.0 + L) / (L * math.log(L))
-        return (n - 2) * (1.0 + L ** (n - 1)) / (L ** (n - 1) - L)
-    # Quadratic scaled by L^-(2l+n-2) so large L and l cannot overflow.
+    if l == 0 and n == 2:
+        # logarithmic radial solution 1 - s*log r
+        return 0.0 if branch == 1 else (1.0 + L) / (L * math.log(L))
+    # Quadratic scaled by L^-(2l+n-2) so large l and n cannot overflow; at
+    # l = 0 its constant term vanishes and the roots are 0 and -b/a.
     m = 2 * l + n - 2
     q = L ** (-m)
     a = L * (1.0 - q)
     b = -(l + (l + n - 2) * L + (l * L + (l + n - 2)) * q)
     c = l * (l + n - 2) * (1.0 - q)
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        raise OverflowError(
+            f"closed form overflows at radii ratio {L:.6g} (degree {l})")
     assert disc > 0.0
     root2 = (-b + math.sqrt(disc)) / (2.0 * a)  # -b > 0: no cancellation
     if branch == 2:
@@ -194,8 +192,6 @@ def steklov_profile(spec: AnnulusSpec, l: int, branch: int) -> RadialProfile:
     if l == 0 and n == 2:
         # f(t) = 1 - s*log(t); covers both the zero mode (s = 0) and branch 2
         return RadialProfile(n, l, spec.r_inner, sigma, -s_norm, log_mode=True)
-    if l == 0 and branch == 1:
-        return RadialProfile(n, l, spec.r_inner, sigma, 0.0)
     p = l + n - 2
     if branch == 1:
         den = p - s_norm
@@ -245,7 +241,7 @@ def radial_eval(profile: RadialProfile, r):
     return val, der
 
 
-def enumerate_spectrum(spec: AnnulusSpec, problem: Problem,
+def enumerate_spectrum(spec: AnnulusSpec, problem: str,
                        k: int) -> list[SpectralLine]:
     """First k eigenvalues (counted with multiplicity) in ascending order.
 

@@ -8,9 +8,10 @@ discretization and the radius of the area-matched disk used when a domain
 is compared against a concentric annulus.
 
 Each shape class carries its own geometry: `half_extents` (the half-widths
-of its bounding box), `signed_distance(x, y)`, `area` and `matched_radius`
-(the radius of the disk of equal area).  `SHAPES` maps the shape names
-used in configs and JSON to the classes, and is the only list of shapes.
+of its bounding box), `signed_distance(x, y)`, `area`, `matched_radius`
+(the radius of the disk of equal area), `is_round` and `boundary()`, its
+counterclockwise `(curve, t_lo, t_hi)` pieces.  `SHAPES` maps the shape
+names used in configs and JSON to the classes, and is the only list.
 
 Every outer shape is convex, so its signed distance is a convex function
 of the point: at a midpoint or a centroid it is at most the mean of the
@@ -40,7 +41,6 @@ __all__ = [
     "DomainSpec",
     "boundary_polylines",
     "hole_signed_distance",
-    "is_round",
     "outer_signed_distance",
     "region_signed_distance",
     "region_distance_and_size",
@@ -66,6 +66,7 @@ class Disk:
     """Disk of the given radius centered at the origin."""
 
     radius: float
+    is_round = True
 
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
@@ -86,6 +87,9 @@ class Disk:
 
     def signed_distance(self, x, y):
         return np.hypot(x, y) - self.radius
+
+    def boundary(self):
+        return [_ellipse_arc((0.0, 0.0), self.radius, self.radius)]
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,19 @@ class Ellipse:
     def matched_radius(self):
         return math.sqrt(self.a * self.b)
 
+    @property
+    def is_round(self):
+        return self.a == self.b
+
     def signed_distance(self, x, y):
         # Magnitude from the nearest-point solve, sign from the algebraic
         # equation (exact on either side).
         dist = _ellipse_distance(self.a, self.b, x, y)
         level = (x / self.a) ** 2 + (y / self.b) ** 2 - 1.0
         return np.where(level < 0.0, -dist, dist)
+
+    def boundary(self):
+        return [_ellipse_arc((0.0, 0.0), self.a, self.b)]
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,7 @@ class Rectangle:
 
     width: float
     height: float
+    is_round = False
 
     def __post_init__(self):
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
@@ -150,6 +162,14 @@ class Rectangle:
         outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
         inside = np.minimum(np.maximum(qx, qy), 0.0)
         return outside + inside
+
+    def boundary(self):
+        """The four sides, from the corner (-a, -b)."""
+        a, b = self.half_extents
+        corners = np.array([(-a, -b), (a, -b), (a, b), (-a, b)])
+        sides = np.roll(corners, -1, axis=0) - corners
+        return [(lambda ts, p=p, d=d: p + np.outer(ts, d), 0.0, 1.0)
+                for p, d in zip(corners, sides)]
 
 
 SHAPES = {"disk": Disk, "ellipse": Ellipse, "rectangle": Rectangle}
@@ -212,15 +232,9 @@ def outer_signed_distance(outer: OuterShape, pts):
     return outer.signed_distance(p[:, 0], p[:, 1])
 
 
-def is_round(outer: OuterShape) -> bool:
-    """True for a disk and for an ellipse with equal semi-axes."""
-    a, b = outer.half_extents
-    return a == b and not isinstance(outer, Rectangle)
-
-
 def shape_dict(outer: OuterShape) -> dict:
     """Plain-data echo of an outer shape, for JSON output."""
-    name = next(name for name, cls in SHAPES.items() if isinstance(outer, cls))
+    name = {cls: name for name, cls in SHAPES.items()}[type(outer)]
     return {"shape": name, **asdict(outer)}
 
 
@@ -312,14 +326,7 @@ def size_field(spec: DomainSpec, h: float, pts):
     so grading the target length by GRADE_FRACTION of it buys a few element
     layers across the thinnest gap while leaving the bulk at h.
     """
-    return _grade(h, outer_signed_distance(spec.outer, pts),
-                  hole_signed_distance(spec, pts))
-
-
-def _grade(h, d_out, d_hole):
-    """The size field from the two boundary distances (see `size_field`)."""
-    lfs = np.abs(d_out) + np.abs(d_hole)
-    return np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
+    return region_distance_and_size(spec, h, pts)[1]
 
 
 def region_distance_and_size(spec: DomainSpec, h: float, pts):
@@ -328,7 +335,9 @@ def region_distance_and_size(spec: DomainSpec, h: float, pts):
     distance."""
     d_out = outer_signed_distance(spec.outer, pts)
     d_hole = hole_signed_distance(spec, pts)
-    return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole), d_out
+    lfs = np.abs(d_out) + np.abs(d_hole)
+    fh = np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
+    return np.maximum(d_out, -d_hole), fh, d_out
 
 
 def _march_curve(curve, t_lo, t_hi, fh):
@@ -360,13 +369,14 @@ def _march_curve(curve, t_lo, t_hi, fh):
     return curve(t_samples)
 
 
-def _ellipse_curve(center, a, b):
+def _ellipse_arc(center, a, b):
+    """The whole ellipse, counterclockwise, as a (curve, t_lo, t_hi) piece."""
     cx, cy = center
 
     def curve(ts):
         return np.column_stack([cx + a * np.cos(ts), cy + b * np.sin(ts)])
 
-    return curve
+    return curve, 0.0, 2.0 * math.pi
 
 
 def boundary_polylines(spec: DomainSpec, h: float):
@@ -375,37 +385,21 @@ def boundary_polylines(spec: DomainSpec, h: float):
     Returns (outer, inner) vertex arrays.  Spacing follows the graded size
     field, which is h itself except near a narrow gap.  The outer polyline
     runs counterclockwise; the hole polyline is returned clockwise so both
-    keep the region on their left.  Rectangle corners are always vertices.
-    Raises ValueError when h is too coarse to resolve a closed curve.
+    keep the region on their left.  Each boundary piece starts at a vertex,
+    so rectangle corners are vertices.  Raises ValueError unless
+    0 < h < inf and h resolves a closed curve.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
 
     def fh(pts):
         return size_field(spec, h, pts)
 
-    a, b = spec.outer.half_extents
-    if isinstance(spec.outer, Rectangle):
-        corners = [(-a, -b), (a, -b), (a, b), (-a, b)]
-        sides = []
-        for k in range(4):
-            p0 = np.array(corners[k])
-            p1 = np.array(corners[(k + 1) % 4])
-
-            def curve(ts, p0=p0, p1=p1):
-                return p0[None, :] + np.asarray(ts)[:, None] * (p1 - p0)[None, :]
-
-            sides.append(_march_curve(curve, 0.0, 1.0, fh))
-        outer_poly = np.vstack(sides)
-    else:
-        outer_poly = _march_curve(
-            _ellipse_curve((0.0, 0.0), a, b), 0.0, 2.0 * math.pi, fh
-        )
+    outer_poly = np.vstack([_march_curve(*piece, fh)
+                            for piece in spec.outer.boundary()])
 
     r = spec.hole_radius
-    inner_ccw = _march_curve(
-        _ellipse_curve(spec.hole_center, r, r), 0.0, 2.0 * math.pi, fh
-    )
+    inner_ccw = _march_curve(*_ellipse_arc(spec.hole_center, r, r), fh)
     for poly in (outer_poly, inner_ccw):
         if len(poly) < MIN_CLOSED_SEGMENTS:
             raise ValueError(

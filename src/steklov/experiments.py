@@ -1,5 +1,5 @@
-"""Experiment drivers: golden-table reproduction, hole-position sweeps,
-closed-form lemma bundles, and integral-identity quadrature reports.
+"""Experiment drivers: golden tables, hole-position sweeps, closed-form
+lemma bundles, integral-identity quadrature reports, convergence studies.
 
 Everything here composes the lower-level modules (closed form, analysis,
 meshing, quadrature, FEM) into the studies the package exists to run, and
@@ -21,14 +21,11 @@ from steklov.analysis import (
     poly_positivity_report,
     spectrum_structure_report,
 )
-from steklov.closed_form import PROBLEMS, AnnulusSpec, clusters
-from steklov.domains import (
-    Disk,
-    DomainSpec,
-    is_round,
-    shape_dict,
-)
-from steklov.fem_solver import CLUSTER_RTOL, factor_stiffness, solve_on_mesh
+from steklov.closed_form import (PROBLEMS, AnnulusSpec, clusters,
+                                 enumerate_spectrum)
+from steklov.domains import Disk, DomainSpec, shape_dict
+from steklov.fem_solver import (CLUSTER_RTOL, factor_stiffness, solve,
+                                solve_on_mesh)
 from steklov.golden import HOLE_RADIUS, QUANTITIES, golden_table
 from steklov.meshing import triangulate
 from steklov.quadrature import boundary_rule, radial_grams, volume_rule
@@ -232,7 +229,7 @@ def run_sweep(sweep):
         q: _monotonicity([row[q] for row in rows]) for q in QUANTITIES
     }
     clustered = None
-    if is_round(sweep.outer):
+    if sweep.outer.is_round:
         clustered = tuple(
             len(clusters([row["mu1"], row["mu2"]], CLUSTER_RTOL)) == 1
             for row in rows
@@ -376,3 +373,98 @@ def verify_integral_lemmas(spec, h):
         "items": items,
         "all_passed": all(item["passed"] for item in items),
     }
+
+
+@dataclass(frozen=True)
+class ConvergenceRow:
+    h: float
+    eigenvalues: tuple
+    error: float = None
+    order: float = None
+
+
+@dataclass(frozen=True)
+class ConvergenceStudy:
+    """First-nonzero-eigenvalue refinement table for one domain and problem.
+
+    `reference` is the exact eigenvalue when the domain is a concentric
+    annulus (closed form), else None, and each row's `error` is then the
+    absolute error |value - reference|; `extrapolated` eliminates the
+    leading error term from the last three levels, and `observed_order`
+    is the fitted convergence rate of the tracked eigenvalue.
+    """
+
+    problem: str
+    rows: tuple
+    reference: float
+    extrapolated: float
+    observed_order: float
+
+
+def _concentric_reference(spec, problem):
+    """Closed-form first nonzero eigenvalue when the domain is a concentric
+    annulus, else None."""
+    if not (spec.outer.is_round and spec.hole_center == (0.0, 0.0)):
+        return None
+    annulus = AnnulusSpec(2, spec.hole_radius, spec.outer.half_extents[0])
+    return enumerate_spectrum(annulus, problem, 2)[-1].value
+
+
+def _richardson(h_list, values):
+    """(extrapolated value, observed order) from the last three levels.
+
+    Assumes error = C h^p and a fixed refinement ratio, which the caller
+    checks.  Returns the finest value and no order when the differences
+    do not behave (sign change or stagnation), rather than inventing a rate.
+    """
+    r = h_list[-3] / h_list[-2]
+    v0, v1, v2 = values[-3:]
+    d0, d1 = v1 - v0, v2 - v1
+    if d1 == 0.0 or d0 / d1 <= 1.0:
+        return v2, None
+    p = math.log(d0 / d1) / math.log(r)
+    return v2 + (v2 - v1) / (r**p - 1.0), p
+
+
+def convergence_study(spec, problem, h_list, k=6):
+    """Refine the mesh over `h_list` and track the first nonzero eigenvalue.
+
+    Needs at least three strictly descending mesh sizes whose last three
+    share one refinement ratio, and k >= 2; the inputs are checked before
+    any mesh is built.  On a concentric annulus every level is compared
+    against the closed form and the observed order is the least-squares
+    slope of the error; otherwise the order comes from the extrapolation
+    differences alone.
+    """
+    h_list = [float(h) for h in h_list]
+    if len(h_list) < 3:
+        raise ValueError("need at least three refinement levels")
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError("mesh sizes must be strictly descending")
+    h0, h1, h2 = h_list[-3:]
+    if abs(h1 / h2 - h0 / h1) > 1e-9 * (h0 / h1):
+        raise ValueError("refinement ratio must be fixed across levels")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    reference = _concentric_reference(spec, problem)
+    tracked, rows = [], []
+    for h in h_list:
+        sol = solve(spec, h, k, problem)
+        tracked.append(float(sol.eigenvalues[1]))
+        error = order = None
+        if reference is not None:
+            error = abs(tracked[-1] - reference)
+            if rows and rows[-1].error and error > 0.0:
+                order = (math.log(rows[-1].error / error)
+                         / math.log(h_list[len(rows) - 1] / h))
+        rows.append(ConvergenceRow(h, tuple(map(float, sol.eigenvalues)),
+                                   error, order))
+    extrapolated, rich_order = _richardson(h_list, tracked)
+    if reference is not None:
+        errors = [r.error for r in rows]
+        slope = np.polyfit(np.log(h_list), np.log(errors), 1)[0]
+        observed = float(slope)
+    else:
+        observed = rich_order
+    return ConvergenceStudy(problem, tuple(rows), reference, extrapolated,
+                            observed)

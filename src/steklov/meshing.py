@@ -434,10 +434,10 @@ def triangulate(spec: DomainSpec, h: float) -> Mesh:
 
     Deterministic for fixed inputs.  Raises MeshError for degenerate
     geometry (gap between hole and outer boundary below h/10) and
-    ValueError when h cannot resolve the boundary curves.
+    ValueError unless 0 < h < inf and h resolves the boundary curves.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     if spec.clearance < h / 10.0:
         raise MeshError(
             "degenerate geometry: hole-to-boundary clearance "

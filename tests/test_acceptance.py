@@ -23,13 +23,13 @@ from steklov.closed_form import (
 from steklov.domains import Disk, DomainSpec, Rectangle
 from steklov.experiments import (
     SweepSpec,
+    convergence_study,
     four_eigenvalues,
     reproduce_table,
     run_sweep,
     verify_integral_lemmas,
     verify_lemmas,
 )
-from steklov.fem_solver import convergence_study
 from steklov.golden import (
     DISK_CENTERS,
     DISK_OUTER,

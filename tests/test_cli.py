@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,9 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(path))
     path.write_text("key =\n")
     with pytest.raises(ValueError, match="key = value"):
+        parse_config(str(path))
+    path.write_text("radius = 5\nradius = 6\n")
+    with pytest.raises(ValueError, match="bad.cfg:2: repeated key 'radius'"):
         parse_config(str(path))
 
 
@@ -123,6 +128,12 @@ def test_spectrum_annulus_command(capsys):
     assert lines[0]["value"] == 0.0
     assert lines[1]["value"] == pytest.approx(0.17830094339716976, abs=0.0)
     assert lines[1]["multiplicity"] == 2
+    # degree 0 in high dimension stays finite
+    rc, out, err = run_cli(capsys, "spectrum-annulus", "--n", "500",
+                           "--inner", "1", "--outer", "5")
+    assert (rc, err) == (0, "")
+    assert [line["multiplicity"] for line in json.loads(out)["lines"]] == [
+        1, 500]
 
 
 def test_fem_solve_command(capsys, annulus_cfg):
@@ -234,6 +245,18 @@ def test_config_errors_exit_2(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "fem-solve", "--spec", str(bad), "--h", "0.5")
     assert rc == 2
     assert "outer must be" in err
+    # a key that names no field is an error, not ignored
+    for command, text in [
+            (("fem-solve", "--h", "0.5", "--spec"),
+             "outer = disk\nradius = 5\nhole_radus = 2\n"),
+            (("sweep", "--spec"), "outer = disk\nradius = 5\npath = axis-x\n"
+             "centers = 0.5,0\nh = 0.4\nhole_radus = 0.5\n"),
+            (("verify-lemmas", "--grid"), "n_values = 2\nL_value = 5\n")]:
+        bad.write_text(text)
+        rc, out, err = run_cli(capsys, *command, str(bad))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'hole_radus'" in err or "'L_value'" in err
 
 
 def test_infinite_sizes_exit_2(capsys, tmp_path):
@@ -247,14 +270,20 @@ def test_infinite_sizes_exit_2(capsys, tmp_path):
                            "--h", "0.5")
     assert (rc, out) == (2, "")
     assert err == "error: disk radius must be positive and finite, got inf\n"
+    cfg.write_text(ANNULUS_CFG)
+    rc, out, err = run_cli(capsys, "fem-solve", "--spec", str(cfg),
+                           "--h", "inf")
+    assert (rc, out) == (2, "")
+    assert err == "error: h must be positive and finite, got inf\n"
 
 
-@pytest.mark.parametrize("n,outer", [("3", "1e200"), ("500", "5")])
+@pytest.mark.parametrize("n,outer", [("3", "1e200"), ("2", "1e160")])
 def test_overflow_exits_2(capsys, n, outer):
     rc, out, err = run_cli(capsys, "spectrum-annulus", "--n", n,
                            "--inner", "1", "--outer", outer)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"radii ratio {float(outer):.6g}" in err
 
 
 def test_bad_usage_exits_nonzero(capsys):
@@ -265,10 +294,14 @@ def test_bad_usage_exits_nonzero(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "steklov.cli", "spectrum-annulus",
          "--n", "3", "--inner", "1", "--outer", "2", "--k", "2"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env=env)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["n"] == 3

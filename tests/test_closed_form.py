@@ -152,6 +152,15 @@ def test_frozen_eigenvalues_unit_inner():
                                                           rel=1e-13)
     # degree-0 second branch off the plane: (n-2)(1+L^{n-1})/(L^{n-1}-L)
     assert steklov_eigenvalue(s32, 0, 2) == pytest.approx(2.5, rel=1e-14)
+    for n in range(3, 40):
+        for L in (1.0001, 1.01, 1.1, 2.0, 5.0, 10.0, 100.0, 1000.0):
+            spec = AnnulusSpec(n, 1.0, L)
+            assert steklov_eigenvalue(spec, 0, 1) == 0.0
+            assert steklov_eigenvalue(spec, 0, 2) == pytest.approx(
+                (n - 2) * (1 + L ** (n - 1)) / (L ** (n - 1) - L), rel=1e-12)
+    # where L^(n-1) overflows, sigma_02 tends to (n-2)/r_inner
+    assert steklov_eigenvalue(AnnulusSpec(500, 1.0, 5.0), 0, 2) == (
+        pytest.approx(498.0, rel=1e-12))
 
 
 @pytest.mark.parametrize("n", NS)

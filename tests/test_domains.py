@@ -224,6 +224,8 @@ def test_symmetry_flags():
     assert round_ell.is_order4_symmetric
     off_ell = DomainSpec(Ellipse(4.0, 4.0), (0.5, 0.0), 1.0)
     assert not off_ell.is_order2_symmetric and not off_ell.is_order4_symmetric
+    assert Disk(2.0).is_round and Ellipse(2.0, 2.0).is_round
+    assert not Ellipse(2.0, 3.0).is_round and not Rectangle(2.0, 2.0).is_round
 
 
 def test_size_field_frozen_values():
@@ -296,8 +298,10 @@ def test_polyline_spacing_tracks_size_field():
 def test_too_coarse_h_raises():
     with pytest.raises(ValueError, match="too coarse"):
         boundary_polylines(annulus_spec(), 1.0)  # inner circle needs 8 segments
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         boundary_polylines(annulus_spec(), -0.5)
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        boundary_polylines(annulus_spec(), math.inf)
     # a hole far below h still gets its one starting point
     with pytest.raises(ValueError, match="have 1 segments"):
         boundary_polylines(DomainSpec(Disk(5.0), (0.0, 0.0), 0.01), 0.5)

@@ -21,15 +21,13 @@ from steklov.closed_form import (
     steklov_eigenvalue,
 )
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
+from steklov.experiments import ConvergenceStudy, _richardson, convergence_study
 from steklov.fem_solver import (
     CLUSTER_RTOL,
-    ConvergenceStudy,
     EigenSolution,
     FemError,
-    _richardson,
     assemble_boundary_mass,
     assemble_stiffness,
-    convergence_study,
     dtn_schur,
     solve,
     solve_eigs,
