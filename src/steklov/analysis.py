@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from steklov.closed_form import (
     AnnulusSpec,
@@ -148,6 +147,10 @@ def _scan_nonneg(fn, lo, hi, samples, label_prefix):
     # refine interior local minima: v[i] below both neighbours
     interior = np.nonzero((vals[1:-1] <= vals[:-2])
                           & (vals[1:-1] <= vals[2:]))[0] + 1
+    # imported here, its one use, so that importing steklov loads no
+    # scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     for i in interior:
         res = minimize_scalar(fn, bounds=(ts[i - 1], ts[i + 1]),
                               method="bounded",
@@ -317,7 +320,9 @@ def theorem21_bruteforce(spec: AnnulusSpec) -> bool:
     lines = enumerate_spectrum(spec, "steklov", 3 * n + 6)
     groups = [[lines[i] for i in group]
               for group in clusters([ln.value for ln in lines], 1e-12)]
-    nonzero = [g for g in groups if g[0].value > 1e-12]
+    # the zero mode is exactly 0.0; at large ratios sigma_{1,1} lies far
+    # below any absolute threshold
+    nonzero = [g for g in groups if g[0].value != 0.0]
     if len(nonzero) < 2:
         return False
     first, second = nonzero[0], nonzero[1]

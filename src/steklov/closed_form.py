@@ -99,7 +99,10 @@ def _steklov_normalized(n: int, L: float, l: int, branch: int) -> float:
     if not math.isfinite(disc):
         raise OverflowError(
             f"closed form overflows at radii ratio {L:.6g} (degree {l})")
-    assert disc > 0.0
+    if not disc > 0.0:
+        raise ArithmeticError(
+            f"closed form: discriminant {disc:.3e} is not positive at "
+            f"radii ratio {L:.6g} (degree {l})")
     root2 = (-b + math.sqrt(disc)) / (2.0 * a)  # -b > 0: no cancellation
     if branch == 2:
         return root2
@@ -122,17 +125,21 @@ def sigma_21_closed(spec: AnnulusSpec) -> float:
 
     Equals steklov_eigenvalue(spec, 2, 1); kept as an independent closed
     form because the ordered spectrum's second distinct nonzero value is
-    exactly this number.  Evaluated as 4n(t-1)/(P + sqrt(P^2 - 8Ln(t-1)^2)),
-    t = L^{n+2}, which avoids the subtractive cancellation of the textbook
-    (P - sqrt(...))/(2L(t-1)) arrangement.
+    exactly this number.  With t = L^{n+2} it is
+    4n(t-1)/(P + sqrt(P^2 - 8Ln(t-1)^2)), P = t(2 + Ln) + n + 2L, which
+    avoids the subtractive cancellation of the textbook
+    (P - sqrt(...))/(2L(t-1)) arrangement.  Evaluated divided through by
+    tL, with w = 1 - 1/t from expm1, so that no ratio overflows.
     """
     n, L = spec.n, spec.ratio
-    t = L ** (n + 2)
-    P = t * (2.0 + L * n) + (n + 2.0 * L)
-    disc = P * P - 8.0 * L * n * (t - 1.0) ** 2
-    assert disc > 0.0
-    sigma = 4.0 * n * (t - 1.0) / (P + math.sqrt(disc))
-    return sigma / spec.r_inner
+    w = -math.expm1(-(n + 2) * math.log(L))
+    p = n + 2.0 / L + (n / L + 2.0) * (1.0 - w)
+    disc = p * p - 8.0 * n * w * w / L
+    if not disc > 0.0:
+        raise ArithmeticError(
+            f"sigma_21_closed: discriminant {disc:.3e} is not positive at "
+            f"n={n}, radii ratio {L:.6g}")
+    return 4.0 * n * w / (L * (p + math.sqrt(disc))) / spec.r_inner
 
 
 def sn_eigenvalue(spec: AnnulusSpec, l: int) -> float:

@@ -16,7 +16,10 @@ boundary).
 
 Both problems solve against one factorization per mesh: K grounded by
 deleting its last vertex, symmetric positive definite when the constants
-are K's only kernel.  The zero mode is exact; Lanczos (ARPACK, via
+are K's only kernel.  SuperLU factors it in a geometric nested-dissection
+order of the mesh vertices (`_dissection`; the vertex index stands in for
+a coordinate when a bare matrix comes without a mesh) and applies no
+column order of its own.  The zero mode is exact; Lanczos (ARPACK, via
 `scipy.sparse.linalg.eigsh`, from a fixed start vector) finds the largest
 inverse eigenvalues of the Dirichlet-to-Neumann map on the boundary trace.
 Assembly is vectorized over triangles and edges with a fixed accumulation
@@ -105,7 +108,8 @@ def dtn_schur(K, steklov_vertices):
 
     Returns the dense symmetric discrete Dirichlet-to-Neumann matrix
     S = K_bb - K_bi K_ii^{-1} K_ib; interior (and Neumann-boundary)
-    vertices are eliminated through a sparse LU factorization.  Constants
+    vertices are eliminated through a sparse LU factorization, ordered by
+    nested dissection of their indices.  Constants
     stay in the kernel because the harmonic extension of a constant is
     the constant itself.
     """
@@ -120,8 +124,7 @@ def dtn_schur(K, steklov_vertices):
     S = K[b][:, b].toarray()
     if interior.size:
         K_ib = K[interior][:, b].toarray()
-        K_ii = sparse.csc_matrix(K[interior][:, interior])
-        S -= K_ib.T @ splu(K_ii).solve(K_ib)
+        S -= K_ib.T @ _Factor(K[interior][:, interior], interior).solve(K_ib)
     S = 0.5 * (S + S.T)
     kernel = np.abs(S @ np.ones(b.size)).max()
     if kernel > 1e-9 * max(1.0, np.abs(S).max()):
@@ -165,21 +168,110 @@ class EigenSolution:
         }
 
 
-def ground(K):
-    """LU factor of K without its last row and column: symmetric positive
-    definite when the constants are K's only kernel."""
+def _dissection(points, A):
+    """Nested-dissection elimination order of the vertices of the symmetric
+    CSR matrix A, vertex i at points[i] (an (n,) or (n, d) array).
+
+    Each cell of vertices splits at the median rank along the axis of its
+    larger extent, level by level down to single vertices, which gives
+    every vertex a code: its string of halves, 0 lower and 1 upper.  An
+    edge of A whose endpoints' codes first differ at level l is cut there,
+    and its lower-side endpoint joins the separator of level l; a vertex
+    stays in the shallowest separator it joins.  The order is post-order:
+    both halves of a cell, then its separator.
+    """
+    n = A.shape[0]
+    pts = np.asarray(points, dtype=float).reshape(n, -1).T
+    depth = (n - 1).bit_length()
+    place = np.arange(n)
+    # every axis's vertex order, grouped by cell in code order
+    orders = np.argsort(pts, axis=1, kind="stable")
+    cell = np.zeros(n, dtype=np.intp)  # the code of the cell at each place
+    for level in range(depth):
+        size = np.bincount(cell, minlength=1 << level)
+        start = np.cumsum(size) - size
+        # each cell's first axis of largest extent (an empty cell's is
+        # never read)
+        first, last = np.minimum(start, n - 1), start + size - 1
+        axis, widest = np.zeros(size.size, dtype=np.intp), -np.inf
+        for a, (x, o) in enumerate(zip(pts, orders)):
+            extent = x[o[last]] - x[o[first]]
+            axis[extent > widest] = a
+            widest = np.maximum(widest, extent)
+        halves = start + size // 2  # where each cell's upper half starts
+        upper = place >= halves[cell]
+        is_upper = np.empty(n, dtype=bool)
+        is_upper[orders[axis[cell], place]] = upper
+        # split every axis order stably, each cell's lower half first: an
+        # upper vertex moves to its cell's upper half in order, a lower one
+        # back by the upper ones before it
+        ups_before = np.cumsum(size - size // 2) - (size - size // 2)
+        to_upper = (halves - ups_before)[cell]
+        to_lower = place + ups_before[cell]
+        for order in orders:
+            up = is_upper[order]
+            ups = np.cumsum(up) - up
+            order[np.where(up, to_upper + ups, to_lower - ups)] = order.copy()
+        cell = 2 * cell + upper
+    code = np.empty(n, dtype=np.intp)
+    code[orders[0]] = cell
+    # an edge is cut at the highest bit in which its ends' codes differ;
+    # each vertex keeps the highest such bit of its lower-side edges
+    row, col = np.repeat(code, np.diff(A.indptr)), code[A.indices]
+    cut = sparse.csr_matrix((np.where(row < col, row ^ col, 0), A.indices,
+                             A.indptr), shape=A.shape).max(axis=1)
+    height = np.frexp(cut.toarray().ravel().astype(float))[1].astype(np.intp)
+    # post-order: by the last code under a vertex's node, deeper nodes first
+    return np.argsort((code | ((1 << height) - 1)) * (depth + 1) + height,
+                      kind="stable")
+
+
+class _Factor:
+    """SuperLU factor of the square sparse matrix A in the nested-dissection
+    order of its vertices `points`; `solve` takes and returns arrays in A's
+    own vertex order."""
+
+    def __init__(self, A, points):
+        A = sparse.csr_matrix(A, dtype=float)
+        self.perm = _dissection(points, A)
+        self.lu = splu(sparse.csc_matrix(A[self.perm][:, self.perm]),
+                       permc_spec="NATURAL")
+
+    def solve(self, b):
+        x = np.empty_like(b, dtype=float)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
+
+
+def ground(K, points):
+    """Factor of K without its last row and column, K's vertex i at
+    points[i]: symmetric positive definite when the constants are K's only
+    kernel.  Raises FemError when it is singular, exactly or to roundoff."""
+    A = sparse.csr_matrix(K, dtype=float)[:-1, :-1]
     try:
-        return splu(sparse.csc_matrix(K, dtype=float)[:-1, :-1])
+        lu = _Factor(A, np.asarray(points)[:-1])
     except RuntimeError as exc:
         raise FemError(
             "the grounded stiffness factorization is singular: K has a "
             "kernel beyond the constants") from exc
+    # A further kernel that roundoff keeps off the pivots takes the solve
+    # of A x = A 1 off by order one (0.45 for two copies of a mesh); a
+    # sound factor misses by roundoff times cond(A): at most 2.0e-13 over
+    # the 172 meshes that tools/mesh_identity.py records (22.7k vertices
+    # the largest).  The bound 1e-6 leaves over five decades either side.
+    miss = np.abs(lu.solve(A @ np.ones(A.shape[0])) - 1.0).max()
+    if not miss <= 1e-6:
+        raise FemError(
+            f"the grounded stiffness factorization is numerically singular: "
+            f"it solves for the constants to {miss:.3e}")
+    return lu
 
 
 def factor_stiffness(mesh):
-    """(K, ground(K)): the one stiffness factorization per mesh."""
+    """(K, ground(K, mesh.vertices)): the one stiffness factorization per
+    mesh."""
     K = assemble_stiffness(mesh)
-    return K, ground(K)
+    return K, ground(K, mesh.vertices)
 
 
 def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
@@ -188,7 +280,8 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     K is symmetric positive semidefinite with the constants as its only
     kernel; M's nonzero rows, the spectral vertices s, carry a positive
     definite block M_ss = L L^T, and k lies below their number.  `lu` is
-    `ground(K)`.  Lanczos finds the k - 1 largest 1/lambda of
+    `ground(K, points)`, built here from the mesh's vertices, or from the
+    vertex index without a mesh, when not given.  Lanczos finds the k - 1 largest 1/lambda of
     C = P L^T G L P, G the grounded inverse of K on s and P the projection
     off L^T 1, which makes every right-hand side sum to zero and drops the
     grounding constant; one grounded solve of the Ritz vectors gives their
@@ -208,7 +301,8 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
         raise ValueError(
             f"k must be at least 1 and below the {s.size} spectral "
             f"vertices, got {k}")
-    lu = ground(K) if lu is None else lu
+    if lu is None:
+        lu = ground(K, np.arange(n) if mesh is None else mesh.vertices)
     # M_ss is symmetric, so its transpose is the Fortran-ordered copy that
     # LAPACK factors in place
     L = cholesky(M[s][:, s].toarray().T, lower=True, overwrite_a=True)
@@ -243,8 +337,8 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
         order = np.argsort(-theta)
         theta, Y = theta[order], Y[:, order]
     vals = np.concatenate([[0.0], 1.0 / theta])
-    # A further kernel of K that roundoff kept off the factor's pivots, or
-    # a negative direction, shows as an eigenvalue at roundoff or below.
+    # A negative direction of K, or a further kernel that `ground`'s check
+    # let through, shows as an eigenvalue at roundoff or below.
     if k > 1 and vals[1:].min() <= 1e-12 * np.abs(K.data).max() / M.data.max():
         raise FemError(
             f"eigenvalue {vals[1:].min():.3e} at roundoff or below: the "

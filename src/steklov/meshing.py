@@ -154,13 +154,12 @@ def _unique_edges(triangles, n):
     """Distinct edges of the triangles over n vertices, each as (i, j) with
     i < j, in lexicographic order, and the number of triangles sharing each.
 
-    Deduplicates on the 1-D key i*n + j, which sorts like the (i, j) rows."""
-    edges = np.sort(np.vstack(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    ), axis=1)
-    key, counts = np.unique(
-        edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True
-    )
+    Deduplicates on the 1-D key min*n + max of each triangle side, which
+    sorts like the (i, j) rows."""
+    a = triangles.ravel().astype(np.int64)
+    b = triangles[:, [1, 2, 0]].ravel()
+    key, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                            return_counts=True)
     return np.column_stack([key // n, key % n]).astype(triangles.dtype), counts
 
 

@@ -154,7 +154,7 @@ def test_order_frozen_margin():
 
 
 @pytest.mark.parametrize("n,L", [(2, 5.0), (3, 2.0), (2, 1.01), (5, 10.0),
-                                 (4, 1.1)])
+                                 (4, 1.1), (2, 1e12), (2, 1e100)])
 def test_theorem21_bruteforce(n, L):
     assert theorem21_bruteforce(AnnulusSpec(n, 1.0, L))
 

@@ -171,6 +171,14 @@ def test_sigma_21_closed_equals_quadratic_root(n, L):
         steklov_eigenvalue(spec, 2, 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sigma_21_closed_stays_finite_at_large_ratios(n):
+    for L in (1.01, 1e3, 1e12, 1e13, 1e50, 1e100, 1e150):
+        spec = AnnulusSpec(n, 1.0, L)
+        assert sigma_21_closed(spec) == pytest.approx(
+            steklov_eigenvalue(spec, 2, 1), rel=1e-12)
+
+
 def test_scaling_law():
     # sigma(c*r1, c*r2) = sigma(r1, r2) / c, and likewise for the mixed curve
     for c in (0.25, 3.0, 17.0):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 from test_meshing import hand_ring_mesh
 
 from steklov import cli, fem_solver
@@ -29,6 +29,8 @@ from steklov.fem_solver import (
     assemble_boundary_mass,
     assemble_stiffness,
     dtn_schur,
+    factor_stiffness,
+    ground,
     solve,
     solve_eigs,
     solve_on_mesh,
@@ -255,6 +257,103 @@ def test_second_stiffness_kernel_raises(coarse_mesh):
     M = assemble_boundary_mass(coarse_mesh)
     with pytest.raises(FemError, match="numerically singular"):
         solve_eigs(sparse.block_diag([K, K]), sparse.block_diag([M, M]), 3)
+
+
+def nested_dissection_reference(points, A):
+    """Recursive nested dissection: each cell splits at the median rank
+    along its larger extent (ties by vertex index); the lower-side ends of
+    the edges cut there join the cell's separator unless a shallower one
+    holds them; both halves come before the separator.  Returns the order,
+    each vertex's separator level (None outside every separator) and every
+    split as (level, lower half, upper half)."""
+    pts = np.asarray(points, dtype=float).reshape(A.shape[0], -1)
+    A = sparse.csr_matrix(A)
+    level = [None] * A.shape[0]
+    splits = []
+
+    def visit(cell, depth):
+        if len(cell) == 1:
+            return [] if level[cell[0]] is not None else [int(cell[0])]
+        axis = np.argmax(np.ptp(pts[cell], axis=0))
+        ranked = cell[np.lexsort((cell, pts[cell, axis]))]
+        lower = np.sort(ranked[:len(cell) // 2])
+        upper = np.sort(ranked[len(cell) // 2:])
+        splits.append((depth, lower, upper))
+        in_upper = np.zeros(A.shape[0], dtype=bool)
+        in_upper[upper] = True
+        separator = [int(v) for v in lower if level[v] is None
+                     and in_upper[A.indices[A.indptr[v]:A.indptr[v + 1]]].any()]
+        for v in separator:
+            level[v] = depth
+        return visit(lower, depth + 1) + visit(upper, depth + 1) + separator
+
+    return np.array(visit(np.arange(A.shape[0]), 0)), level, splits
+
+
+def random_graph(n, seed):
+    """A symmetric sparse pattern with a full diagonal, about 6 edges a
+    vertex, and points in the plane with some of them repeated."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 2))
+    pts[rng.integers(0, n, n // 5)] = pts[0]
+    i, j = rng.integers(0, n, (2, 3 * n))
+    A = sparse.coo_matrix((np.ones(3 * n), (i, j)), shape=(n, n))
+    return pts, sparse.csr_matrix(A + A.T + sparse.eye(n))
+
+
+@pytest.fixture(scope="module")
+def table1_meshes():
+    return {name: triangulate(spec, 0.25) for name, spec in TABLE1_DOMAINS.items()}
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (7, 2), (64, 3), (65, 4),
+                                    (1000, 5)])
+def test_dissection_matches_the_recursive_reference(n, seed):
+    pts, A = random_graph(n, seed)
+    for points in (pts, pts[:, 1], np.arange(n), np.zeros((n, 3))):
+        order = fem_solver._dissection(points, A)
+        assert np.array_equal(order, nested_dissection_reference(points, A)[0])
+        assert np.array_equal(np.sort(order), np.arange(n))
+
+
+def test_dissection_matches_the_reference_on_table1_meshes(table1_meshes):
+    for mesh in table1_meshes.values():
+        A = sparse.csr_matrix(assemble_stiffness(mesh))[:-1, :-1]
+        points = mesh.vertices[:-1]
+        assert np.array_equal(fem_solver._dissection(points, A),
+                              nested_dissection_reference(points, A)[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_separators_disconnect_the_halves_of_every_level(seed):
+    pts, A = random_graph(500, seed)
+    _, level, splits = nested_dissection_reference(pts, A)
+    assert any(v is not None for v in level)
+    for depth, lower, upper in splits:
+        kept = [[v for v in half if level[v] is None or level[v] > depth]
+                for half in (lower, upper)]
+        assert A[kept[0]][:, kept[1]].nnz == 0
+
+
+def test_grounded_solves_match_the_colamd_factor(table1_meshes):
+    rng = np.random.default_rng(0)
+    for mesh in table1_meshes.values():
+        K, lu = factor_stiffness(mesh)
+        A = sparse.csc_matrix(K)[:-1, :-1]
+        b = rng.standard_normal((A.shape[0], 2))
+        want = splu(A).solve(b)
+        for got in (lu.solve(b), np.column_stack([lu.solve(c) for c in b.T])):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(A @ lu.solve(b) - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_dissection_cuts_the_fill_of_the_fine_rectangle():
+    mesh = triangulate(TABLE1_DOMAINS["rectangle"], 0.0625)
+    K = assemble_stiffness(mesh)
+    colamd = splu(sparse.csc_matrix(K)[:-1, :-1])
+    dissected = ground(K, mesh.vertices).lu
+    fill = dissected.L.nnz + dissected.U.nnz
+    assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def assert_matches_dense_reference(mesh, problem, k):

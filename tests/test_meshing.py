@@ -328,6 +328,38 @@ def test_bars_are_the_sorted_unique_simplex_edges():
     assert np.array_equal(edges, want) and np.array_equal(counts, want_counts)
 
 
+def row_sorted_unique_edges(triangles, n):
+    """`meshing._unique_edges` by a row sort of the edge stack: the
+    reference for its min/max key."""
+    edges = np.sort(sorted_edges(triangles), axis=1)
+    key, counts = np.unique(
+        edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True
+    )
+    return np.column_stack([key // n, key % n]).astype(triangles.dtype), counts
+
+
+def assert_unique_edges_match_row_sort(triangles, n):
+    edges, counts = meshing._unique_edges(triangles, n)
+    want, want_counts = row_sorted_unique_edges(triangles, n)
+    assert edges.dtype == want.dtype and np.array_equal(edges, want)
+    assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_unique_edges_match_the_row_sort_on_golden_meshes(name):
+    mesh = triangulate(golden.TABLE1_DOMAINS[name], 0.25)
+    assert_unique_edges_match_row_sort(mesh.triangles, mesh.vertex_count)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unique_edges_match_the_row_sort_on_random_triangles(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    dtype = (np.int32, np.int64)[seed % 2]
+    tris = rng.integers(0, n, size=(int(rng.integers(1, 300)), 3)).astype(dtype)
+    assert_unique_edges_match_row_sort(tris, n)
+
+
 def force_slots(bars):
     """The real and imaginary slot of each bar end, first ends first."""
     return (2 * bars.T.ravel()[:, None] + [0, 1]).ravel()

@@ -1,7 +1,11 @@
-"""Every name a module imports is used in it (no linter is installed), and
-the package exports exactly what its `__init__` imports."""
+"""Every name a module imports is used in it (no linter is installed), the
+package exports exactly what its `__init__` imports, and importing the
+package and its CLI loads no `scipy.optimize`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,14 @@ def test_package_exports_what_it_imports():
     assert len(steklov.__all__) == len(imported)
     for name in steklov.__all__:
         assert getattr(steklov, name) is not None
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")
+           + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, steklov, steklov.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
