@@ -227,8 +227,9 @@ def profile_F_deriv(profile: RadialProfile, r):
         raise ValueError("F/G closed forms hold for degree-1 profiles")
     n, c = profile.n, profile.coef
     t = np.asarray(r, float) / profile.r_inner
-    return -2.0 * n**2 * (n - 1) * c**2 / (t ** (2 * n + 1)
-                                           * profile.r_inner**3)
+    # negative powers of t >= 1 underflow where positive ones overflow
+    return (-2.0 * n**2 * (n - 1) * c**2 * t ** -(2 * n + 1)
+            / profile.r_inner**3)
 
 
 def profile_G_deriv(profile: RadialProfile, r):
@@ -241,8 +242,8 @@ def profile_G_deriv(profile: RadialProfile, r):
         raise ValueError("F/G closed forms hold for degree-1 profiles")
     n, c = profile.n, profile.coef
     t = np.asarray(r, float) / profile.r_inner
-    return ((n + 1.0) - 2.0 * (n - 1) * c / t**n
-            + (n - 1) * (2 * n - 1) * c**2 / t ** (2 * n)) / profile.r_inner**2
+    return ((n + 1.0) - 2.0 * (n - 1) * c * t**-n
+            + (n - 1) * (2 * n - 1) * c**2 * t ** -(2 * n)) / profile.r_inner**2
 
 
 def monotone_F_G(spec: AnnulusSpec, problem: str,

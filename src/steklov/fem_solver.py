@@ -16,14 +16,15 @@ boundary).
 
 Both problems solve against one factorization per mesh: K grounded by
 deleting its last vertex, symmetric positive definite when the constants
-are K's only kernel.  SuperLU factors it in a geometric nested-dissection
-order of the mesh vertices (`_dissection`; the vertex index stands in for
-a coordinate when a bare matrix comes without a mesh) and applies no
-column order of its own.  The zero mode is exact; Lanczos (ARPACK, via
-`scipy.sparse.linalg.eigsh`, from a fixed start vector) finds the largest
-inverse eigenvalues of the Dirichlet-to-Neumann map on the boundary trace.
-Assembly is vectorized over triangles and edges with a fixed accumulation
-order, so repeated runs are bit-identical.
+are K's only kernel.  SuperLU factors it in a nested-dissection order
+that bisects the mesh vertices' bounding box at midpoints (`_dissection`;
+the vertex index stands in for a coordinate when a bare matrix comes
+without a mesh) and applies no column order of its own.  The zero mode
+is exact; Lanczos (ARPACK, via `scipy.sparse.linalg.eigsh`, from a fixed
+start vector) finds the largest inverse eigenvalues of the
+Dirichlet-to-Neumann map on the boundary trace.  Assembly is vectorized
+over triangles and edges with a fixed accumulation order, so repeated
+runs are bit-identical.
 """
 
 from dataclasses import dataclass
@@ -108,10 +109,10 @@ def dtn_schur(K, steklov_vertices):
 
     Returns the dense symmetric discrete Dirichlet-to-Neumann matrix
     S = K_bb - K_bi K_ii^{-1} K_ib; interior (and Neumann-boundary)
-    vertices are eliminated through a sparse LU factorization, ordered by
-    nested dissection of their indices.  Constants
-    stay in the kernel because the harmonic extension of a constant is
-    the constant itself.
+    vertices are eliminated through a sparse LU factorization in the
+    nested-dissection order of their indices, each a 1-D coordinate, so
+    the order bisects the index range.  Constants stay in the kernel
+    because the harmonic extension of a constant is the constant itself.
     """
     K = sparse.csr_matrix(K)
     nv = K.shape[0]
@@ -172,49 +173,30 @@ def _dissection(points, A):
     """Nested-dissection elimination order of the vertices of the symmetric
     CSR matrix A, vertex i at points[i] (an (n,) or (n, d) array).
 
-    Each cell of vertices splits at the median rank along the axis of its
-    larger extent, level by level down to single vertices, which gives
-    every vertex a code: its string of halves, 0 lower and 1 upper.  An
-    edge of A whose endpoints' codes first differ at level l is cut there,
-    and its lower-side endpoint joins the separator of level l; a vertex
-    stays in the shallowest separator it joins.  The order is post-order:
-    both halves of a cell, then its separator.
+    The vertices' bounding box halves at its midpoint, level by level, and
+    so does every cell: all cells of a level share one box and halve along
+    its longer side (the first axis on a tie).  That gives every vertex a
+    code, its string of halves, 0 lower and 1 upper, read off its
+    coordinates.  An edge of A whose endpoints' codes first differ at level
+    l is cut there, and its lower-side endpoint joins the separator of
+    level l; a vertex stays in the shallowest separator it joins.  The
+    order is post-order: both halves of a cell, then its separator.
     """
     n = A.shape[0]
-    pts = np.asarray(points, dtype=float).reshape(n, -1).T
+    pts = np.asarray(points, dtype=float).reshape(n, -1)
     depth = (n - 1).bit_length()
-    place = np.arange(n)
-    # every axis's vertex order, grouped by cell in code order
-    orders = np.argsort(pts, axis=1, kind="stable")
-    cell = np.zeros(n, dtype=np.intp)  # the code of the cell at each place
-    for level in range(depth):
-        size = np.bincount(cell, minlength=1 << level)
-        start = np.cumsum(size) - size
-        # each cell's first axis of largest extent (an empty cell's is
-        # never read)
-        first, last = np.minimum(start, n - 1), start + size - 1
-        axis, widest = np.zeros(size.size, dtype=np.intp), -np.inf
-        for a, (x, o) in enumerate(zip(pts, orders)):
-            extent = x[o[last]] - x[o[first]]
-            axis[extent > widest] = a
-            widest = np.maximum(widest, extent)
-        halves = start + size // 2  # where each cell's upper half starts
-        upper = place >= halves[cell]
-        is_upper = np.empty(n, dtype=bool)
-        is_upper[orders[axis[cell], place]] = upper
-        # split every axis order stably, each cell's lower half first: an
-        # upper vertex moves to its cell's upper half in order, a lower one
-        # back by the upper ones before it
-        ups_before = np.cumsum(size - size // 2) - (size - size // 2)
-        to_upper = (halves - ups_before)[cell]
-        to_lower = place + ups_before[cell]
-        for order in orders:
-            up = is_upper[order]
-            ups = np.cumsum(up) - up
-            order[np.where(up, to_upper + ups, to_lower - ups)] = order.copy()
-        cell = 2 * cell + upper
-    code = np.empty(n, dtype=np.intp)
-    code[orders[0]] = cell
+    side = np.ptp(pts, axis=0)
+    # coordinates scaled to [0, 1] (0 on an axis of zero extent); doubling
+    # one moves its next bit into its integer part, exactly
+    frac = ((pts - pts.min(axis=0)) / np.where(side > 0, side, 1)).T
+    code = np.zeros(n, dtype=np.intp)
+    for _ in range(depth):
+        axis = np.argmax(side)
+        side[axis] /= 2
+        frac[axis] *= 2
+        upper = frac[axis] >= 1
+        frac[axis] -= upper
+        code = 2 * code + upper
     # an edge is cut at the highest bit in which its ends' codes differ;
     # each vertex keeps the highest such bit of its lower-side edges
     row, col = np.repeat(code, np.diff(A.indptr)), code[A.indices]
@@ -227,9 +209,9 @@ def _dissection(points, A):
 
 
 class _Factor:
-    """SuperLU factor of the square sparse matrix A in the nested-dissection
-    order of its vertices `points`; `solve` takes and returns arrays in A's
-    own vertex order."""
+    """SuperLU factor of the square sparse matrix A in the midpoint
+    nested-dissection order (`_dissection`) of its vertices at `points`;
+    `solve` takes and returns arrays in A's own vertex order."""
 
     def __init__(self, A, points):
         A = sparse.csr_matrix(A, dtype=float)
@@ -281,12 +263,13 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     kernel; M's nonzero rows, the spectral vertices s, carry a positive
     definite block M_ss = L L^T, and k lies below their number.  `lu` is
     `ground(K, points)`, built here from the mesh's vertices, or from the
-    vertex index without a mesh, when not given.  Lanczos finds the k - 1 largest 1/lambda of
-    C = P L^T G L P, G the grounded inverse of K on s and P the projection
-    off L^T 1, which makes every right-hand side sum to zero and drops the
-    grounding constant; one grounded solve of the Ritz vectors gives their
-    harmonic extensions.  Raises FemError rather than return a
-    questionable spectrum.
+    vertex index without a mesh, when not given.  Lanczos finds the k - 1
+    largest 1/lambda of C = P L^T G L P, G the grounded inverse of K on s
+    and P the projection off L^T 1, which makes every right-hand side sum
+    to zero and drops the grounding constant; one grounded solve of the
+    Ritz vectors gives their harmonic extensions.  Raises FemError rather
+    than return a questionable spectrum, also when M_ss is not positive
+    definite.
     """
     K = sparse.csr_matrix(K, dtype=float)
     M = sparse.csr_matrix(M, dtype=float)
@@ -305,7 +288,11 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
         lu = ground(K, np.arange(n) if mesh is None else mesh.vertices)
     # M_ss is symmetric, so its transpose is the Fortran-ordered copy that
     # LAPACK factors in place
-    L = cholesky(M[s][:, s].toarray().T, lower=True, overwrite_a=True)
+    try:
+        L = cholesky(M[s][:, s].toarray().T, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise FemError(
+            "M is not positive definite on its spectral vertices") from exc
     q = L.T @ np.ones(s.size)
     q /= np.linalg.norm(q)
     applications = 0

@@ -116,6 +116,21 @@ def test_closed_form_derivatives_match_finite_differences(problem, n, L):
         assert cf_G >= 0.0
 
 
+@pytest.mark.parametrize("problem", ["steklov", "steklov_neumann"])
+@pytest.mark.parametrize("n,L", [(2, 5.0), (3, 2.0), (5, 30.0), (8, 10.0)])
+def test_closed_form_derivatives_match_the_positive_power_forms(problem, n, L):
+    spec = AnnulusSpec(n, 1.0, L)
+    prof = (steklov_profile(spec, 1, 1) if problem == "steklov"
+            else sn_profile(spec, 1))
+    c, t = prof.coef, np.linspace(1.0, L, 17)
+    dF = -2.0 * n**2 * (n - 1) * c**2 / t ** (2 * n + 1)
+    dG = ((n + 1.0) - 2.0 * (n - 1) * c / t**n
+          + (n - 1) * (2 * n - 1) * c**2 / t ** (2 * n))
+    for got, want in ((profile_F_deriv(prof, t), dF),
+                      (profile_G_deriv(prof, t), dG)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_monotone_F_G_reports():
     for problem in ("steklov", "steklov_neumann"):
         for n, L in [(2, 5.0), (3, 2.0), (4, 10.0)]:

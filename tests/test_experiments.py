@@ -4,6 +4,7 @@ the tight-tolerance runs live in the acceptance tests."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -222,6 +223,13 @@ def test_verify_lemmas_bundle():
     assert any("monotone_F_G_steklov" in c and "n=2" in c for c in claims)
     assert bundle["grid"]["n_values"] == [2, 3]
     json.dumps(bundle)
+
+
+def test_verify_lemmas_at_huge_ratios_warns_nothing():
+    grid = GridSpec(n_values=(2, 3), L_values=(1e30, 1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_lemmas(grid)["all_passed"] is True
 
 
 def test_verify_lemmas_needs_grid():

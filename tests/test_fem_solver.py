@@ -190,6 +190,10 @@ def test_solve_eigs_input_validation(monkeypatch):
         solve_eigs(PATH_GRAPH, np.eye(2), 1)
     with pytest.raises(FemError, match="singular"):
         solve_eigs(PATH_GRAPH, np.zeros((3, 3)), 2)
+    path4 = sparse.diags([-1.0, [1.0, 2.0, 2.0, 1.0], -1.0], [-1, 0, 1],
+                         shape=(4, 4))
+    with pytest.raises(FemError, match="not positive definite"):
+        solve_eigs(path4, np.diag([1.0, 0.0, 0.0, -1.0]), 1)
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
@@ -260,34 +264,48 @@ def test_second_stiffness_kernel_raises(coarse_mesh):
 
 
 def nested_dissection_reference(points, A):
-    """Recursive nested dissection: each cell splits at the median rank
-    along its larger extent (ties by vertex index); the lower-side ends of
-    the edges cut there join the cell's separator unless a shallower one
+    """Recursive nested dissection by midpoint bisection: the points scale
+    to the unit box (an axis of zero extent to 0), and each cell halves at
+    the midpoint of its longer side in the points' own units (the first
+    axis on a tie), (n - 1).bit_length() levels deep; the lower-side ends
+    of the edges cut there join the cell's separator unless a shallower one
     holds them; both halves come before the separator.  Returns the order,
     each vertex's separator level (None outside every separator) and every
     split as (level, lower half, upper half)."""
-    pts = np.asarray(points, dtype=float).reshape(A.shape[0], -1)
+    n = A.shape[0]
+    pts = np.asarray(points, dtype=float).reshape(n, -1)
+    extent = np.ptp(pts, axis=0)
+    unit = np.zeros_like(pts)
+    wide = extent > 0
+    unit[:, wide] = (pts[:, wide] - pts[:, wide].min(axis=0)) / extent[wide]
     A = sparse.csr_matrix(A)
-    level = [None] * A.shape[0]
+    level = [None] * n
     splits = []
 
-    def visit(cell, depth):
-        if len(cell) == 1:
-            return [] if level[cell[0]] is not None else [int(cell[0])]
-        axis = np.argmax(np.ptp(pts[cell], axis=0))
-        ranked = cell[np.lexsort((cell, pts[cell, axis]))]
-        lower = np.sort(ranked[:len(cell) // 2])
-        upper = np.sort(ranked[len(cell) // 2:])
+    def visit(cell, corner, width, depth):
+        if len(cell) <= 1 or depth == (n - 1).bit_length():
+            return [int(v) for v in cell if level[v] is None]
+        axis = np.argmax(extent * width)
+        middle = corner[axis] + width[axis] / 2
+        lower = cell[unit[cell, axis] < middle]
+        upper = cell[unit[cell, axis] >= middle]
         splits.append((depth, lower, upper))
-        in_upper = np.zeros(A.shape[0], dtype=bool)
+        in_upper = np.zeros(n, dtype=bool)
         in_upper[upper] = True
         separator = [int(v) for v in lower if level[v] is None
                      and in_upper[A.indices[A.indptr[v]:A.indptr[v + 1]]].any()]
         for v in separator:
             level[v] = depth
-        return visit(lower, depth + 1) + visit(upper, depth + 1) + separator
+        half = width.copy()
+        half[axis] /= 2
+        upper_corner = corner.copy()
+        upper_corner[axis] = middle
+        return (visit(lower, corner, half, depth + 1)
+                + visit(upper, upper_corner, half, depth + 1) + separator)
 
-    return np.array(visit(np.arange(A.shape[0]), 0)), level, splits
+    d = pts.shape[1]
+    order = visit(np.arange(n), np.zeros(d), np.ones(d), 0)
+    return np.array(order), level, splits
 
 
 def random_graph(n, seed):
@@ -310,7 +328,11 @@ def table1_meshes():
                                     (1000, 5)])
 def test_dissection_matches_the_recursive_reference(n, seed):
     pts, A = random_graph(n, seed)
-    for points in (pts, pts[:, 1], np.arange(n), np.zeros((n, 3))):
+    # x stretched by 3 takes two halvings before y's first; extents in a
+    # ratio of two make the sides tie at every other level
+    tied = np.column_stack([pts[:, 0], 2.0 * pts[::-1, 0]])
+    for points in (pts, pts * [3.0, 1.0], tied, pts[:, 1], np.arange(n),
+                   np.zeros((n, 3))):
         order = fem_solver._dissection(points, A)
         assert np.array_equal(order, nested_dissection_reference(points, A)[0])
         assert np.array_equal(np.sort(order), np.arange(n))
