@@ -19,9 +19,12 @@ for a fixed spec and h: seeding uses a low-discrepancy sequence instead
 of a random generator.
 
 Qhull triangulates the first settle of a relaxation and any settle whose
-standoff dropped a point.  Otherwise no point moved more than TTOL*fh since
-the previous settle, and Lawson edge flips repair the previous full
-triangulation (hole triangles included) at the new positions.  The hull
+standoff dropped a point, and its half-edges are paired once, by a sort.
+Otherwise no point moved more than TTOL*fh since the previous settle, and
+Lawson edge flips repair the previous full triangulation (hole triangles
+included) at the new positions.  The flips carry the half-edge pairing
+along (each flip updates only the half-edges it moved, their partners and
+its new diagonal), so no flip round sorts anything.  The hull
 vertices are fixed boundary vertices, so once every triangle is positive
 and every edge is locally Delaunay the repaired triangulation is a
 Delaunay triangulation.  Where that is unique it is Qhull's.  Where four
@@ -227,47 +230,78 @@ def _incircle(p, a, b, c, d):
     return det, perm
 
 
-def _flip_to_delaunay(pts, tri):
-    """Lawson-flip the counterclockwise triangulation `tri` of `pts` until
-    every edge is locally Delaunay; return it, or None when that cannot be
-    shown.
+def _twins(tri, n):
+    """The twin of each half-edge of the triangulation `tri` over n
+    vertices, -1 on the hull.  Half-edge h = 3t + k runs from tri[t, k] to
+    tri[t, (k + 1) % 3]; its twin runs back along the same edge.  Pairs the
+    half-edges by sorting the key i*n + j of each edge's ends i < j."""
+    a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    order = np.argsort(key)
+    pair = key[order[1:]] == key[order[:-1]]
+    e1, e2 = order[:-1][pair], order[1:][pair]
+    twin = np.full(len(key), -1, dtype=np.intp)
+    twin[e1], twin[e2] = e2, e1
+    return twin
 
-    Each round pairs the two half-edges of every interior edge on the key
-    i*n + j and tests the opposite vertex of one against the circumcircle
-    of the other.  It then flips the failing edges that are the
+
+def _flip_to_delaunay(pts, tri, twin):
+    """Lawson-flip the counterclockwise triangulation `tri` of `pts`, with
+    half-edge twins `twin` (see `_twins`), until every edge is locally
+    Delaunay; return the new (tri, twin), or None when that cannot be shown.
+
+    Each round takes every interior edge of a triangle that changed in the
+    previous round (every edge in the first) straight from `twin` and tests
+    the vertex opposite one half-edge against the circumcircle of the
+    other's triangle.  It then flips the failing edges that are the
     lowest-numbered failing edge of both their triangles, which makes the
-    flips of a round independent: (a, b, c) and its neighbour (b, a, d)
-    across a -> b become (a, d, c) and (d, b, c).  A tie is not flipped,
-    so of several cocircular choices the current diagonal stays.  Returns
-    None when a triangle is not positive or after MAX_FLIP_ROUNDS rounds."""
-    tri = tri.copy()
-    n = len(pts)
+    flips of a round independent.  A flip rewrites one vertex of each
+    triangle in place: (a, b, c) and its neighbour (b, a, d) across a -> b
+    become (a, d, c) and (b, c, d), so only the two half-edges that moved
+    triangle, their partners and the new diagonal need new twins.  A tie is
+    not flipped, so of several cocircular choices the current diagonal
+    stays.  Returns None when a triangle is not positive or after
+    MAX_FLIP_ROUNDS rounds."""
+    tri, twin = tri.copy(), twin.copy()
+    flat = tri.reshape(-1)  # vertex at the start of each half-edge
+    step = np.tile(np.int8([1, 1, -2]), len(tri))  # h + step[h] follows h
+    where = np.append(np.arange(len(twin)), -1)  # new slots; where[-1] = -1
     changed = np.ones(len(tri), bool)  # triangles whose edges need a test
     for _ in range(MAX_FLIP_ROUNDS):
         if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
             return None
-        a, b, c = tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
-        key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
-        order = np.argsort(key)
-        twin = key[order[1:]] == key[order[:-1]]
-        e1, e2 = order[:-1][twin], order[1:][twin]  # a -> b and b -> a
-        near = changed[e1 // 3] | changed[e2 // 3]
-        e1, e2 = e1[near], e2[near]
-        a, b, c, d = a[e1], b[e1], c[e1], c[e2]
+        h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
+        e2 = twin[h]
+        # each interior edge once: from its lower half-edge, or from the one
+        # in a changed triangle when the other's triangle did not change
+        e1 = h[(e2 > h) | ((e2 >= 0) & ~changed[e2 // 3])]
+        e2 = twin[e1]  # a -> b and b -> a
+        n1, n2 = e1 + step[e1], e2 + step[e2]  # b -> c and a -> d
+        a, b, c, d = flat[e1], flat[e2], flat[n1 + step[n1]], flat[n2 + step[n2]]
         det, perm = _incircle(pts, a, b, c, d)
         bad = np.flatnonzero(det > FLIP_TIE_RTOL * perm)
         if len(bad) == 0:
-            return tri
+            return tri, twin
         t1, t2 = e1[bad] // 3, e2[bad] // 3
         changed[:] = False
         changed[t1] = changed[t2] = True  # flipped, or still to flip
         lowest = np.full(len(tri), len(det))
         np.minimum.at(lowest, t1, bad)
         np.minimum.at(lowest, t2, bad)
-        pick = (lowest[t1] == bad) & (lowest[t2] == bad)
-        bad, t1, t2 = bad[pick], t1[pick], t2[pick]
-        tri[t1] = np.column_stack([a[bad], d[bad], c[bad]])
-        tri[t2] = np.column_stack([d[bad], b[bad], c[bad]])
+        bad = bad[(lowest[t1] == bad) & (lowest[t2] == bad)]
+        e1, e2, n1, n2 = e1[bad], e2[bad], n1[bad], n2[bad]
+        flat[n1], flat[n2] = d[bad], c[bad]
+        # b -> c moves from n1 to e2 and a -> d from n2 to e1; a partner
+        # may itself have moved in a neighbouring flip of this round
+        moved, dest = np.concatenate([n1, n2]), np.concatenate([e2, e1])
+        partner = twin[moved]
+        where[moved] = dest
+        partner = where[partner]
+        where[moved] = moved
+        twin[dest] = partner
+        hull = partner < 0
+        twin[partner[~hull]] = dest[~hull]
+        twin[n1], twin[n2] = n2, n1
     return None
 
 
@@ -275,26 +309,29 @@ def _settle(spec, h, pts, n_fixed, geps, full=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then triangulate and keep the simplices whose centroid lies inside the
     region.  Returns the kept points, their size field, simplices, bars,
-    the size field at the bar midpoints, and the full counterclockwise
-    triangulation before the centroid filter.
+    the size field at the bar midpoints, and `full`: the full
+    counterclockwise triangulation before the centroid filter and its
+    half-edge twins (see `_twins`).
 
-    `full` is the previous settle's full triangulation, or None.  Qhull
-    runs when there is none, when the standoff dropped a point, and when
-    `_flip_to_delaunay` cannot repair it.  Either way the result is a
-    Delaunay triangulation of the kept points; where that is unique (no
-    cocircular quad) both give the same kept simplices as a set, and so
-    the same sorted bars."""
+    `full` is the previous settle's (triangles, twins), or None.  Qhull
+    runs, and `_twins` pairs its half-edges, when there is none, when the
+    standoff dropped a point, and when `_flip_to_delaunay` cannot repair
+    it.  Either way the result is a Delaunay triangulation of the kept
+    points; where that is unique (no cocircular quad) both give the same
+    kept simplices as a set, and so the same sorted bars."""
     sd, fh, d_out = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
     if full is not None and keep.all():
-        full = _flip_to_delaunay(pts, full)
+        full = _flip_to_delaunay(pts, *full)
     else:
         full = None
     pts, fh, d_out = pts[keep], fh[keep], d_out[keep]
     if full is None:
-        full = _orient_ccw(pts, Delaunay(pts).simplices)
-    simplices = full[_centroids_inside(spec, h, pts, d_out, full, geps)]
+        tri = _orient_ccw(pts, Delaunay(pts).simplices)
+        full = tri, _twins(tri, len(pts))
+    tri = full[0]
+    simplices = tri[_centroids_inside(spec, h, pts, d_out, tri, geps)]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
     bars = _unique_edges(simplices, len(pts))[0]
@@ -346,11 +383,11 @@ def _bar_sizes(spec, h, pts, d_out, bars):
 
 def _scatter_forces(slots, force, n):
     """Net force per vertex as x + iy: +force at each bar's first end and
-    -force at its second, with `force` the (m, 2) force per bar and `slots`
+    -force at its second, with `force` the force x + iy per bar and `slots`
     the real and imaginary slot of each end, the first ends' followed by
     the second ends'.  A weighted bincount adds in the same order as
     `np.add.at` on an (n, 2) array would, so the sums agree bit for bit."""
-    weights = np.concatenate([force, -force]).ravel()
+    weights = np.concatenate([force, -force]).view(float)
     return np.bincount(slots, weights, minlength=2 * n).view(complex)
 
 
@@ -369,8 +406,10 @@ def _force_step(z, ends, slots, h_want, h_sq, n_fixed):
     lengths = np.maximum(np.abs(vec), 1e-300)
     scale = math.sqrt(np.sum(lengths**2) / h_sq)
     push = np.maximum(h_want * scale - lengths, 0.0) / lengths
-    force = vec.view(float).reshape(m, 2) * push[:, None]  # (dx, dy) * push
-    total = _scatter_forces(slots, force, len(z))
+    # push enters as push + 0j: each part of the product is the real
+    # product of the (m, 2) broadcast, up to the sign of a zero, which no
+    # sum in `_scatter_forces` can see
+    total = _scatter_forces(slots, vec * push, len(z))
     total[:n_fixed] = 0.0
     return z + DELTA_T * total, DELTA_T * np.abs(total[n_fixed:])
 
@@ -378,13 +417,14 @@ def _force_step(z, ends, slots, h_want, h_sq, n_fixed):
 def _relax(spec, h, pts, n_fixed):
     """Move interior points until bar lengths track the size field.
 
-    Each settle hands its full triangulation to the next, which repairs it
-    by edge flips instead of calling Qhull where it can.  Between settles
-    the positions live in one complex array z = x + iy, an (n, 2) point
-    array viewed as complex, and what changes only at a settle (bar ends,
-    target lengths, interior sizes) is computed once per settle."""
+    Each settle hands its full triangulation and half-edge twins to the
+    next, which repairs both by edge flips instead of calling Qhull where
+    it can, so the half-edges are paired once per Qhull call.  Between
+    settles the positions live in one complex array z = x + iy, an (n, 2)
+    point array viewed as complex, and what changes only at a settle (bar
+    ends, target lengths, interior sizes) is computed once per settle."""
     geps = 1e-3 * h
-    full = None  # the most recent full triangulation
+    full = None  # the most recent full triangulation and its twins
     last = None  # positions at the most recent settle
     z = pts.view(complex).ravel()
     for _ in range(MAX_ITER):

@@ -223,7 +223,7 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     )
     assert calls[0] == len(pts) and 0 not in calls
     assert sum(calls[1:]) == sum(screened.values())
-    assert screened["region_signed_distance"] <= share * len(full)
+    assert screened["region_signed_distance"] <= share * len(full[0])
     assert screened["size_field"] <= share * len(bars)
     # every graded bar is evaluated
     assert screened["size_field"] >= np.sum(h_bars < h)
@@ -233,7 +233,7 @@ def settle_screens_reference(spec, h, pts, n_fixed):
     """`_settle` on pts, and the kept simplices and bar sizes it should give,
     from the outer distance at every centroid and every midpoint."""
     geps = 1e-3 * h
-    kept, _, simplices, bars, h_bars, full = meshing._settle(
+    kept, _, simplices, bars, h_bars, (full, _) = meshing._settle(
         spec, h, pts, n_fixed, geps
     )
     centroids = kept[full].mean(axis=1)
@@ -373,7 +373,7 @@ def test_force_scatter_matches_add_at_bit_for_bit():
     want = np.zeros((n, 2))
     np.add.at(want, bars[:, 0], force)
     np.add.at(want, bars[:, 1], -force)
-    got = meshing._scatter_forces(force_slots(bars), force, n)
+    got = meshing._scatter_forces(force_slots(bars), force.view(complex).ravel(), n)
     assert np.array_equal(got.real, want[:, 0])
     assert np.array_equal(got.imag, want[:, 1])
 
@@ -439,13 +439,23 @@ def sorted_rows(tri):
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def sorting_forbidden(*args, **kwargs):
+    raise AssertionError("sorted")
+
+
 def test_flip_repair_equals_qhull_after_a_small_move():
     pts, tri = square_with_random_interior(400, 3)
     rng = np.random.default_rng(4)
     moved = pts.copy()
     moved[4:] += rng.uniform(-1e-3, 1e-3, (400, 2))  # inverts no triangle
-    repaired = meshing._flip_to_delaunay(moved, tri)
-    assert repaired is not None
+    twin = meshing._twins(tri, len(pts))
+    with pytest.MonkeyPatch.context() as patch:  # the flips sort nothing
+        for name in ("argsort", "sort", "lexsort", "unique"):
+            patch.setattr(np, name, sorting_forbidden)
+        result = meshing._flip_to_delaunay(moved, tri, twin)
+    assert result is not None
+    repaired, twin = result
+    assert np.array_equal(twin, meshing._twins(repaired, len(pts)))
     assert not np.array_equal(sorted_rows(repaired), sorted_rows(tri))
     want = meshing.Delaunay(moved).simplices
     assert np.array_equal(sorted_rows(repaired), sorted_rows(want))
@@ -470,7 +480,8 @@ def test_flip_repair_falls_back_on_an_inverted_triangle():
     others = [w for w in tri[0] if w != v]
     moved[v] = 2.0 * moved[others].mean(axis=0) - moved[v]  # across its edge
     assert np.any(meshing._triangle_signed_areas(moved, tri) <= 0)
-    assert meshing._flip_to_delaunay(moved, tri) is None
+    twin = meshing._twins(tri, len(pts))
+    assert meshing._flip_to_delaunay(moved, tri, twin) is None
 
 
 def test_flip_repair_keeps_cocircular_diagonals():
@@ -478,7 +489,23 @@ def test_flip_repair_keeps_cocircular_diagonals():
     grid = np.arange(6.0)
     pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
     tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
-    assert np.array_equal(meshing._flip_to_delaunay(pts, tri), tri)
+    twin = meshing._twins(tri, len(pts))
+    got, got_twin = meshing._flip_to_delaunay(pts, tri, twin)
+    assert np.array_equal(got, tri) and np.array_equal(got_twin, twin)
+
+
+def test_twins_pair_the_half_edges_of_each_interior_edge():
+    # half-edge 3t + k runs from tri[t, k] to tri[t, (k + 1) % 3]; its twin
+    # runs back, and a hull edge (one triangle) has none
+    pts, tri = square_with_random_interior(50, 6)
+    twin = meshing._twins(tri, len(pts))
+    start, end = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    inner = twin >= 0
+    assert np.array_equal(start[twin[inner]], end[inner])
+    assert np.array_equal(end[twin[inner]], start[inner])
+    assert np.array_equal(twin[twin[inner]], np.flatnonzero(inner))
+    _, counts = meshing._unique_edges(tri, len(pts))
+    assert np.sum(~inner) == np.sum(counts == 1) == 4  # the square's sides
 
 
 def incircle_reference(pts, i, j, c, d):
@@ -522,13 +549,18 @@ def test_flip_repair_returns_a_delaunay_triangulation(
     pts = np.vstack([corners, cloud])
     tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
     moved = pts + np.vstack([np.zeros((4, 2)), shift])
-    repaired = meshing._flip_to_delaunay(moved, tri)
+    result = meshing._flip_to_delaunay(moved, tri, meshing._twins(tri, len(pts)))
     # a flip only replaces the diagonal of a convex quad, so the repair
     # gives up exactly when the move inverted a triangle
     inverted = np.any(meshing._triangle_signed_areas(moved, tri) <= 0)
-    assert (repaired is None) == inverted
+    assert (result is None) == inverted
     if inverted:
         return
+    # the twins the flips carried along are the pairing of the result
+    repaired, twin = result
+    assert np.array_equal(twin, meshing._twins(repaired, len(pts)))
+    inner = np.flatnonzero(twin >= 0)
+    assert np.array_equal(twin[twin[inner]], inner)
     areas = meshing._triangle_signed_areas(moved, repaired)
     assert np.all(areas > 0)
     assert np.sum(areas) == pytest.approx(1.0, rel=1e-12)
@@ -561,10 +593,11 @@ MESH_SPECS = {
 @pytest.mark.parametrize("name", MESH_SPECS)
 def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     # the default mesh calls Qhull once; with MAX_FLIP_ROUNDS = 0 every
-    # settle calls it.  Ties may pick other diagonals during the relaxation,
-    # which moves vertices by rounding only.
+    # settle calls it.  Either way the half-edges are paired once per Qhull
+    # call.  Ties may pick other diagonals during the relaxation, which
+    # moves vertices by rounding only.
     spec, h = MESH_SPECS[name], 0.25
-    calls = {"qhull": 0, "settle": 0}
+    calls = {"qhull": 0, "settle": 0, "twins": 0}
 
     def counted(key, fn):
         def wrapped(*args):
@@ -575,12 +608,13 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
 
     monkeypatch.setattr(meshing, "Delaunay", counted("qhull", meshing.Delaunay))
     monkeypatch.setattr(meshing, "_settle", counted("settle", meshing._settle))
+    monkeypatch.setattr(meshing, "_twins", counted("twins", meshing._twins))
     mesh = triangulate(spec, h)
-    assert calls["qhull"] == 1 and calls["settle"] > 1
+    assert calls["qhull"] == calls["twins"] == 1 and calls["settle"] > 1
     monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)  # always fall back
-    calls["qhull"] = calls["settle"] = 0
+    calls["qhull"] = calls["settle"] = calls["twins"] = 0
     qhull_mesh = triangulate(spec, h)
-    assert calls["qhull"] == calls["settle"]
+    assert calls["qhull"] == calls["twins"] == calls["settle"]
     assert np.array_equal(mesh.triangles, qhull_mesh.triangles)
     if name.startswith("rectangle"):  # no cocircular quad: bit for bit
         assert np.array_equal(mesh.vertices, qhull_mesh.vertices)
@@ -588,6 +622,62 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     want = four_eigenvalues(qhull_mesh)
     for q, value in four_eigenvalues(mesh).items():
         assert value == pytest.approx(want[q], rel=1e-12, abs=0.0), q
+
+
+def spec_at_clearance(outer, radius, angle, clearance):
+    """The spec whose hole of the given radius sits on the ray at `angle`
+    from the origin with a clearance of at least `clearance`, equal to it
+    up to rounding, by bisection: the distance to a convex boundary
+    symmetric about the origin does not grow along such a ray."""
+    direction = math.cos(angle), math.sin(angle)
+
+    def gap(t):
+        return -outer.signed_distance(t * direction[0], t * direction[1]) - radius
+
+    lo, hi = 0.0, max(outer.half_extents)  # gap(hi) < 0 < clearance
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) >= clearance else (lo, mid)
+    return DomainSpec(outer, (lo * direction[0], lo * direction[1]), radius)
+
+
+@settings(max_examples=9, derandomize=True, database=None, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(domains.SHAPES)),
+    size=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    radius=st.floats(0.5, 1.5),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    reach=st.floats(0.0, 1.0),
+)
+def test_random_admissible_geometry_meshes_and_solves(
+    shape, size, radius, angle, reach
+):
+    # any outer shape, any hole direction and a clearance anywhere from
+    # h/10 (the least that `triangulate` accepts) to that of the centred
+    # hole, at h = 0.5: the mesh is valid, each mixed eigenvalue is at
+    # least the Steklov one (its quotient integrates over less boundary),
+    # and the flip repair gives the eigenvalues of Qhull at every settle
+    h = 0.5
+    u, v = size
+    outer = {
+        "disk": Disk(2.5 + 3.5 * u),
+        "ellipse": Ellipse(2.0 + 2.5 * u, 3.0 + 5.5 * v),
+        "rectangle": Rectangle(4.0 + 9.0 * u, 3.5 + 4.5 * v),
+    }[shape]
+    centred = DomainSpec(outer, (0.0, 0.0), radius).clearance
+    spec = spec_at_clearance(
+        outer, radius, angle, h / 10.0 + reach * (centred - h / 10.0)
+    )
+    assert spec.clearance >= h / 10.0
+    mesh = triangulate(spec, h)
+    validate_mesh(mesh)
+    got = four_eigenvalues(mesh)
+    assert got["mu1"] >= got["sigma1"] and got["mu2"] >= got["sigma2"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)  # Qhull at every settle
+        want = four_eigenvalues(triangulate(spec, h))
+    for q, value in got.items():
+        assert value == pytest.approx(want[q], rel=1e-9, abs=0.0), q
 
 
 def test_relaxation_that_does_not_converge_raises(monkeypatch):
