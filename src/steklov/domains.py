@@ -257,6 +257,9 @@ class DomainSpec:
         if not isinstance(self.outer, tuple(SHAPES.values())):
             names = ", ".join(cls.__name__ for cls in SHAPES.values())
             raise TypeError(f"outer must be one of {names}")
+        if np.shape(self.hole_center) != (2,):
+            raise ValueError("hole_center must have exactly two coordinates, "
+                             f"got {self.hole_center!r}")
         center = (float(self.hole_center[0]), float(self.hole_center[1]))
         object.__setattr__(self, "hole_center", center)
         object.__setattr__(self, "hole_radius", float(self.hole_radius))

@@ -148,12 +148,9 @@ class SweepSpec:
             raise ValueError(f"path must be one of {SWEEP_PATHS}")
         if not self.centers:
             raise ValueError("sweep needs at least one center")
-        centers = tuple(
-            (float(c[0]), float(c[1])) for c in self.centers
-        )
+        centers = tuple(DomainSpec(self.outer, c, self.hole_radius).hole_center
+                        for c in self.centers)
         object.__setattr__(self, "centers", centers)
-        for center in centers:
-            DomainSpec(self.outer, center, self.hole_radius)
 
     def domain(self, index):
         return DomainSpec(self.outer, self.centers[index], self.hole_radius)

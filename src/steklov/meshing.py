@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import Delaunay
 
 from .domains import (
@@ -81,6 +82,7 @@ PTOL = 2e-3
 ESCAPE_FRACTION = 0.3
 SEED_MARGIN = 0.45
 MAX_ITER = 1500
+GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 
 # In-circle determinants within FLIP_TIE_RTOL of their permanent (the sum of
 # the absolute values of their terms) are ties: the four points are
@@ -153,16 +155,17 @@ def mesh_min_angle(mesh: Mesh) -> float:
     return float(np.min(np.column_stack(angles)))
 
 
+def _half_edge_keys(tri, n):
+    """The key i*n + j, i < j its ends, of each half-edge 3t + k of `tri` over
+    n vertices (tri[t, k] to tri[t, (k+1) % 3]); keys sort like (i, j) rows."""
+    a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+
+
 def _unique_edges(triangles, n):
     """Distinct edges of the triangles over n vertices, each as (i, j) with
-    i < j, in lexicographic order, and the number of triangles sharing each.
-
-    Deduplicates on the 1-D key min*n + max of each triangle side, which
-    sorts like the (i, j) rows."""
-    a = triangles.ravel().astype(np.int64)
-    b = triangles[:, [1, 2, 0]].ravel()
-    key, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                            return_counts=True)
+    i < j, in lexicographic order, and the number of triangles sharing each."""
+    key, counts = np.unique(_half_edge_keys(triangles, n), return_counts=True)
     return np.column_stack([key // n, key % n]).astype(triangles.dtype), counts
 
 
@@ -231,12 +234,9 @@ def _incircle(p, a, b, c, d):
 
 
 def _twins(tri, n):
-    """The twin of each half-edge of the triangulation `tri` over n
-    vertices, -1 on the hull.  Half-edge h = 3t + k runs from tri[t, k] to
-    tri[t, (k + 1) % 3]; its twin runs back along the same edge.  Pairs the
-    half-edges by sorting the key i*n + j of each edge's ends i < j."""
-    a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
-    key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    """The twin of each half-edge of the triangulation `tri` over n vertices,
+    -1 on the hull: the half-edge that shares its key, found by a sort."""
+    key = _half_edge_keys(tri, n)
     order = np.argsort(key)
     pair = key[order[1:]] == key[order[:-1]]
     e1, e2 = order[:-1][pair], order[1:][pair]
@@ -305,12 +305,12 @@ def _flip_to_delaunay(pts, tri, twin):
     return None
 
 
-def _settle(spec, h, pts, n_fixed, geps, full=None):
+def _settle(spec, h, pts, n_fixed, full=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
-    then triangulate and keep the simplices whose centroid lies inside the
-    region.  Returns the kept points, their size field, simplices, bars,
-    the size field at the bar midpoints, and `full`: the full
-    counterclockwise triangulation before the centroid filter and its
+    then triangulate and keep the simplices whose centroid lies more than
+    GEPS*h inside the region.  Returns the kept points, their size field,
+    simplices, bars, the size field at the bar midpoints, and `full`: the
+    full counterclockwise triangulation before the centroid filter and its
     half-edge twins (see `_twins`).
 
     `full` is the previous settle's (triangles, twins), or None.  Qhull
@@ -331,20 +331,20 @@ def _settle(spec, h, pts, n_fixed, geps, full=None):
         tri = _orient_ccw(pts, Delaunay(pts).simplices)
         full = tri, _twins(tri, len(pts))
     tri = full[0]
-    simplices = tri[_centroids_inside(spec, h, pts, d_out, tri, geps)]
+    simplices = tri[_centroids_inside(spec, h, pts, d_out, tri)]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
     bars = _unique_edges(simplices, len(pts))[0]
     return pts, fh, simplices, bars, _bar_sizes(spec, h, pts, d_out, bars), full
 
 
-def _centroids_inside(spec, h, pts, d_out, tri, geps):
-    """`region_signed_distance(spec, centroids) < -geps` for the triangles
-    `tri` of `pts`, bit for bit, where `d_out` is the outer distance at
-    `pts`.
+def _centroids_inside(spec, h, pts, d_out, tri):
+    """`region_signed_distance(spec, centroids) < -GEPS*h` for the
+    triangles `tri` of `pts`, bit for bit, where `d_out` is the outer
+    distance at `pts`.
 
     Every outer shape is convex, so at a centroid the outer distance is at
-    most the vertex mean of `d_out`.  Where that mean is below -geps by
+    most the vertex mean of `d_out`.  Where that mean is below -GEPS*h by
     SCREEN_MARGIN*h the hole alone decides, and the outer distance is
     evaluated only at the other centroids."""
     t0, t1, t2 = tri.T
@@ -352,11 +352,11 @@ def _centroids_inside(spec, h, pts, d_out, tri, geps):
     centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
     centroids = centroids.reshape(-1, 2)
     mean = (d_out.take(t0) + d_out.take(t1) + d_out.take(t2)) / 3.0
-    undecided = mean >= -geps - SCREEN_MARGIN * h
-    inside = hole_signed_distance(spec, centroids) > geps
+    undecided = mean >= -GEPS * h - SCREEN_MARGIN * h
+    inside = hole_signed_distance(spec, centroids) > GEPS * h
     if undecided.any():
         inside[undecided] = (
-            region_signed_distance(spec, centroids[undecided]) < -geps)
+            region_signed_distance(spec, centroids[undecided]) < -GEPS * h)
     return inside
 
 
@@ -381,26 +381,28 @@ def _bar_sizes(spec, h, pts, d_out, bars):
     return sizes
 
 
-def _scatter_forces(slots, force, n):
-    """Net force per vertex as x + iy: +force at each bar's first end and
-    -force at its second, with `force` the force x + iy per bar and `slots`
-    the real and imaginary slot of each end, the first ends' followed by
-    the second ends'.  A weighted bincount adds in the same order as
-    `np.add.at` on an (n, 2) array would, so the sums agree bit for bit."""
-    weights = np.concatenate([force, -force]).view(float)
-    return np.bincount(slots, weights, minlength=2 * n).view(complex)
+def _incidence(ends, n):
+    """The n x m CSR signed incidence matrix D of the bars whose first ends,
+    then second ends, are `ends`: +1 at each first end, -1 at each second.
+    Each row lists its bars in the order of a stable sort of `ends`, so
+    `D @ f` adds as `np.add.at` does, bit for bit (COO triplets would not:
+    scipy sorts each row's columns when it converts them)."""
+    m = len(ends) // 2
+    order = np.argsort(ends, kind="stable")
+    indptr = np.append(0, np.cumsum(np.bincount(ends, minlength=n)))
+    return csr_matrix((np.where(order < m, 1.0, -1.0), order % m, indptr),
+                      shape=(n, m))
 
 
-def _force_step(z, ends, slots, h_want, h_sq, n_fixed):
+def _force_step(z, ends, D, h_want, h_sq, n_fixed):
     """One pseudo-time step of the truss forces on positions z = x + iy.
 
-    `ends` holds the bars' first ends followed by their second ends and
-    `slots` their real and imaginary slots (see `_scatter_forces`).
-    `h_want` is FSCALE times the size field at the bar midpoints and
-    `h_sq` the sum of the squared size field there.  Bars shorter than
-    their target length push their ends apart; the first n_fixed points
-    stay.  Returns the new positions and the step length of each interior
-    point."""
+    `ends` holds the bars' first ends followed by their second ends and `D`
+    their signed incidence matrix (see `_incidence`).  `h_want` is FSCALE
+    times the size field at the bar midpoints and `h_sq` the sum of the
+    squared size field there.  Bars shorter than their target length push
+    their ends apart; the first n_fixed points stay.  Returns the new
+    positions and the step length of each interior point."""
     m = len(h_want)
     vec = np.take(z, ends[:m]) - np.take(z, ends[m:])  # take beats z[b0]
     lengths = np.maximum(np.abs(vec), 1e-300)
@@ -408,8 +410,8 @@ def _force_step(z, ends, slots, h_want, h_sq, n_fixed):
     push = np.maximum(h_want * scale - lengths, 0.0) / lengths
     # push enters as push + 0j: each part of the product is the real
     # product of the (m, 2) broadcast, up to the sign of a zero, which no
-    # sum in `_scatter_forces` can see
-    total = _scatter_forces(slots, vec * push, len(z))
+    # sum through D can see
+    total = (D @ (vec * push).view(float).reshape(-1, 2)).view(complex).ravel()
     total[:n_fixed] = 0.0
     return z + DELTA_T * total, DELTA_T * np.abs(total[n_fixed:])
 
@@ -422,31 +424,28 @@ def _relax(spec, h, pts, n_fixed):
     it can, so the half-edges are paired once per Qhull call.  Between
     settles the positions live in one complex array z = x + iy, an (n, 2)
     point array viewed as complex, and what changes only at a settle (bar
-    ends, target lengths, interior sizes) is computed once per settle."""
-    geps = 1e-3 * h
+    ends and D, target lengths, interior sizes) is computed once per settle."""
     full = None  # the most recent full triangulation and its twins
     last = None  # positions at the most recent settle
     z = pts.view(complex).ravel()
     for _ in range(MAX_ITER):
         if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
             pts, fh_pts, _, bars, h_bars, full = _settle(
-                spec, h, z.view(float).reshape(-1, 2), n_fixed, geps, full
-            )
+                spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
             last = z = pts.view(complex).ravel()
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
-            slots = (2 * ends[:, None] + [0, 1]).ravel()
+            D = _incidence(ends, len(z))
             h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
             fh_free = fh_pts[n_fixed:]
 
-        z, step = _force_step(z, ends, slots, h_want, h_sq, n_fixed)
+        z, step = _force_step(z, ends, D, h_want, h_sq, n_fixed)
         if len(step) == 0 or np.max(step / fh_free) < PTOL:
             break
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
     pts, _, simplices, _, _, _ = _settle(
-        spec, h, z.view(float).reshape(-1, 2), n_fixed, geps, full
-    )
+        spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
     return pts, simplices
 
 
@@ -562,4 +561,5 @@ def validate_mesh(mesh: Mesh) -> None:
 
     angle = mesh_min_angle(mesh)
     if angle < MIN_ANGLE_DEG - 1e-9:
-        raise MeshError(f"minimum triangle angle {angle:.3f} deg below 20 deg")
+        raise MeshError(
+            f"minimum triangle angle {angle:.3f} deg below {MIN_ANGLE_DEG:g} deg")

@@ -56,6 +56,20 @@ def test_sweep_spec_normalizes_centers():
     assert spec.domain(1).hole_center == (2.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda c: DomainSpec(Disk(5.0), c, 1.0),
+     lambda c: SweepSpec(Disk(5.0), 1.0, "axis-x", ((1.0, 0.0), c), H)],
+    ids=["DomainSpec", "SweepSpec"],
+)
+@pytest.mark.parametrize("center", [(0.5, 0.0, 7.0), (0.5,), 0.5, [[0.5, 0.0]]],
+                         ids=["three", "one", "scalar", "nested"])
+def test_hole_centers_need_exactly_two_coordinates(make, center):
+    with pytest.raises(ValueError, match="exactly two coordinates"):
+        make(center)
+    assert make((0.5, 0)) is not None
+
+
 # -------------------------------------------------------------- monotonicity
 
 def test_monotonicity_verdicts():

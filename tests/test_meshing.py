@@ -177,9 +177,7 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, simplices, bars, _, _ = meshing._settle(
-        spec, 0.5, pts, len(fixed), 5e-4
-    )
+    kept, fh, simplices, bars, _, _ = meshing._settle(spec, 0.5, pts, len(fixed))
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
@@ -218,9 +216,7 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
     for name in screened:
         monkeypatch.setattr(meshing, name, screen_counter(name, getattr(meshing, name)))
-    _, _, _, bars, h_bars, full = meshing._settle(
-        spec, h, pts, len(fixed), 1e-3 * h
-    )
+    _, _, _, bars, h_bars, full = meshing._settle(spec, h, pts, len(fixed))
     assert calls[0] == len(pts) and 0 not in calls
     assert sum(calls[1:]) == sum(screened.values())
     assert screened["region_signed_distance"] <= share * len(full[0])
@@ -232,12 +228,11 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
 def settle_screens_reference(spec, h, pts, n_fixed):
     """`_settle` on pts, and the kept simplices and bar sizes it should give,
     from the outer distance at every centroid and every midpoint."""
-    geps = 1e-3 * h
     kept, _, simplices, bars, h_bars, (full, _) = meshing._settle(
-        spec, h, pts, n_fixed, geps
+        spec, h, pts, n_fixed
     )
     centroids = kept[full].mean(axis=1)
-    want = full[region_signed_distance(spec, centroids) < -geps]
+    want = full[region_signed_distance(spec, centroids) < -meshing.GEPS * h]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
     return (simplices, h_bars), (want, size_field(spec, h, mids))
 
@@ -270,7 +265,7 @@ SCREEN_CASES = {
 
 
 @pytest.mark.parametrize("name", SCREEN_CASES)
-def test_settle_screens_match_the_full_evaluations_bit_for_bit(name):
+def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch):
     # on the seeded cloud, on the cloud moved by up to 0.3 h (the standoff
     # drops some points), on the relaxed mesh, and on the boundary with a
     # point 2e-3 h inside each outer edge's midpoint, all fixed so the
@@ -301,8 +296,9 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name):
         graded |= bool(np.any(want[1] < h))
     if name == "thin-gap-ellipse":
         assert graded
-    if isinstance(spec.outer, Rectangle):  # kept at geps = 0, dropped at 1e-3 h
-        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed, 0.0)[2])
+    if isinstance(spec.outer, Rectangle):  # kept at GEPS = 0, dropped at 1e-3
+        monkeypatch.setattr(meshing, "GEPS", 0.0)
+        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed)[2])
 
 
 def sorted_edges(triangles):
@@ -317,7 +313,7 @@ def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
     _, _, simplices, bars, _, _ = meshing._settle(
-        spec, 0.25, mesh.vertices, len(mesh.boundary_edges), 2.5e-4
+        spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
     )
     rows = np.unique(sorted_edges(simplices), axis=0)
     assert bars.dtype == rows.dtype and np.array_equal(bars, rows)
@@ -360,22 +356,18 @@ def test_unique_edges_match_the_row_sort_on_random_triangles(seed):
     assert_unique_edges_match_row_sort(tris, n)
 
 
-def force_slots(bars):
-    """The real and imaginary slot of each bar end, first ends first."""
-    return (2 * bars.T.ravel()[:, None] + [0, 1]).ravel()
-
-
 def test_force_scatter_matches_add_at_bit_for_bit():
+    # vertices 50..59, and every vertex the draw misses, touch no bar
     rng = np.random.default_rng(7)
-    n = 50
-    bars = np.sort(rng.integers(0, n, size=(4000, 2)), axis=1)
+    n = 60
+    bars = np.sort(rng.integers(0, 50, size=(4000, 2)), axis=1)
     force = rng.standard_normal((4000, 2)) * 10.0 ** rng.uniform(-8, 8, (4000, 1))
     want = np.zeros((n, 2))
     np.add.at(want, bars[:, 0], force)
     np.add.at(want, bars[:, 1], -force)
-    got = meshing._scatter_forces(force_slots(bars), force.view(complex).ravel(), n)
-    assert np.array_equal(got.real, want[:, 0])
-    assert np.array_equal(got.imag, want[:, 1])
+    D = meshing._incidence(bars.T.ravel(), n)
+    assert D.shape == (n, len(bars))
+    assert np.array_equal(D @ force, want)
 
 
 def modulus(vec):
@@ -405,7 +397,7 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)])
-    pts, _, _, bars, _, _ = meshing._settle(spec, 0.25, pts, n_fixed, 2.5e-4)
+    pts, _, _, bars, _, _ = meshing._settle(spec, 0.25, pts, n_fixed)
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
     z = pts[:, 0] + 1j * pts[:, 1]
     for _ in range(20):
@@ -413,7 +405,7 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
         z, step = meshing._force_step(
             z,
             bars.T.ravel(),
-            force_slots(bars),
+            meshing._incidence(bars.T.ravel(), len(pts)),
             h_bars * meshing.FSCALE,
             np.sum(h_bars**2),
             n_fixed,
@@ -766,12 +758,16 @@ def test_validate_rejects_disk_topology():
         validate_mesh(mesh)
 
 
-def test_validate_rejects_sliver_angles():
+def test_validate_rejects_sliver_angles(monkeypatch):
     mesh = hand_ring_mesh()
     # drag one interior-free octagon vertex nearly onto its neighbor
     mesh.vertices[1] = mesh.vertices[0] + np.array([1e-3, 1e-3])
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=f"below {meshing.MIN_ANGLE_DEG:g} deg"):
         validate_mesh(mesh)
+    # the message names the bound the check reads (the ring's angles ~45-67)
+    monkeypatch.setattr(meshing, "MIN_ANGLE_DEG", 50.0)
+    with pytest.raises(MeshError, match="below 50 deg"):
+        validate_mesh(hand_ring_mesh())
 
 
 OFF_CENTRE_HOLES = {

@@ -1,6 +1,7 @@
-"""Every name a module imports is used in it (no linter is installed), the
-package exports exactly what its `__init__` imports, and importing the
-package and its CLI loads no `scipy.optimize`."""
+"""Every name a module of the package, its tests, tools, demos or benchmark
+imports is used in it (no linter is installed), the package exports exactly
+what its `__init__` imports, and importing the package and its CLI loads no
+`scipy.optimize`."""
 
 import ast
 import os
@@ -16,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_INIT = ROOT / "src" / "steklov" / "__init__.py"
 MODULES = sorted(
     [p for p in PACKAGE_INIT.parent.glob("*.py") if p != PACKAGE_INIT]
-    + [p for d in ("tests", "tools", "demos") for p in (ROOT / d).glob("*.py")],
+    + [p for d in ("tests", "tools", "demos", "perfbench")
+       for p in (ROOT / d).glob("*.py")],
     key=lambda p: p.relative_to(ROOT),
 )
 
