@@ -21,11 +21,10 @@ from steklov.closed_form import (
     AnnulusSpec,
     RadialProfile,
     clusters,
+    degree1_profile,
     radial_eval,
     sigma_21_closed,
-    sn_profile,
     steklov_eigenvalue,
-    steklov_profile,
     enumerate_spectrum,
     multiplicity,
 )
@@ -205,15 +204,6 @@ def profile_G(profile: RadialProfile, r):
     """G(r) = 2 f f' + (n-1) f^2 / r for a degree-1 radial profile."""
     f, df = radial_eval(profile, r)
     return 2.0 * f * df + (profile.n - 1) * f**2 / np.asarray(r, float)
-
-
-def degree1_profile(spec: AnnulusSpec, problem: str) -> RadialProfile:
-    """Radial profile of the first nonzero (degree-1) eigenfunction."""
-    if problem == "steklov":
-        return steklov_profile(spec, 1, 1)
-    if problem == "steklov_neumann":
-        return sn_profile(spec, 1)
-    raise ValueError(f"unknown problem {problem!r}")
 
 
 def profile_F_deriv(profile: RadialProfile, r):

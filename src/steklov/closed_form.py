@@ -225,6 +225,15 @@ def sn_profile(spec: AnnulusSpec, l: int) -> RadialProfile:
                          l / (l + spec.n - 2) if l else 0.0)
 
 
+def degree1_profile(spec: AnnulusSpec, problem: str) -> RadialProfile:
+    """Radial profile of the first nonzero (degree-1) eigenfunction."""
+    if problem == "steklov":
+        return steklov_profile(spec, 1, 1)
+    if problem == "steklov_neumann":
+        return sn_profile(spec, 1)
+    raise ValueError(f"unknown problem {problem!r}")
+
+
 def radial_eval(profile: RadialProfile, r):
     """Evaluate (f(r), f'(r)) of a radial profile at r >= r_inner.
 
@@ -254,26 +263,36 @@ def enumerate_spectrum(spec: AnnulusSpec, problem: str,
 
     Returns the per-degree lines whose cumulative multiplicity first
     reaches k, sorted by value, from degrees up to l_max = max(4, 2k): the
-    lower branch is increasing in l (checked, for the mixed problem), so
+    lower branch is increasing in l (checked for both problems), so
     degrees below k give k values below every degree beyond l_max.  Raises
     RuntimeError if that tail bound fails.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     l_max = max(4, 2 * k)
-    lines = sorted(_all_lines(spec, problem, l_max), key=lambda ln: ln.value)
+    lines = []
+    for l in range(l_max + 1):
+        if problem == "steklov":
+            values = [steklov_eigenvalue(spec, l, 1),
+                      steklov_eigenvalue(spec, l, 2)]
+        else:
+            values = [sn_eigenvalue(spec, l)]
+        if l > 1 and values[0] <= lower:
+            raise RuntimeError(
+                f"{problem} lower eigenvalue curve is not increasing in the "
+                f"degree at l = {l - 1}; enumeration cutoff would be unsound")
+        lower = values[0]
+        lines += [SpectralLine(l, branch, value, multiplicity(spec.n, l))
+                  for branch, value in enumerate(values, 1)]
+    lines.sort(key=lambda ln: ln.value)
     total = 0
     for cut, ln in enumerate(lines):
         total += ln.multiplicity
         if total >= k:
             break
-    if problem == "steklov":
-        tail_min = steklov_eigenvalue(spec, l_max, 1)
-    else:
-        tail_min = sn_eigenvalue(spec, l_max)
-    if tail_min < lines[cut].value:
+    if lower < lines[cut].value:
         raise RuntimeError(
             f"degrees above {l_max} may hold one of the first {k} eigenvalues")
     return lines[:cut + 1]
@@ -288,31 +307,11 @@ def clusters(values, rtol):
     multiplicities that a discretization splits by about the squared
     mesh size.
     """
-    groups = [[0]]
-    for i in range(1, len(values)):
-        scale = max(abs(values[i - 1]), abs(values[i]))
-        if values[i] - values[i - 1] <= rtol * scale:
+    groups = []
+    for i in range(len(values)):
+        if i and (values[i] - values[i - 1]
+                  <= rtol * max(abs(values[i - 1]), abs(values[i]))):
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
-
-
-def _all_lines(spec, problem, l_max):
-    lines = []
-    if problem == "steklov":
-        for l in range(l_max + 1):
-            for branch in (1, 2):
-                lines.append(SpectralLine(
-                    l, branch, steklov_eigenvalue(spec, l, branch),
-                    multiplicity(spec.n, l)))
-    else:
-        mus = [sn_eigenvalue(spec, l) for l in range(l_max + 1)]
-        for l in range(1, l_max):
-            if mus[l + 1] <= mus[l]:
-                raise RuntimeError(
-                    "mixed-problem eigenvalue curve is not increasing in the "
-                    f"degree at l = {l}; enumeration cutoff would be unsound")
-        lines = [SpectralLine(l, 1, mus[l], multiplicity(spec.n, l))
-                 for l in range(l_max + 1)]
-    return lines

@@ -15,14 +15,13 @@ from steklov.analysis import (
     GridSpec,
     aux_log_report,
     aux_poly_deg2_report,
-    degree1_profile,
     eigenvalue_order_check,
     monotone_F_G,
     poly_positivity_report,
     spectrum_structure_report,
 )
 from steklov.closed_form import (PROBLEMS, AnnulusSpec, clusters,
-                                 enumerate_spectrum)
+                                 degree1_profile, enumerate_spectrum)
 from steklov.domains import Disk, DomainSpec, shape_dict
 from steklov.fem_solver import (CLUSTER_RTOL, factor_stiffness, solve,
                                 solve_on_mesh)
@@ -426,23 +425,28 @@ def _richardson(h_list, values):
 def convergence_study(spec, problem, h_list, k=6):
     """Refine the mesh over `h_list` and track the first nonzero eigenvalue.
 
-    Needs at least three strictly descending mesh sizes whose last three
-    share one refinement ratio, and k >= 2; the inputs are checked before
-    any mesh is built.  On a concentric annulus every level is compared
-    against the closed form and the observed order is the least-squares
-    slope of the error; otherwise the order comes from the extrapolation
-    differences alone.
+    Needs at least three finite, positive, strictly descending mesh sizes
+    whose last three share one refinement ratio, a known problem and an
+    integer k >= 2; the inputs are checked before any mesh is built.  On a
+    concentric annulus every level is compared against the closed form and
+    the observed order is the least-squares slope of the error; otherwise
+    the order comes from the extrapolation differences alone.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("need at least three refinement levels")
+    if not all(0.0 < h < math.inf for h in h_list):
+        raise ValueError(
+            f"mesh sizes must be finite and positive, got {h_list}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("mesh sizes must be strictly descending")
     h0, h1, h2 = h_list[-3:]
     if abs(h1 / h2 - h0 / h1) > 1e-9 * (h0 / h1):
         raise ValueError("refinement ratio must be fixed across levels")
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"k must be an integer at least 2, got {k!r}")
     reference = _concentric_reference(spec, problem)
     tracked, rows = [], []
     for h in h_list:

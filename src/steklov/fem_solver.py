@@ -280,10 +280,10 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     if s.size == 0:
         raise FemError(
             "M is singular: no vertex carries the spectral condition")
-    if not 1 <= k < s.size:
+    if not (isinstance(k, (int, np.integer)) and 1 <= k < s.size):
         raise ValueError(
-            f"k must be at least 1 and below the {s.size} spectral "
-            f"vertices, got {k}")
+            f"k must be an integer at least 1 and below the {s.size} "
+            f"spectral vertices, got {k}")
     if lu is None:
         lu = ground(K, np.arange(n) if mesh is None else mesh.vertices)
     # M_ss is symmetric, so its transpose is the Fortran-ordered copy that

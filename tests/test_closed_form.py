@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 
 from steklov import (
     AnnulusSpec,
+    closed_form,
     enumerate_spectrum,
     multiplicity,
     radial_eval,
@@ -396,3 +397,31 @@ def test_bad_branch_and_degree():
         enumerate_spectrum(spec, "dirichlet", 3)
     with pytest.raises(ValueError):
         enumerate_spectrum(spec, "steklov", 0)
+    for problem in ("steklov", "steklov_neumann"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            enumerate_spectrum(spec, problem, 4.0)
+        assert (enumerate_spectrum(spec, problem, np.int64(4))
+                == enumerate_spectrum(spec, problem, 4))
+
+
+@pytest.mark.parametrize("problem", ["steklov", "steklov_neumann"])
+def test_enumerate_checks_the_lower_branch_increases(monkeypatch, problem):
+    # the cutoff at l_max rests on the lower branch increasing in the
+    # degree; a curve that turns down at l = 3 must stop the enumeration
+    def turns_down(spec, l, branch=1):
+        return float(l if l <= 3 else 6 - l) + (branch - 1) * 100.0
+
+    monkeypatch.setattr(closed_form, "steklov_eigenvalue", turns_down)
+    monkeypatch.setattr(closed_form, "sn_eigenvalue", turns_down)
+    with pytest.raises(RuntimeError, match=f"{problem} lower .* at l = 3;"):
+        enumerate_spectrum(AnnulusSpec(2, 1.0, 5.0), problem, 3)
+
+
+def test_degree1_profile_picks_each_problems_profile():
+    spec = AnnulusSpec(3, 1.0, 2.0)
+    assert closed_form.degree1_profile(spec, "steklov") == \
+        steklov_profile(spec, 1, 1)
+    assert closed_form.degree1_profile(spec, "steklov_neumann") == \
+        sn_profile(spec, 1)
+    with pytest.raises(ValueError, match="unknown problem 'dirichlet'"):
+        closed_form.degree1_profile(spec, "dirichlet")

@@ -181,11 +181,16 @@ def test_solve_eigs_path_graph():
     assert np.allclose(np.abs(v1), [2.0**-0.5, 0.0, 2.0**-0.5], atol=1e-12)
 
 
-def test_solve_eigs_input_validation(monkeypatch):
+def test_solve_eigs_input_validation(monkeypatch, coarse_mesh):
     with pytest.raises(ValueError, match="k must be"):
         solve_eigs(PATH_GRAPH, np.eye(3), 3)
     with pytest.raises(ValueError, match="k must be"):
         solve_eigs(PATH_GRAPH, np.eye(3), 0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        solve_eigs(PATH_GRAPH, np.eye(3), 2.0)
+    assert solve_eigs(PATH_GRAPH, np.eye(3), np.int64(2)).eigenvalues.size == 2
+    with pytest.raises(ValueError, match="k must be an integer"):
+        solve_on_mesh(coarse_mesh, "steklov", 3.0)
     with pytest.raises(ValueError, match="square"):
         solve_eigs(PATH_GRAPH, np.eye(2), 1)
     with pytest.raises(FemError, match="singular"):
@@ -449,6 +454,8 @@ def test_eigensolution_clusters():
     )
     assert sol.as_dict()["clusters"] == [[0], [1, 2], [3], [4, 5]]
     assert clusters(sol.eigenvalues, 1e-6) == [[0], [1], [2], [3], [4], [5]]
+    empty = EigenSolution("steklov", np.array([]), np.zeros((3, 0)))
+    assert empty.as_dict()["clusters"] == clusters([], 1e-6) == []
 
 
 def test_eigensolution_json_round_trip(fine_solutions, capsys, tmp_path):
@@ -501,8 +508,17 @@ def test_convergence_study_validation(monkeypatch):
         convergence_study(ANNULUS, "steklov", [0.5, 0.25])
     with pytest.raises(ValueError, match="descending"):
         convergence_study(ANNULUS, "steklov", [0.25, 0.5, 0.125])
-    with pytest.raises(ValueError, match="k must be at least 2"):
+    with pytest.raises(ValueError, match="k must be an integer at least 2"):
         convergence_study(ANNULUS, "steklov", [0.5, 0.25, 0.125], k=1)
+    for h_list in ([0.5, 0.25, 0.0], [0.5, 0.25, float("nan")],
+                   [float("inf"), 0.5, 0.25], [0.5, 0.25, -0.125]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            convergence_study(ANNULUS, "steklov", h_list)
+    for spec in (ANNULUS, OFF_CENTRE_ELLIPSE):
+        with pytest.raises(ValueError, match="unknown problem 'dirichlet'"):
+            convergence_study(spec, "dirichlet", [0.5, 0.25, 0.125])
+        with pytest.raises(ValueError, match="k must be an integer"):
+            convergence_study(spec, "steklov", [0.5, 0.25, 0.125], k=3.0)
 
 
 def test_convergence_study_on_annulus():

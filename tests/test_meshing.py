@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -633,33 +633,35 @@ def spec_at_clearance(outer, radius, angle, clearance):
     return DomainSpec(outer, (lo * direction[0], lo * direction[1]), radius)
 
 
-@settings(max_examples=9, derandomize=True, database=None, deadline=None)
-@given(
-    shape=st.sampled_from(sorted(domains.SHAPES)),
-    size=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    radius=st.floats(0.5, 1.5),
-    angle=st.floats(0.0, 2.0 * math.pi),
-    reach=st.floats(0.0, 1.0),
-)
-def test_random_admissible_geometry_meshes_and_solves(
-    shape, size, radius, angle, reach
-):
-    # any outer shape, any hole direction and a clearance anywhere from
-    # h/10 (the least that `triangulate` accepts) to that of the centred
-    # hole, at h = 0.5: the mesh is valid, each mixed eigenvalue is at
-    # least the Steklov one (its quotient integrates over less boundary),
-    # and the flip repair gives the eigenvalues of Qhull at every settle
-    h = 0.5
-    u, v = size
+@st.composite
+def admissible_specs(draw, h):
+    """Any outer shape, any hole direction and a clearance anywhere from
+    h/10 (the least that `triangulate` accepts) to that of the centred
+    hole.  Hole radii start at 0.65: at h = 0.5 a radius below about 0.6
+    leaves the hole polyline fewer than 8 segments, which `triangulate`
+    rejects."""
+    u, v = draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     outer = {
         "disk": Disk(2.5 + 3.5 * u),
         "ellipse": Ellipse(2.0 + 2.5 * u, 3.0 + 5.5 * v),
         "rectangle": Rectangle(4.0 + 9.0 * u, 3.5 + 4.5 * v),
-    }[shape]
+    }[draw(st.sampled_from(sorted(domains.SHAPES)))]
+    radius = draw(st.floats(0.65, 1.5))
     centred = DomainSpec(outer, (0.0, 0.0), radius).clearance
-    spec = spec_at_clearance(
-        outer, radius, angle, h / 10.0 + reach * (centred - h / 10.0)
+    reach = draw(st.floats(0.0, 1.0))
+    return spec_at_clearance(
+        outer, radius, draw(st.floats(0.0, 2.0 * math.pi)),
+        h / 10.0 + reach * (centred - h / 10.0),
     )
+
+
+@settings(max_examples=9, derandomize=True, database=None, deadline=None)
+@given(spec=admissible_specs(0.5))
+def test_random_admissible_geometry_meshes_and_solves(spec):
+    # the mesh is valid, each mixed eigenvalue is at least the Steklov one
+    # (its quotient integrates over less boundary), and the flip repair
+    # gives the eigenvalues of Qhull at every settle
+    h = 0.5
     assert spec.clearance >= h / 10.0
     mesh = triangulate(spec, h)
     validate_mesh(mesh)
@@ -670,6 +672,36 @@ def test_random_admissible_geometry_meshes_and_solves(
         want = four_eigenvalues(triangulate(spec, h))
     for q, value in got.items():
         assert value == pytest.approx(want[q], rel=1e-9, abs=0.0), q
+
+
+@settings(max_examples=9, derandomize=True, database=None, deadline=None)
+@given(
+    spec=admissible_specs(0.5),
+    factor=st.sampled_from([0.5, 2.0]),
+    mirror=st.sampled_from([(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]),
+)
+def test_random_admissible_geometry_scales_and_mirrors(spec, factor, mirror):
+    # eigenvalues scale like 1/length.  A power-of-two factor on the domain
+    # and on h scales every mesh coordinate exactly, so the four values
+    # move by solver rounding only (a factor of 3 is not exact in binary).
+    # Every outer shape is symmetric about both axes, so mirroring the hole
+    # centre gives a congruent domain on a different mesh: the values move
+    # by the discretization error only.
+    h = 0.5
+    got = four_eigenvalues(triangulate(spec, h))
+    outer = replace(spec.outer, **{
+        f.name: factor * getattr(spec.outer, f.name)
+        for f in fields(spec.outer)})
+    scaled = DomainSpec(outer, tuple(factor * c for c in spec.hole_center),
+                        factor * spec.hole_radius)
+    mirrored = replace(spec, hole_center=tuple(
+        m * c for m, c in zip(mirror, spec.hole_center)))
+    want_scaled = four_eigenvalues(triangulate(scaled, factor * h))
+    want_mirrored = four_eigenvalues(triangulate(mirrored, h))
+    for q, value in got.items():
+        assert factor * want_scaled[q] == pytest.approx(
+            value, rel=1e-12, abs=0.0), q
+        assert want_mirrored[q] == pytest.approx(value, rel=5e-3, abs=0.0), q
 
 
 def test_relaxation_that_does_not_converge_raises(monkeypatch):

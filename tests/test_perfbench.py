@@ -1,8 +1,12 @@
-"""The benchmark harness's own self-tests, run against the current package."""
+"""The benchmark harness's self-tests and its workload checks, run against the
+current package."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -12,3 +16,16 @@ def test_benchmark_selftest_passes():
         [sys.executable, "perfbench/selftest.py"],
         cwd=ROOT, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["table1", "ellipse_sweeps"])
+def test_benchmark_workload_passes_its_checks(workload):
+    # the benchmark's own command, one pass: its eigenvalues against
+    # perfbench/reference.json, the golden cells, the closed form and the
+    # sweep verdicts; the record goes to the ignored perfbench/out/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
