@@ -33,8 +33,9 @@ class AnnulusSpec:
     r_outer: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))  # frozen; a numpy n too
         if not (0.0 < self.r_inner < self.r_outer < math.inf):
             raise ValueError(
                 f"radii must satisfy 0 < r_inner < r_outer < inf, got "
@@ -65,8 +66,7 @@ def multiplicity(n: int, l: int) -> int:
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if l < 0:
-        raise ValueError("degree must be >= 0")
+    l = _check_degree(l)
     if l == 0:
         return 1
     num = (2 * l + n - 2) * comb(l + n - 2, l)
@@ -76,8 +76,10 @@ def multiplicity(n: int, l: int) -> int:
 
 
 def _check_degree(l):
-    if not isinstance(l, int) or l < 0:
+    """l as a Python int; ValueError unless it is an integer >= 0."""
+    if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"degree must be an integer >= 0, got {l}")
+    return int(l)
 
 
 def _steklov_normalized(n: int, L: float, l: int, branch: int) -> float:
@@ -116,7 +118,7 @@ def steklov_eigenvalue(spec: AnnulusSpec, l: int, branch: int) -> float:
     stable pairing root1 = C / (A * root2) so no digits are lost to
     cancellation for any ratio.
     """
-    _check_degree(l)
+    l = _check_degree(l)
     return _steklov_normalized(spec.n, spec.ratio, l, branch) / spec.r_inner
 
 
@@ -151,7 +153,7 @@ def sn_eigenvalue(spec: AnnulusSpec, l: int) -> float:
 
     One branch per degree; mu_0 = 0.
     """
-    _check_degree(l)
+    l = _check_degree(l)
     if l == 0:
         return 0.0
     n = spec.n
@@ -193,6 +195,7 @@ def steklov_profile(spec: AnnulusSpec, l: int, branch: int) -> RadialProfile:
     denominator never cancels.  The parametrization breaks down only if s
     hits l + n - 2 exactly; that is signalled rather than papered over.
     """
+    l = _check_degree(l)
     sigma = steklov_eigenvalue(spec, l, branch)
     s_norm = sigma * spec.r_inner
     n = spec.n
@@ -221,6 +224,7 @@ def sn_profile(spec: AnnulusSpec, l: int) -> RadialProfile:
     constant zero mode.  Stored in the normalized variable t = r/r_inner,
     where the coefficient is simply l/(l+n-2), and 0 at degree 0.
     """
+    l = _check_degree(l)
     return RadialProfile(spec.n, l, spec.r_inner, sn_eigenvalue(spec, l),
                          l / (l + spec.n - 2) if l else 0.0)
 
@@ -257,6 +261,15 @@ def radial_eval(profile: RadialProfile, r):
     return val, der
 
 
+def check_problem_and_k(problem, k):
+    """ValueError unless `problem` is one of PROBLEMS and k an integer >= 1:
+    the checks on a request for k eigenvalues that need no domain."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 def enumerate_spectrum(spec: AnnulusSpec, problem: str,
                        k: int) -> list[SpectralLine]:
     """First k eigenvalues (counted with multiplicity) in ascending order.
@@ -267,10 +280,7 @@ def enumerate_spectrum(spec: AnnulusSpec, problem: str,
     degrees below k give k values below every degree beyond l_max.  Raises
     RuntimeError if that tail bound fails.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    check_problem_and_k(problem, k)
     l_max = max(4, 2 * k)
     lines = []
     for l in range(l_max + 1):

@@ -285,9 +285,10 @@ def verify_integral_lemmas(spec, h):
     over the volume, the outer boundary and the whole boundary.
     Inequalities are reported as signed normalized slacks (nonnegative up
     to quadrature error); identities as normalized values (zero up to
-    quadrature error).  Odd-moment identities require the half-turn
-    symmetry of the domain, mixed-moment and equal-split ones a quarter
-    turn; only the applicable ones are evaluated.
+    quadrature error).  The hole at the origin makes every such domain
+    half-turn symmetric, so the odd-moment identities always apply; the
+    mixed-moment and equal-split ones need a quarter turn and are
+    evaluated only then.
     """
     if spec.hole_radius != 1.0 or spec.hole_center != (0.0, 0.0):
         raise ValueError(
@@ -337,12 +338,10 @@ def verify_integral_lemmas(spec, h):
     inequality("full_boundary_trace_steklov", trace_scale, full0,
                (trace_scale - full0) / full0)
 
-    if spec.is_order2_symmetric:
-        for i in (1, 2):
-            identity(f"odd_moment_volume_x{i}", mass_v[0, i], volume_scale)
-            identity(f"odd_moment_boundary_x{i}", mass_b[0, i], trace_scale)
-            identity(f"radial_cross_gradient_x{i}", grad_v[0, i],
-                     energy_scale)
+    for i in (1, 2):
+        identity(f"odd_moment_volume_x{i}", mass_v[0, i], volume_scale)
+        identity(f"odd_moment_boundary_x{i}", mass_b[0, i], trace_scale)
+        identity(f"radial_cross_gradient_x{i}", grad_v[0, i], energy_scale)
 
     # the coordinate-square splits sum pointwise to the scales
     identity("trace_sum_rule", mass_b[1, 1] + mass_b[2, 2] - trace_scale,

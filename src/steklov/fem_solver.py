@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.linalg import cholesky
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from steklov.closed_form import PROBLEMS, clusters
+from steklov.closed_form import PROBLEMS, check_problem_and_k, clusters
 from steklov.domains import DomainSpec
 from steklov.meshing import Mesh, triangulate
 from steklov.quadrature import boundary_rule
@@ -349,6 +349,7 @@ def solve_on_mesh(mesh, problem, k, spec=None, stiffness=None):
     `stiffness` is the mesh's `factor_stiffness`, built here when not
     given; callers that solve both problems build it once for both.
     """
+    check_problem_and_k(problem, k)  # before factoring
     K, lu = factor_stiffness(mesh) if stiffness is None else stiffness
     M = assemble_boundary_mass(mesh, problem)
     return solve_eigs(K, M, k, problem=problem, mesh=mesh, spec=spec, lu=lu)
@@ -356,4 +357,5 @@ def solve_on_mesh(mesh, problem, k, spec=None, stiffness=None):
 
 def solve(spec, h, k, problem="steklov"):
     """First k eigenvalues of one problem on the holed domain at mesh size h."""
+    check_problem_and_k(problem, k)  # before meshing
     return solve_on_mesh(triangulate(spec, h), problem, k, spec=spec)

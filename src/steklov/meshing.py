@@ -4,34 +4,37 @@ The generator is a force-based relaxation over a Delaunay triangulation
 (truss smoothing in the style of Persson & Strang): boundary vertices are
 fixed where `boundary_polylines` placed them, interior points start on a
 density-matched grid and repel each other until edge lengths track the
-graded size field.  Each triangulation, including a final one of the
-settled cloud, first deletes interior points too close to a boundary (the
-standoff) and then discards triangles whose centroid falls outside the
-region.  The standoff test and the size field share one evaluation of
-each boundary distance, so a triangulation measures the outer distance in
-full only on the points.  Every outer shape is convex, so at a triangle
-centroid or a bar midpoint the outer distance is at most the mean of its
-values at the corners; the centroid filter and the bar target sizes
-evaluate it only where that bound cannot decide the result, along the
-outer boundary and in graded gaps.  A relaxation that has not settled
-after MAX_ITER iterations raises MeshError.  Everything is deterministic
-for a fixed spec and h: seeding uses a low-discrepancy sequence instead
-of a random generator.
+graded size field.  A settle (each triangulation, including a final one
+of the settled cloud) deletes interior points too close to a boundary
+(the standoff), runs one Delaunay step, discards triangles whose centroid
+falls outside the region, and returns the kept points, their size field
+and outer distance, and the kept simplices; the relaxation builds bars
+and target sizes from every settle but the final one.  The standoff test
+and the size field share one evaluation of each boundary distance, so a
+settle measures the outer distance in full only on the points.  Every
+outer shape is convex, so at a triangle centroid or a bar midpoint the
+outer distance is at most the mean of its values at the corners; the
+centroid filter and the bar target sizes evaluate it only where that
+bound cannot decide the result, along the outer boundary and in graded
+gaps.  A relaxation that has not settled after MAX_ITER iterations raises
+MeshError.  Seeding uses a low-discrepancy sequence instead of a random
+generator, so everything is deterministic for a fixed spec and h.
 
 Qhull triangulates the first settle of a relaxation and any settle whose
-standoff dropped a point, and its half-edges are paired once, by a sort.
-Otherwise no point moved more than TTOL*fh since the previous settle, and
-Lawson edge flips repair the previous full triangulation (hole triangles
-included) at the new positions.  The flips carry the half-edge pairing
-along (each flip updates only the half-edges it moved, their partners and
-its new diagonal), so no flip round sorts anything.  The hull
-vertices are fixed boundary vertices, so once every triangle is positive
-and every edge is locally Delaunay the repaired triangulation is a
-Delaunay triangulation.  Where that is unique it is Qhull's.  Where four
-points are cocircular up to rounding, as across the axis of a
-mirror-symmetric domain, the repair keeps the current diagonal, which need
-not be the one Qhull would pick.  An inverted triangle or too many flip
-rounds send the settle to Qhull after all.
+standoff dropped a point; its 2-D simplices arrive counterclockwise, and
+its half-edges are paired once, by a sort.  Otherwise no point moved more
+than TTOL*fh since the previous settle, and Lawson edge flips repair the
+previous full triangulation (hole triangles included) at the new
+positions.  The flips carry the half-edge pairing along (each flip
+updates only the half-edges it moved, their partners and its new
+diagonal), so no flip round sorts anything.  The hull vertices are fixed
+boundary vertices, so once every triangle is positive and every edge is
+locally Delaunay the repaired triangulation is a Delaunay triangulation.
+Where that is unique it is Qhull's.  Where four points are cocircular up
+to rounding, as across the axis of a mirror-symmetric domain, the repair
+keeps the current diagonal, which need not be the one Qhull would pick.
+An inverted triangle or too many flip rounds send the settle to Qhull
+after all.
 
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
 polyline, the next n_inner the hole polyline, so a boundary edge joins
@@ -94,11 +97,11 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
-# Margin, relative to h, by which a convexity bound in `_settle` must
-# clear its threshold before it decides a centroid or a bar size without
-# the outer distance.  Rounding in the bounds is a few ulps of the
-# coordinates (measured below 5e-16 times the domain's size), so the
-# margin holds for any h above 1e-5 times that size.
+# Margin, relative to h, by which a convexity bound in `_centroids_inside`
+# or `_bar_sizes` must clear its threshold before it decides a centroid or
+# a bar size without the outer distance.  Rounding in the bounds is a few
+# ulps of the coordinates (measured below 5e-16 times the domain's size),
+# so the margin holds for any h above 1e-5 times that size.
 SCREEN_MARGIN = 1e-9
 
 MIN_ANGLE_DEG = 20.0
@@ -143,16 +146,11 @@ def _triangle_signed_areas(vertices, triangles):
 
 def mesh_min_angle(mesh: Mesh) -> float:
     """Smallest interior angle over all triangles, in degrees."""
-    v = mesh.vertices
-    t = mesh.triangles
-    angles = []
-    for k in range(3):
-        a = v[t[:, (k + 1) % 3]] - v[t[:, k]]
-        b = v[t[:, (k + 2) % 3]] - v[t[:, k]]
-        num = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-        den = np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1])
-        angles.append(np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0))))
-    return float(np.min(np.column_stack(angles)))
+    p = mesh.vertices[mesh.triangles]  # corner k of each triangle is p[:, k]
+    a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    den = np.hypot(a[..., 0], a[..., 1]) * np.hypot(b[..., 0], b[..., 1])
+    return float(np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0))).min())
 
 
 def _half_edge_keys(tri, n):
@@ -308,17 +306,17 @@ def _flip_to_delaunay(pts, tri, twin):
 def _settle(spec, h, pts, n_fixed, full=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then triangulate and keep the simplices whose centroid lies more than
-    GEPS*h inside the region.  Returns the kept points, their size field,
-    simplices, bars, the size field at the bar midpoints, and `full`: the
-    full counterclockwise triangulation before the centroid filter and its
-    half-edge twins (see `_twins`).
+    GEPS*h inside the region.  Returns (pts, fh, d_out, simplices, full):
+    the kept points, their size field and outer distance, the kept
+    simplices, and the full counterclockwise triangulation before the
+    centroid filter with its half-edge twins (see `_twins`).
 
     `full` is the previous settle's (triangles, twins), or None.  Qhull
     runs, and `_twins` pairs its half-edges, when there is none, when the
     standoff dropped a point, and when `_flip_to_delaunay` cannot repair
-    it.  Either way the result is a Delaunay triangulation of the kept
-    points; where that is unique (no cocircular quad) both give the same
-    kept simplices as a set, and so the same sorted bars."""
+    it; its 2-D simplices arrive counterclockwise.  Either way the result
+    is a Delaunay triangulation of the kept points; where that is unique
+    (no cocircular quad) both give the same kept simplices as a set."""
     sd, fh, d_out = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
@@ -328,14 +326,13 @@ def _settle(spec, h, pts, n_fixed, full=None):
         full = None
     pts, fh, d_out = pts[keep], fh[keep], d_out[keep]
     if full is None:
-        tri = _orient_ccw(pts, Delaunay(pts).simplices)
+        tri = Delaunay(pts).simplices
         full = tri, _twins(tri, len(pts))
     tri = full[0]
     simplices = tri[_centroids_inside(spec, h, pts, d_out, tri)]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
-    bars = _unique_edges(simplices, len(pts))[0]
-    return pts, fh, simplices, bars, _bar_sizes(spec, h, pts, d_out, bars), full
+    return pts, fh, d_out, simplices, full
 
 
 def _centroids_inside(spec, h, pts, d_out, tri):
@@ -423,16 +420,18 @@ def _relax(spec, h, pts, n_fixed):
     next, which repairs both by edge flips instead of calling Qhull where
     it can, so the half-edges are paired once per Qhull call.  Between
     settles the positions live in one complex array z = x + iy, an (n, 2)
-    point array viewed as complex, and what changes only at a settle (bar
-    ends and D, target lengths, interior sizes) is computed once per settle."""
+    point array viewed as complex, and what changes only at a settle (bars
+    and D, target lengths, interior sizes) is built once per loop settle."""
     full = None  # the most recent full triangulation and its twins
     last = None  # positions at the most recent settle
     z = pts.view(complex).ravel()
     for _ in range(MAX_ITER):
         if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
-            pts, fh_pts, _, bars, h_bars, full = _settle(
+            pts, fh_pts, d_out, simplices, full = _settle(
                 spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
             last = z = pts.view(complex).ravel()
+            bars = _unique_edges(simplices, len(z))[0]
+            h_bars = _bar_sizes(spec, h, pts, d_out, bars)
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
             D = _incidence(ends, len(z))
             h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
@@ -444,27 +443,16 @@ def _relax(spec, h, pts, n_fixed):
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, simplices, _, _, _ = _settle(
+    pts, _, _, simplices, _ = _settle(
         spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
     return pts, simplices
 
 
-def _orient_ccw(vertices, triangles):
-    areas = _triangle_signed_areas(vertices, triangles)
-    flip = areas < 0
-    triangles[np.ix_(flip, [1, 2])] = triangles[np.ix_(flip, [2, 1])]
-    return triangles
-
-
 def _canonical_order(triangles):
     """Roll each triangle so its smallest index leads; sort rows."""
-    rolled = np.empty_like(triangles)
-    lead = np.argmin(triangles, axis=1)
-    for shift in range(3):
-        rows = lead == shift
-        rolled[rows] = np.roll(triangles[rows], -shift, axis=1)
-    order = np.lexsort((rolled[:, 2], rolled[:, 1], rolled[:, 0]))
-    return rolled[order]
+    lead = np.argmin(triangles, axis=1)[:, None]
+    rolled = np.take_along_axis(triangles, (lead + [0, 1, 2]) % 3, axis=1)
+    return rolled[np.lexsort(rolled.T[::-1])]
 
 
 def triangulate(spec: DomainSpec, h: float) -> Mesh:

@@ -9,7 +9,9 @@ ODE.  Expected literals below were frozen from those oracles.
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 from math import comb
 
 import numpy as np
@@ -385,6 +387,16 @@ def test_annulus_spec_validation():
         AnnulusSpec(2, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"got \(1\.0, inf\)"):
         AnnulusSpec(2, 1.0, math.inf)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        AnnulusSpec(2.0, 1.0, 5.0)
+    # a numpy integer dimension is stored as a Python int, so the
+    # multiplicities are ints and the spectrum serializes
+    spec = AnnulusSpec(np.int64(2), 1.0, 5.0)
+    assert spec == AnnulusSpec(2, 1.0, 5.0) and type(spec.n) is int
+    lines = enumerate_spectrum(AnnulusSpec(np.int64(3), 1.0, 2.0), "steklov", 4)
+    assert lines == enumerate_spectrum(AnnulusSpec(3, 1.0, 2.0), "steklov", 4)
+    assert all(type(ln.multiplicity) is int for ln in lines)
+    json.dumps([asdict(ln) for ln in lines])
 
 
 def test_bad_branch_and_degree():
@@ -393,6 +405,19 @@ def test_bad_branch_and_degree():
         steklov_eigenvalue(spec, 1, 3)
     with pytest.raises(ValueError):
         steklov_eigenvalue(spec, -1, 1)
+    for bad in (1.0, np.float64(1.0), np.int64(-1)):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            steklov_eigenvalue(spec, bad, 1)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            sn_eigenvalue(spec, bad)
+    # numpy integer degrees give what Python ints give
+    assert ([steklov_eigenvalue(spec, l, 1) for l in np.arange(4)]
+            == [steklov_eigenvalue(spec, l, 1) for l in range(4)])
+    assert sn_eigenvalue(spec, np.int64(1)) == sn_eigenvalue(spec, 1)
+    for got, want in [(steklov_profile(spec, np.int64(1), 1),
+                       steklov_profile(spec, 1, 1)),
+                      (sn_profile(spec, np.int64(1)), sn_profile(spec, 1))]:
+        assert got == want and type(got.l) is int
     with pytest.raises(ValueError):
         enumerate_spectrum(spec, "dirichlet", 3)
     with pytest.raises(ValueError):

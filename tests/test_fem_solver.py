@@ -215,6 +215,23 @@ def test_solve_eigs_input_validation(monkeypatch, coarse_mesh):
     with pytest.raises(ValueError, match="below the 2 spectral vertices, got 2"):
         solve_eigs(PATH_GRAPH, np.diag([1.0, 0.0, 1.0]), 2)
 
+    # and `solve` and `solve_on_mesh` reject a bad k or problem name before
+    # they mesh or factor anything
+    def no_meshing(spec, h):
+        raise AssertionError("meshed before checking the request")
+
+    monkeypatch.setattr(fem_solver, "triangulate", no_meshing)
+    spec = DomainSpec(Disk(5.0), (0.0, 0.0), 1.0)
+    for k in (0.5, 0, -1, 2.0):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve(spec, 2.5, k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_on_mesh(coarse_mesh, "steklov", k)
+    with pytest.raises(ValueError, match="unknown problem"):
+        solve(spec, 2.5, 3, problem="dirichlet")
+    with pytest.raises(ValueError, match="unknown problem"):
+        solve_on_mesh(coarse_mesh, "dirichlet", 3)
+
 
 def test_coarse_annulus_near_closed_form(coarse_mesh):
     sol = solve_on_mesh(coarse_mesh, "steklov", 4)

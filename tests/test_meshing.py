@@ -177,7 +177,8 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, simplices, bars, _, _ = meshing._settle(spec, 0.5, pts, len(fixed))
+    kept, fh, _, simplices, _ = meshing._settle(spec, 0.5, pts, len(fixed))
+    bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
@@ -216,7 +217,9 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
     for name in screened:
         monkeypatch.setattr(meshing, name, screen_counter(name, getattr(meshing, name)))
-    _, _, _, bars, h_bars, full = meshing._settle(spec, h, pts, len(fixed))
+    kept, _, d_out, simplices, full = meshing._settle(spec, h, pts, len(fixed))
+    bars = meshing._unique_edges(simplices, len(kept))[0]
+    h_bars = meshing._bar_sizes(spec, h, kept, d_out, bars)
     assert calls[0] == len(pts) and 0 not in calls
     assert sum(calls[1:]) == sum(screened.values())
     assert screened["region_signed_distance"] <= share * len(full[0])
@@ -228,9 +231,9 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
 def settle_screens_reference(spec, h, pts, n_fixed):
     """`_settle` on pts, and the kept simplices and bar sizes it should give,
     from the outer distance at every centroid and every midpoint."""
-    kept, _, simplices, bars, h_bars, (full, _) = meshing._settle(
-        spec, h, pts, n_fixed
-    )
+    kept, _, d_out, simplices, (full, _) = meshing._settle(spec, h, pts, n_fixed)
+    bars = meshing._unique_edges(simplices, len(kept))[0]
+    h_bars = meshing._bar_sizes(spec, h, kept, d_out, bars)
     centroids = kept[full].mean(axis=1)
     want = full[region_signed_distance(spec, centroids) < -meshing.GEPS * h]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
@@ -298,7 +301,7 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch
         assert graded
     if isinstance(spec.outer, Rectangle):  # kept at GEPS = 0, dropped at 1e-3
         monkeypatch.setattr(meshing, "GEPS", 0.0)
-        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed)[2])
+        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed)[3])
 
 
 def sorted_edges(triangles):
@@ -312,9 +315,10 @@ def sorted_edges(triangles):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    _, _, simplices, bars, _, _ = meshing._settle(
+    kept, _, _, simplices, _ = meshing._settle(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
     )
+    bars = meshing._unique_edges(simplices, len(kept))[0]
     rows = np.unique(sorted_edges(simplices), axis=0)
     assert bars.dtype == rows.dtype and np.array_equal(bars, rows)
     edges, counts = meshing._unique_edges(mesh.triangles, mesh.vertex_count)
@@ -397,7 +401,8 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)])
-    pts, _, _, bars, _, _ = meshing._settle(spec, 0.25, pts, n_fixed)
+    pts, _, _, simplices, _ = meshing._settle(spec, 0.25, pts, n_fixed)
+    bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
     z = pts[:, 0] + 1j * pts[:, 1]
     for _ in range(20):
@@ -421,7 +426,7 @@ def square_with_random_interior(n, seed):
     rng = np.random.default_rng(seed)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     pts = np.vstack([corners, rng.uniform(0.05, 0.95, (n, 2))])
-    tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
+    tri = meshing.Delaunay(pts).simplices
     return pts, tri
 
 
@@ -480,7 +485,7 @@ def test_flip_repair_keeps_cocircular_diagonals():
     # every cell of the lattice is a cocircular quad, so no edge is flipped
     grid = np.arange(6.0)
     pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
-    tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
+    tri = meshing.Delaunay(pts).simplices
     twin = meshing._twins(tri, len(pts))
     got, got_twin = meshing._flip_to_delaunay(pts, tri, twin)
     assert np.array_equal(got, tri) and np.array_equal(got_twin, twin)
@@ -539,7 +544,7 @@ def test_flip_repair_returns_a_delaunay_triangulation(
         cloud = np.vstack([cloud, cloud * [-1.0, 1.0]])
         shift = np.vstack([shift, shift * [-1.0, 1.0] if mirror_move else shift])
     pts = np.vstack([corners, cloud])
-    tri = meshing._orient_ccw(pts, meshing.Delaunay(pts).simplices)
+    tri = meshing.Delaunay(pts).simplices
     moved = pts + np.vstack([np.zeros((4, 2)), shift])
     result = meshing._flip_to_delaunay(moved, tri, meshing._twins(tri, len(pts)))
     # a flip only replaces the diagonal of a convex quad, so the repair
@@ -614,6 +619,40 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     want = four_eigenvalues(qhull_mesh)
     for q, value in four_eigenvalues(mesh).items():
         assert value == pytest.approx(want[q], rel=1e-12, abs=0.0), q
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_qhull_returns_counterclockwise_simplices(name):
+    # the settle uses Qhull's 2-D simplices as returned: SciPy documents
+    # them as counterclockwise, and every one has positive area here
+    spec, h = golden.TABLE1_DOMAINS[name], 0.25
+    outer, inner = boundary_polylines(spec, h)
+    pts = np.vstack([outer, inner, meshing._seed_points(spec, h)])
+    tri = meshing.Delaunay(pts).simplices
+    assert np.all(meshing._triangle_signed_areas(pts, tri) > 0)
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_final_settle_builds_no_bars(monkeypatch, name):
+    # bars and their sizes come from every settle but the last, and
+    # `validate_mesh` dedupes the mesh's edges once more
+    calls = {"_settle": 0, "_bar_sizes": 0, "_unique_edges": 0}
+
+    def counted(key):
+        fn = getattr(meshing, key)
+
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for key in calls:
+        monkeypatch.setattr(meshing, key, counted(key))
+    triangulate(golden.TABLE1_DOMAINS[name], 0.25)
+    assert calls["_settle"] > 1
+    assert calls["_bar_sizes"] == calls["_settle"] - 1
+    assert calls["_unique_edges"] == calls["_bar_sizes"] + 1
 
 
 def spec_at_clearance(outer, radius, angle, clearance):
