@@ -33,9 +33,7 @@ class AnnulusSpec:
     r_outer: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))  # frozen; a numpy n too
+        object.__setattr__(self, "n", _check_dimension(self.n))  # frozen
         if not (0.0 < self.r_inner < self.r_outer < math.inf):
             raise ValueError(
                 f"radii must satisfy 0 < r_inner < r_outer < inf, got "
@@ -64,15 +62,20 @@ def multiplicity(n: int, l: int) -> int:
     dim H_l = (2l + n - 2) / (l + n - 2) * C(l + n - 2, l) for l >= 1,
     and 1 for l = 0.  The division is exact in the integers.
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    l = _check_degree(l)
+    n, l = _check_dimension(n), _check_degree(l)
     if l == 0:
         return 1
     num = (2 * l + n - 2) * comb(l + n - 2, l)
     den = l + n - 2
     assert num % den == 0
     return num // den
+
+
+def _check_dimension(n):
+    """n as a Python int; ValueError unless it is an integer >= 2."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    return int(n)
 
 
 def _check_degree(l):

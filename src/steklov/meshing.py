@@ -31,10 +31,16 @@ diagonal), so no flip round sorts anything.  The hull vertices are fixed
 boundary vertices, so once every triangle is positive and every edge is
 locally Delaunay the repaired triangulation is a Delaunay triangulation.
 Where that is unique it is Qhull's.  Where four points are cocircular up
-to rounding, as across the axis of a mirror-symmetric domain, the repair
-keeps the current diagonal, which need not be the one Qhull would pick.
-An inverted triangle or too many flip rounds send the settle to Qhull
-after all.
+to rounding, as across the axis of a mirror-symmetric domain, either
+diagonal is Delaunay (and gives the same P1 stiffness): between settles
+the repair keeps the current one, and the final settle, on either path,
+takes the one with the smaller `_half_edge_keys` key, so both paths end
+on the same triangles.  An inverted triangle or too many flip rounds
+send a settle to Qhull after all.
+
+The relaxation stops once no interior point moves more than PTOL*fh in a
+force step.  PTOL is chosen by what it does to the eigenvalues (see the
+constant), not by DistMesh's point-move scale.
 
 Boundary edges are recovered by index: vertex 0..n_outer-1 is the outer
 polyline, the next n_inner the hole polyline, so a boundary edge joins
@@ -47,6 +53,7 @@ than a repair step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +88,10 @@ __all__ = [
 FSCALE = 1.2
 DELTA_T = 0.2
 TTOL = 0.1
-PTOL = 2e-3
+# PTOL is the largest of 2e-3, 4e-3, 8e-3 and 1.6e-2 whose eigenvalues on
+# every benchmark mesh drift less than 1e-4 relative (the benchmark's
+# EIG_DRIFT_TOL) from those at 2e-3; 1.6e-2 drifts 1.7e-4.
+PTOL = 8e-3
 ESCAPE_FRACTION = 0.3
 SEED_MARGIN = 0.45
 MAX_ITER = 1500
@@ -89,9 +99,10 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 
 # In-circle determinants within FLIP_TIE_RTOL of their permanent (the sum of
 # the absolute values of their terms) are ties: the four points are
-# cocircular up to rounding, either diagonal is Delaunay, and the flip
-# repair keeps the current one.  Mirror-symmetric domains produce such
-# quads at about 4e-14.
+# cocircular up to rounding and either diagonal is Delaunay.  The flip
+# repair keeps the current one, and the final settle takes the one with
+# the smaller key.  Mirror-symmetric domains produce such quads at about
+# 4e-14.
 # Between two settles a repair takes at most four rounds of flips on the
 # golden domains; one that reaches MAX_FLIP_ROUNDS is handed to Qhull.
 FLIP_TIE_RTOL = 1e-10
@@ -243,10 +254,12 @@ def _twins(tri, n):
     return twin
 
 
-def _flip_to_delaunay(pts, tri, twin):
+def _flip_to_delaunay(pts, tri, twin, ties=False):
     """Lawson-flip the counterclockwise triangulation `tri` of `pts`, with
     half-edge twins `twin` (see `_twins`), until every edge is locally
     Delaunay; return the new (tri, twin), or None when that cannot be shown.
+    With `ties`, flip instead every tie whose other diagonal has the smaller
+    key, for as many rounds as that takes (see `_settle`).
 
     Each round takes every interior edge of a triangle that changed in the
     previous round (every edge in the first) straight from `twin` and tests
@@ -256,16 +269,16 @@ def _flip_to_delaunay(pts, tri, twin):
     flips of a round independent.  A flip rewrites one vertex of each
     triangle in place: (a, b, c) and its neighbour (b, a, d) across a -> b
     become (a, d, c) and (b, c, d), so only the two half-edges that moved
-    triangle, their partners and the new diagonal need new twins.  A tie is
-    not flipped, so of several cocircular choices the current diagonal
-    stays.  Returns None when a triangle is not positive or after
-    MAX_FLIP_ROUNDS rounds."""
+    triangle, their partners and the new diagonal need new twins.  Without
+    `ties` a tie is not flipped, so of several cocircular choices the
+    current diagonal stays.  Returns None when a triangle is not positive,
+    or without `ties` after MAX_FLIP_ROUNDS rounds."""
     tri, twin = tri.copy(), twin.copy()
     flat = tri.reshape(-1)  # vertex at the start of each half-edge
     step = np.tile(np.int8([1, 1, -2]), len(tri))  # h + step[h] follows h
     where = np.append(np.arange(len(twin)), -1)  # new slots; where[-1] = -1
     changed = np.ones(len(tri), bool)  # triangles whose edges need a test
-    for _ in range(MAX_FLIP_ROUNDS):
+    for _ in itertools.count() if ties else range(MAX_FLIP_ROUNDS):
         if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
             return None
         h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
@@ -277,7 +290,11 @@ def _flip_to_delaunay(pts, tri, twin):
         n1, n2 = e1 + step[e1], e2 + step[e2]  # b -> c and a -> d
         a, b, c, d = flat[e1], flat[e2], flat[n1 + step[n1]], flat[n2 + step[n2]]
         det, perm = _incircle(pts, a, b, c, d)
-        bad = np.flatnonzero(det > FLIP_TIE_RTOL * perm)
+        if ties:  # c -> d has the smaller key when it holds the lowest vertex
+            bad = np.flatnonzero((np.abs(det) <= FLIP_TIE_RTOL * perm)
+                                 & (np.minimum(c, d) < np.minimum(a, b)))
+        else:
+            bad = np.flatnonzero(det > FLIP_TIE_RTOL * perm)
         if len(bad) == 0:
             return tri, twin
         t1, t2 = e1[bad] // 3, e2[bad] // 3
@@ -303,7 +320,7 @@ def _flip_to_delaunay(pts, tri, twin):
     return None
 
 
-def _settle(spec, h, pts, n_fixed, full=None):
+def _settle(spec, h, pts, n_fixed, full=None, final=False):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then triangulate and keep the simplices whose centroid lies more than
     GEPS*h inside the region.  Returns (pts, fh, d_out, simplices, full):
@@ -316,7 +333,17 @@ def _settle(spec, h, pts, n_fixed, full=None):
     standoff dropped a point, and when `_flip_to_delaunay` cannot repair
     it; its 2-D simplices arrive counterclockwise.  Either way the result
     is a Delaunay triangulation of the kept points; where that is unique
-    (no cocircular quad) both give the same kept simplices as a set."""
+    (no cocircular quad) both give the same kept simplices as a set.
+
+    A `final` settle then flips every tie between two kept simplices to
+    the diagonal with the smaller key, the one that holds the quad's lowest
+    vertex.  That is the Delaunay rule for the lifts |p_i|^2 - eps_i with
+    eps_0 >> eps_1 >> ... > 0, so it picks one triangulation of each set of
+    cocircular points, whichever Delaunay triangulation it starts from.
+    Every flip lowers the sum of the keys, so the flips end.  Should one
+    leave a simplex that is not positive, the Delaunay step's simplices
+    stand.  The hole's cocircular polygon, dropped by the centroid filter,
+    is left as it is."""
     sd, fh, d_out = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
@@ -328,11 +355,25 @@ def _settle(spec, h, pts, n_fixed, full=None):
     if full is None:
         tri = Delaunay(pts).simplices
         full = tri, _twins(tri, len(pts))
-    tri = full[0]
-    simplices = tri[_centroids_inside(spec, h, pts, d_out, tri)]
+    tri, twin = full
+    inside = _centroids_inside(spec, h, pts, d_out, tri)
+    simplices = tri[inside]
     if len(simplices) == 0:
         raise MeshError("triangulation produced no interior triangles")
+    if final:
+        flipped = _flip_to_delaunay(
+            pts, simplices, _kept_twins(twin, inside), ties=True)
+        simplices = simplices if flipped is None else flipped[0]
     return pts, fh, d_out, simplices, full
+
+
+def _kept_twins(twin, keep):
+    """The half-edge twins (see `_twins`) of the triangles that the mask
+    `keep` selects, in their order: -1 where the partner's was dropped."""
+    h = (3 * np.flatnonzero(keep)[:, None] + [0, 1, 2]).ravel()
+    slot = np.full(len(twin) + 1, -1)  # slot[-1] = -1 maps hull edges
+    slot[h] = np.arange(len(h))
+    return slot[twin[h]]
 
 
 def _centroids_inside(spec, h, pts, d_out, tri):
@@ -444,7 +485,7 @@ def _relax(spec, h, pts, n_fixed):
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
     pts, _, _, simplices, _ = _settle(
-        spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
+        spec, h, z.view(float).reshape(-1, 2), n_fixed, full, True)  # final
     return pts, simplices
 
 

@@ -247,6 +247,15 @@ def test_multiplicity_frozen_values():
     assert [multiplicity(n, 1) for n in NS] == NS
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, 1, np.int64(0), "3"])
+def test_multiplicity_rejects_a_dimension_that_is_not_an_integer_from_2(n):
+    # the same check and message as AnnulusSpec, not math.comb's TypeError
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        multiplicity(n, 1)
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        AnnulusSpec(n, 1.0, 2.0)
+
+
 # -------------------------------------------------------------------- profiles
 
 def ode_residual(profile, r):

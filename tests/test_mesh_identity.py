@@ -57,6 +57,7 @@ def test_compare_names_the_cases_behind_the_largest_differences(tmp_path, capsys
         "identical triangles: 2 of 3",
         "largest vertex move: 1e-09 (case-1)",
         "largest relative eigenvalue drift: 1e-06 (case-2)",
+        "smallest triangle angle: A 45.0 deg (case-0), B 45.0 deg (case-1)",
         "cases whose raised error differs: 0",
     ]
     assert tool.compare(before, before) == 0

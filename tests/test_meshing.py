@@ -491,6 +491,41 @@ def test_flip_repair_keeps_cocircular_diagonals():
     assert np.array_equal(got, tri) and np.array_equal(got_twin, twin)
 
 
+def lattice_cells(pts):
+    """The cells of the 6 x 6 unit lattice `pts` (point 6i + j at (i, j)),
+    each as its corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)."""
+    k = (6 * np.arange(5)[:, None] + np.arange(5)).ravel()
+    return np.column_stack([k, k + 6, k + 7, k + 1])
+
+
+def test_final_settle_flips_each_tie_to_the_diagonal_with_the_smaller_key(
+    monkeypatch
+):
+    # from Qhull's triangulation and from the one with the other diagonal
+    # in every cocircular quad, the final settle's tie flips reach the same
+    # triangles: the diagonal through each quad's lowest vertex.
+    # MAX_FLIP_ROUNDS (0 here) does not cap them.
+    monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)
+    trapezoid = np.array([[0.3, 0.7], [-0.3, 0.7], [-1.1, -0.4], [1.1, -0.4]])
+    grid = np.arange(6.0)
+    lattice = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
+    for pts, quads in ((trapezoid, np.array([[2, 3, 0, 1]])),
+                       (lattice, lattice_cells(lattice))):
+        a, b, c, d = quads.T  # counterclockwise; a -> c holds the lowest
+        on_ac = np.column_stack([a, b, c, a, c, d]).reshape(-1, 2, 3)
+        on_bd = np.column_stack([a, b, d, b, c, d]).reshape(-1, 2, 3)
+        qhull = meshing.Delaunay(pts).simplices
+        edges = {tuple(e) for e in meshing._unique_edges(qhull, len(pts))[0]}
+        qhull_ac = np.array([(i, j) in edges for i, j in zip(a, c)])
+        other = np.where(qhull_ac[:, None, None], on_bd, on_ac).reshape(-1, 3)
+        want = sorted_rows(on_ac.reshape(-1, 3))
+        for tri in (qhull, other):
+            got, twin = meshing._flip_to_delaunay(
+                pts, tri, meshing._twins(tri, len(pts)), ties=True)
+            assert np.array_equal(sorted_rows(got), want)
+            assert np.array_equal(twin, meshing._twins(got, len(pts)))
+
+
 def test_twins_pair_the_half_edges_of_each_interior_edge():
     # half-edge 3t + k runs from tri[t, k] to tri[t, (k + 1) % 3]; its twin
     # runs back, and a hull edge (one triangle) has none
@@ -503,6 +538,14 @@ def test_twins_pair_the_half_edges_of_each_interior_edge():
     assert np.array_equal(twin[twin[inner]], np.flatnonzero(inner))
     _, counts = meshing._unique_edges(tri, len(pts))
     assert np.sum(~inner) == np.sum(counts == 1) == 4  # the square's sides
+
+
+def test_kept_twins_pair_the_kept_triangles_as_a_sort_would():
+    pts, tri = square_with_random_interior(50, 8)
+    keep = np.random.default_rng(9).random(len(tri)) < 0.7
+    got = meshing._kept_twins(meshing._twins(tri, len(pts)), keep)
+    assert np.array_equal(got, meshing._twins(tri[keep], len(pts)))
+    assert np.sum(got < 0) > 4  # some partner dropped: more than the sides
 
 
 def incircle_reference(pts, i, j, c, d):
@@ -653,6 +696,22 @@ def test_final_settle_builds_no_bars(monkeypatch, name):
     assert calls["_settle"] > 1
     assert calls["_bar_sizes"] == calls["_settle"] - 1
     assert calls["_unique_edges"] == calls["_bar_sizes"] + 1
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_a_tighter_relaxation_tolerance_moves_no_eigenvalue_past_the_gate(
+    monkeypatch, name
+):
+    # PTOL is the largest tolerance whose eigenvalues stay within 1e-4
+    # relative, the drift gate EIG_DRIFT_TOL of perfbench/workloads.py, of
+    # those at a quarter of it (the DistMesh-scale default it replaced)
+    spec, h = golden.TABLE1_DOMAINS[name], 0.25
+    got = four_eigenvalues(triangulate(spec, h))
+    monkeypatch.setattr(meshing, "PTOL", meshing.PTOL / 4)
+    want = four_eigenvalues(triangulate(spec, h))
+    assert got != want
+    for q, value in got.items():
+        assert value == pytest.approx(want[q], rel=1e-4, abs=0.0), q
 
 
 def spec_at_clearance(outer, radius, angle, clearance):

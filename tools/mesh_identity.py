@@ -8,10 +8,11 @@ and stores its vertices, triangles, boundary edges and (sigma1, sigma2,
 mu1, mu2), or the error that `triangulate` raised.  Point PYTHONPATH at
 another checkout's `src` to record that tree.  `--compare` reports how far
 two records agree: bit-identical meshes (vertices, triangles and boundary
-edges), meshes with identical triangles, the largest vertex move and the
-largest relative eigenvalue drift, each with the case it comes from, and
-every case whose raised error differs.  It exits with status 1 when some
-case's raised error differs, and 0 otherwise.
+edges), meshes with identical triangles, the largest vertex move, the
+largest relative eigenvalue drift and each record's smallest triangle
+angle, each with the case it comes from, and every case whose raised
+error differs.  It exits with status 1 when some case's raised error
+differs, and 0 otherwise.
 
 The case set is fixed (174 cases):
 - the three table-1 domains at h = 0.25, 0.125 and 0.0625;
@@ -23,13 +24,14 @@ The case set is fixed (174 cases):
 
 import argparse
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from steklov import golden
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.experiments import four_eigenvalues
-from steklov.meshing import MeshError, triangulate
+from steklov.meshing import MeshError, mesh_min_angle, triangulate
 
 SEED = 20241018
 RANDOM_PER_SHAPE = 40
@@ -115,6 +117,7 @@ def compare(path_a, path_b):
         raise SystemExit("the two records hold different case sets")
     meshed = same_error = identical = same_triangles = 0
     vertex_move, eig_drift = (0.0, None), (0.0, None)  # (largest, its case)
+    min_angle = {"A": (np.inf, None), "B": (np.inf, None)}  # (smallest, case)
     mismatched = []
     for i, label in enumerate(labels):
         err_a, err_b = str(a["errors"][i]), str(b["errors"][i])
@@ -138,6 +141,11 @@ def compare(path_a, path_b):
         drift = float(np.max(np.abs(ea - eb) / np.abs(eb)))
         if drift > eig_drift[0]:
             eig_drift = drift, label
+        for name, record in (("A", a), ("B", b)):
+            angle = mesh_min_angle(SimpleNamespace(
+                vertices=record[f"{i}/vertices"], triangles=record[f"{i}/triangles"]))
+            if angle < min_angle[name][0]:
+                min_angle[name] = angle, label
     print(f"cases: {len(labels)}, meshed in both: {meshed}, "
           f"raised the same error in both: {same_error}")
     print(f"bit-identical meshes: {identical} of {meshed}")
@@ -145,6 +153,9 @@ def compare(path_a, path_b):
     for name, (value, label) in (("largest vertex move", vertex_move),
                                  ("largest relative eigenvalue drift", eig_drift)):
         print(f"{name}: {value:.3g}" + (f" ({label})" if value > 0 else ""))
+    print("smallest triangle angle: " + ", ".join(
+        f"{name} {value:.1f} deg ({label})"
+        for name, (value, label) in min_angle.items()))
     print(f"cases whose raised error differs: {len(mismatched)}")
     for line in mismatched:
         print(line)
