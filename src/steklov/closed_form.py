@@ -234,11 +234,10 @@ def sn_profile(spec: AnnulusSpec, l: int) -> RadialProfile:
 
 def degree1_profile(spec: AnnulusSpec, problem: str) -> RadialProfile:
     """Radial profile of the first nonzero (degree-1) eigenfunction."""
+    check_problem(problem)
     if problem == "steklov":
         return steklov_profile(spec, 1, 1)
-    if problem == "steklov_neumann":
-        return sn_profile(spec, 1)
-    raise ValueError(f"unknown problem {problem!r}")
+    return sn_profile(spec, 1)
 
 
 def radial_eval(profile: RadialProfile, r):
@@ -264,11 +263,16 @@ def radial_eval(profile: RadialProfile, r):
     return val, der
 
 
+def check_problem(problem):
+    """ValueError unless `problem` is one of PROBLEMS."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+
+
 def check_problem_and_k(problem, k):
     """ValueError unless `problem` is one of PROBLEMS and k an integer >= 1:
     the checks on a request for k eigenvalues that need no domain."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
+    check_problem(problem)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
 

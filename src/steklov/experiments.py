@@ -20,8 +20,8 @@ from steklov.analysis import (
     poly_positivity_report,
     spectrum_structure_report,
 )
-from steklov.closed_form import (PROBLEMS, AnnulusSpec, clusters,
-                                 degree1_profile, enumerate_spectrum)
+from steklov.closed_form import (PROBLEMS, AnnulusSpec, check_problem,
+                                 clusters, degree1_profile, enumerate_spectrum)
 from steklov.domains import Disk, DomainSpec, shape_dict
 from steklov.fem_solver import (CLUSTER_RTOL, factor_stiffness, solve,
                                 solve_on_mesh)
@@ -442,8 +442,7 @@ def convergence_study(spec, problem, h_list, k=6):
     h0, h1, h2 = h_list[-3:]
     if abs(h1 / h2 - h0 / h1) > 1e-9 * (h0 / h1):
         raise ValueError("refinement ratio must be fixed across levels")
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
+    check_problem(problem)
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer at least 2, got {k!r}")
     reference = _concentric_reference(spec, problem)

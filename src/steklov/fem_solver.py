@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.linalg import cholesky
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from steklov.closed_form import PROBLEMS, check_problem_and_k, clusters
+from steklov.closed_form import check_problem, check_problem_and_k, clusters
 from steklov.domains import DomainSpec
 from steklov.meshing import Mesh, triangulate
 from steklov.quadrature import boundary_rule
@@ -95,8 +95,7 @@ def assemble_boundary_mass(mesh, problem="steklov"):
     "steklov", the outer ones for "steklov_neumann" (hole edges then
     contribute nothing and their rows are zero).
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
+    check_problem(problem)
     edges = (mesh.outer_edges if problem == "steklov_neumann"
              else mesh.boundary_edges)
     lengths = boundary_rule(mesh, edges)[1]

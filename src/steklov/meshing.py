@@ -6,7 +6,7 @@ fixed where `boundary_polylines` placed them, interior points start on a
 density-matched grid and repel each other until edge lengths track the
 graded size field.  A settle (each triangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
-(the standoff), runs one Delaunay step, discards triangles whose centroid
+(the standoff), runs one Delaunay step, which keeps no triangle whose centroid
 falls outside the region, and returns the kept points, their size field
 and outer distance, and the kept simplices; the relaxation builds bars
 and target sizes from every settle but the final one.  The standoff test
@@ -21,21 +21,22 @@ MeshError.  Seeding uses a low-discrepancy sequence instead of a random
 generator, so everything is deterministic for a fixed spec and h.
 
 Qhull triangulates the first settle of a relaxation and any settle whose
-standoff dropped a point; its 2-D simplices arrive counterclockwise, and
-its half-edges are paired once, by a sort.  Otherwise no point moved more
-than TTOL*fh since the previous settle, and Lawson edge flips repair the
-previous full triangulation (hole triangles included) at the new
-positions.  The flips carry the half-edge pairing along (each flip
-updates only the half-edges it moved, their partners and its new
-diagonal), so no flip round sorts anything.  The hull vertices are fixed
-boundary vertices, so once every triangle is positive and every edge is
-locally Delaunay the repaired triangulation is a Delaunay triangulation.
-Where that is unique it is Qhull's.  Where four points are cocircular up
-to rounding, as across the axis of a mirror-symmetric domain, either
-diagonal is Delaunay (and gives the same P1 stiffness): between settles
-the repair keeps the current one, and the final settle, on either path,
-takes the one with the smaller `_half_edge_keys` key, so both paths end
-on the same triangles.  An inverted triangle or too many flip rounds
+standoff dropped a point; its 2-D simplices arrive counterclockwise, the
+centroid filter drops those outside the region (the hole's fan among
+them), and the half-edges of the rest are paired once, by a sort.
+Otherwise no point moved more than TTOL*fh since the previous settle, and
+Lawson edge flips repair the previous settle's triangles at the new
+positions, carrying the half-edge pairing along (each flip updates only
+the half-edges it moved, their partners and its new diagonal), so no flip
+round sorts anything.  The hull edges, the two boundary polylines, are
+fixed Delaunay edges (no point enters the hole's circle), so once every
+triangle is positive and every edge passes the flip test the triangles
+are the region's part of a Delaunay triangulation.  Of the two diagonals
+of a quad cocircular up to rounding (as across the axis of a
+mirror-symmetric domain; both give the same P1 stiffness) the test takes
+the one through the lowest-index vertex.  It also runs once on Qhull's
+triangles, so both paths build the same triangles at every settle, and
+the same mesh bit for bit.  An inverted triangle or too many flip rounds
 send a settle to Qhull after all.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
@@ -53,7 +54,6 @@ than a repair step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,13 +98,13 @@ MAX_ITER = 1500
 GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 
 # In-circle determinants within FLIP_TIE_RTOL of their permanent (the sum of
-# the absolute values of their terms) are ties: the four points are
-# cocircular up to rounding and either diagonal is Delaunay.  The flip
-# repair keeps the current one, and the final settle takes the one with
-# the smaller key.  Mirror-symmetric domains produce such quads at about
-# 4e-14.
-# Between two settles a repair takes at most four rounds of flips on the
-# golden domains; one that reaches MAX_FLIP_ROUNDS is handed to Qhull.
+# the absolute values of their terms; see `_flip_to_delaunay` for which) are
+# ties: the four points are cocircular up to rounding and either diagonal
+# is Delaunay.  Mirror-symmetric domains produce such quads at about 4e-14.
+# Over the 172 meshes that tools/mesh_identity.py records, a repair between
+# two settles takes at most five rounds of flips, and the pass after Qhull
+# at most three.  A repair that reaches MAX_FLIP_ROUNDS is handed to Qhull;
+# a pass after Qhull that does leaves Qhull's triangles.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -227,11 +227,11 @@ def _incircle(p, a, b, c, d):
     """In-circle determinant of d against each counterclockwise triangle
     (a, b, c), positive when d lies inside the circumcircle, and its
     permanent."""
-    x, y = p[:, 0], p[:, 1]
-    xd, yd = x[d], y[d]
-    adx, ady = x[a] - xd, y[a] - yd
-    bdx, bdy = x[b] - xd, y[b] - yd
-    cdx, cdy = x[c] - xd, y[c] - yd
+    z = p.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
+    zd = z.take(d)
+    ad, bd, cd = z.take(a) - zd, z.take(b) - zd, z.take(c) - zd
+    adx, ady, bdx, bdy = ad.real, ad.imag, bd.real, bd.imag
+    cdx, cdy = cd.real, cd.imag
     terms = [
         (adx * adx + ady * ady, bdx * cdy, cdx * bdy),
         (bdx * bdx + bdy * bdy, cdx * ady, adx * cdy),
@@ -254,31 +254,38 @@ def _twins(tri, n):
     return twin
 
 
-def _flip_to_delaunay(pts, tri, twin, ties=False):
+def _flip_to_delaunay(pts, tri, twin):
     """Lawson-flip the counterclockwise triangulation `tri` of `pts`, with
-    half-edge twins `twin` (see `_twins`), until every edge is locally
-    Delaunay; return the new (tri, twin), or None when that cannot be shown.
-    With `ties`, flip instead every tie whose other diagonal has the smaller
-    key, for as many rounds as that takes (see `_settle`).
+    half-edge twins `twin` (see `_twins`), until every edge passes the
+    test below; return the new (tri, twin), or None when a triangle is not
+    positive or after MAX_FLIP_ROUNDS rounds.
+
+    The triangles (a, b, c) and (b, a, d) across an edge a -> b form the
+    counterclockwise quad a, d, b, c, tested at its lowest-index vertex v
+    against the circle through the other three (counterclockwise from v),
+    so both diagonals read the same numbers.  The diagonal runs through v
+    unless v lies outside by more than FLIP_TIE_RTOL times the smallest
+    permanent of the determinants at v and at its two neighbours (v's own
+    can be far larger when v lies far from the rest).  Away from ties that
+    is Lawson's test; a tie goes to v, the Delaunay rule for the lifts
+    |p_i|^2 - eps_i with eps_0 >> eps_1 >> ... > 0 (Edelsbrunner and
+    Muecke's simulation of simplicity), which picks one triangulation of
+    each set of cocircular points.
 
     Each round takes every interior edge of a triangle that changed in the
-    previous round (every edge in the first) straight from `twin` and tests
-    the vertex opposite one half-edge against the circumcircle of the
-    other's triangle.  It then flips the failing edges that are the
+    previous round (every edge in the first) straight from `twin` and
+    tests its quad.  It then flips the failing edges that are the
     lowest-numbered failing edge of both their triangles, which makes the
     flips of a round independent.  A flip rewrites one vertex of each
-    triangle in place: (a, b, c) and its neighbour (b, a, d) across a -> b
-    become (a, d, c) and (b, c, d), so only the two half-edges that moved
-    triangle, their partners and the new diagonal need new twins.  Without
-    `ties` a tie is not flipped, so of several cocircular choices the
-    current diagonal stays.  Returns None when a triangle is not positive,
-    or without `ties` after MAX_FLIP_ROUNDS rounds."""
+    triangle in place: (a, b, c) and (b, a, d) become (a, d, c) and
+    (b, c, d), so only the two half-edges that moved triangle, their
+    partners and the new diagonal need new twins."""
     tri, twin = tri.copy(), twin.copy()
     flat = tri.reshape(-1)  # vertex at the start of each half-edge
     step = np.tile(np.int8([1, 1, -2]), len(tri))  # h + step[h] follows h
     where = np.append(np.arange(len(twin)), -1)  # new slots; where[-1] = -1
     changed = np.ones(len(tri), bool)  # triangles whose edges need a test
-    for _ in itertools.count() if ties else range(MAX_FLIP_ROUNDS):
+    for _ in range(MAX_FLIP_ROUNDS):
         if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
             return None
         h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
@@ -289,12 +296,22 @@ def _flip_to_delaunay(pts, tri, twin, ties=False):
         e2 = twin[e1]  # a -> b and b -> a
         n1, n2 = e1 + step[e1], e2 + step[e2]  # b -> c and a -> d
         a, b, c, d = flat[e1], flat[e2], flat[n1 + step[n1]], flat[n2 + step[n2]]
-        det, perm = _incircle(pts, a, b, c, d)
-        if ties:  # c -> d has the smaller key when it holds the lowest vertex
-            bad = np.flatnonzero((np.abs(det) <= FLIP_TIE_RTOL * perm)
-                                 & (np.minimum(c, d) < np.minimum(a, b)))
-        else:
-            bad = np.flatnonzero(det > FLIP_TIE_RTOL * perm)
+        # the quad counterclockwise from its lowest vertex: v, p, q, r; blends
+        # x + s * (y - x) pick like np.where(s, y, x) but without slow branches
+        on = np.minimum(a, b) < np.minimum(c, d)  # v is a or b
+        v, p, q, r = (d + on * (a - d), b + on * (d - b),
+                      c + on * (b - c), a + on * (c - a))
+        swap = q < v
+        v, q = np.minimum(v, q), np.maximum(v, q)
+        p, r = p + swap * (r - p), r + swap * (p - r)
+        det, perm = _incircle(pts, p, q, r, v)
+        near = np.flatnonzero((det < 0) & (det >= -FLIP_TIE_RTOL * perm))
+        if len(near):  # v outside, within the band: ask its neighbours too
+            for turn in ((q, r, v, p), (v, p, q, r)):  # from p, then from r
+                seen = _incircle(pts, *(x[near] for x in turn))[1]
+                perm[near] = np.minimum(perm[near], seen)
+        # wrong diagonal: through v with v clearly outside, or past v without
+        bad = np.flatnonzero(on == (det < -FLIP_TIE_RTOL * perm))
         if len(bad) == 0:
             return tri, twin
         t1, t2 = e1[bad] // 3, e2[bad] // 3
@@ -320,30 +337,19 @@ def _flip_to_delaunay(pts, tri, twin, ties=False):
     return None
 
 
-def _settle(spec, h, pts, n_fixed, full=None, final=False):
+def _settle(spec, h, pts, n_fixed, full=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
-    then triangulate and keep the simplices whose centroid lies more than
-    GEPS*h inside the region.  Returns (pts, fh, d_out, simplices, full):
-    the kept points, their size field and outer distance, the kept
-    simplices, and the full counterclockwise triangulation before the
-    centroid filter with its half-edge twins (see `_twins`).
+    then run one Delaunay step.  Returns (pts, fh, d_out, full): the kept
+    points, their size field and outer distance, and the region's
+    counterclockwise triangles with their half-edge twins (see `_twins`).
 
-    `full` is the previous settle's (triangles, twins), or None.  Qhull
-    runs, and `_twins` pairs its half-edges, when there is none, when the
-    standoff dropped a point, and when `_flip_to_delaunay` cannot repair
-    it; its 2-D simplices arrive counterclockwise.  Either way the result
-    is a Delaunay triangulation of the kept points; where that is unique
-    (no cocircular quad) both give the same kept simplices as a set.
-
-    A `final` settle then flips every tie between two kept simplices to
-    the diagonal with the smaller key, the one that holds the quad's lowest
-    vertex.  That is the Delaunay rule for the lifts |p_i|^2 - eps_i with
-    eps_0 >> eps_1 >> ... > 0, so it picks one triangulation of each set of
-    cocircular points, whichever Delaunay triangulation it starts from.
-    Every flip lowers the sum of the keys, so the flips end.  Should one
-    leave a simplex that is not positive, the Delaunay step's simplices
-    stand.  The hole's cocircular polygon, dropped by the centroid filter,
-    is left as it is."""
+    `full` is the previous settle's (triangles, twins), or None.  When the
+    standoff kept every point, `_flip_to_delaunay` repairs it at the new
+    positions.  Otherwise, or when the repair fails, Qhull triangulates,
+    the simplices whose centroid lies more than GEPS*h inside the region
+    are kept with their twins, and one `_flip_to_delaunay` pass settles
+    Qhull's ties (should it fail, Qhull's triangles stand).  Both paths give
+    the same triangles (see the module docstring)."""
     sd, fh, d_out = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
@@ -354,26 +360,12 @@ def _settle(spec, h, pts, n_fixed, full=None, final=False):
     pts, fh, d_out = pts[keep], fh[keep], d_out[keep]
     if full is None:
         tri = Delaunay(pts).simplices
+        tri = tri[_centroids_inside(spec, h, pts, d_out, tri)]
+        if len(tri) == 0:
+            raise MeshError("triangulation produced no interior triangles")
         full = tri, _twins(tri, len(pts))
-    tri, twin = full
-    inside = _centroids_inside(spec, h, pts, d_out, tri)
-    simplices = tri[inside]
-    if len(simplices) == 0:
-        raise MeshError("triangulation produced no interior triangles")
-    if final:
-        flipped = _flip_to_delaunay(
-            pts, simplices, _kept_twins(twin, inside), ties=True)
-        simplices = simplices if flipped is None else flipped[0]
-    return pts, fh, d_out, simplices, full
-
-
-def _kept_twins(twin, keep):
-    """The half-edge twins (see `_twins`) of the triangles that the mask
-    `keep` selects, in their order: -1 where the partner's was dropped."""
-    h = (3 * np.flatnonzero(keep)[:, None] + [0, 1, 2]).ravel()
-    slot = np.full(len(twin) + 1, -1)  # slot[-1] = -1 maps hull edges
-    slot[h] = np.arange(len(h))
-    return slot[twin[h]]
+        full = _flip_to_delaunay(pts, *full) or full
+    return pts, fh, d_out, full
 
 
 def _centroids_inside(spec, h, pts, d_out, tri):
@@ -457,21 +449,21 @@ def _force_step(z, ends, D, h_want, h_sq, n_fixed):
 def _relax(spec, h, pts, n_fixed):
     """Move interior points until bar lengths track the size field.
 
-    Each settle hands its full triangulation and half-edge twins to the
+    Each settle hands its triangles and their half-edge twins to the
     next, which repairs both by edge flips instead of calling Qhull where
     it can, so the half-edges are paired once per Qhull call.  Between
     settles the positions live in one complex array z = x + iy, an (n, 2)
     point array viewed as complex, and what changes only at a settle (bars
     and D, target lengths, interior sizes) is built once per loop settle."""
-    full = None  # the most recent full triangulation and its twins
+    full = None  # the most recent settle's triangles and their twins
     last = None  # positions at the most recent settle
     z = pts.view(complex).ravel()
     for _ in range(MAX_ITER):
         if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
-            pts, fh_pts, d_out, simplices, full = _settle(
+            pts, fh_pts, d_out, full = _settle(
                 spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
             last = z = pts.view(complex).ravel()
-            bars = _unique_edges(simplices, len(z))[0]
+            bars = _unique_edges(full[0], len(z))[0]
             h_bars = _bar_sizes(spec, h, pts, d_out, bars)
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
             D = _incidence(ends, len(z))
@@ -484,8 +476,8 @@ def _relax(spec, h, pts, n_fixed):
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, _, simplices, _ = _settle(
-        spec, h, z.view(float).reshape(-1, 2), n_fixed, full, True)  # final
+    pts, _, _, (simplices, _) = _settle(
+        spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
     return pts, simplices
 
 

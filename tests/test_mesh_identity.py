@@ -15,17 +15,18 @@ def load_tool():
     return module
 
 
-def write_record(path, errors, meshes):
-    """A record of len(errors) cases; `meshes` maps a case index to its
-    (vertices, triangles, eigenvalues) or (vertices, triangles,
-    eigenvalues, boundary edges), the boundary edges BOUNDARY by default."""
+def write_record(path, errors, meshes, labels=None):
+    """A record of len(errors) cases, labelled case-i-h0.5 unless `labels`
+    says otherwise; `meshes` maps a case index to its (vertices,
+    triangles, eigenvalues) or (vertices, triangles, eigenvalues, boundary
+    edges), the boundary edges BOUNDARY by default."""
     arrays = {}
     for i, (vertices, triangles, eigs, *boundary) in meshes.items():
         arrays[f"{i}/vertices"] = np.asarray(vertices, float)
         arrays[f"{i}/triangles"] = np.asarray(triangles)
         arrays[f"{i}/boundary_edges"] = np.asarray((boundary or [BOUNDARY])[0])
         arrays[f"{i}/eigs"] = np.asarray(eigs, float)
-    labels = [f"case-{i}" for i in range(len(errors))]
+    labels = labels or [f"case-{i}-h0.5" for i in range(len(errors))]
     np.savez_compressed(
         path, labels=np.array(labels), errors=np.array(errors), **arrays
     )
@@ -42,22 +43,34 @@ def test_compare_names_the_cases_behind_the_largest_differences(tmp_path, capsys
     moved = np.array(SQUARE)
     moved[2] += 1e-9
     before, after = tmp_path / "before.npz", tmp_path / "after.npz"
-    errors = ["", "", "", "MeshError: degenerate"]
-    write_record(before, errors, {i: (SQUARE, TRIANGLES, EIGS) for i in range(3)})
+    errors = ["", "", "", "", "MeshError: degenerate"]
+    # golden cases by default, random ones by the prefix; grouped by h
+    labels = ["table1-annulus-h0.25", "disk-0.0-0.0-h0.125",
+              "random-disk-0-h0.5", "random-rectangle-1-h0.25",
+              "random-ellipse-2-h0.5"]
+    write_record(before, errors,
+                 {i: (SQUARE, TRIANGLES, EIGS) for i in range(4)}, labels)
     write_record(after, errors, {
         0: (SQUARE, TRIANGLES, EIGS),
         1: (moved, TRIANGLES, EIGS),
         2: (SQUARE, [[0, 1, 3], [1, 2, 3]], [0.1, 0.2, 0.3, 0.4 * (1 + 1e-6)]),
-    })
+        3: (SQUARE, TRIANGLES, [0.1, 0.2 * (1 - 1e-8), 0.3, 0.4]),
+    }, labels)
     assert tool.compare(before, after) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == [
-        "cases: 4, meshed in both: 3, raised the same error in both: 1",
-        "bit-identical meshes: 1 of 3",
-        "identical triangles: 2 of 3",
-        "largest vertex move: 1e-09 (case-1)",
-        "largest relative eigenvalue drift: 1e-06 (case-2)",
-        "smallest triangle angle: A 45.0 deg (case-0), B 45.0 deg (case-1)",
+        "cases: 5, meshed in both: 4, raised the same error in both: 1",
+        "bit-identical meshes: 2 of 4",
+        "identical triangles: 3 of 4",
+        "largest vertex move: 1e-09 (disk-0.0-0.0-h0.125)",
+        "largest relative eigenvalue drift: 1e-06 (random-disk-0-h0.5)",
+        "largest relative eigenvalue drift per group:",
+        "  golden h=0.125, 1 meshed: 0",
+        "  golden h=0.25, 1 meshed: 0",
+        "  random h=0.25, 1 meshed: 1e-08 (random-rectangle-1-h0.25)",
+        "  random h=0.5, 1 meshed: 1e-06 (random-disk-0-h0.5)",
+        "smallest triangle angle: A 45.0 deg (table1-annulus-h0.25), "
+        "B 45.0 deg (disk-0.0-0.0-h0.125)",
         "cases whose raised error differs: 0",
     ]
     assert tool.compare(before, before) == 0
@@ -83,5 +96,5 @@ def test_compare_fails_when_a_raised_error_differs(tmp_path, capsys):
     assert tool.compare(before, after) == 1
     out = capsys.readouterr().out
     assert "cases whose raised error differs: 1\n" in out
-    assert "  case-1: MeshError: degenerate | meshed\n" in out
+    assert "  case-1-h0.5: MeshError: degenerate | meshed\n" in out
     assert tool.main(["--compare", str(after), str(after)]) == 0

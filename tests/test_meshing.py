@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steklov import domains, golden, meshing
@@ -177,7 +177,7 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, _, simplices, _ = meshing._settle(spec, 0.5, pts, len(fixed))
+    kept, fh, _, (simplices, _) = meshing._settle(spec, 0.5, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
@@ -217,27 +217,33 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
     for name in screened:
         monkeypatch.setattr(meshing, name, screen_counter(name, getattr(meshing, name)))
-    kept, _, d_out, simplices, full = meshing._settle(spec, h, pts, len(fixed))
+    kept, _, d_out, (simplices, _) = meshing._settle(spec, h, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     h_bars = meshing._bar_sizes(spec, h, kept, d_out, bars)
+    centroids = len(meshing.Delaunay(kept).simplices)  # one per Qhull simplex
     assert calls[0] == len(pts) and 0 not in calls
     assert sum(calls[1:]) == sum(screened.values())
-    assert screened["region_signed_distance"] <= share * len(full[0])
+    assert screened["region_signed_distance"] <= share * centroids
     assert screened["size_field"] <= share * len(bars)
     # every graded bar is evaluated
     assert screened["size_field"] >= np.sum(h_bars < h)
 
 
 def settle_screens_reference(spec, h, pts, n_fixed):
-    """`_settle` on pts, and the kept simplices and bar sizes it should give,
-    from the outer distance at every centroid and every midpoint."""
-    kept, _, d_out, simplices, (full, _) = meshing._settle(spec, h, pts, n_fixed)
+    """The Qhull simplices that `_settle` on pts keeps and the sizes of the
+    bars of its triangles, and what they should be, from the outer distance
+    at every centroid and every midpoint."""
+    kept, _, d_out, (simplices, _) = meshing._settle(spec, h, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(kept))[0]
     h_bars = meshing._bar_sizes(spec, h, kept, d_out, bars)
+    full = meshing.Delaunay(kept).simplices
+    inside = meshing._centroids_inside(spec, h, kept, d_out, full)
     centroids = kept[full].mean(axis=1)
     want = full[region_signed_distance(spec, centroids) < -meshing.GEPS * h]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
-    return (simplices, h_bars), (want, size_field(spec, h, mids))
+    # flips keep the count of the triangles they start from
+    assert len(simplices) == len(want)
+    return (full[inside], h_bars), (want, size_field(spec, h, mids))
 
 
 def random_spec(seed):
@@ -301,7 +307,7 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch
         assert graded
     if isinstance(spec.outer, Rectangle):  # kept at GEPS = 0, dropped at 1e-3
         monkeypatch.setattr(meshing, "GEPS", 0.0)
-        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed)[3])
+        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed)[3][0])
 
 
 def sorted_edges(triangles):
@@ -315,7 +321,7 @@ def sorted_edges(triangles):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    kept, _, _, simplices, _ = meshing._settle(
+    kept, _, _, (simplices, _) = meshing._settle(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
     )
     bars = meshing._unique_edges(simplices, len(kept))[0]
@@ -401,7 +407,7 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)])
-    pts, _, _, simplices, _ = meshing._settle(spec, 0.25, pts, n_fixed)
+    pts, _, _, (simplices, _) = meshing._settle(spec, 0.25, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -481,16 +487,6 @@ def test_flip_repair_falls_back_on_an_inverted_triangle():
     assert meshing._flip_to_delaunay(moved, tri, twin) is None
 
 
-def test_flip_repair_keeps_cocircular_diagonals():
-    # every cell of the lattice is a cocircular quad, so no edge is flipped
-    grid = np.arange(6.0)
-    pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
-    tri = meshing.Delaunay(pts).simplices
-    twin = meshing._twins(tri, len(pts))
-    got, got_twin = meshing._flip_to_delaunay(pts, tri, twin)
-    assert np.array_equal(got, tri) and np.array_equal(got_twin, twin)
-
-
 def lattice_cells(pts):
     """The cells of the 6 x 6 unit lattice `pts` (point 6i + j at (i, j)),
     each as its corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)."""
@@ -498,14 +494,30 @@ def lattice_cells(pts):
     return np.column_stack([k, k + 6, k + 7, k + 1])
 
 
-def test_final_settle_flips_each_tie_to_the_diagonal_with_the_smaller_key(
-    monkeypatch
-):
-    # from Qhull's triangulation and from the one with the other diagonal
-    # in every cocircular quad, the final settle's tie flips reach the same
-    # triangles: the diagonal through each quad's lowest vertex.
-    # MAX_FLIP_ROUNDS (0 here) does not cap them.
-    monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)
+def test_flip_repair_keeps_cocircular_diagonals():
+    # every cell of the lattice is a cocircular quad; where each already
+    # holds the diagonal through its lowest vertex no edge is flipped, and
+    # the repair of Qhull's triangulation is a fixed point of the repair
+    grid = np.arange(6.0)
+    pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
+    a, b, c, d = lattice_cells(pts).T
+    tri = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
+    twin = meshing._twins(tri, len(pts))
+    got, got_twin = meshing._flip_to_delaunay(pts, tri, twin)
+    assert np.array_equal(got, tri) and np.array_equal(got_twin, twin)
+    qhull = meshing.Delaunay(pts).simplices
+    once = meshing._flip_to_delaunay(pts, qhull, meshing._twins(qhull, len(pts)))
+    again = meshing._flip_to_delaunay(pts, *once)
+    assert np.array_equal(again[0], once[0])
+    assert np.array_equal(again[1], once[1])
+
+
+def test_final_settle_flips_each_tie_to_the_diagonal_with_the_smaller_key():
+    # every cell of the lattice, and the mirror-symmetric trapezoid, is a
+    # cocircular quad.  From Qhull's triangulation and from the one with the
+    # other diagonal in every quad, the flip repair of every settle, the
+    # final one too, reaches the same triangles: the diagonal through each
+    # quad's lowest vertex, the one with the smaller key
     trapezoid = np.array([[0.3, 0.7], [-0.3, 0.7], [-1.1, -0.4], [1.1, -0.4]])
     grid = np.arange(6.0)
     lattice = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
@@ -521,7 +533,7 @@ def test_final_settle_flips_each_tie_to_the_diagonal_with_the_smaller_key(
         want = sorted_rows(on_ac.reshape(-1, 3))
         for tri in (qhull, other):
             got, twin = meshing._flip_to_delaunay(
-                pts, tri, meshing._twins(tri, len(pts)), ties=True)
+                pts, tri, meshing._twins(tri, len(pts)))
             assert np.array_equal(sorted_rows(got), want)
             assert np.array_equal(twin, meshing._twins(got, len(pts)))
 
@@ -538,14 +550,6 @@ def test_twins_pair_the_half_edges_of_each_interior_edge():
     assert np.array_equal(twin[twin[inner]], np.flatnonzero(inner))
     _, counts = meshing._unique_edges(tri, len(pts))
     assert np.sum(~inner) == np.sum(counts == 1) == 4  # the square's sides
-
-
-def test_kept_twins_pair_the_kept_triangles_as_a_sort_would():
-    pts, tri = square_with_random_interior(50, 8)
-    keep = np.random.default_rng(9).random(len(tri)) < 0.7
-    got = meshing._kept_twins(meshing._twins(tri, len(pts)), keep)
-    assert np.array_equal(got, meshing._twins(tri[keep], len(pts)))
-    assert np.sum(got < 0) > 4  # some partner dropped: more than the sides
 
 
 def incircle_reference(pts, i, j, c, d):
@@ -571,6 +575,15 @@ def incircle_reference(pts, i, j, c, d):
     move=st.sampled_from([1e-3, 1e-2, 3e-2, 1e-6, 1e-12, 0.0]),
     mirror_move=st.booleans(),
 )
+# a near-tie that reads 1e-10 of its permanent from one diagonal and 3e-10
+# from the other: a test that depends on the diagonal can keep an edge
+# that the reference calls non-Delaunay
+@example(n=41, seed=200, mirror=True, move=1e-12, mirror_move=False)
+# a quad whose lowest vertex, a corner, lies far from the other three: its
+# determinant is 2e-11 of the permanent at the corner and 7e-10 of those
+# at the corner's neighbours, so a tie judged by the corner's permanent
+# alone keeps an edge that the reference calls non-Delaunay
+@example(n=33, seed=0, mirror=True, move=1e-6, mirror_move=False)
 def test_flip_repair_returns_a_delaunay_triangulation(
     n, seed, mirror, move, mirror_move
 ):
@@ -616,6 +629,18 @@ def test_flip_repair_returns_a_delaunay_triangulation(
     det, perm = incircle_reference(moved, *quads.T)
     tol = meshing.FLIP_TIE_RTOL * perm
     assert np.all(det <= tol)  # every interior edge locally Delaunay
+    # a tie, judged at its quad's lowest vertex v against the circle through
+    # the other three (counterclockwise from v) and within FLIP_TIE_RTOL of
+    # the permanents at v and at both its neighbours, holds v on the diagonal
+    i, j, c, d = quads.T
+    cycle = np.column_stack([i, d, j, c])  # the quad, counterclockwise
+    turn = (np.argmin(cycle, axis=1)[:, None] + [0, 1, 2, 3]) % 4
+    v, p, q, r = np.take_along_axis(cycle, turn, axis=1).T
+    det_v, perm_v = incircle_reference(moved, p, q, r, v)
+    scale = np.minimum.reduce([perm_v, incircle_reference(moved, q, r, v, p)[1],
+                               incircle_reference(moved, v, p, q, r)[1]])
+    tie = np.abs(det_v) <= meshing.FLIP_TIE_RTOL * scale
+    assert np.all(np.minimum(i, j)[tie] == v[tie])
     if np.all(np.abs(det) > tol):  # no tie: the Delaunay triangulation is unique
         want = meshing.Delaunay(moved).simplices
         assert np.array_equal(sorted_rows(repaired), sorted_rows(want))
@@ -630,12 +655,29 @@ MESH_SPECS = {
 }
 
 
+def qhull_at_every_settle(patch):
+    """Make every `_settle` start from Qhull: it gets no previous
+    triangulation to repair."""
+    settle = meshing._settle
+
+    def from_qhull(spec, h, pts, n_fixed, full=None):
+        return settle(spec, h, pts, n_fixed)
+
+    patch.setattr(meshing, "_settle", from_qhull)
+
+
+def assert_same_mesh(got, want):
+    """Bit-identical vertices, triangles and boundary edges."""
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.triangles, want.triangles)
+    assert np.array_equal(got.boundary_edges, want.boundary_edges)
+
+
 @pytest.mark.parametrize("name", MESH_SPECS)
 def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
-    # the default mesh calls Qhull once; with MAX_FLIP_ROUNDS = 0 every
-    # settle calls it.  Either way the half-edges are paired once per Qhull
-    # call.  Ties may pick other diagonals during the relaxation, which
-    # moves vertices by rounding only.
+    # the default mesh calls Qhull once; every settle can call it instead.
+    # Either way the half-edges are paired once per Qhull call, and every
+    # settle builds the same triangles, so the meshes are bit-identical
     spec, h = MESH_SPECS[name], 0.25
     calls = {"qhull": 0, "settle": 0, "twins": 0}
 
@@ -651,17 +693,11 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     monkeypatch.setattr(meshing, "_twins", counted("twins", meshing._twins))
     mesh = triangulate(spec, h)
     assert calls["qhull"] == calls["twins"] == 1 and calls["settle"] > 1
-    monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)  # always fall back
     calls["qhull"] = calls["settle"] = calls["twins"] = 0
+    qhull_at_every_settle(monkeypatch)
     qhull_mesh = triangulate(spec, h)
     assert calls["qhull"] == calls["twins"] == calls["settle"]
-    assert np.array_equal(mesh.triangles, qhull_mesh.triangles)
-    if name.startswith("rectangle"):  # no cocircular quad: bit for bit
-        assert np.array_equal(mesh.vertices, qhull_mesh.vertices)
-    assert np.max(np.abs(mesh.vertices - qhull_mesh.vertices)) <= 1e-10 * h
-    want = four_eigenvalues(qhull_mesh)
-    for q, value in four_eigenvalues(mesh).items():
-        assert value == pytest.approx(want[q], rel=1e-12, abs=0.0), q
+    assert_same_mesh(mesh, qhull_mesh)
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
@@ -753,23 +789,57 @@ def admissible_specs(draw, h):
     )
 
 
+def mesh_and_least_standoff(spec, h):
+    """`triangulate(spec, h)`, and the least depth inside the region over
+    the interior points after every force step, in units of the size field
+    at the most recent settle."""
+    settle, force_step = meshing._settle, meshing._force_step
+    fh, depths = [], []
+
+    def settled(spec, h, pts, n_fixed, full=None):
+        result = settle(spec, h, pts, n_fixed, full)
+        fh[:] = [result[1][n_fixed:]]
+        return result
+
+    def stepped(z, ends, D, h_want, h_sq, n_fixed):
+        z, step = force_step(z, ends, D, h_want, h_sq, n_fixed)
+        free = z.view(float).reshape(-1, 2)[n_fixed:]
+        depths.append(np.min(-region_signed_distance(spec, free) / fh[0]))
+        return z, step
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meshing, "_settle", settled)
+        patch.setattr(meshing, "_force_step", stepped)
+        mesh = triangulate(spec, h)
+    assert len(depths) > 1
+    return mesh, min(depths)
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_interior_points_keep_the_standoff_between_settles(name):
+    # each settle drops the interior points within ESCAPE_FRACTION*fh of
+    # the boundary, and none moves more than TTOL*fh before the next one
+    _, depth = mesh_and_least_standoff(golden.TABLE1_DOMAINS[name], 0.25)
+    assert depth >= ESCAPE_FRACTION - meshing.TTOL
+
+
 @settings(max_examples=9, derandomize=True, database=None, deadline=None)
 @given(spec=admissible_specs(0.5))
 def test_random_admissible_geometry_meshes_and_solves(spec):
-    # the mesh is valid, each mixed eigenvalue is at least the Steklov one
-    # (its quotient integrates over less boundary), and the flip repair
-    # gives the eigenvalues of Qhull at every settle
+    # the mesh is valid, the interior points keep the standoff between
+    # settles, each mixed eigenvalue is at least the Steklov one (its
+    # quotient integrates over less boundary), and the flip repair gives
+    # the mesh of Qhull at every settle, bit for bit
     h = 0.5
     assert spec.clearance >= h / 10.0
-    mesh = triangulate(spec, h)
+    mesh, depth = mesh_and_least_standoff(spec, h)
     validate_mesh(mesh)
+    assert depth >= ESCAPE_FRACTION - meshing.TTOL
     got = four_eigenvalues(mesh)
     assert got["mu1"] >= got["sigma1"] and got["mu2"] >= got["sigma2"]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(meshing, "MAX_FLIP_ROUNDS", 0)  # Qhull at every settle
-        want = four_eigenvalues(triangulate(spec, h))
-    for q, value in got.items():
-        assert value == pytest.approx(want[q], rel=1e-9, abs=0.0), q
+        qhull_at_every_settle(patch)
+        assert_same_mesh(mesh, triangulate(spec, h))
 
 
 @settings(max_examples=9, derandomize=True, database=None, deadline=None)

@@ -10,9 +10,10 @@ another checkout's `src` to record that tree.  `--compare` reports how far
 two records agree: bit-identical meshes (vertices, triangles and boundary
 edges), meshes with identical triangles, the largest vertex move, the
 largest relative eigenvalue drift and each record's smallest triangle
-angle, each with the case it comes from, and every case whose raised
-error differs.  It exits with status 1 when some case's raised error
-differs, and 0 otherwise.
+angle, each with the case it comes from, the largest drift per case group
+(golden or random cases, by the mesh size h that ends the label), and
+every case whose raised error differs.  It exits with status 1 when some
+case's raised error differs, and 0 otherwise.
 
 The case set is fixed (174 cases):
 - the three table-1 domains at h = 0.25, 0.125 and 0.0625;
@@ -116,7 +117,8 @@ def compare(path_a, path_b):
     if labels != list(b["labels"]):
         raise SystemExit("the two records hold different case sets")
     meshed = same_error = identical = same_triangles = 0
-    vertex_move, eig_drift = (0.0, None), (0.0, None)  # (largest, its case)
+    vertex_move = 0.0, None  # (largest, its case)
+    groups = {}  # (kind, h): [cases, (largest eigenvalue drift, its case)]
     min_angle = {"A": (np.inf, None), "B": (np.inf, None)}  # (smallest, case)
     mismatched = []
     for i, label in enumerate(labels):
@@ -139,8 +141,12 @@ def compare(path_a, path_b):
             vertex_move = move, label
         ea, eb = a[f"{i}/eigs"], b[f"{i}/eigs"]
         drift = float(np.max(np.abs(ea - eb) / np.abs(eb)))
-        if drift > eig_drift[0]:
-            eig_drift = drift, label
+        kind = "random" if label.startswith("random-") else "golden"
+        group = groups.setdefault(
+            (kind, float(label.rpartition("-h")[2])), [0, (0.0, None)])
+        group[0] += 1
+        if drift > group[1][0]:
+            group[1] = drift, label
         for name, record in (("A", a), ("B", b)):
             angle = mesh_min_angle(SimpleNamespace(
                 vertices=record[f"{i}/vertices"], triangles=record[f"{i}/triangles"]))
@@ -150,9 +156,15 @@ def compare(path_a, path_b):
           f"raised the same error in both: {same_error}")
     print(f"bit-identical meshes: {identical} of {meshed}")
     print(f"identical triangles: {same_triangles} of {meshed}")
+    eig_drift = max((group[1] for group in groups.values()),
+                    key=lambda pair: pair[0], default=(0.0, None))
     for name, (value, label) in (("largest vertex move", vertex_move),
                                  ("largest relative eigenvalue drift", eig_drift)):
         print(f"{name}: {value:.3g}" + (f" ({label})" if value > 0 else ""))
+    print("largest relative eigenvalue drift per group:")
+    for (kind, h), (count, (value, label)) in sorted(groups.items()):
+        print(f"  {kind} h={h:g}, {count} meshed: {value:.3g}"
+              + (f" ({label})" if value > 0 else ""))
     print("smallest triangle angle: " + ", ".join(
         f"{name} {value:.1f} deg ({label})"
         for name, (value, label) in min_angle.items()))
