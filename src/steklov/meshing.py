@@ -20,24 +20,30 @@ gaps.  A relaxation that has not settled after MAX_ITER iterations raises
 MeshError.  Seeding uses a low-discrepancy sequence instead of a random
 generator, so everything is deterministic for a fixed spec and h.
 
-Qhull triangulates the first settle of a relaxation and any settle whose
-standoff dropped a point; its 2-D simplices arrive counterclockwise, the
-centroid filter drops those outside the region (the hole's fan among
-them), and the half-edges of the rest are paired once, by a sort.
-Otherwise no point moved more than TTOL*fh since the previous settle, and
-Lawson edge flips repair the previous settle's triangles at the new
-positions, carrying the half-edge pairing along (each flip updates only
-the half-edges it moved, their partners and its new diagonal), so no flip
-round sorts anything.  The hull edges, the two boundary polylines, are
-fixed Delaunay edges (no point enters the hole's circle), so once every
+The first settle of a relaxation starts from the seed lattice, whose
+triangles `_seed_points` returns by index: those clear of every other
+point are Delaunay as they stand, and Qhull triangulates only the band
+of points left over, along the boundary and in graded gaps
+(`_lattice_start`).  Qhull triangulates every point when these triangles
+do not tile the hull, and at any settle whose standoff dropped a point.
+The 2-D simplices arrive counterclockwise, the centroid filter drops
+those outside the region (the hole's fan among them), and the
+half-edges of the rest are paired once, by a sort.  Otherwise no point
+moved more than TTOL*fh since the previous settle, and Lawson edge flips
+repair the previous settle's triangles at the new positions, carrying
+the half-edge pairing along (each flip updates only the half-edges it
+moved, their partners and its new diagonal), so no flip round sorts
+anything.  The hull edges, the two boundary polylines, are fixed
+Delaunay edges (no point enters the hole's circle), so once every
 triangle is positive and every edge passes the flip test the triangles
 are the region's part of a Delaunay triangulation.  Of the two diagonals
 of a quad cocircular up to rounding (as across the axis of a
 mirror-symmetric domain; both give the same P1 stiffness) the test takes
-the one through the lowest-index vertex.  It also runs once on Qhull's
-triangles, so both paths build the same triangles at every settle, and
-the same mesh bit for bit.  An inverted triangle or too many flip rounds
-send a settle to Qhull after all.
+the one through the lowest-index vertex.  It also runs once on each new
+triangulation, so whichever Delaunay triangulation a settle starts from,
+every path builds the same triangles at every settle, and the same mesh
+bit for bit.  An inverted triangle or too many flip rounds send a settle
+to Qhull after all.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
 force step.  PTOL is chosen by what it does to the eigenvalues (see the
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .domains import (
     DomainSpec,
@@ -179,6 +185,8 @@ def _unique_edges(triangles, n):
 
 
 def _hex_grid(xmin, xmax, ymin, ymax, spacing):
+    """A hexagonal lattice over the box, row by row from ymin, each odd row
+    shifted right by half a spacing, and the number of points in each row."""
     dy = spacing * math.sqrt(3.0) / 2.0
     rows = []
     y = ymin
@@ -189,38 +197,60 @@ def _hex_grid(xmin, xmax, ymin, ymax, spacing):
         rows.append(np.column_stack([xs, np.full(xs.shape, y)]))
         y += dy
         row += 1
-    return np.vstack(rows)
+    return np.vstack(rows), np.array([len(r) for r in rows])
+
+
+def _hex_triangles(count):
+    """The counterclockwise triangles, by index, of the `_hex_grid` lattice
+    with `count` points per row: between rows r and r + 1, k = r % 2, with
+    L_c and U_c the c-th points of each, the up (L_c, L_c+1, U_c+k) and the
+    down (L_c, U_c+k, U_c+k-1) triangles whose corners all exist."""
+    col = np.arange(-1, count.max() + 1)  # idx[r, 1 + c] is U_c of row r
+    idx = np.where((col >= 0) & (col < count[:, None]),
+                   (np.cumsum(count) - count)[:, None] + col, -1)
+    k = (np.arange(len(count) - 1) % 2 == 1)[:, None]
+    lo, hi = idx[:-1, 1:-1], idx[:-1, 2:]
+    up = np.where(k, idx[1:, 2:], idx[1:, 1:-1])
+    left = np.where(k, idx[1:, 1:-1], idx[1:, :-2])
+    a, b = (hi >= 0) & (up >= 0), (lo >= 0) & (up >= 0) & (left >= 0)
+    return np.vstack([np.column_stack([lo[a], hi[a], up[a]]),
+                      np.column_stack([lo[b], up[b], left[b]])])
 
 
 def _seed_points(spec: DomainSpec, h: float):
-    """Interior starting points with density matched to the size field.
+    """Interior starting points with density matched to the size field, and
+    the triangles of the coarse lattice among them.
 
     A coarse hexagonal grid covers the ungraded bulk (where the size field
-    equals h).  Where the field drops below h, a fine grid at the smallest
-    target size is thinned by low-discrepancy rejection so the local point
-    density approaches 1/fh^2.
+    equals h).  Its kept points lead the seeds, and its triangles whose
+    three corners are all kept (`_hex_triangles`) are returned by index
+    into the seeds.  Where the field drops below h, a fine grid at the
+    smallest target size is thinned by low-discrepancy rejection so the
+    local point density approaches 1/fh^2.
     """
     a, b = spec.outer.half_extents
-    coarse = _hex_grid(-a, a, -b, b, h)
+    coarse, count = _hex_grid(-a, a, -b, b, h)
     sd, fh, _ = region_distance_and_size(spec, h, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
     seeds = [coarse[keep]]
+    lattice = _hex_triangles(count)
+    lattice = (np.cumsum(keep) - 1)[lattice[keep[lattice].all(axis=1)]]
 
     fh_min = max(h / MIN_SIZE_DIVISOR, min(h, GRADE_FRACTION * spec.clearance))
     if fh_min < h * (1.0 - 1e-9):
-        probe = _hex_grid(-a, a, -b, b, h / 2.0)
+        probe = _hex_grid(-a, a, -b, b, h / 2.0)[0]
         graded = size_field(spec, h, probe) < h * (1.0 - 1e-9)
         if np.any(graded):
             gx, gy = probe[graded, 0], probe[graded, 1]
             fine = _hex_grid(
                 gx.min() - h, gx.max() + h, gy.min() - h, gy.max() + h, fh_min
-            )
+            )[0]
             sd_f, fh_f, _ = region_distance_and_size(spec, h, fine)
             cand = (fh_f < h * (1.0 - 1e-9)) & (sd_f < -SEED_MARGIN * fh_f)
             fine, fh_f = fine[cand], fh_f[cand]
             u = np.mod(np.arange(1, len(fine) + 1) * _WEYL, 1.0)
             seeds.append(fine[u < (fh_min / fh_f) ** 2])
-    return np.vstack(seeds)
+    return np.vstack(seeds), lattice
 
 
 def _incircle(p, a, b, c, d):
@@ -337,29 +367,81 @@ def _flip_to_delaunay(pts, tri, twin):
     return None
 
 
-def _settle(spec, h, pts, n_fixed, full=None):
+def _circumcircles(pts, tri):
+    """Circumcentres, as an (m, 2) array, and circumradii of the
+    counterclockwise triangles `tri` of `pts`."""
+    z = pts.view(complex).ravel()
+    a = z.take(tri[:, 0])
+    b, c = z.take(tri[:, 1]) - a, z.take(tri[:, 2]) - a
+    u = 1j * (abs(c) ** 2 * b - abs(b) ** 2 * c) / (2.0 * (b.conj() * c).imag)
+    return (a + u).view(float).reshape(-1, 2), np.abs(u)
+
+
+def _lattice_start(pts, lattice):
+    """Delaunay triangles of `pts`, counterclockwise, from the seed lattice's
+    triangles `lattice` and one Qhull call on the band; None when they do
+    not tile the hull of `pts`.
+
+    A lattice triangle is equilateral, and no other lattice point comes
+    within twice its circumradius of its circumcentre.  It is accepted,
+    Delaunay with a margin, when no other point comes within (1 + 1e-6)
+    times that radius.  A lattice point with six accepted triangles is
+    inner.  Qhull triangulates the rest, the band, whose hull is that of
+    `pts`; its triangles with no inner point in their circumcircle are
+    Delaunay, and with the accepted triangles at an inner corner they tile
+    that hull, which the area check confirms."""
+    on = np.zeros(len(pts), bool)
+    on[lattice] = True
+    centre, radius = _circumcircles(pts, lattice)
+    bound = (1.0 + 1e-6) * radius
+    near = cKDTree(pts[~on]).query(
+        centre, distance_upper_bound=bound.max(initial=0.0))[0]
+    accepted = lattice[near > bound]
+    inner = np.bincount(accepted.ravel(), minlength=len(pts)) == 6
+    band = np.flatnonzero(~inner)  # every point when none is inner
+    simplices = Delaunay(pts[band]).simplices
+    qhull = band[simplices]
+    hull_areas = _triangle_signed_areas(pts, qhull)
+    if np.any(hull_areas <= 0):  # a flat triangle has no circumcentre
+        return None
+    centre, radius = _circumcircles(pts, qhull)
+    clear = cKDTree(pts[inner]).query(centre)[0] >= radius
+    tri = np.vstack([accepted[inner[accepted].any(axis=1)], qhull[clear]])
+    area = np.sum(_triangle_signed_areas(pts, tri))
+    if not math.isclose(area, np.sum(hull_areas), rel_tol=1e-9):
+        return None
+    return tri.astype(simplices.dtype)  # Qhull's index type, as in the fallback
+
+
+def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
     then run one Delaunay step.  Returns (pts, fh, d_out, full): the kept
     points, their size field and outer distance, and the region's
     counterclockwise triangles with their half-edge twins (see `_twins`).
 
-    `full` is the previous settle's (triangles, twins), or None.  When the
-    standoff kept every point, `_flip_to_delaunay` repairs it at the new
-    positions.  Otherwise, or when the repair fails, Qhull triangulates,
-    the simplices whose centroid lies more than GEPS*h inside the region
-    are kept with their twins, and one `_flip_to_delaunay` pass settles
-    Qhull's ties (should it fail, Qhull's triangles stand).  Both paths give
-    the same triangles (see the module docstring)."""
+    `full` is the previous settle's (triangles, twins), or None, and
+    `lattice` the seed lattice's triangles at the first settle (see
+    `_seed_points`), or None.  When the standoff kept every point,
+    `_flip_to_delaunay` repairs `full` at the new positions, or
+    `_lattice_start` builds the triangulation from `lattice` and Qhull on
+    the band.  Otherwise, or when that fails, Qhull triangulates every
+    point.  The simplices whose centroid lies more than GEPS*h inside the
+    region are kept with their twins, and one `_flip_to_delaunay` pass
+    settles the ties of the new triangulation (should it fail, its
+    triangles stand).  Every path gives the same triangles (see the module
+    docstring)."""
     sd, fh, d_out = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
-    if full is not None and keep.all():
+    if not keep.all():
+        full = lattice = None
+    if full is not None:
         full = _flip_to_delaunay(pts, *full)
-    else:
-        full = None
     pts, fh, d_out = pts[keep], fh[keep], d_out[keep]
     if full is None:
-        tri = Delaunay(pts).simplices
+        tri = None if lattice is None else _lattice_start(pts, lattice)
+        if tri is None:
+            tri = Delaunay(pts).simplices
         tri = tri[_centroids_inside(spec, h, pts, d_out, tri)]
         if len(tri) == 0:
             raise MeshError("triangulation produced no interior triangles")
@@ -446,22 +528,29 @@ def _force_step(z, ends, D, h_want, h_sq, n_fixed):
     return z + DELTA_T * total, DELTA_T * np.abs(total[n_fixed:])
 
 
-def _relax(spec, h, pts, n_fixed):
-    """Move interior points until bar lengths track the size field.
+def _relax(spec, h, fixed):
+    """Seed the region and move the seeds until bar lengths track the size
+    field; the boundary points `fixed` stay, and lead the returned points.
 
-    Each settle hands its triangles and their half-edge twins to the
-    next, which repairs both by edge flips instead of calling Qhull where
-    it can, so the half-edges are paired once per Qhull call.  Between
-    settles the positions live in one complex array z = x + iy, an (n, 2)
-    point array viewed as complex, and what changes only at a settle (bars
-    and D, target lengths, interior sizes) is built once per loop settle."""
+    The first settle starts from the seed lattice's triangles (see
+    `_seed_points`), which are dropped after it.  Each settle hands its
+    triangles and their half-edge twins to the next, which repairs both by
+    edge flips instead of calling Qhull where it can, so the half-edges are
+    paired once per Qhull call.  Between settles the positions live in one
+    complex array z = x + iy, an (n, 2) point array viewed as complex, and
+    what changes only at a settle (bars and D, target lengths, interior
+    sizes) is built once per loop settle."""
     full = None  # the most recent settle's triangles and their twins
     last = None  # positions at the most recent settle
-    z = pts.view(complex).ravel()
+    n_fixed = len(fixed)
+    seeds, lattice = _seed_points(spec, h)
+    z = np.vstack([fixed, seeds]).view(complex).ravel()
+    lattice = lattice + n_fixed
     for _ in range(MAX_ITER):
         if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
             pts, fh_pts, d_out, full = _settle(
-                spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
+                spec, h, z.view(float).reshape(-1, 2), n_fixed, full, lattice)
+            lattice = None
             last = z = pts.view(complex).ravel()
             bars = _unique_edges(full[0], len(z))[0]
             h_bars = _bar_sizes(spec, h, pts, d_out, bars)
@@ -505,9 +594,7 @@ def triangulate(spec: DomainSpec, h: float) -> Mesh:
     outer_poly, inner_poly = boundary_polylines(spec, h)
     n_out = len(outer_poly)
     fixed = np.vstack([outer_poly, inner_poly])
-    pts = np.vstack([fixed, _seed_points(spec, h)])
-
-    pts, simplices = _relax(spec, h, pts, n_fixed=len(fixed))
+    pts, simplices = _relax(spec, h, fixed)
     triangles = _canonical_order(simplices)
 
     # vertex i joins i + 1, except that each loop's last joins its first

@@ -88,6 +88,19 @@ def test_compare_counts_a_boundary_change_as_not_bit_identical(tmp_path, capsys)
     assert "identical triangles: 1 of 1\n" in out
 
 
+def test_compare_counts_an_index_type_change_as_not_bit_identical(
+    tmp_path, capsys
+):
+    tool = load_tool()
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    write_record(before, [""], {0: (SQUARE, np.int32(TRIANGLES), EIGS)})
+    write_record(after, [""], {0: (SQUARE, np.int64(TRIANGLES), EIGS)})
+    assert tool.compare(before, after) == 0
+    out = capsys.readouterr().out
+    assert "bit-identical meshes: 0 of 1\n" in out
+    assert "identical triangles: 1 of 1\n" in out
+
+
 def test_compare_fails_when_a_raised_error_differs(tmp_path, capsys):
     tool = load_tool()
     before, after = tmp_path / "before.npz", tmp_path / "after.npz"

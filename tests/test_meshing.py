@@ -199,7 +199,7 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
-    pts = np.vstack([fixed, meshing._seed_points(spec, h)])
+    pts = np.vstack([fixed, meshing._seed_points(spec, h)[0]])
     calls = []
     screened = {"region_signed_distance": 0, "size_field": 0}
 
@@ -284,7 +284,7 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch
     spec, h = SCREEN_CASES[name]
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
-    seeds = meshing._seed_points(spec, h)
+    seeds = meshing._seed_points(spec, h)[0]
     rng = np.random.default_rng(len(seeds))
     moved = seeds + rng.uniform(-0.3 * h, 0.3 * h, seeds.shape)
     chord = np.roll(outer, -1, axis=0) - outer
@@ -406,7 +406,7 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     spec = DomainSpec(golden.ELLIPSE_OUTER, (0.0, 2.5), 1.0)
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
-    pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)])
+    pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)[0]])
     pts, _, _, (simplices, _) = meshing._settle(spec, 0.25, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
@@ -656,21 +656,21 @@ MESH_SPECS = {
 
 
 def qhull_at_every_settle(patch):
-    """Make every `_settle` start from Qhull: it gets no previous
-    triangulation to repair."""
+    """Make every `_settle` start from Qhull on every point: it gets no
+    previous triangulation to repair and no seed lattice."""
     settle = meshing._settle
 
-    def from_qhull(spec, h, pts, n_fixed, full=None):
+    def from_qhull(spec, h, pts, n_fixed, full=None, lattice=None):
         return settle(spec, h, pts, n_fixed)
 
     patch.setattr(meshing, "_settle", from_qhull)
 
 
 def assert_same_mesh(got, want):
-    """Bit-identical vertices, triangles and boundary edges."""
-    assert np.array_equal(got.vertices, want.vertices)
-    assert np.array_equal(got.triangles, want.triangles)
-    assert np.array_equal(got.boundary_edges, want.boundary_edges)
+    """Bit-identical vertices, triangles and boundary edges, dtypes too."""
+    for name in ("vertices", "triangles", "boundary_edges"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("name", MESH_SPECS)
@@ -706,9 +706,173 @@ def test_qhull_returns_counterclockwise_simplices(name):
     # them as counterclockwise, and every one has positive area here
     spec, h = golden.TABLE1_DOMAINS[name], 0.25
     outer, inner = boundary_polylines(spec, h)
-    pts = np.vstack([outer, inner, meshing._seed_points(spec, h)])
+    pts = np.vstack([outer, inner, meshing._seed_points(spec, h)[0]])
     tri = meshing.Delaunay(pts).simplices
     assert np.all(meshing._triangle_signed_areas(pts, tri) > 0)
+
+
+def seeded_cloud(spec, h):
+    """The boundary polylines and the seeds, as `triangulate` stacks them,
+    the number of boundary points and the lattice triangles over the
+    cloud."""
+    outer, inner = boundary_polylines(spec, h)
+    seeds, lattice = meshing._seed_points(spec, h)
+    n_fixed = len(outer) + len(inner)
+    return np.vstack([outer, inner, seeds]), n_fixed, lattice + n_fixed
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_seed_lattice_triangles_are_the_lattice_cells(name):
+    # every lattice triangle is counterclockwise and equilateral, and they
+    # are the triangles of side h in Qhull's triangulation of their points
+    # (Qhull's others span the hole and the lattice's ragged edge); no two
+    # of them form a quad that the flip test reads as a tie
+    h = 0.125
+    seeds, lattice = meshing._seed_points(golden.TABLE1_DOMAINS[name], h)
+    areas = meshing._triangle_signed_areas(seeds, lattice)
+    assert np.all(areas > 0)
+    assert areas == pytest.approx(math.sqrt(3.0) / 4.0 * h**2, rel=1e-12)
+    corners = np.unique(lattice)
+    qhull = corners[meshing.Delaunay(seeds[corners]).simplices]
+    sides = np.hypot(*(seeds[qhull] - seeds[np.roll(qhull, 1, axis=1)]).T)
+    cells = qhull[np.all(np.abs(sides - h) < 1e-9 * h, axis=0)]
+    assert np.array_equal(meshing._canonical_order(lattice),
+                          meshing._canonical_order(cells))
+    twin = meshing._twins(lattice, len(seeds))
+    e1 = np.flatnonzero(twin > np.arange(len(twin)))
+    a, b = lattice.ravel()[e1], lattice.ravel()[twin[e1]]
+    c = lattice[e1 // 3, (e1 % 3 + 2) % 3]
+    d = lattice[twin[e1] // 3, (twin[e1] % 3 + 2) % 3]
+    det, perm = incircle_reference(seeds, a, b, c, d)
+    assert len(e1) > len(lattice) and np.all(det < -meshing.FLIP_TIE_RTOL * perm)
+
+
+def record_calls(patch, name):
+    """Wrap `meshing.<name>` to record the first argument and the result of
+    every call; returns the record, a list of (argument, result)."""
+    fn, calls = getattr(meshing, name), []
+
+    def wrapped(*args):
+        calls.append((args[0], fn(*args)))
+        return calls[-1][1]
+
+    patch.setattr(meshing, name, wrapped)
+    return calls
+
+
+FIRST_SETTLE_CASES = {
+    **{f"{name}-h{h}": (spec, h) for name, spec in golden.TABLE1_DOMAINS.items()
+       for h in (0.25, 0.125, 0.0625)},
+    "ellipse-1.9-0": (DomainSpec(golden.ELLIPSE_OUTER, (1.9, 0.0), 1.0), 0.125),
+    "rectangle-off-centre": SCREEN_CASES["rectangle-off-centre"],
+}
+
+
+@pytest.mark.parametrize("name", FIRST_SETTLE_CASES)
+def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
+    # the first settle from the lattice and Qhull on the band gives the
+    # triangles of the settle from Qhull on every point (up to their order
+    # and rotation) with their own twins.  Qhull sees only the band, and
+    # every kept triangle off Qhull's list, a lattice triangle, has a corner
+    # off the band: one whose corners are all band points would double a
+    # Qhull triangle or, across a tie, overlap one
+    spec, h = FIRST_SETTLE_CASES[name]
+    pts, n_fixed, lattice = seeded_cloud(spec, h)
+    qhull = record_calls(monkeypatch, "Delaunay")
+    want = meshing._settle(spec, h, pts, n_fixed)
+    got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
+    seen = [len(points) for points, _ in qhull]
+    assert len(seen) == 2 and 2 * seen[1] < seen[0] == len(pts)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    for tri, twin in (got[3], want[3]):
+        assert np.array_equal(twin, meshing._twins(tri, len(pts)))
+    assert got[3][0].dtype == want[3][0].dtype
+    assert np.array_equal(meshing._canonical_order(got[3][0]),
+                          meshing._canonical_order(want[3][0]))
+
+    tri = meshing._lattice_start(pts, lattice)
+    points, band_qhull = qhull[2]
+    z = pts.view(complex).ravel()
+    band = np.flatnonzero(np.isin(z, points.view(complex).ravel()))
+    assert len(band) == len(points)
+    assert len(np.unique(np.sort(tri, axis=1), axis=0)) == len(tri)
+    from_qhull = np.isin(
+        triangle_keys(np.sort(tri, axis=1), len(pts)),
+        triangle_keys(np.sort(band[band_qhull.simplices], axis=1), len(pts)))
+    assert np.all(~np.isin(tri[~from_qhull], band).all(axis=1))
+
+
+def test_lattice_start_rejects_the_lattice_triangles_around_a_seed(monkeypatch):
+    # a seed 0.8 circumradii from a lattice triangle's centre, past the
+    # middle of one side, lies inside that triangle's circumcircle and its
+    # neighbour's: the query rejects both, and the settle still takes the
+    # lattice start and gives the triangles of Qhull on every point
+    spec, h = golden.TABLE1_DOMAINS["rectangle"], 0.25
+    pts, n_fixed, lattice = seeded_cloud(spec, h)
+    corners = pts[lattice]
+    centre = corners.mean(axis=1)
+    t = np.argmin(np.hypot(*(centre - [3.0, 1.5]).T))
+    side = 0.5 * (corners[t, 0] + corners[t, 1])
+    pts = np.vstack([pts, centre[t] + 1.6 * (side - centre[t])])
+    qhull = record_calls(monkeypatch, "Delaunay")
+    got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
+    want = meshing._settle(spec, h, pts, n_fixed)
+    seen = [len(points) for points, _ in qhull]
+    assert len(seen) == 2 and seen[0] < seen[1] == len(pts)
+    assert np.array_equal(meshing._canonical_order(got[3][0]),
+                          meshing._canonical_order(want[3][0]))
+
+
+def triangle_keys(rows, n):
+    """One int64 key per row-sorted triangle over n points."""
+    return (rows[:, 0].astype(np.int64) * n + rows[:, 1]) * n + rows[:, 2]
+
+
+class FarTree:
+    """A `cKDTree` whose every query finds nothing: every lattice triangle
+    is accepted and no Qhull triangle holds an inner point."""
+
+    def __init__(self, points):
+        pass
+
+    def query(self, x, **kwargs):
+        return np.full(len(x), np.inf), np.zeros(len(x), int)
+
+
+def test_lattice_start_falls_back_when_its_triangles_do_not_tile_the_hull(
+    monkeypatch,
+):
+    # misjudged queries keep overlapping triangles; the area check sends
+    # the settle to Qhull on every point, and the mesh is the same
+    spec, h = golden.TABLE1_DOMAINS["ellipse"], 0.25
+    mesh = triangulate(spec, h)
+    qhull = record_calls(monkeypatch, "Delaunay")
+    starts = record_calls(monkeypatch, "_lattice_start")
+    monkeypatch.setattr(meshing, "cKDTree", FarTree)
+    fallback = triangulate(spec, h)
+    assert [tri for _, tri in starts] == [None]
+    seen = [len(points) for points, _ in qhull]
+    assert seen[0] < seen[1] == len(seeded_cloud(spec, h)[0])
+    assert_same_mesh(fallback, mesh)
+
+
+def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
+    # a lattice corner moved 0.1 h inside the outer boundary falls to the
+    # standoff, and the settle is the one from Qhull on every point
+    spec, h = golden.TABLE1_DOMAINS["annulus"], 0.25
+    pts, n_fixed, lattice = seeded_cloud(spec, h)
+    pts[lattice[0, 0]] = 0.995 * pts[0]  # pts[0] lies on the radius-5 circle
+
+    def forbidden(pts, lattice):
+        raise AssertionError("lattice start")
+
+    monkeypatch.setattr(meshing, "_lattice_start", forbidden)
+    got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
+    want = meshing._settle(spec, h, pts, n_fixed)
+    assert len(got[0]) == len(pts) - 1
+    for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
@@ -796,8 +960,8 @@ def mesh_and_least_standoff(spec, h):
     settle, force_step = meshing._settle, meshing._force_step
     fh, depths = [], []
 
-    def settled(spec, h, pts, n_fixed, full=None):
-        result = settle(spec, h, pts, n_fixed, full)
+    def settled(spec, h, pts, n_fixed, full=None, lattice=None):
+        result = settle(spec, h, pts, n_fixed, full, lattice)
         fh[:] = [result[1][n_fixed:]]
         return result
 
@@ -840,6 +1004,25 @@ def test_random_admissible_geometry_meshes_and_solves(spec):
     with pytest.MonkeyPatch.context() as patch:
         qhull_at_every_settle(patch)
         assert_same_mesh(mesh, triangulate(spec, h))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(spec=admissible_specs(0.5), h=st.sampled_from([0.5, 0.25]))
+@example(spec=DomainSpec(Ellipse(3.9, 7.4), (-0.9, -5.6), 1.25), h=0.25)
+@example(spec=DomainSpec(Rectangle(10.5, 4.9), (0.02, -0.08), 1.33), h=0.5)
+@example(spec=DomainSpec(Disk(2.5), (0.0, 0.0), 1.0), h=0.5)  # no lattice triangle
+def test_random_admissible_geometry_lattice_start_meshes_like_qhull(spec, h):
+    # the relaxation started from the lattice and Qhull on the band ends on
+    # the mesh of the one started from Qhull on every point, bit for bit,
+    # with no fallback.  In a thin ring no lattice point is inner, and the
+    # band is the whole cloud
+    with pytest.MonkeyPatch.context() as patch:
+        starts = record_calls(patch, "_lattice_start")
+        mesh = triangulate(spec, h)
+        patch.setattr(meshing, "_lattice_start", lambda pts, lattice: None)
+        want = triangulate(spec, h)
+    assert_same_mesh(mesh, want)
+    assert len(starts) == 1 and starts[0][1] is not None
 
 
 @settings(max_examples=9, derandomize=True, database=None, deadline=None)

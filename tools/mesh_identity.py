@@ -8,7 +8,7 @@ and stores its vertices, triangles, boundary edges and (sigma1, sigma2,
 mu1, mu2), or the error that `triangulate` raised.  Point PYTHONPATH at
 another checkout's `src` to record that tree.  `--compare` reports how far
 two records agree: bit-identical meshes (vertices, triangles and boundary
-edges), meshes with identical triangles, the largest vertex move, the
+edges, values and dtypes), meshes with identical triangles, the largest vertex move, the
 largest relative eigenvalue drift and each record's smallest triangle
 angle, each with the case it comes from, the largest drift per case group
 (golden or random cases, by the mesh size h that ends the label), and
@@ -132,10 +132,11 @@ def compare(path_a, path_b):
         meshed += 1
         va, vb = a[f"{i}/vertices"], b[f"{i}/vertices"]
         ta, tb = a[f"{i}/triangles"], b[f"{i}/triangles"]
+        ba, bb = a[f"{i}/boundary_edges"], b[f"{i}/boundary_edges"]
         tri_equal = np.array_equal(ta, tb)
         same_triangles += tri_equal
-        identical += (tri_equal and np.array_equal(va, vb) and np.array_equal(
-            a[f"{i}/boundary_edges"], b[f"{i}/boundary_edges"]))
+        identical += (tri_equal and np.array_equal(va, vb) and np.array_equal(ba, bb)
+                      and (va.dtype, ta.dtype, ba.dtype) == (vb.dtype, tb.dtype, bb.dtype))
         move = float(np.max(np.abs(va - vb))) if va.shape == vb.shape else np.inf
         if move > vertex_move[0]:
             vertex_move = move, label
