@@ -13,11 +13,9 @@ of its bounding box), `signed_distance(x, y)`, `area`, `matched_radius`
 counterclockwise `(curve, t_lo, t_hi)` pieces.  `SHAPES` maps the shape
 names used in configs and JSON to the classes, and is the only list.
 
-Every outer shape is convex, so its signed distance is a convex function
-of the point: at a midpoint or a centroid it is at most the mean of the
-values at the ends or corners.  `meshing` relies on this bound to skip
-outer distances that cannot change its results, so a new shape must be
-convex too.
+Every outer shape is convex, and a new shape must be convex too: `meshing`
+relies on it for the outer polyline's chords to stay Delaunay edges inside
+the shape, and to be the hull of the points it triangulates.
 
 Conventions: point queries take (m, 2) arrays, signed distances are
 negative inside a shape, polylines are (N, 2) arrays that close implicitly
@@ -321,26 +319,47 @@ def region_signed_distance(spec: DomainSpec, pts):
     return np.maximum(d_out, -d_hole)
 
 
+def _check_h(h):
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+
+
+def _grade(h, d_out, d_hole):
+    lfs = np.abs(d_out) + np.abs(d_hole)
+    return np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
+
+
 def size_field(spec: DomainSpec, h: float, pts):
     """Target edge length at each point: h away from narrow passages.
 
     The local feature size (distance to the hole circle plus distance to
     the outer boundary) collapses to the gap width inside a narrow passage,
     so grading the target length by GRADE_FRACTION of it buys a few element
-    layers across the thinnest gap while leaving the bulk at h.
+    layers across the thinnest gap while leaving the bulk at h.  The outer
+    distance is evaluated only where GRADE_FRACTION*|d_hole| < h (elsewhere
+    the size is h), and nowhere when GRADE_FRACTION*clearance reaches h.
     """
-    return region_distance_and_size(spec, h, pts)[1]
+    _check_h(h)
+    p = _as_points(pts)
+    fh = np.full(len(p), float(h))
+    # The feature size is at least the clearance (triangle inequality), up
+    # to rounding of a few ulps of the domain's size on the gap line, which
+    # the relative 1e-9 covers for any h above about 1e-6 times that size.
+    if GRADE_FRACTION * spec.clearance >= h * (1.0 + 1e-9):
+        return fh
+    d_hole = hole_signed_distance(spec, p)
+    near = GRADE_FRACTION * np.abs(d_hole) < h
+    fh[near] = _grade(h, outer_signed_distance(spec.outer, p[near]), d_hole[near])
+    return fh
 
 
 def region_distance_and_size(spec: DomainSpec, h: float, pts):
-    """`region_signed_distance`, `size_field` and the outer signed distance
-    at an (m, 2) point array, from one evaluation of each boundary
-    distance."""
+    """`region_signed_distance` and `size_field` at an (m, 2) point array,
+    from one evaluation of each boundary distance."""
+    _check_h(h)
     d_out = outer_signed_distance(spec.outer, pts)
     d_hole = hole_signed_distance(spec, pts)
-    lfs = np.abs(d_out) + np.abs(d_hole)
-    fh = np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
-    return np.maximum(d_out, -d_hole), fh, d_out
+    return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole)
 
 
 def _march_curve(curve, t_lo, t_hi, fh):
@@ -390,11 +409,8 @@ def boundary_polylines(spec: DomainSpec, h: float):
     runs counterclockwise; the hole polyline is returned clockwise so both
     keep the region on their left.  Each boundary piece starts at a vertex,
     so rectangle corners are vertices.  Raises ValueError unless
-    0 < h < inf and h resolves a closed curve.
+    0 < h < inf (through `size_field`) and h resolves a closed curve.
     """
-    if not 0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
-
     def fh(pts):
         return size_field(spec, h, pts)
 

@@ -8,17 +8,15 @@ graded size field.  A settle (each triangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
 (the standoff), runs one Delaunay step, which keeps no triangle whose centroid
 falls outside the region, and returns the kept points, their size field
-and outer distance, and the kept simplices; the relaxation builds bars
-and target sizes from every settle but the final one.  The standoff test
+and the kept simplices; the relaxation builds bars and target sizes
+(`size_field` at the bar midpoints, which skips the outer distance where
+the size is h) from every settle but the final one.  The standoff test
 and the size field share one evaluation of each boundary distance, so a
-settle measures the outer distance in full only on the points.  Every
-outer shape is convex, so at a triangle centroid or a bar midpoint the
-outer distance is at most the mean of its values at the corners; the
-centroid filter and the bar target sizes evaluate it only where that
-bound cannot decide the result, along the outer boundary and in graded
-gaps.  A relaxation that has not settled after MAX_ITER iterations raises
-MeshError.  Seeding uses a low-discrepancy sequence instead of a random
-generator, so everything is deterministic for a fixed spec and h.
+settle measures the outer distance in full on the points, and on the
+centroids only when it builds a new triangulation.  A relaxation that
+has not settled after MAX_ITER iterations raises MeshError.  Seeding
+uses a low-discrepancy sequence instead of a random generator, so
+everything is deterministic for a fixed spec and h.
 
 The first settle of a relaxation starts from the seed lattice, whose
 triangles `_seed_points` returns by index: those clear of every other
@@ -72,7 +70,6 @@ from .domains import (
     GRADE_FRACTION,
     MIN_SIZE_DIVISOR,
     boundary_polylines,
-    hole_signed_distance,
     region_distance_and_size,
     region_signed_distance,
     size_field,
@@ -113,13 +110,6 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 # a pass after Qhull that does leaves Qhull's triangles.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
-
-# Margin, relative to h, by which a convexity bound in `_centroids_inside`
-# or `_bar_sizes` must clear its threshold before it decides a centroid or
-# a bar size without the outer distance.  Rounding in the bounds is a few
-# ulps of the coordinates (measured below 5e-16 times the domain's size),
-# so the margin holds for any h above 1e-5 times that size.
-SCREEN_MARGIN = 1e-9
 
 MIN_ANGLE_DEG = 20.0
 
@@ -230,7 +220,7 @@ def _seed_points(spec: DomainSpec, h: float):
     """
     a, b = spec.outer.half_extents
     coarse, count = _hex_grid(-a, a, -b, b, h)
-    sd, fh, _ = region_distance_and_size(spec, h, coarse)
+    sd, fh = region_distance_and_size(spec, h, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
     seeds = [coarse[keep]]
     lattice = _hex_triangles(count)
@@ -245,7 +235,7 @@ def _seed_points(spec: DomainSpec, h: float):
             fine = _hex_grid(
                 gx.min() - h, gx.max() + h, gy.min() - h, gy.max() + h, fh_min
             )[0]
-            sd_f, fh_f, _ = region_distance_and_size(spec, h, fine)
+            sd_f, fh_f = region_distance_and_size(spec, h, fine)
             cand = (fh_f < h * (1.0 - 1e-9)) & (sd_f < -SEED_MARGIN * fh_f)
             fine, fh_f = fine[cand], fh_f[cand]
             u = np.mod(np.arange(1, len(fine) + 1) * _WEYL, 1.0)
@@ -415,9 +405,9 @@ def _lattice_start(pts, lattice):
 
 def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
     """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
-    then run one Delaunay step.  Returns (pts, fh, d_out, full): the kept
-    points, their size field and outer distance, and the region's
-    counterclockwise triangles with their half-edge twins (see `_twins`).
+    then run one Delaunay step.  Returns (pts, fh, full): the kept points,
+    their size field, and the region's counterclockwise triangles with
+    their half-edge twins (see `_twins`).
 
     `full` is the previous settle's (triangles, twins), or None, and
     `lattice` the seed lattice's triangles at the first settle (see
@@ -426,71 +416,33 @@ def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
     `_lattice_start` builds the triangulation from `lattice` and Qhull on
     the band.  Otherwise, or when that fails, Qhull triangulates every
     point.  The simplices whose centroid lies more than GEPS*h inside the
-    region are kept with their twins, and one `_flip_to_delaunay` pass
-    settles the ties of the new triangulation (should it fail, its
-    triangles stand).  Every path gives the same triangles (see the module
-    docstring)."""
-    sd, fh, d_out = region_distance_and_size(spec, h, pts)
+    region by `region_signed_distance` (the settle's only outer distance
+    besides that at the points) are kept with their twins, and one
+    `_flip_to_delaunay` pass settles the ties of the new triangulation
+    (should it fail, its triangles stand).  Every path gives the same
+    triangles (see the module docstring)."""
+    sd, fh = region_distance_and_size(spec, h, pts)
     keep = np.ones(len(pts), bool)
     keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
     if not keep.all():
         full = lattice = None
     if full is not None:
         full = _flip_to_delaunay(pts, *full)
-    pts, fh, d_out = pts[keep], fh[keep], d_out[keep]
+    pts, fh = pts[keep], fh[keep]
     if full is None:
         tri = None if lattice is None else _lattice_start(pts, lattice)
         if tri is None:
             tri = Delaunay(pts).simplices
-        tri = tri[_centroids_inside(spec, h, pts, d_out, tri)]
+        t0, t1, t2 = tri.T
+        z = pts.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
+        centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
+        sd = region_signed_distance(spec, centroids.reshape(-1, 2))
+        tri = tri[sd < -GEPS * h]
         if len(tri) == 0:
             raise MeshError("triangulation produced no interior triangles")
         full = tri, _twins(tri, len(pts))
         full = _flip_to_delaunay(pts, *full) or full
-    return pts, fh, d_out, full
-
-
-def _centroids_inside(spec, h, pts, d_out, tri):
-    """`region_signed_distance(spec, centroids) < -GEPS*h` for the
-    triangles `tri` of `pts`, bit for bit, where `d_out` is the outer
-    distance at `pts`.
-
-    Every outer shape is convex, so at a centroid the outer distance is at
-    most the vertex mean of `d_out`.  Where that mean is below -GEPS*h by
-    SCREEN_MARGIN*h the hole alone decides, and the outer distance is
-    evaluated only at the other centroids."""
-    t0, t1, t2 = tri.T
-    z = pts.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
-    centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
-    centroids = centroids.reshape(-1, 2)
-    mean = (d_out.take(t0) + d_out.take(t1) + d_out.take(t2)) / 3.0
-    undecided = mean >= -GEPS * h - SCREEN_MARGIN * h
-    inside = hole_signed_distance(spec, centroids) > GEPS * h
-    if undecided.any():
-        inside[undecided] = (
-            region_signed_distance(spec, centroids[undecided]) < -GEPS * h)
-    return inside
-
-
-def _bar_sizes(spec, h, pts, d_out, bars):
-    """`size_field` at the midpoints of `bars`, bit for bit, where `d_out`
-    is the outer distance at `pts`.
-
-    By convexity the outer distance at a midpoint is at most the endpoint
-    mean u of `d_out`, so |d_out(mid)| >= -u whatever the sign of u.  Where
-    GRADE_FRACTION*(|d_hole(mid)| - u) reaches h by SCREEN_MARGIN*h the
-    size is exactly h, and the outer distance is evaluated only at the
-    other midpoints: along the outer boundary and in graded gaps."""
-    b0, b1 = bars.T
-    z = pts.view(complex).ravel()
-    mids = (0.5 * (z.take(b0) + z.take(b1)).view(float)).reshape(-1, 2)
-    u = 0.5 * (d_out.take(b0) + d_out.take(b1))
-    bound = GRADE_FRACTION * (np.abs(hole_signed_distance(spec, mids)) - u)
-    undecided = bound < h * (1.0 + SCREEN_MARGIN)
-    sizes = np.full(len(bars), h, dtype=float)
-    if undecided.any():
-        sizes[undecided] = size_field(spec, h, mids[undecided])
-    return sizes
+    return pts, fh, full
 
 
 def _incidence(ends, n):
@@ -548,12 +500,14 @@ def _relax(spec, h, fixed):
     lattice = lattice + n_fixed
     for _ in range(MAX_ITER):
         if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
-            pts, fh_pts, d_out, full = _settle(
+            pts, fh_pts, full = _settle(
                 spec, h, z.view(float).reshape(-1, 2), n_fixed, full, lattice)
             lattice = None
             last = z = pts.view(complex).ravel()
             bars = _unique_edges(full[0], len(z))[0]
-            h_bars = _bar_sizes(spec, h, pts, d_out, bars)
+            b0, b1 = bars.T
+            mids = (0.5 * (z.take(b0) + z.take(b1)).view(float)).reshape(-1, 2)
+            h_bars = size_field(spec, h, mids)
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
             D = _incidence(ends, len(z))
             h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
@@ -565,7 +519,7 @@ def _relax(spec, h, fixed):
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, _, (simplices, _) = _settle(
+    pts, _, (simplices, _) = _settle(
         spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
     return pts, simplices
 

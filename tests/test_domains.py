@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov.domains import (
+    GRADE_FRACTION,
+    MIN_SIZE_DIVISOR,
     SHAPES,
     Disk,
     DomainSpec,
@@ -17,6 +19,7 @@ from steklov.domains import (
     boundary_polylines,
     hole_signed_distance,
     outer_signed_distance,
+    region_distance_and_size,
     region_signed_distance,
     size_field,
 )
@@ -240,6 +243,58 @@ def test_size_field_uniform_on_concentric_annulus():
     spec = annulus_spec()
     rng_pts = np.array([[r, 0.0] for r in np.linspace(1.0, 5.0, 17)])
     assert np.allclose(size_field(spec, 0.5, rng_pts), 0.5)
+
+
+def graded_size(spec, h, pts):
+    """The size field from the grading formula, with the outer distance
+    evaluated at every point."""
+    lfs = (np.abs(outer_signed_distance(spec.outer, pts))
+           + np.abs(hole_signed_distance(spec, pts)))
+    return np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
+
+
+# Holes on an axis of each shape whose gap to the outer boundary runs
+# along that axis, away from the origin: (outer, hole centre, direction).
+GAP_LINE_HOLES = [
+    *[pytest.param(Disk(5.0), (x, 0.0), (1.0, 0.0), id=f"disk-x{x}")
+      for x in (0.5, 1.7, 2.9, 3.5, 3.9)],
+    *[pytest.param(Ellipse(3.0, 8.33), (x, 0.0), (1.0, 0.0), id=f"ellipse-x{x}")
+      for x in (0.3, 1.1, 1.5, 1.9)],
+    *[pytest.param(Rectangle(13.095, 6.0), (x, 0.0), (1.0, 0.0),
+                   id=f"rectangle-x{x}") for x in (4.0, 5.0, 5.4)],
+    *[pytest.param(Rectangle(13.095, 6.0), (0.0, y), (0.0, 1.0),
+                   id=f"rectangle-y{y}") for y in (0.5, 1.5, 1.9)],
+]
+
+
+@pytest.mark.parametrize("outer, centre, direction", GAP_LINE_HOLES)
+def test_size_field_equals_the_grading_formula_on_the_gap_line(
+    outer, centre, direction
+):
+    # on the segment from the hole to the nearest outer point the feature
+    # size is the clearance itself, and rounding can leave it an ulp below
+    # the computed clearance; with h a rounding away from
+    # GRADE_FRACTION*clearance the clearance rule must not return h there
+    for sign in (1.0, -1.0):
+        c = (sign * centre[0], sign * centre[1])
+        spec = DomainSpec(outer, c, 1.0)
+        t = spec.hole_radius + np.linspace(0.0, 1.0, 201) * spec.clearance
+        pts = np.column_stack([c[0] + sign * direction[0] * t,
+                               c[1] + sign * direction[1] * t])
+        for scale in (1.0 - 2e-16, 1.0, 1.0 + 2e-16):
+            h = GRADE_FRACTION * spec.clearance * scale
+            assert np.array_equal(size_field(spec, h, pts),
+                                  graded_size(spec, h, pts))
+            assert np.array_equal(region_distance_and_size(spec, h, pts)[1],
+                                  graded_size(spec, h, pts))
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_size_field_rejects_h_that_is_not_positive_and_finite(h):
+    spec, pts = annulus_spec(), np.array([[3.0, 0.0]])
+    for field in (size_field, region_distance_and_size):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            field(spec, h, pts)
 
 
 def test_boundary_polyline_counts_disk():

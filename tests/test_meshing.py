@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_domains import graded_size
 
 from steklov import domains, golden, meshing
 from steklov.domains import (
@@ -16,6 +17,7 @@ from steklov.domains import (
     Ellipse,
     Rectangle,
     boundary_polylines,
+    hole_signed_distance,
     outer_signed_distance,
     region_signed_distance,
     size_field,
@@ -177,7 +179,7 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, _, (simplices, _) = meshing._settle(spec, 0.5, pts, len(fixed))
+    kept, fh, (simplices, _) = meshing._settle(spec, 0.5, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept))
@@ -185,65 +187,61 @@ def test_settle_drops_points_inside_the_standoff():
 
 
 @pytest.mark.parametrize(
-    "center, h, share",
-    [((0.0, 2.5), 0.5, 0.0), ((1.9, 1.9), 0.125, 0.1)],
+    "center, h, graded",
+    [((0.0, 2.5), 0.5, False), ((1.9, 1.9), 0.125, True)],
     ids=["ellipse-y-axis", "thin-gap-ellipse"],
 )
 def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
-    monkeypatch, center, h, share
+    monkeypatch, center, h, graded
 ):
-    # once on every point (standoff and size field), then only on the
-    # centroids and bar midpoints that the convexity screens leave open:
-    # none on the ungraded y-axis ellipse, the graded gap's midpoints on
-    # the thin-gap one; a screen that leaves nothing open makes no call
+    # a settle that builds a new triangulation evaluates the outer distance
+    # once on every point (standoff and size field) and once on the
+    # centroids of the Delaunay simplices.  At the bar midpoints
+    # `size_field` evaluates it only where GRADE_FRACTION*|d_hole| < h: on
+    # none of the y-axis ellipse's, whose clearance grades nothing, and on
+    # the thin gap's near-hole ones, every graded bar among them
     spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
     pts = np.vstack([fixed, meshing._seed_points(spec, h)[0]])
     calls = []
-    screened = {"region_signed_distance": 0, "size_field": 0}
 
     def counted(shape, p):
         calls.append(len(p))
         return outer_signed_distance(shape, p)
 
-    def screen_counter(name, fn):
-        def wrapped(*args):
-            screened[name] += len(args[-1])
-            return fn(*args)
-
-        return wrapped
-
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
-    for name in screened:
-        monkeypatch.setattr(meshing, name, screen_counter(name, getattr(meshing, name)))
-    kept, _, d_out, (simplices, _) = meshing._settle(spec, h, pts, len(fixed))
-    bars = meshing._unique_edges(simplices, len(kept))[0]
-    h_bars = meshing._bar_sizes(spec, h, kept, d_out, bars)
+    kept, _, (simplices, _) = meshing._settle(spec, h, pts, len(fixed))
     centroids = len(meshing.Delaunay(kept).simplices)  # one per Qhull simplex
-    assert calls[0] == len(pts) and 0 not in calls
-    assert sum(calls[1:]) == sum(screened.values())
-    assert screened["region_signed_distance"] <= share * centroids
-    assert screened["size_field"] <= share * len(bars)
-    # every graded bar is evaluated
-    assert screened["size_field"] >= np.sum(h_bars < h)
+    assert calls == [len(pts), centroids]
+    bars = meshing._unique_edges(simplices, len(kept))[0]
+    mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
+    near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, mids)) < h
+    calls.clear()
+    h_bars = meshing.size_field(spec, h, mids)
+    if graded:
+        assert calls == [np.count_nonzero(near)] and not near.all()
+        assert np.any(h_bars < h) and np.all(near[h_bars < h])
+    else:
+        assert calls == [] and np.any(near)
 
 
 def settle_screens_reference(spec, h, pts, n_fixed):
-    """The Qhull simplices that `_settle` on pts keeps and the sizes of the
-    bars of its triangles, and what they should be, from the outer distance
-    at every centroid and every midpoint."""
-    kept, _, d_out, (simplices, _) = meshing._settle(spec, h, pts, n_fixed)
+    """The Qhull simplices that `_settle` on pts should keep, and pairs of
+    size fields that should agree: the settle's at its points and
+    `size_field` there and at the midpoints of its bars, each against the
+    grading formula with the outer distance at every point."""
+    kept, fh, (simplices, _) = meshing._settle(spec, h, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(kept))[0]
-    h_bars = meshing._bar_sizes(spec, h, kept, d_out, bars)
     full = meshing.Delaunay(kept).simplices
-    inside = meshing._centroids_inside(spec, h, kept, d_out, full)
     centroids = kept[full].mean(axis=1)
     want = full[region_signed_distance(spec, centroids) < -meshing.GEPS * h]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
     # flips keep the count of the triangles they start from
     assert len(simplices) == len(want)
-    return (full[inside], h_bars), (want, size_field(spec, h, mids))
+    formula = graded_size(spec, h, kept)
+    return want, [(fh, formula), (size_field(spec, h, kept), formula),
+                  (size_field(spec, h, mids), graded_size(spec, h, mids))]
 
 
 def random_spec(seed):
@@ -275,12 +273,13 @@ SCREEN_CASES = {
 
 @pytest.mark.parametrize("name", SCREEN_CASES)
 def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch):
-    # on the seeded cloud, on the cloud moved by up to 0.3 h (the standoff
-    # drops some points), on the relaxed mesh, and on the boundary with a
-    # point 2e-3 h inside each outer edge's midpoint, all fixed so the
-    # standoff keeps them: on straight sides their triangles have a vertex
-    # mean and a centroid distance of -2e-3 h / 3, which only the exact
-    # distance can reject
+    # `size_field`'s clearance and hole rules skip the outer distance; the
+    # sizes equal the grading formula's bit for bit on the seeded cloud, on
+    # the cloud moved by up to 0.3 h (the standoff drops some points), on
+    # the relaxed mesh, and on the boundary with a point 2e-3 h inside each
+    # outer edge's midpoint, all fixed so the standoff keeps them: on
+    # straight sides their triangles have a centroid distance of
+    # -2e-3 h / 3, which the GEPS filter rejects
     spec, h = SCREEN_CASES[name]
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
@@ -299,15 +298,15 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch
     ]
     graded = False
     for pts, n_fixed in clouds:
-        got, want = settle_screens_reference(spec, h, pts, n_fixed)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        graded |= bool(np.any(want[1] < h))
+        want, sizes = settle_screens_reference(spec, h, pts, n_fixed)
+        for got, formula in sizes:
+            assert np.array_equal(got, formula)
+            graded |= bool(np.any(formula < h))
     if name == "thin-gap-ellipse":
         assert graded
     if isinstance(spec.outer, Rectangle):  # kept at GEPS = 0, dropped at 1e-3
         monkeypatch.setattr(meshing, "GEPS", 0.0)
-        assert len(want[0]) < len(meshing._settle(spec, h, pts, n_fixed)[3][0])
+        assert len(want) < len(meshing._settle(spec, h, pts, n_fixed)[2][0])
 
 
 def sorted_edges(triangles):
@@ -321,7 +320,7 @@ def sorted_edges(triangles):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    kept, _, _, (simplices, _) = meshing._settle(
+    kept, _, (simplices, _) = meshing._settle(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
     )
     bars = meshing._unique_edges(simplices, len(kept))[0]
@@ -407,7 +406,7 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)[0]])
-    pts, _, _, (simplices, _) = meshing._settle(spec, 0.25, pts, n_fixed)
+    pts, _, (simplices, _) = meshing._settle(spec, 0.25, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -783,13 +782,13 @@ def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
     got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and 2 * seen[1] < seen[0] == len(pts)
-    for a, b in zip(got[:3], want[:3]):
+    for a, b in zip(got[:2], want[:2]):
         assert np.array_equal(a, b)
-    for tri, twin in (got[3], want[3]):
+    for tri, twin in (got[2], want[2]):
         assert np.array_equal(twin, meshing._twins(tri, len(pts)))
-    assert got[3][0].dtype == want[3][0].dtype
-    assert np.array_equal(meshing._canonical_order(got[3][0]),
-                          meshing._canonical_order(want[3][0]))
+    assert got[2][0].dtype == want[2][0].dtype
+    assert np.array_equal(meshing._canonical_order(got[2][0]),
+                          meshing._canonical_order(want[2][0]))
 
     tri = meshing._lattice_start(pts, lattice)
     points, band_qhull = qhull[2]
@@ -820,8 +819,8 @@ def test_lattice_start_rejects_the_lattice_triangles_around_a_seed(monkeypatch):
     want = meshing._settle(spec, h, pts, n_fixed)
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and seen[0] < seen[1] == len(pts)
-    assert np.array_equal(meshing._canonical_order(got[3][0]),
-                          meshing._canonical_order(want[3][0]))
+    assert np.array_equal(meshing._canonical_order(got[2][0]),
+                          meshing._canonical_order(want[2][0]))
 
 
 def triangle_keys(rows, n):
@@ -871,15 +870,16 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
     got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
     want = meshing._settle(spec, h, pts, n_fixed)
     assert len(got[0]) == len(pts) - 1
-    for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
+    for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
         assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
 def test_final_settle_builds_no_bars(monkeypatch, name):
     # bars and their sizes come from every settle but the last, and
-    # `validate_mesh` dedupes the mesh's edges once more
-    calls = {"_settle": 0, "_bar_sizes": 0, "_unique_edges": 0}
+    # `validate_mesh` dedupes the mesh's edges once more; these domains
+    # are not graded, so seeding probes no size field
+    calls = {"_settle": 0, "size_field": 0, "_unique_edges": 0}
 
     def counted(key):
         fn = getattr(meshing, key)
@@ -894,8 +894,8 @@ def test_final_settle_builds_no_bars(monkeypatch, name):
         monkeypatch.setattr(meshing, key, counted(key))
     triangulate(golden.TABLE1_DOMAINS[name], 0.25)
     assert calls["_settle"] > 1
-    assert calls["_bar_sizes"] == calls["_settle"] - 1
-    assert calls["_unique_edges"] == calls["_bar_sizes"] + 1
+    assert calls["size_field"] == calls["_settle"] - 1
+    assert calls["_unique_edges"] == calls["size_field"] + 1
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
@@ -985,6 +985,24 @@ def test_interior_points_keep_the_standoff_between_settles(name):
     # the boundary, and none moves more than TTOL*fh before the next one
     _, depth = mesh_and_least_standoff(golden.TABLE1_DOMAINS[name], 0.25)
     assert depth >= ESCAPE_FRACTION - meshing.TTOL
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(spec=admissible_specs(0.5),
+       scale=st.sampled_from([0.5, 1.0 - 2e-16, 1.0, 1.0 + 2e-16, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_size_field_equals_the_grading_formula_in_the_bounding_box(
+    spec, scale, seed
+):
+    # h near GRADE_FRACTION*clearance, where the clearance rule is closest
+    # to deciding wrongly, at random points of a box a little larger than
+    # the shape's: in the hole, in the region and outside the shape
+    h = domains.GRADE_FRACTION * spec.clearance * scale
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.1, 1.1, (2000, 2)) * spec.outer.half_extents
+    assert np.any(hole_signed_distance(spec, pts) < 0)
+    assert np.any(outer_signed_distance(spec.outer, pts) > 0)
+    assert np.array_equal(size_field(spec, h, pts), graded_size(spec, h, pts))
 
 
 @settings(max_examples=9, derandomize=True, database=None, deadline=None)
