@@ -22,16 +22,18 @@ the vertex index stands in for a coordinate when a bare matrix comes
 without a mesh) and applies no column order of its own.  The zero mode
 is exact; Lanczos (ARPACK, via `scipy.sparse.linalg.eigsh`, from a fixed
 start vector) finds the largest inverse eigenvalues of the
-Dirichlet-to-Neumann map on the boundary trace.  Assembly is vectorized
-over triangles and edges with a fixed accumulation order, so repeated
-runs are bit-identical.
+Dirichlet-to-Neumann map on the boundary trace, scaled by the Cholesky
+factor of the boundary mass on the spectral vertices.  That factor comes
+from a sparse LDL^T (SuperLU in the vertices' own order, every pivot on
+the diagonal); a boundary loop is a cycle, so it has about three entries
+per row.  Assembly is vectorized over triangles and edges with a fixed
+accumulation order, so repeated runs are bit-identical.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from steklov.closed_form import check_problem, check_problem_and_k, clusters
@@ -260,13 +262,15 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
 
     K is symmetric positive semidefinite with the constants as its only
     kernel; M's nonzero rows, the spectral vertices s, carry a positive
-    definite block M_ss = L L^T, and k lies below their number.  `lu` is
-    `ground(K, points)`, built here from the mesh's vertices, or from the
-    vertex index without a mesh, when not given.  Lanczos finds the k - 1
-    largest 1/lambda of C = P L^T G L P, G the grounded inverse of K on s
-    and P the projection off L^T 1, which makes every right-hand side sum
-    to zero and drops the grounding constant; one grounded solve of the
-    Ritz vectors gives their harmonic extensions.  Raises FemError rather
+    definite block M_ss = L L^T, and k lies below their number; L is
+    sparse, from SuperLU's L D L^T of M_ss in natural order with diagonal
+    pivots.  `lu` is `ground(K, points)`, built here from the mesh's
+    vertices, or from the vertex index without a mesh, when not given.
+    Lanczos finds the k - 1 largest 1/lambda of C = P L^T G L P, G the
+    grounded inverse of K on s and P the projection off L^T 1, which makes
+    every right-hand side sum to zero and drops the grounding constant;
+    one grounded solve of the Ritz vectors gives their harmonic
+    extensions.  Raises FemError rather
     than return a questionable spectrum, also when M_ss is not positive
     definite.
     """
@@ -285,14 +289,25 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
             f"spectral vertices, got {k}")
     if lu is None:
         lu = ground(K, np.arange(n) if mesh is None else mesh.vertices)
-    # M_ss is symmetric, so its transpose is the Fortran-ordered copy that
-    # LAPACK factors in place
+    # M_ss is symmetric, so its transpose is the CSC copy that SuperLU
+    # takes.  In natural order with every pivot on the diagonal its U is
+    # D L^T, so L D^(1/2), L's column j times sqrt(d_j), is the Cholesky
+    # factor.
+    not_pd = "M is not positive definite on its spectral vertices"
     try:
-        L = cholesky(M[s][:, s].toarray().T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise FemError(
-            "M is not positive definite on its spectral vertices") from exc
-    q = L.T @ np.ones(s.size)
+        ldl = splu(M[s][:, s].T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular pivot
+        raise FemError(not_pd) from exc
+    d = ldl.U.diagonal()
+    if np.any(ldl.perm_r != np.arange(s.size)) or not np.all(d > 0):
+        raise FemError(not_pd)
+    unit = ldl.L  # CSC, unit diagonal
+    L = sparse.csc_matrix(
+        (unit.data * np.repeat(np.sqrt(d), np.diff(unit.indptr)),
+         unit.indices, unit.indptr), shape=unit.shape)
+    Lt = L.T  # a CSR view, built once rather than at every application
+    q = Lt @ np.ones(s.size)
     q /= np.linalg.norm(q)
     applications = 0
 
@@ -306,7 +321,7 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     def apply(y):
         nonlocal applications
         applications += 1
-        z = L.T @ grounded(L @ (y - q * (q @ y)))[s]
+        z = Lt @ grounded(L @ (y - q * (q @ y)))[s]
         return z - q * (q @ z)
 
     theta, Y = np.empty(0), np.empty((s.size, 0))

@@ -8,15 +8,18 @@ graded size field.  A settle (each triangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
 (the standoff), runs one Delaunay step, which keeps no triangle whose centroid
 falls outside the region, and returns the kept points, their size field
-and the kept simplices; the relaxation builds bars and target sizes
-(`size_field` at the bar midpoints, which skips the outer distance where
-the size is h) from every settle but the final one.  The standoff test
-and the size field share one evaluation of each boundary distance, so a
-settle measures the outer distance in full on the points, and on the
-centroids only when it builds a new triangulation.  A relaxation that
-has not settled after MAX_ITER iterations raises MeshError.  Seeding
-uses a low-discrepancy sequence instead of a random generator, so
-everything is deterministic for a fixed spec and h.
+and the kept simplices with their half-edge twins; the relaxation builds
+bars and target sizes (`size_field` at the bar midpoints, which skips the
+outer distance where the size is h) from every settle but the final one,
+the bars from the settle's twins (each edge once, from its lower or its
+hull half-edge; `_bars`), so no loop settle dedupes edges by a sort of
+all half-edges.  The standoff test and the size field share one
+evaluation of each boundary distance, so a settle measures the outer
+distance in full on the points, and on the centroids only when it builds
+a new triangulation.  A relaxation that has not settled after MAX_ITER
+iterations raises MeshError.  Seeding uses a low-discrepancy sequence
+instead of a random generator, so everything is deterministic for a
+fixed spec and h.
 
 The first settle of a relaxation starts from the seed lattice, whose
 triangles `_seed_points` returns by index: those clear of every other
@@ -145,10 +148,13 @@ class Mesh:
 
 
 def _triangle_signed_areas(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    d1 = vertices[triangles[:, 1]] - p0
-    d2 = vertices[triangles[:, 2]] - p0
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    # one complex gather per corner; a complex difference is the two real
+    # ones, so the areas are those of (n, 2) row gathers, bit for bit
+    z = np.ascontiguousarray(vertices, float).view(complex).ravel()
+    p0 = z.take(triangles[:, 0])
+    d1 = z.take(triangles[:, 1]) - p0
+    d2 = z.take(triangles[:, 2]) - p0
+    return 0.5 * (d1.real * d2.imag - d1.imag * d2.real)
 
 
 def mesh_min_angle(mesh: Mesh) -> float:
@@ -157,7 +163,8 @@ def mesh_min_angle(mesh: Mesh) -> float:
     a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
     num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
     den = np.hypot(a[..., 0], a[..., 1]) * np.hypot(b[..., 0], b[..., 1])
-    return float(np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0))).min())
+    # arccos decreases, so the smallest angle is that of the largest cosine
+    return float(np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0).max())))
 
 
 def _half_edge_keys(tri, n):
@@ -165,6 +172,15 @@ def _half_edge_keys(tri, n):
     n vertices (tri[t, k] to tri[t, (k+1) % 3]); keys sort like (i, j) rows."""
     a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
     return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+
+
+def _bars(tri, twin, n):
+    """The edges of the triangulation `tri` over n vertices with half-edge
+    twins `twin` (see `_twins`), as `_unique_edges` lists them: each once,
+    from its lower half-edge or its hull half-edge, sorted by key."""
+    one = (twin > np.arange(len(twin))) | (twin < 0)
+    key = np.sort(_half_edge_keys(tri, n)[one])
+    return np.column_stack([key // n, key % n]).astype(tri.dtype)
 
 
 def _unique_edges(triangles, n):
@@ -304,15 +320,10 @@ def _flip_to_delaunay(pts, tri, twin):
     flat = tri.reshape(-1)  # vertex at the start of each half-edge
     step = np.tile(np.int8([1, 1, -2]), len(tri))  # h + step[h] follows h
     where = np.append(np.arange(len(twin)), -1)  # new slots; where[-1] = -1
-    changed = np.ones(len(tri), bool)  # triangles whose edges need a test
+    if np.any(_triangle_signed_areas(pts, tri) <= 0):
+        return None
+    e1 = np.flatnonzero(twin > np.arange(len(twin)))  # every edge, once
     for _ in range(MAX_FLIP_ROUNDS):
-        if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
-            return None
-        h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
-        e2 = twin[h]
-        # each interior edge once: from its lower half-edge, or from the one
-        # in a changed triangle when the other's triangle did not change
-        e1 = h[(e2 > h) | ((e2 >= 0) & ~changed[e2 // 3])]
         e2 = twin[e1]  # a -> b and b -> a
         n1, n2 = e1 + step[e1], e2 + step[e2]  # b -> c and a -> d
         a, b, c, d = flat[e1], flat[e2], flat[n1 + step[n1]], flat[n2 + step[n2]]
@@ -335,7 +346,7 @@ def _flip_to_delaunay(pts, tri, twin):
         if len(bad) == 0:
             return tri, twin
         t1, t2 = e1[bad] // 3, e2[bad] // 3
-        changed[:] = False
+        changed = np.zeros(len(tri), bool)  # triangles whose edges need a test
         changed[t1] = changed[t2] = True  # flipped, or still to flip
         lowest = np.full(len(tri), len(det))
         np.minimum.at(lowest, t1, bad)
@@ -354,6 +365,13 @@ def _flip_to_delaunay(pts, tri, twin):
         hull = partner < 0
         twin[partner[~hull]] = dest[~hull]
         twin[n1], twin[n2] = n2, n1
+        if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
+            return None
+        h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
+        e2 = twin[h]
+        # each interior edge once: from its lower half-edge, or from the one
+        # in a changed triangle when the other's triangle did not change
+        e1 = h[(e2 > h) | ((e2 >= 0) & ~changed[e2 // 3])]
     return None
 
 
@@ -490,8 +508,8 @@ def _relax(spec, h, fixed):
     edge flips instead of calling Qhull where it can, so the half-edges are
     paired once per Qhull call.  Between settles the positions live in one
     complex array z = x + iy, an (n, 2) point array viewed as complex, and
-    what changes only at a settle (bars and D, target lengths, interior
-    sizes) is built once per loop settle."""
+    what changes only at a settle (bars from its twins and D, target
+    lengths, interior sizes) is built once per loop settle."""
     full = None  # the most recent settle's triangles and their twins
     last = None  # positions at the most recent settle
     n_fixed = len(fixed)
@@ -504,7 +522,7 @@ def _relax(spec, h, fixed):
                 spec, h, z.view(float).reshape(-1, 2), n_fixed, full, lattice)
             lattice = None
             last = z = pts.view(complex).ravel()
-            bars = _unique_edges(full[0], len(z))[0]
+            bars = _bars(*full, len(z))
             b0, b1 = bars.T
             mids = (0.5 * (z.take(b0) + z.take(b1)).view(float)).reshape(-1, 2)
             h_bars = size_field(spec, h, mids)

@@ -91,14 +91,19 @@ def test_four_eigenvalues_factor_the_stiffness_once(monkeypatch):
     st = fem_solver.solve_on_mesh(mesh, "steklov", 3).eigenvalues
     sn = fem_solver.solve_on_mesh(mesh, "steklov_neumann", 3).eigenvalues
     calls = {"assemble_stiffness": 0, "splu": 0}
+    sizes = []  # splu factors the grounded stiffness and each M_ss
     for name in calls:
         def counted(*args, _name=name, _original=getattr(fem_solver, name),
                     **kwargs):
             calls[_name] += 1
+            if _name == "splu":
+                sizes.append(args[0].shape[0])
             return _original(*args, **kwargs)
         monkeypatch.setattr(fem_solver, name, counted)
     values = four_eigenvalues(mesh)
-    assert calls == {"assemble_stiffness": 1, "splu": 1}
+    assert calls == {"assemble_stiffness": 1, "splu": 3}
+    assert sorted(sizes) == sorted(
+        [mesh.vertex_count - 1, len(mesh.boundary_edges), mesh.n_outer])
     want = dict(zip(QUANTITIES, (st[1], st[2], sn[1], sn[2])))
     for q in QUANTITIES:
         assert values[q] == pytest.approx(want[q], rel=1e-12, abs=0.0)

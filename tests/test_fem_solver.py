@@ -36,7 +36,7 @@ from steklov.fem_solver import (
     solve_on_mesh,
 )
 from steklov.golden import TABLE1_DOMAINS
-from steklov.meshing import Mesh, triangulate
+from steklov.meshing import Mesh, triangulate, validate_mesh
 
 ANNULUS = DomainSpec(Disk(5.0), (0.0, 0.0), 1.0)
 OFF_CENTRE_ELLIPSE = DomainSpec(Ellipse(3.0, 8.33), (0.8, 2.5), 1.0)
@@ -199,6 +199,12 @@ def test_solve_eigs_input_validation(monkeypatch, coarse_mesh):
                          shape=(4, 4))
     with pytest.raises(FemError, match="not positive definite"):
         solve_eigs(path4, np.diag([1.0, 0.0, 0.0, -1.0]), 1)
+    # indefinite with a positive diagonal: the sparse L D L^T meets a zero
+    # pivot, and takes it off the diagonal or finds the factor singular
+    for m_ss in ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+                 [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+        with pytest.raises(FemError, match="not positive definite"):
+            solve_eigs(PATH_GRAPH, np.array(m_ss), 1)
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
@@ -427,6 +433,42 @@ def assert_matches_dense_reference(mesh, problem, k):
                          ids=["annulus", "off_centre_ellipse"])
 def test_sparse_solve_matches_dense_dtn_reference(spec, problem):
     assert_matches_dense_reference(triangulate(spec, 0.5), problem, 6)
+
+
+def rotation_symmetric_ring(n, r):
+    """An annulus mesh that rotation by 2 pi / n maps onto itself: n
+    vertices on each of r + 1 circles from radius 2 in to radius 1, every
+    odd circle turned by pi / n, two counterclockwise triangles per quad
+    between neighbouring circles.  Its nonzero eigenvalues come in pairs."""
+    c, j = np.divmod(np.arange((r + 1) * n), n)
+    angle, radius = (2 * j + c % 2) * np.pi / n, 2.0 - c / r
+    vertices = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    c, j = np.divmod(np.arange(r * n), n)
+    odd = c % 2
+
+    def at(circle, col):
+        return circle * n + col % n
+
+    triangles = np.vstack([
+        np.column_stack([at(c, j), at(c, j + 1), at(c + 1, j + odd)]),
+        np.column_stack([at(c, j + 1 - odd), at(c + 1, j + 1), at(c + 1, j)]),
+    ])
+    loop = np.column_stack([np.arange(n), np.arange(1, n + 1) % n])
+    return Mesh(vertices=vertices, triangles=triangles,
+                boundary_edges=np.vstack([loop, loop + r * n]),
+                n_outer=n, h=1.0 / r)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("n,r", [(64, 8), (48, 4)])
+def test_solve_finds_both_members_of_a_double_pair_on_symmetric_rings(
+        n, r, problem, k):
+    mesh = rotation_symmetric_ring(n, r)
+    validate_mesh(mesh)
+    sigma = solve_on_mesh(mesh, problem, k).eigenvalues
+    assert sigma[2] == pytest.approx(sigma[1], rel=1e-10)
+    assert_matches_dense_reference(mesh, problem, k)
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)

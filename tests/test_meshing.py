@@ -31,6 +31,7 @@ from steklov.meshing import (
     triangulate,
     validate_mesh,
 )
+from steklov.quadrature import volume_rule
 
 
 def mesh_area(mesh):
@@ -307,6 +308,63 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch
     if isinstance(spec.outer, Rectangle):  # kept at GEPS = 0, dropped at 1e-3
         monkeypatch.setattr(meshing, "GEPS", 0.0)
         assert len(want) < len(meshing._settle(spec, h, pts, n_fixed)[2][0])
+
+
+def min_angle_reference(vertices, triangles):
+    """`mesh_min_angle` by the smallest of all 3 * nt angles."""
+    p = vertices[triangles]
+    a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    num = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    den = np.hypot(a[..., 0], a[..., 1]) * np.hypot(b[..., 0], b[..., 1])
+    return float(np.degrees(np.arccos(np.clip(num / den, -1.0, 1.0))).min())
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_min_angle_equals_the_smallest_of_all_angles_on_golden_meshes(name):
+    for h in (0.25, 0.125):
+        mesh = triangulate(golden.TABLE1_DOMAINS[name], h)
+        got = mesh_min_angle(mesh)
+        assert got == min_angle_reference(mesh.vertices, mesh.triangles)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 6), min_size=1,
+                max_size=30))
+def test_min_angle_equals_the_smallest_of_all_angles_on_random_triangles(
+    corners,
+):
+    # either orientation, slivers and repeated corners (0/0 is nan in both)
+    vertices = np.array(corners).reshape(-1, 2)
+    triangles = np.arange(len(vertices)).reshape(-1, 3)
+    mesh = Mesh(vertices, triangles, np.zeros((0, 2), int), 0, 1.0)
+    with np.errstate(all="ignore"):
+        got = mesh_min_angle(mesh)
+        want = min_angle_reference(vertices, triangles)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_areas_validation_and_volume_rule_take_any_vertex_layout(name):
+    # the areas gather corners from the vertices viewed as complex, which
+    # takes a C-ordered float64 copy; a bare view raises on these layouts
+    mesh = triangulate(golden.TABLE1_DOMAINS[name], 0.25)
+    fortran = replace(mesh, vertices=np.asfortranarray(mesh.vertices))
+    single = replace(mesh, vertices=mesh.vertices.astype(np.float32))
+    for other in (fortran, single):
+        with pytest.raises(ValueError):
+            other.vertices.view(complex)
+    want = [meshing._triangle_signed_areas(mesh.vertices, mesh.triangles),
+            *volume_rule(mesh)]
+    got = [meshing._triangle_signed_areas(fortran.vertices, mesh.triangles),
+           *volume_rule(fortran)]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    validate_mesh(fortran)
+    validate_mesh(single)
+    areas = meshing._triangle_signed_areas(single.vertices, mesh.triangles)
+    assert np.array_equal(areas, meshing._triangle_signed_areas(
+        single.vertices.astype(float), mesh.triangles))
+    assert np.all(volume_rule(single)[1] > 0)
 
 
 def sorted_edges(triangles):
@@ -876,10 +934,10 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
 def test_final_settle_builds_no_bars(monkeypatch, name):
-    # bars and their sizes come from every settle but the last, and
-    # `validate_mesh` dedupes the mesh's edges once more; these domains
-    # are not graded, so seeding probes no size field
-    calls = {"_settle": 0, "size_field": 0, "_unique_edges": 0}
+    # bars (from the twins) and their sizes come from every settle but the
+    # last, and `validate_mesh` dedupes the mesh's edges once; these
+    # domains are not graded, so seeding probes no size field
+    calls = {"_settle": 0, "size_field": 0, "_bars": 0, "_unique_edges": 0}
 
     def counted(key):
         fn = getattr(meshing, key)
@@ -894,8 +952,23 @@ def test_final_settle_builds_no_bars(monkeypatch, name):
         monkeypatch.setattr(meshing, key, counted(key))
     triangulate(golden.TABLE1_DOMAINS[name], 0.25)
     assert calls["_settle"] > 1
-    assert calls["size_field"] == calls["_settle"] - 1
-    assert calls["_unique_edges"] == calls["size_field"] + 1
+    assert calls["size_field"] == calls["_bars"] == calls["_settle"] - 1
+    assert calls["_unique_edges"] == 1
+
+
+@pytest.mark.parametrize("name", MESH_SPECS)
+def test_bars_from_the_twins_are_the_unique_edges_at_every_settle(
+    monkeypatch, name
+):
+    # a loop settle's bars come from its twins, carried through the flip
+    # repairs since the last Qhull call: `_unique_edges`' bars, dtype too
+    settles = record_calls(monkeypatch, "_settle")
+    triangulate(MESH_SPECS[name], 0.25)
+    assert len(settles) > 2
+    for _, (pts, _, (tri, twin)) in settles:
+        got = meshing._bars(tri, twin, len(pts))
+        want = meshing._unique_edges(tri, len(pts))[0]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))

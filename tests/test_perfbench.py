@@ -19,7 +19,7 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["table1", "ellipse_sweeps"])
+@pytest.mark.parametrize("workload", ["table1", "ellipse_sweeps", "fine_solve"])
 def test_benchmark_workload_passes_its_checks(workload, tmp_path):
     # the benchmark's own command, one pass: its eigenvalues against
     # perfbench/reference.json, the golden cells, the closed form and the
