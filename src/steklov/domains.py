@@ -41,7 +41,6 @@ __all__ = [
     "hole_signed_distance",
     "outer_signed_distance",
     "region_signed_distance",
-    "region_distance_and_size",
     "shape_dict",
     "size_field",
 ]
@@ -319,16 +318,6 @@ def region_signed_distance(spec: DomainSpec, pts):
     return np.maximum(d_out, -d_hole)
 
 
-def _check_h(h):
-    if not 0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
-
-
-def _grade(h, d_out, d_hole):
-    lfs = np.abs(d_out) + np.abs(d_hole)
-    return np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
-
-
 def size_field(spec: DomainSpec, h: float, pts):
     """Target edge length at each point: h away from narrow passages.
 
@@ -339,7 +328,8 @@ def size_field(spec: DomainSpec, h: float, pts):
     distance is evaluated only where GRADE_FRACTION*|d_hole| < h (elsewhere
     the size is h), and nowhere when GRADE_FRACTION*clearance reaches h.
     """
-    _check_h(h)
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     p = _as_points(pts)
     fh = np.full(len(p), float(h))
     # The feature size is at least the clearance (triangle inequality), up
@@ -349,17 +339,9 @@ def size_field(spec: DomainSpec, h: float, pts):
         return fh
     d_hole = hole_signed_distance(spec, p)
     near = GRADE_FRACTION * np.abs(d_hole) < h
-    fh[near] = _grade(h, outer_signed_distance(spec.outer, p[near]), d_hole[near])
+    lfs = np.abs(outer_signed_distance(spec.outer, p[near])) + np.abs(d_hole[near])
+    fh[near] = np.minimum(h, np.maximum(h / MIN_SIZE_DIVISOR, GRADE_FRACTION * lfs))
     return fh
-
-
-def region_distance_and_size(spec: DomainSpec, h: float, pts):
-    """`region_signed_distance` and `size_field` at an (m, 2) point array,
-    from one evaluation of each boundary distance."""
-    _check_h(h)
-    d_out = outer_signed_distance(spec.outer, pts)
-    d_hole = hole_signed_distance(spec, pts)
-    return np.maximum(d_out, -d_hole), _grade(h, d_out, d_hole)
 
 
 def _march_curve(curve, t_lo, t_hi, fh):

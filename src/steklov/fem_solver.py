@@ -27,7 +27,9 @@ factor of the boundary mass on the spectral vertices.  That factor comes
 from a sparse LDL^T (SuperLU in the vertices' own order, every pivot on
 the diagonal); a boundary loop is a cycle, so it has about three entries
 per row.  Assembly is vectorized over triangles and edges with a fixed
-accumulation order, so repeated runs are bit-identical.
+accumulation order, so repeated runs are bit-identical.  Every check that
+raises past a threshold is written so that NaN fails it (`not x <= tol`,
+never `x > tol`).
 """
 
 from dataclasses import dataclass
@@ -78,13 +80,14 @@ def assemble_stiffness(mesh):
     # (e_i . e_j) / (4 A)
     e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
     doubled_area = e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0]
-    if np.any(doubled_area <= 0.0):
-        raise ValueError("mesh contains a degenerate or inverted triangle")
+    if not np.all(doubled_area > 0.0):
+        raise ValueError(
+            "mesh contains a degenerate, inverted or non-finite triangle")
     local = np.einsum("tid,tjd->tij", e, e) / (2.0 * doubled_area)[:, None, None]
     nv = mesh.vertex_count
     K = _scatter(tris, local, nv)
     kernel = np.abs(K @ np.ones(nv)).max()
-    if kernel > 1e-12 * max(1.0, np.abs(K.data).max()):
+    if not kernel <= 1e-12 * max(1.0, np.abs(K.data).max()):
         raise FemError(f"stiffness row sums do not vanish ({kernel:.3e})")
     return K
 
@@ -129,7 +132,7 @@ def dtn_schur(K, steklov_vertices):
         S -= K_ib.T @ _Factor(K[interior][:, interior], interior).solve(K_ib)
     S = 0.5 * (S + S.T)
     kernel = np.abs(S @ np.ones(b.size)).max()
-    if kernel > 1e-9 * max(1.0, np.abs(S).max()):
+    if not kernel <= 1e-9 * max(1.0, np.abs(S).max()):
         raise FemError(
             f"Dirichlet-to-Neumann matrix lost the constant kernel ({kernel:.3e})")
     return S
@@ -272,7 +275,11 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     one grounded solve of the Ritz vectors gives their harmonic
     extensions.  Raises FemError rather
     than return a questionable spectrum, also when M_ss is not positive
-    definite.
+    definite.  Lanczos grows its Krylov space from a single start vector,
+    so where an exact symmetry makes an eigenvalue double (a ring mesh
+    that a rotation maps onto itself) it can miss one member of the pair
+    and return the next eigenvalue in its place, with no error; finding
+    both needs a block method.
     """
     K = sparse.csr_matrix(K, dtype=float)
     M = sparse.csr_matrix(M, dtype=float)
@@ -340,7 +347,7 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     vals = np.concatenate([[0.0], 1.0 / theta])
     # A negative direction of K, or a further kernel that `ground`'s check
     # let through, shows as an eigenvalue at roundoff or below.
-    if k > 1 and vals[1:].min() <= 1e-12 * np.abs(K.data).max() / M.data.max():
+    if k > 1 and not vals[1:].min() > 1e-12 * np.abs(K.data).max() / M.data.max():
         raise FemError(
             f"eigenvalue {vals[1:].min():.3e} at roundoff or below: the "
             "grounded stiffness factorization is numerically singular")
@@ -350,7 +357,7 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     vecs[:, 1:] -= np.outer(ones, mass_of_ones @ vecs[:, 1:] / mass_of_ones.sum())
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
     residual = np.abs(vecs.T @ (M @ vecs) - np.eye(k)).max()
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
     return EigenSolution(problem, vals, vecs, mesh=mesh, spec=spec,
                          orthonormality=float(residual),

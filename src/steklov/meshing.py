@@ -13,13 +13,13 @@ bars and target sizes (`size_field` at the bar midpoints, which skips the
 outer distance where the size is h) from every settle but the final one,
 the bars from the settle's twins (each edge once, from its lower or its
 hull half-edge; `_bars`), so no loop settle dedupes edges by a sort of
-all half-edges.  The standoff test and the size field share one
-evaluation of each boundary distance, so a settle measures the outer
-distance in full on the points, and on the centroids only when it builds
-a new triangulation.  A relaxation that has not settled after MAX_ITER
-iterations raises MeshError.  Seeding uses a low-discrepancy sequence
-instead of a random generator, so everything is deterministic for a
-fixed spec and h.
+all half-edges.  A settle takes the standoff's distances from
+`region_signed_distance` at the free points only (the boundary points
+are never dropped) and the size field from `size_field` at every point,
+and it measures the centroids only when it builds a new triangulation.
+A relaxation that has not settled after MAX_ITER iterations raises
+MeshError.  Seeding uses a low-discrepancy sequence instead of a random
+generator, so everything is deterministic for a fixed spec and h.
 
 The first settle of a relaxation starts from the seed lattice, whose
 triangles `_seed_points` returns by index: those clear of every other
@@ -73,7 +73,6 @@ from .domains import (
     GRADE_FRACTION,
     MIN_SIZE_DIVISOR,
     boundary_polylines,
-    region_distance_and_size,
     region_signed_distance,
     size_field,
 )
@@ -236,7 +235,7 @@ def _seed_points(spec: DomainSpec, h: float):
     """
     a, b = spec.outer.half_extents
     coarse, count = _hex_grid(-a, a, -b, b, h)
-    sd, fh = region_distance_and_size(spec, h, coarse)
+    sd, fh = region_signed_distance(spec, coarse), size_field(spec, h, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
     seeds = [coarse[keep]]
     lattice = _hex_triangles(count)
@@ -251,7 +250,7 @@ def _seed_points(spec: DomainSpec, h: float):
             fine = _hex_grid(
                 gx.min() - h, gx.max() + h, gy.min() - h, gy.max() + h, fh_min
             )[0]
-            sd_f, fh_f = region_distance_and_size(spec, h, fine)
+            sd_f, fh_f = region_signed_distance(spec, fine), size_field(spec, h, fine)
             cand = (fh_f < h * (1.0 - 1e-9)) & (sd_f < -SEED_MARGIN * fh_f)
             fine, fh_f = fine[cand], fh_f[cand]
             u = np.mod(np.arange(1, len(fine) + 1) * _WEYL, 1.0)
@@ -422,10 +421,11 @@ def _lattice_start(pts, lattice):
 
 
 def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
-    """Drop the interior points within ESCAPE_FRACTION*fh of the boundary,
-    then run one Delaunay step.  Returns (pts, fh, full): the kept points,
-    their size field, and the region's counterclockwise triangles with
-    their half-edge twins (see `_twins`).
+    """Drop the points after the first n_fixed that lie within
+    ESCAPE_FRACTION*fh of the boundary by `region_signed_distance`, which
+    measures only them, then run one Delaunay step.  Returns (pts, fh,
+    full): the kept points, their `size_field`, and the region's
+    counterclockwise triangles with their half-edge twins (see `_twins`).
 
     `full` is the previous settle's (triangles, twins), or None, and
     `lattice` the seed lattice's triangles at the first settle (see
@@ -434,14 +434,12 @@ def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
     `_lattice_start` builds the triangulation from `lattice` and Qhull on
     the band.  Otherwise, or when that fails, Qhull triangulates every
     point.  The simplices whose centroid lies more than GEPS*h inside the
-    region by `region_signed_distance` (the settle's only outer distance
-    besides that at the points) are kept with their twins, and one
+    region by `region_signed_distance` are kept with their twins, and one
     `_flip_to_delaunay` pass settles the ties of the new triangulation
     (should it fail, its triangles stand).  Every path gives the same
     triangles (see the module docstring)."""
-    sd, fh = region_distance_and_size(spec, h, pts)
-    keep = np.ones(len(pts), bool)
-    keep[n_fixed:] = sd[n_fixed:] <= -ESCAPE_FRACTION * fh[n_fixed:]
+    sd, fh = region_signed_distance(spec, pts[n_fixed:]), size_field(spec, h, pts)
+    keep = np.append(np.ones(n_fixed, bool), sd <= -ESCAPE_FRACTION * fh[n_fixed:])
     if not keep.all():
         full = lattice = None
     if full is not None:

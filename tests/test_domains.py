@@ -19,7 +19,6 @@ from steklov.domains import (
     boundary_polylines,
     hole_signed_distance,
     outer_signed_distance,
-    region_distance_and_size,
     region_signed_distance,
     size_field,
 )
@@ -285,16 +284,12 @@ def test_size_field_equals_the_grading_formula_on_the_gap_line(
             h = GRADE_FRACTION * spec.clearance * scale
             assert np.array_equal(size_field(spec, h, pts),
                                   graded_size(spec, h, pts))
-            assert np.array_equal(region_distance_and_size(spec, h, pts)[1],
-                                  graded_size(spec, h, pts))
 
 
 @pytest.mark.parametrize("h", [-1.0, 0.0, math.nan, math.inf, -math.inf])
 def test_size_field_rejects_h_that_is_not_positive_and_finite(h):
-    spec, pts = annulus_spec(), np.array([[3.0, 0.0]])
-    for field in (size_field, region_distance_and_size):
-        with pytest.raises(ValueError, match="h must be positive and finite"):
-            field(spec, h, pts)
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        size_field(annulus_spec(), h, np.array([[3.0, 0.0]]))
 
 
 def test_boundary_polyline_counts_disk():

@@ -108,6 +108,15 @@ def test_stiffness_rejects_degenerate_triangle():
         assemble_stiffness(mesh)
 
 
+def test_stiffness_rejects_a_nan_vertex():
+    # NaN fails every comparison, so a check written as "raise if x <= 0"
+    # would let its triangles through and return a K full of NaN
+    mesh = triangulate(TABLE1_DOMAINS["annulus"], 0.5)
+    mesh.vertices[-1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_stiffness(mesh)
+
+
 def test_boundary_mass_single_edge_block():
     mesh = single_triangle_mesh([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     mesh = Mesh(
@@ -469,6 +478,18 @@ def test_solve_finds_both_members_of_a_double_pair_on_symmetric_rings(
     sigma = solve_on_mesh(mesh, problem, k).eigenvalues
     assert sigma[2] == pytest.approx(sigma[1], rel=1e-10)
     assert_matches_dense_reference(mesh, problem, k)
+
+
+@pytest.mark.xfail(strict=True, reason="single-vector Lanczos misses the "
+                   "second member of a double pair at k = 5")
+@pytest.mark.parametrize("n,r", [(64, 8), (48, 4)])
+def test_solve_finds_the_second_double_pair_on_symmetric_rings(n, r):
+    # the 64 x 8 ring returns 1.39076 where the dense reference has a
+    # second 0.760921, the 48 x 4 ring 1.409963 for a second 0.768075: a
+    # Krylov space grown from one start vector holds one direction of each
+    # eigenspace, the other enters only through roundoff, and finding both
+    # needs a block method
+    assert_matches_dense_reference(rotation_symmetric_ring(n, r), "steklov", 5)
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)

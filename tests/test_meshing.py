@@ -196,11 +196,12 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch, center, h, graded
 ):
     # a settle that builds a new triangulation evaluates the outer distance
-    # once on every point (standoff and size field) and once on the
-    # centroids of the Delaunay simplices.  At the bar midpoints
-    # `size_field` evaluates it only where GRADE_FRACTION*|d_hole| < h: on
-    # none of the y-axis ellipse's, whose clearance grades nothing, and on
-    # the thin gap's near-hole ones, every graded bar among them
+    # once on the free points (the standoff), then in `size_field` on the
+    # points where GRADE_FRACTION*|d_hole| < h, and once on the centroids
+    # of the Delaunay simplices.  `size_field` evaluates it only there, at
+    # the points and at the bar midpoints alike: on none of the y-axis
+    # ellipse's, whose clearance grades nothing, and on the thin gap's
+    # near-hole ones, every graded bar among them
     spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
@@ -214,7 +215,10 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
     kept, _, (simplices, _) = meshing._settle(spec, h, pts, len(fixed))
     centroids = len(meshing.Delaunay(kept).simplices)  # one per Qhull simplex
-    assert calls == [len(pts), centroids]
+    near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, pts)) < h
+    sized = [np.count_nonzero(near)] if graded else []
+    assert calls == [len(pts) - len(fixed), *sized, centroids]
+    assert not graded or 0 < sized[0] < len(pts) - len(fixed)
     bars = meshing._unique_edges(simplices, len(kept))[0]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
     near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, mids)) < h
@@ -935,8 +939,9 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
 def test_final_settle_builds_no_bars(monkeypatch, name):
     # bars (from the twins) and their sizes come from every settle but the
-    # last, and `validate_mesh` dedupes the mesh's edges once; these
-    # domains are not graded, so seeding probes no size field
+    # last, and `validate_mesh` dedupes the mesh's edges once.  `size_field`
+    # also runs at the points of every settle and once on the coarse seed
+    # grid; these domains are not graded, so seeding probes no finer grid
     calls = {"_settle": 0, "size_field": 0, "_bars": 0, "_unique_edges": 0}
 
     def counted(key):
@@ -952,7 +957,8 @@ def test_final_settle_builds_no_bars(monkeypatch, name):
         monkeypatch.setattr(meshing, key, counted(key))
     triangulate(golden.TABLE1_DOMAINS[name], 0.25)
     assert calls["_settle"] > 1
-    assert calls["size_field"] == calls["_bars"] == calls["_settle"] - 1
+    assert calls["_bars"] == calls["_settle"] - 1
+    assert calls["size_field"] == calls["_settle"] + calls["_bars"] + 1
     assert calls["_unique_edges"] == 1
 
 
