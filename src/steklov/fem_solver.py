@@ -14,12 +14,13 @@ the pure Steklov problem uses every boundary edge, the mixed
 Steklov-Neumann problem only the outer ones (the hole is a natural
 boundary).
 
-Both problems solve against one factorization per mesh: K grounded by
-deleting its last vertex, symmetric positive definite when the constants
-are K's only kernel.  SuperLU factors it in a nested-dissection order
-that bisects the mesh vertices' bounding box at midpoints (`_dissection`;
-the vertex index stands in for a coordinate when a bare matrix comes
-without a mesh) and applies no column order of its own.  The zero mode
+Both problems solve against one factorization per mesh, a `Stiffness`
+(`factor_stiffness`): K with the vertices it was assembled on and the
+factor of K grounded by deleting its last vertex, symmetric positive
+definite when the constants are K's only kernel.  SuperLU factors it in
+a nested-dissection order that bisects the vertices' bounding box at
+midpoints (`_dissection`) and applies no column order of its own, and
+`solve_on_mesh` refuses a `Stiffness` of other vertices.  The zero mode
 is exact; Lanczos (ARPACK, via `scipy.sparse.linalg.eigsh`, from a fixed
 start vector) finds the largest inverse eigenvalues of the
 Dirichlet-to-Neumann map on the boundary trace, scaled by the Cholesky
@@ -32,7 +33,7 @@ raises past a threshold is written so that NaN fails it (`not x <= tol`,
 never `x > tol`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -74,7 +75,7 @@ def assemble_stiffness(mesh):
     Row sums vanish to roundoff: constants are discretely harmonic.
     """
     tris = mesh.triangles
-    p = mesh.vertices[tris]
+    p = np.asarray(mesh.vertices, dtype=float)[tris]
     # edge vector opposite vertex i; grad of the i-th hat function is the
     # perpendicular of e_i over twice the area, so the element matrix is
     # (e_i . e_j) / (4 A)
@@ -113,23 +114,24 @@ def dtn_schur(K, steklov_vertices):
 
     Returns the dense symmetric discrete Dirichlet-to-Neumann matrix
     S = K_bb - K_bi K_ii^{-1} K_ib; interior (and Neumann-boundary)
-    vertices are eliminated through a sparse LU factorization in the
-    nested-dissection order of their indices, each a 1-D coordinate, so
-    the order bisects the index range.  Constants stay in the kernel
-    because the harmonic extension of a constant is the constant itself.
+    vertices are eliminated through SuperLU in its default column order,
+    not the `_dissection` order of the grounded solves it is a reference
+    for.  Constants stay in the kernel because the harmonic extension of a
+    constant is the constant itself.  `steklov_vertices` holds integer
+    vertex indices; a float or boolean array raises ValueError.
     """
     K = sparse.csr_matrix(K)
     nv = K.shape[0]
-    b = np.unique(np.asarray(steklov_vertices, dtype=int))
+    b = np.unique(steklov_vertices)
     if b.size == 0:
         raise ValueError("empty Steklov vertex set")
-    if b[0] < 0 or b[-1] >= nv:
-        raise ValueError("Steklov vertex index out of range")
+    if not np.issubdtype(b.dtype, np.integer) or b[0] < 0 or b[-1] >= nv:
+        raise ValueError("Steklov vertices must be integer indices in range")
     interior = np.setdiff1d(np.arange(nv), b, assume_unique=True)
     S = K[b][:, b].toarray()
     if interior.size:
         K_ib = K[interior][:, b].toarray()
-        S -= K_ib.T @ _Factor(K[interior][:, interior], interior).solve(K_ib)
+        S -= K_ib.T @ splu(sparse.csc_matrix(K[interior][:, interior])).solve(K_ib)
     S = 0.5 * (S + S.T)
     kernel = np.abs(S @ np.ones(b.size)).max()
     if not kernel <= 1e-9 * max(1.0, np.abs(S).max()):
@@ -212,68 +214,67 @@ def _dissection(points, A):
                       kind="stable")
 
 
-class _Factor:
-    """SuperLU factor of the square sparse matrix A in the midpoint
-    nested-dissection order (`_dissection`) of its vertices at `points`;
-    `solve` takes and returns arrays in A's own vertex order."""
+class Stiffness:
+    """The stiffness matrix K of one mesh, its vertex i at points[i], and
+    the factor of K grounded by deleting its last vertex: symmetric
+    positive definite when the constants are K's only kernel.  `lu` is
+    SuperLU's factor of the grounded matrix in the midpoint nested-dissection
+    order `perm` of its vertices (`_dissection`), with no column order of
+    its own.  Raises FemError when the grounded matrix is singular, exactly
+    or to roundoff."""
 
-    def __init__(self, A, points):
-        A = sparse.csr_matrix(A, dtype=float)
-        self.perm = _dissection(points, A)
-        self.lu = splu(sparse.csc_matrix(A[self.perm][:, self.perm]),
-                       permc_spec="NATURAL")
+    def __init__(self, K, points):
+        self.K = sparse.csr_matrix(K, dtype=float)
+        self.points = np.asarray(points)
+        n = self.K.shape[0]
+        if self.K.shape[1] != n or len(self.points) != n:
+            raise ValueError("K must be square, with one point per vertex")
+        A = self.K[:-1, :-1]
+        self.perm = _dissection(self.points[:-1], A)
+        try:
+            self.lu = splu(sparse.csc_matrix(A[self.perm][:, self.perm]),
+                           permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise FemError(
+                "the grounded stiffness factorization is singular: K has a "
+                "kernel beyond the constants") from exc
+        # A further kernel that roundoff keeps off the pivots takes the solve
+        # of A x = A 1 off by order one (0.45 for two copies of a mesh); a
+        # sound factor misses by roundoff times cond(A): at most 2.0e-13 over
+        # the 172 meshes that tools/mesh_identity.py records (22.7k vertices
+        # the largest).  The bound 1e-6 leaves over five decades either side.
+        ones = np.append(np.ones(n - 1), 0.0)
+        miss = np.abs(self.solve(self.K @ ones) - ones).max()
+        if not miss <= 1e-6:
+            raise FemError(
+                f"the grounded stiffness factorization is numerically singular: "
+                f"it solves for the constants to {miss:.3e}")
 
-    def solve(self, b):
-        x = np.empty_like(b, dtype=float)
-        x[self.perm] = self.lu.solve(b[self.perm])
-        return x
-
-
-def ground(K, points):
-    """Factor of K without its last row and column, K's vertex i at
-    points[i]: symmetric positive definite when the constants are K's only
-    kernel.  Raises FemError when it is singular, exactly or to roundoff."""
-    A = sparse.csr_matrix(K, dtype=float)[:-1, :-1]
-    try:
-        lu = _Factor(A, np.asarray(points)[:-1])
-    except RuntimeError as exc:
-        raise FemError(
-            "the grounded stiffness factorization is singular: K has a "
-            "kernel beyond the constants") from exc
-    # A further kernel that roundoff keeps off the pivots takes the solve
-    # of A x = A 1 off by order one (0.45 for two copies of a mesh); a
-    # sound factor misses by roundoff times cond(A): at most 2.0e-13 over
-    # the 172 meshes that tools/mesh_identity.py records (22.7k vertices
-    # the largest).  The bound 1e-6 leaves over five decades either side.
-    miss = np.abs(lu.solve(A @ np.ones(A.shape[0])) - 1.0).max()
-    if not miss <= 1e-6:
-        raise FemError(
-            f"the grounded stiffness factorization is numerically singular: "
-            f"it solves for the constants to {miss:.3e}")
-    return lu
+    def solve(self, f):
+        """u with (K u)_i = f_i at every vertex but the last, where u is 0;
+        f has one row per vertex."""
+        u = np.zeros(np.shape(f))
+        u[self.perm] = self.lu.solve(np.asarray(f, dtype=float)[self.perm])
+        return u
 
 
 def factor_stiffness(mesh):
-    """(K, ground(K, mesh.vertices)): the one stiffness factorization per
-    mesh."""
-    K = assemble_stiffness(mesh)
-    return K, ground(K, mesh.vertices)
+    """The mesh's `Stiffness`: one factorization serves both problems."""
+    return Stiffness(assemble_stiffness(mesh), mesh.vertices)
 
 
-def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
+def solve_eigs(stiffness, M, k, problem="steklov"):
     """First k eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
-    K is symmetric positive semidefinite with the constants as its only
-    kernel; M's nonzero rows, the spectral vertices s, carry a positive
-    definite block M_ss = L L^T, and k lies below their number; L is
-    sparse, from SuperLU's L D L^T of M_ss in natural order with diagonal
-    pivots.  `lu` is `ground(K, points)`, built here from the mesh's
-    vertices, or from the vertex index without a mesh, when not given.
-    Lanczos finds the k - 1 largest 1/lambda of C = P L^T G L P, G the
-    grounded inverse of K on s and P the projection off L^T 1, which makes
-    every right-hand side sum to zero and drops the grounding constant;
-    one grounded solve of the Ritz vectors gives their harmonic
-    extensions.  Raises FemError rather
+    K is `stiffness.K`, symmetric positive semidefinite with the constants
+    as its only kernel; M's nonzero rows, the spectral vertices s, carry a
+    positive definite block M_ss = L L^T, and k lies below their number; L
+    is sparse, from SuperLU's L D L^T of M_ss in natural order with
+    diagonal pivots.  Lanczos finds the k - 1 largest 1/lambda of
+    C = P L^T G L P, G the grounded inverse of K on s (`stiffness.solve`)
+    and P the projection off L^T 1, which makes every right-hand side sum
+    to zero and drops the grounding constant; one grounded solve of the
+    Ritz vectors gives their harmonic extensions.  Raises FemError rather
     than return a questionable spectrum, also when M_ss is not positive
     definite.  Lanczos grows its Krylov space from a single start vector,
     so where an exact symmetry makes an eigenvalue double (a ring mesh
@@ -281,9 +282,9 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     and return the next eigenvalue in its place, with no error; finding
     both needs a block method.
     """
-    K = sparse.csr_matrix(K, dtype=float)
+    K = stiffness.K
     M = sparse.csr_matrix(M, dtype=float)
-    if K.shape[0] != K.shape[1] or K.shape != M.shape:
+    if K.shape != M.shape:
         raise ValueError("K and M must be square matrices of one size")
     n = K.shape[0]
     s = np.flatnonzero(M.diagonal())
@@ -294,8 +295,6 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
         raise ValueError(
             f"k must be an integer at least 1 and below the {s.size} "
             f"spectral vertices, got {k}")
-    if lu is None:
-        lu = ground(K, np.arange(n) if mesh is None else mesh.vertices)
     # M_ss is symmetric, so its transpose is the CSC copy that SuperLU
     # takes.  In natural order with every pivot on the diagonal its U is
     # D L^T, so L D^(1/2), L's column j times sqrt(d_j), is the Cholesky
@@ -320,10 +319,9 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
 
     def grounded(f_s):
         """Solution of K u = f, f supported on s, zero at the last vertex."""
-        u = np.zeros((n,) + f_s.shape[1:])
-        u[s] = f_s
-        u[:-1], u[-1] = lu.solve(u[:-1]), 0.0
-        return u
+        f = np.zeros((n,) + f_s.shape[1:])
+        f[s] = f_s
+        return stiffness.solve(f)
 
     def apply(y):
         nonlocal applications
@@ -345,7 +343,7 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
         order = np.argsort(-theta)
         theta, Y = theta[order], Y[:, order]
     vals = np.concatenate([[0.0], 1.0 / theta])
-    # A negative direction of K, or a further kernel that `ground`'s check
+    # A negative direction of K, or a further kernel that `Stiffness`' check
     # let through, shows as an eigenvalue at roundoff or below.
     if k > 1 and not vals[1:].min() > 1e-12 * np.abs(K.data).max() / M.data.max():
         raise FemError(
@@ -359,8 +357,7 @@ def solve_eigs(K, M, k, problem="steklov", mesh=None, spec=None, lu=None):
     residual = np.abs(vecs.T @ (M @ vecs) - np.eye(k)).max()
     if not residual <= 1e-8:
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
-    return EigenSolution(problem, vals, vecs, mesh=mesh, spec=spec,
-                         orthonormality=float(residual),
+    return EigenSolution(problem, vals, vecs, orthonormality=float(residual),
                          lanczos_applications=applications)
 
 
@@ -368,12 +365,15 @@ def solve_on_mesh(mesh, problem, k, spec=None, stiffness=None):
     """Assemble and solve one eigenvalue problem on an existing mesh.
 
     `stiffness` is the mesh's `factor_stiffness`, built here when not
-    given; callers that solve both problems build it once for both.
+    given; callers that solve both problems build it once for both.  A
+    stiffness built on other vertices raises ValueError.
     """
     check_problem_and_k(problem, k)  # before factoring
-    K, lu = factor_stiffness(mesh) if stiffness is None else stiffness
+    stiffness = factor_stiffness(mesh) if stiffness is None else stiffness
+    if not np.array_equal(stiffness.points, mesh.vertices):
+        raise ValueError("the stiffness belongs to a mesh with other vertices")
     M = assemble_boundary_mass(mesh, problem)
-    return solve_eigs(K, M, k, problem=problem, mesh=mesh, spec=spec, lu=lu)
+    return replace(solve_eigs(stiffness, M, k, problem), mesh=mesh, spec=spec)
 
 
 def solve(spec, h, k, problem="steklov"):

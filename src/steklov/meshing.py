@@ -7,17 +7,17 @@ density-matched grid and repel each other until edge lengths track the
 graded size field.  A settle (each triangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
 (the standoff), runs one Delaunay step, which keeps no triangle whose centroid
-falls outside the region, and returns the kept points, their size field
-and the kept simplices with their half-edge twins; the relaxation builds
-bars and target sizes (`size_field` at the bar midpoints, which skips the
-outer distance where the size is h) from every settle but the final one,
-the bars from the settle's twins (each edge once, from its lower or its
-hull half-edge; `_bars`), so no loop settle dedupes edges by a sort of
-all half-edges.  A settle takes the standoff's distances from
-`region_signed_distance` at the free points only (the boundary points
-are never dropped) and the size field from `size_field` at every point,
-and it measures the centroids only when it builds a new triangulation.
-A relaxation that has not settled after MAX_ITER iterations raises
+falls outside the region, and returns the kept points, the size field at
+the kept interior ones and the kept simplices with their half-edge twins;
+the relaxation builds bars and target sizes (`size_field` at the bar
+midpoints, which skips the outer distance where the size is h) from every
+settle but the final one, the bars from the settle's twins (each edge
+once, from its lower or its hull half-edge; `_bars`), so no loop settle
+dedupes edges by a sort of all half-edges.  A settle calls
+`region_signed_distance` and `size_field` on the free points only (the
+boundary points are never dropped, and nothing reads their size), and
+measures the centroids only when it builds a new triangulation.  A
+relaxation that has not settled after MAX_ITER iterations raises
 MeshError.  Seeding uses a low-discrepancy sequence instead of a random
 generator, so everything is deterministic for a fixed spec and h.
 
@@ -422,10 +422,11 @@ def _lattice_start(pts, lattice):
 
 def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
     """Drop the points after the first n_fixed that lie within
-    ESCAPE_FRACTION*fh of the boundary by `region_signed_distance`, which
-    measures only them, then run one Delaunay step.  Returns (pts, fh,
-    full): the kept points, their `size_field`, and the region's
-    counterclockwise triangles with their half-edge twins (see `_twins`).
+    ESCAPE_FRACTION*fh of the boundary by `region_signed_distance` and
+    `size_field`, which measure only them, then run one Delaunay step.
+    Returns (pts, fh, full): the kept points, the size field at those
+    after the first n_fixed, and the region's counterclockwise triangles
+    with their half-edge twins (see `_twins`).
 
     `full` is the previous settle's (triangles, twins), or None, and
     `lattice` the seed lattice's triangles at the first settle (see
@@ -438,13 +439,14 @@ def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
     `_flip_to_delaunay` pass settles the ties of the new triangulation
     (should it fail, its triangles stand).  Every path gives the same
     triangles (see the module docstring)."""
-    sd, fh = region_signed_distance(spec, pts[n_fixed:]), size_field(spec, h, pts)
-    keep = np.append(np.ones(n_fixed, bool), sd <= -ESCAPE_FRACTION * fh[n_fixed:])
-    if not keep.all():
+    free = pts[n_fixed:]
+    sd, fh = region_signed_distance(spec, free), size_field(spec, h, free)
+    keep_free = sd <= -ESCAPE_FRACTION * fh
+    if not keep_free.all():
         full = lattice = None
     if full is not None:
         full = _flip_to_delaunay(pts, *full)
-    pts, fh = pts[keep], fh[keep]
+    pts, fh = pts[np.append(np.ones(n_fixed, bool), keep_free)], fh[keep_free]
     if full is None:
         tri = None if lattice is None else _lattice_start(pts, lattice)
         if tri is None:
@@ -515,8 +517,9 @@ def _relax(spec, h, fixed):
     z = np.vstack([fixed, seeds]).view(complex).ravel()
     lattice = lattice + n_fixed
     for _ in range(MAX_ITER):
-        if last is None or np.max(np.abs(z - last) / fh_pts) > TTOL:
-            pts, fh_pts, full = _settle(
+        if last is None or np.max(np.abs(z - last)[n_fixed:] / fh_free,
+                                  initial=0.0) > TTOL:
+            pts, fh_free, full = _settle(
                 spec, h, z.view(float).reshape(-1, 2), n_fixed, full, lattice)
             lattice = None
             last = z = pts.view(complex).ravel()
@@ -527,7 +530,6 @@ def _relax(spec, h, fixed):
             ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
             D = _incidence(ends, len(z))
             h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
-            fh_free = fh_pts[n_fixed:]
 
         z, step = _force_step(z, ends, D, h_want, h_sq, n_fixed)
         if len(step) == 0 or np.max(step / fh_free) < PTOL:

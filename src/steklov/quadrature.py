@@ -45,9 +45,9 @@ def volume_rule(mesh: Mesh):
 
 def boundary_rule(mesh: Mesh, edges):
     """Midpoints and lengths of `edges`, rows (i, j) of mesh vertex
-    indices."""
-    p0 = mesh.vertices[edges[:, 0]]
-    p1 = mesh.vertices[edges[:, 1]]
+    indices, in float64 whatever the vertices' dtype."""
+    v = np.asarray(mesh.vertices, dtype=float)
+    p0, p1 = v[edges[:, 0]], v[edges[:, 1]]
     return 0.5 * (p0 + p1), np.hypot(*(p1 - p0).T)
 
 

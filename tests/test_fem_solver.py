@@ -1,7 +1,7 @@
 """Tests for the P1 eigenvalue pipeline."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,8 +29,8 @@ from steklov.fem_solver import (
     assemble_boundary_mass,
     assemble_stiffness,
     dtn_schur,
+    Stiffness,
     factor_stiffness,
-    ground,
     solve,
     solve_eigs,
     solve_on_mesh,
@@ -57,6 +57,11 @@ def single_triangle_mesh(vertices):
         n_outer=3,
         h=1.0,
     )
+
+
+def index_stiffness(K):
+    """`Stiffness` of a bare matrix, its vertex i at the point i."""
+    return Stiffness(K, np.arange(K.shape[0]))
 
 
 def spectral_vertices(M):
@@ -167,7 +172,12 @@ def test_dtn_without_interior_is_plain_stiffness_block():
     assert np.allclose(S, K.toarray(), atol=1e-14)
 
 
-def test_dtn_matches_dense_elimination(coarse_mesh):
+def test_dtn_matches_dense_elimination(monkeypatch, coarse_mesh):
+    # the reference does not run through the ordering of the solves it checks
+    def no_dissection(*args):
+        raise AssertionError("dtn_schur ordered by _dissection")
+
+    monkeypatch.setattr(fem_solver, "_dissection", no_dissection)
     K = assemble_stiffness(coarse_mesh)
     b = spectral_vertices(assemble_boundary_mass(coarse_mesh, "steklov"))
     S = dtn_schur(K, b)
@@ -181,9 +191,61 @@ def test_dtn_matches_dense_elimination(coarse_mesh):
     assert np.allclose(S, S.T, atol=0.0)
 
 
+def test_dtn_rejects_vertices_that_are_not_integer_indices(coarse_mesh):
+    # a cast to int would read np.array([0.5, 1.0]) as the vertices {0, 1},
+    # and a boolean mask as the indices {0, 1}
+    K = assemble_stiffness(coarse_mesh)
+    mask = np.zeros(coarse_mesh.vertex_count, dtype=bool)
+    mask[np.unique(coarse_mesh.boundary_edges)] = True
+    for vertices in (np.array([0.5, 1.0]), np.array([0.0, 1.0]), mask):
+        with pytest.raises(ValueError, match="integer indices"):
+            dtn_schur(K, vertices)
+    assert np.array_equal(dtn_schur(K, np.flatnonzero(mask)),
+                          dtn_schur(K, list(np.flatnonzero(mask))))
+
+
+def test_stiffness_needs_a_square_matrix_and_one_point_per_vertex():
+    for K, points in ((PATH_GRAPH, np.arange(2)), (PATH_GRAPH, np.zeros((4, 2))),
+                      (PATH_GRAPH[:2], np.arange(2))):
+        with pytest.raises(ValueError, match="one point per vertex"):
+            Stiffness(K, points)
+
+
+def test_solve_on_mesh_rejects_the_stiffness_of_other_vertices(coarse_mesh):
+    # coarse_mesh and the same disk with its hole at (0.5, 0) both have 386
+    # vertices, so the other mesh's stiffness, or its factor under this
+    # mesh's K, fits every shape and gives (0, 0.17955852, 0.18022725)
+    # with no error of its own
+    other = triangulate(DomainSpec(Disk(5.0), (0.5, 0.0), 1.0), 0.5)
+    assert other.vertex_count == coarse_mesh.vertex_count
+    swapped = factor_stiffness(other)
+    swapped.K = assemble_stiffness(coarse_mesh)
+    for stiffness in (factor_stiffness(other), swapped):
+        with pytest.raises(ValueError, match="other vertices"):
+            solve_on_mesh(coarse_mesh, "steklov", 3, stiffness=stiffness)
+    own = solve_on_mesh(coarse_mesh, "steklov", 3,
+                        stiffness=factor_stiffness(coarse_mesh))
+    assert np.allclose(own.eigenvalues, [0.0, 0.18027665, 0.1802914],
+                       rtol=1e-7, atol=0.0)
+    assert np.array_equal(own.eigenvalues,
+                          solve_on_mesh(coarse_mesh, "steklov", 3).eigenvalues)
+
+
+def test_float32_mesh_solves_as_its_float64_copy(coarse_mesh):
+    # a float32 mesh passes validate_mesh; assembled in float32, its
+    # stiffness row sums miss zero by 5.4e-7 and fail the kernel check
+    single = replace(coarse_mesh, vertices=coarse_mesh.vertices.astype(np.float32))
+    double = replace(single, vertices=single.vertices.astype(float))
+    validate_mesh(single)
+    for problem in PROBLEMS:
+        got, want = (solve_on_mesh(mesh, problem, 3) for mesh in (single, double))
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
 def test_solve_eigs_path_graph():
     # Laplacian of the path 0-1-2 has eigenvalues 0, 1, 3
-    sol = solve_eigs(PATH_GRAPH, np.eye(3), 2)
+    sol = solve_eigs(index_stiffness(PATH_GRAPH), np.eye(3), 2)
     assert np.allclose(sol.eigenvalues, [0.0, 1.0], atol=1e-12)
     v0, v1 = sol.eigenvectors.T
     assert np.ptp(v0) < 1e-12
@@ -191,44 +253,45 @@ def test_solve_eigs_path_graph():
 
 
 def test_solve_eigs_input_validation(monkeypatch, coarse_mesh):
+    path = index_stiffness(PATH_GRAPH)
     with pytest.raises(ValueError, match="k must be"):
-        solve_eigs(PATH_GRAPH, np.eye(3), 3)
+        solve_eigs(path, np.eye(3), 3)
     with pytest.raises(ValueError, match="k must be"):
-        solve_eigs(PATH_GRAPH, np.eye(3), 0)
+        solve_eigs(path, np.eye(3), 0)
     with pytest.raises(ValueError, match="k must be an integer"):
-        solve_eigs(PATH_GRAPH, np.eye(3), 2.0)
-    assert solve_eigs(PATH_GRAPH, np.eye(3), np.int64(2)).eigenvalues.size == 2
+        solve_eigs(path, np.eye(3), 2.0)
+    assert solve_eigs(path, np.eye(3), np.int64(2)).eigenvalues.size == 2
     with pytest.raises(ValueError, match="k must be an integer"):
         solve_on_mesh(coarse_mesh, "steklov", 3.0)
     with pytest.raises(ValueError, match="square"):
-        solve_eigs(PATH_GRAPH, np.eye(2), 1)
+        solve_eigs(path, np.eye(2), 1)
     with pytest.raises(FemError, match="singular"):
-        solve_eigs(PATH_GRAPH, np.zeros((3, 3)), 2)
+        solve_eigs(path, np.zeros((3, 3)), 2)
     path4 = sparse.diags([-1.0, [1.0, 2.0, 2.0, 1.0], -1.0], [-1, 0, 1],
                          shape=(4, 4))
     with pytest.raises(FemError, match="not positive definite"):
-        solve_eigs(path4, np.diag([1.0, 0.0, 0.0, -1.0]), 1)
+        solve_eigs(index_stiffness(path4), np.diag([1.0, 0.0, 0.0, -1.0]), 1)
     # indefinite with a positive diagonal: the sparse L D L^T meets a zero
     # pivot, and takes it off the diagonal or finds the factor singular
     for m_ss in ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
                  [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
         with pytest.raises(FemError, match="not positive definite"):
-            solve_eigs(PATH_GRAPH, np.array(m_ss), 1)
+            solve_eigs(path, np.array(m_ss), 1)
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
 
     monkeypatch.setattr(fem_solver, "eigsh", no_convergence)
     with pytest.raises(FemError, match="Lanczos"):
-        solve_eigs(PATH_GRAPH, np.eye(3), 2)
+        solve_eigs(path, np.eye(3), 2)
 
-    # a bad k is rejected before K is factored
-    def no_factorization(A):
+    # a bad k is rejected before M_ss is factored
+    def no_factorization(*args, **kwargs):
         raise AssertionError("factored before checking k")
 
     monkeypatch.setattr(fem_solver, "splu", no_factorization)
     with pytest.raises(ValueError, match="below the 2 spectral vertices, got 2"):
-        solve_eigs(PATH_GRAPH, np.diag([1.0, 0.0, 1.0]), 2)
+        solve_eigs(path, np.diag([1.0, 0.0, 1.0]), 2)
 
     # and `solve` and `solve_on_mesh` reject a bad k or problem name before
     # they mesh or factor anything
@@ -291,13 +354,14 @@ def test_second_stiffness_kernel_raises(coarse_mesh):
     two_paths = sparse.block_diag([PATH_GRAPH, PATH_GRAPH])
     with pytest.raises(FemError, match="grounded stiffness factorization is "
                                        "singular"):
-        solve_eigs(two_paths, np.eye(6), 2)
+        solve_eigs(index_stiffness(two_paths), np.eye(6), 2)
     # two copies of one mesh: roundoff keeps the last pivot off zero, and
     # the second zero mode shows in the spectrum instead
     K = assemble_stiffness(coarse_mesh)
     M = assemble_boundary_mass(coarse_mesh)
     with pytest.raises(FemError, match="numerically singular"):
-        solve_eigs(sparse.block_diag([K, K]), sparse.block_diag([M, M]), 3)
+        solve_eigs(index_stiffness(sparse.block_diag([K, K])),
+                   sparse.block_diag([M, M]), 3)
 
 
 def nested_dissection_reference(points, A):
@@ -397,20 +461,25 @@ def test_separators_disconnect_the_halves_of_every_level(seed):
 def test_grounded_solves_match_the_colamd_factor(table1_meshes):
     rng = np.random.default_rng(0)
     for mesh in table1_meshes.values():
-        K, lu = factor_stiffness(mesh)
-        A = sparse.csc_matrix(K)[:-1, :-1]
+        stiffness = factor_stiffness(mesh)
+        A = sparse.csc_matrix(stiffness.K)[:-1, :-1]
         b = rng.standard_normal((A.shape[0], 2))
         want = splu(A).solve(b)
-        for got in (lu.solve(b), np.column_stack([lu.solve(c) for c in b.T])):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.abs(A @ lu.solve(b) - b).max() <= 1e-12 * np.abs(b).max()
+        # the last vertex's row of f is never read, and u vanishes there
+        f = np.vstack([b, rng.standard_normal((1, 2))])
+        for got in (stiffness.solve(f),
+                    np.column_stack([stiffness.solve(c) for c in f.T])):
+            assert np.all(got[-1] == 0.0)
+            assert np.abs(got[:-1] - want).max() <= 1e-12 * np.abs(want).max()
+        u = stiffness.solve(f)[:-1]
+        assert np.abs(A @ u - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_dissection_cuts_the_fill_of_the_fine_rectangle():
     mesh = triangulate(TABLE1_DOMAINS["rectangle"], 0.0625)
-    K = assemble_stiffness(mesh)
-    colamd = splu(sparse.csc_matrix(K)[:-1, :-1])
-    dissected = ground(K, mesh.vertices).lu
+    stiffness = factor_stiffness(mesh)
+    colamd = splu(sparse.csc_matrix(stiffness.K)[:-1, :-1])
+    dissected = stiffness.lu
     fill = dissected.L.nnz + dissected.U.nnz
     assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 

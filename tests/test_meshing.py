@@ -183,7 +183,7 @@ def test_settle_drops_points_inside_the_standoff():
     kept, fh, (simplices, _) = meshing._settle(spec, 0.5, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
-    assert np.array_equal(fh, size_field(spec, 0.5, kept))
+    assert np.array_equal(fh, size_field(spec, 0.5, kept[len(fixed):]))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
 
 
@@ -197,7 +197,7 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
 ):
     # a settle that builds a new triangulation evaluates the outer distance
     # once on the free points (the standoff), then in `size_field` on the
-    # points where GRADE_FRACTION*|d_hole| < h, and once on the centroids
+    # free points where GRADE_FRACTION*|d_hole| < h, and once on the centroids
     # of the Delaunay simplices.  `size_field` evaluates it only there, at
     # the points and at the bar midpoints alike: on none of the y-axis
     # ellipse's, whose clearance grades nothing, and on the thin gap's
@@ -215,7 +215,8 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
     kept, _, (simplices, _) = meshing._settle(spec, h, pts, len(fixed))
     centroids = len(meshing.Delaunay(kept).simplices)  # one per Qhull simplex
-    near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, pts)) < h
+    free = pts[len(fixed):]
+    near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, free)) < h
     sized = [np.count_nonzero(near)] if graded else []
     assert calls == [len(pts) - len(fixed), *sized, centroids]
     assert not graded or 0 < sized[0] < len(pts) - len(fixed)
@@ -233,7 +234,7 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
 
 def settle_screens_reference(spec, h, pts, n_fixed):
     """The Qhull simplices that `_settle` on pts should keep, and pairs of
-    size fields that should agree: the settle's at its points and
+    size fields that should agree: the settle's at its free points and
     `size_field` there and at the midpoints of its bars, each against the
     grading formula with the outer distance at every point."""
     kept, fh, (simplices, _) = meshing._settle(spec, h, pts, n_fixed)
@@ -245,7 +246,7 @@ def settle_screens_reference(spec, h, pts, n_fixed):
     # flips keep the count of the triangles they start from
     assert len(simplices) == len(want)
     formula = graded_size(spec, h, kept)
-    return want, [(fh, formula), (size_field(spec, h, kept), formula),
+    return want, [(fh, formula[n_fixed:]), (size_field(spec, h, kept), formula),
                   (size_field(spec, h, mids), graded_size(spec, h, mids))]
 
 
@@ -1041,7 +1042,7 @@ def mesh_and_least_standoff(spec, h):
 
     def settled(spec, h, pts, n_fixed, full=None, lattice=None):
         result = settle(spec, h, pts, n_fixed, full, lattice)
-        fh[:] = [result[1][n_fixed:]]
+        fh[:] = [result[1]]
         return result
 
     def stepped(z, ends, D, h_want, h_sq, n_fixed):

@@ -1,7 +1,8 @@
 """Every name a module of the package, its tests, tools, demos or benchmark
-imports is used in it (no linter is installed), the package exports exactly
-what its `__init__` imports, and importing the package and its CLI loads no
-`scipy.optimize`."""
+imports is used in it (no linter is installed), every module-level function
+and class of the package is used in the package unless it is exported or
+the benchmark wraps it, the package exports exactly what its `__init__`
+imports, and importing the package and its CLI loads no `scipy.optimize`."""
 
 import ast
 import os
@@ -15,6 +16,8 @@ import steklov
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_INIT = ROOT / "src" / "steklov" / "__init__.py"
+# the benchmark's tables of the package functions it wraps or marks
+BENCHMARK_TABLES = [ROOT / "perfbench" / name for name in ("layers.py", "calibrate.py")]
 MODULES = sorted(
     [p for p in PACKAGE_INIT.parent.glob("*.py") if p != PACKAGE_INIT]
     + [p for d in ("tests", "tools", "demos", "perfbench")
@@ -39,6 +42,33 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.parent.name + "/" + p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def benchmark_targets():
+    """The last part of every "steklov.<module>.<name>" string in the
+    benchmark's tables."""
+    return {
+        node.value.rsplit(".", 1)[-1]
+        for path in BENCHMARK_TABLES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("steklov.")
+    }
+
+
+def test_every_package_definition_is_used_in_the_package():
+    # a module-level function or class counts as used when some package
+    # module loads its name (names are matched across modules); the
+    # package's exports and the benchmark's targets are exempt
+    defined, used = set(), set()
+    for path in PACKAGE_INIT.parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert benchmark_targets() >= {"dtn_schur", "solve_eigs", "splu"}
+    unused = defined - used - set(steklov.__all__) - benchmark_targets()
+    assert sorted(unused) == []
 
 
 def test_package_exports_what_it_imports():
