@@ -263,7 +263,7 @@ def factor_stiffness(mesh):
     return Stiffness(assemble_stiffness(mesh), mesh.vertices)
 
 
-def solve_eigs(stiffness, M, k, problem="steklov"):
+def solve_eigs(stiffness, M, k):
     """First k eigenpairs of K u = lambda M u, ascending, M-orthonormal.
 
     K is `stiffness.K`, symmetric positive semidefinite with the constants
@@ -280,7 +280,7 @@ def solve_eigs(stiffness, M, k, problem="steklov"):
     so where an exact symmetry makes an eigenvalue double (a ring mesh
     that a rotation maps onto itself) it can miss one member of the pair
     and return the next eigenvalue in its place, with no error; finding
-    both needs a block method.
+    both needs a block method.  Its problem, mesh and spec are None.
     """
     K = stiffness.K
     M = sparse.csr_matrix(M, dtype=float)
@@ -357,7 +357,7 @@ def solve_eigs(stiffness, M, k, problem="steklov"):
     residual = np.abs(vecs.T @ (M @ vecs) - np.eye(k)).max()
     if not residual <= 1e-8:
         raise FemError(f"eigenvectors not M-orthonormal ({residual:.3e})")
-    return EigenSolution(problem, vals, vecs, orthonormality=float(residual),
+    return EigenSolution(None, vals, vecs, orthonormality=float(residual),
                          lanczos_applications=applications)
 
 
@@ -373,7 +373,8 @@ def solve_on_mesh(mesh, problem, k, spec=None, stiffness=None):
     if not np.array_equal(stiffness.points, mesh.vertices):
         raise ValueError("the stiffness belongs to a mesh with other vertices")
     M = assemble_boundary_mass(mesh, problem)
-    return replace(solve_eigs(stiffness, M, k, problem), mesh=mesh, spec=spec)
+    return replace(solve_eigs(stiffness, M, k), problem=problem, mesh=mesh,
+                   spec=spec)
 
 
 def solve(spec, h, k, problem="steklov"):

@@ -4,47 +4,47 @@ The generator is a force-based relaxation over a Delaunay triangulation
 (truss smoothing in the style of Persson & Strang): boundary vertices are
 fixed where `boundary_polylines` placed them, interior points start on a
 density-matched grid and repel each other until edge lengths track the
-graded size field.  A settle (each triangulation, including a final one
+graded size field.  A settle (each retriangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
-(the standoff), runs one Delaunay step, which keeps no triangle whose centroid
-falls outside the region, and returns the kept points, the size field at
-the kept interior ones and the kept simplices with their half-edge twins;
-the relaxation builds bars and target sizes (`size_field` at the bar
-midpoints, which skips the outer distance where the size is h) from every
-settle but the final one, the bars from the settle's twins (each edge
-once, from its lower or its hull half-edge; `_bars`), so no loop settle
-dedupes edges by a sort of all half-edges.  A settle calls
-`region_signed_distance` and `size_field` on the free points only (the
-boundary points are never dropped, and nothing reads their size), and
-measures the centroids only when it builds a new triangulation.  A
-relaxation that has not settled after MAX_ITER iterations raises
-MeshError.  Seeding uses a low-discrepancy sequence instead of a random
-generator, so everything is deterministic for a fixed spec and h.
+(the standoff), brings the triangulation to the kept points, and returns
+them, the size field at the kept interior ones and the region's
+triangles with their half-edge twins; the relaxation builds bars and
+target sizes (`size_field` at the bar midpoints, which skips the outer
+distance where the size is h) from every settle but the final one, the
+bars from the settle's twins (each edge once, from its lower or its hull
+half-edge; `_bars`), so no loop settle dedupes edges by a sort of all
+half-edges.  A settle calls `region_signed_distance` and `size_field` on
+the free points only (the boundary points are never dropped, and nothing
+reads their size).  A relaxation that has not settled after MAX_ITER
+iterations raises MeshError.  Seeding uses a low-discrepancy sequence
+instead of a random generator, so everything is deterministic for a
+fixed spec and h.
 
-The first settle of a relaxation starts from the seed lattice, whose
-triangles `_seed_points` returns by index: those clear of every other
-point are Delaunay as they stand, and Qhull triangulates only the band
-of points left over, along the boundary and in graded gaps
-(`_lattice_start`).  Qhull triangulates every point when these triangles
-do not tile the hull, and at any settle whose standoff dropped a point.
-The 2-D simplices arrive counterclockwise, the centroid filter drops
-those outside the region (the hole's fan among them), and the
-half-edges of the rest are paired once, by a sort.  Otherwise no point
-moved more than TTOL*fh since the previous settle, and Lawson edge flips
-repair the previous settle's triangles at the new positions, carrying
-the half-edge pairing along (each flip updates only the half-edges it
-moved, their partners and its new diagonal), so no flip round sorts
-anything.  The hull edges, the two boundary polylines, are fixed
-Delaunay edges (no point enters the hole's circle), so once every
-triangle is positive and every edge passes the flip test the triangles
-are the region's part of a Delaunay triangulation.  Of the two diagonals
-of a quad cocircular up to rounding (as across the axis of a
-mirror-symmetric domain; both give the same P1 stiffness) the test takes
-the one through the lowest-index vertex.  It also runs once on each new
-triangulation, so whichever Delaunay triangulation a settle starts from,
-every path builds the same triangles at every settle, and the same mesh
-bit for bit.  An inverted triangle or too many flip rounds send a settle
-to Qhull after all.
+The triangulation is built once and repaired at every settle.  `_build`
+starts it from the seed lattice, whose triangles `_seed_points` returns
+by index: those clear of every other point are Delaunay as they stand,
+and Qhull triangulates only the band of points left over, along the
+boundary and in graded gaps (`_lattice_start`; every point when these
+triangles do not tile the hull).  The 2-D simplices arrive
+counterclockwise, the centroid filter keeps those inside the region (the
+hole's fan goes), and the half-edges of the rest are paired once, by a
+sort.  No point moves more than TTOL*fh between settles, and Lawson edge
+flips repair the previous triangles at the new positions, carrying the
+half-edge pairing along (each flip updates only the half-edges it moved,
+their partners and its new diagonal), so no flip round sorts anything.
+The hull edges, the two boundary polylines, are fixed Delaunay edges (no
+point enters the hole's circle), so once every triangle is positive and
+every edge passes the flip test the triangles are the region's part of a
+Delaunay triangulation.  Of the two diagonals of a quad cocircular up to
+rounding (as across the axis of a mirror-symmetric domain; both give the
+same P1 stiffness) the test takes the one through the lowest-index
+vertex.  It also runs once on each new triangulation, so every start
+builds the same triangles, and the same mesh bit for bit.  Qhull meets
+every point again only at a settle whose standoff drops a point or whose
+repair fails (an inverted triangle, or MAX_FLIP_ROUNDS): 3 of the 2,013
+settles of the cases tools/mesh_identity.py records, each after a drop.
+The first settle drops no seed: seeds lie SEED_MARGIN*fh inside the
+region, past the standoff ESCAPE_FRACTION*fh, by the same measures.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
 force step.  PTOL is chosen by what it does to the eigenvalues (see the
@@ -108,8 +108,8 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 # is Delaunay.  Mirror-symmetric domains produce such quads at about 4e-14.
 # Over the 172 meshes that tools/mesh_identity.py records, a repair between
 # two settles takes at most five rounds of flips, and the pass after Qhull
-# at most three.  A repair that reaches MAX_FLIP_ROUNDS is handed to Qhull;
-# a pass after Qhull that does leaves Qhull's triangles.
+# at most three.  A repair that reaches MAX_FLIP_ROUNDS is handed to
+# `_build`; a pass in `_build` that does leaves Qhull's triangles.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -420,47 +420,44 @@ def _lattice_start(pts, lattice):
     return tri.astype(simplices.dtype)  # Qhull's index type, as in the fallback
 
 
-def _settle(spec, h, pts, n_fixed, full=None, lattice=None):
+def _build(spec, h, pts, lattice=None):
+    """The region's counterclockwise triangles of `pts` and their half-edge
+    twins (see `_twins`): `_lattice_start` from the seed lattice's
+    triangles `lattice` (see `_seed_points`), or Qhull on every point
+    without a lattice or when that fails.  The simplices whose centroid
+    lies more than GEPS*h inside the region by `region_signed_distance`
+    are kept, and one `_flip_to_delaunay` pass settles their ties (should
+    it fail, the triangles stand)."""
+    tri = None if lattice is None else _lattice_start(pts, lattice)
+    if tri is None:
+        tri = Delaunay(pts).simplices
+    t0, t1, t2 = tri.T
+    z = pts.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
+    centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
+    sd = region_signed_distance(spec, centroids.reshape(-1, 2))
+    tri = tri[sd < -GEPS * h]
+    if len(tri) == 0:
+        raise MeshError("triangulation produced no interior triangles")
+    full = tri, _twins(tri, len(pts))
+    return _flip_to_delaunay(pts, *full) or full
+
+
+def _settle(spec, h, pts, n_fixed, full):
     """Drop the points after the first n_fixed that lie within
     ESCAPE_FRACTION*fh of the boundary by `region_signed_distance` and
-    `size_field`, which measure only them, then run one Delaunay step.
-    Returns (pts, fh, full): the kept points, the size field at those
-    after the first n_fixed, and the region's counterclockwise triangles
-    with their half-edge twins (see `_twins`).
-
-    `full` is the previous settle's (triangles, twins), or None, and
-    `lattice` the seed lattice's triangles at the first settle (see
-    `_seed_points`), or None.  When the standoff kept every point,
-    `_flip_to_delaunay` repairs `full` at the new positions, or
-    `_lattice_start` builds the triangulation from `lattice` and Qhull on
-    the band.  Otherwise, or when that fails, Qhull triangulates every
-    point.  The simplices whose centroid lies more than GEPS*h inside the
-    region by `region_signed_distance` are kept with their twins, and one
-    `_flip_to_delaunay` pass settles the ties of the new triangulation
-    (should it fail, its triangles stand).  Every path gives the same
-    triangles (see the module docstring)."""
+    `size_field`, which measure only them, and bring `full`, the
+    (triangles, twins) of the previous settle or of `_build`, to the kept
+    points.  Returns (pts, fh, full): the kept points, the size field at
+    those after the first n_fixed, and the region's counterclockwise
+    triangles with their half-edge twins.  When the standoff kept every
+    point `_flip_to_delaunay` repairs `full` at the new positions;
+    otherwise, or when that fails, `_build` triangulates the kept points."""
     free = pts[n_fixed:]
     sd, fh = region_signed_distance(spec, free), size_field(spec, h, free)
     keep_free = sd <= -ESCAPE_FRACTION * fh
-    if not keep_free.all():
-        full = lattice = None
-    if full is not None:
-        full = _flip_to_delaunay(pts, *full)
+    full = _flip_to_delaunay(pts, *full) if keep_free.all() else None
     pts, fh = pts[np.append(np.ones(n_fixed, bool), keep_free)], fh[keep_free]
-    if full is None:
-        tri = None if lattice is None else _lattice_start(pts, lattice)
-        if tri is None:
-            tri = Delaunay(pts).simplices
-        t0, t1, t2 = tri.T
-        z = pts.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
-        centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
-        sd = region_signed_distance(spec, centroids.reshape(-1, 2))
-        tri = tri[sd < -GEPS * h]
-        if len(tri) == 0:
-            raise MeshError("triangulation produced no interior triangles")
-        full = tri, _twins(tri, len(pts))
-        full = _flip_to_delaunay(pts, *full) or full
-    return pts, fh, full
+    return pts, fh, full or _build(spec, h, pts)
 
 
 def _incidence(ends, n):
@@ -502,26 +499,27 @@ def _relax(spec, h, fixed):
     """Seed the region and move the seeds until bar lengths track the size
     field; the boundary points `fixed` stay, and lead the returned points.
 
-    The first settle starts from the seed lattice's triangles (see
-    `_seed_points`), which are dropped after it.  Each settle hands its
-    triangles and their half-edge twins to the next, which repairs both by
-    edge flips instead of calling Qhull where it can, so the half-edges are
-    paired once per Qhull call.  Between settles the positions live in one
-    complex array z = x + iy, an (n, 2) point array viewed as complex, and
-    what changes only at a settle (bars from its twins and D, target
-    lengths, interior sizes) is built once per loop settle."""
-    full = None  # the most recent settle's triangles and their twins
+    `_build` triangulates the seeded cloud once, from the seed lattice's
+    triangles (see `_seed_points`).  Each settle repairs the triangles and
+    half-edge twins of the one before (the first, those of `_build`) by
+    edge flips, and calls `_build` only when its standoff drops a point or
+    the repair fails, so the half-edges are paired once per Qhull call.
+    Between settles the positions live in one complex array z = x + iy, an
+    (n, 2) point array viewed as complex, and what changes only at a
+    settle (bars from its twins and D, target lengths, interior sizes) is
+    built once per loop settle."""
     last = None  # positions at the most recent settle
     n_fixed = len(fixed)
     seeds, lattice = _seed_points(spec, h)
-    z = np.vstack([fixed, seeds]).view(complex).ravel()
-    lattice = lattice + n_fixed
+    pts = np.vstack([fixed, seeds])
+    full = _build(spec, h, pts, lattice + n_fixed)  # triangles and twins
+    del seeds, lattice  # held through the loop, they raise the peak memory
+    z = pts.view(complex).ravel()
     for _ in range(MAX_ITER):
         if last is None or np.max(np.abs(z - last)[n_fixed:] / fh_free,
                                   initial=0.0) > TTOL:
             pts, fh_free, full = _settle(
-                spec, h, z.view(float).reshape(-1, 2), n_fixed, full, lattice)
-            lattice = None
+                spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
             last = z = pts.view(complex).ravel()
             bars = _bars(*full, len(z))
             b0, b1 = bars.T

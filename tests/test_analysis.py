@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ def test_poly_h_rejects_bad_args():
         poly_h(2, 2.0)
     with pytest.raises(ValueError):
         poly_h(3, 0.5)
+
+
+def test_aux_poly_deg2_rejects_bad_args():
+    with pytest.raises(ValueError, match="dimensions >= 3"):
+        aux_poly_deg2(2, 2.0)
+    with pytest.raises(ValueError, match="L >= 1"):
+        aux_poly_deg2(3, 0.5)
 
 
 def test_aux_poly_deg2_frozen_value():
@@ -145,6 +154,18 @@ def test_monotone_F_G_reports():
     assert np.all(G >= G[0])
 
 
+def test_closed_form_derivatives_reject_a_degree_2_profile():
+    prof = steklov_profile(AnnulusSpec(3, 1.0, 2.0), 2, 1)
+    for deriv in (profile_F_deriv, profile_G_deriv):
+        with pytest.raises(ValueError, match="degree-1 profiles"):
+            deriv(prof, 1.5)
+
+
+def test_monotone_F_G_needs_two_radii():
+    with pytest.raises(ValueError, match="at least two radii"):
+        monotone_F_G(AnnulusSpec(2, 1.0, 5.0), "steklov", [2.0])
+
+
 def test_monotone_F_G_scaled_radii():
     # physical-radius annulus: monotonicity is scale invariant
     spec = AnnulusSpec(3, 2.0, 9.0)
@@ -174,6 +195,32 @@ def test_theorem21_bruteforce(n, L):
     assert theorem21_bruteforce(AnnulusSpec(n, 1.0, L))
 
 
+def test_theorem21_bruteforce_fails_each_check(monkeypatch):
+    # one ingredient off at a time fails one check: too few distinct
+    # values, the first value, its multiplicity, the second value, and its
+    # multiplicity
+    spec = AnnulusSpec(3, 1.0, 2.0)
+    lines = analysis.enumerate_spectrum
+    sigma, sigma_21 = analysis.steklov_eigenvalue, analysis.sigma_21_closed
+    count = analysis.multiplicity
+
+    def one_more(line):
+        return replace(line, multiplicity=line.multiplicity + (line.l == 1))
+
+    breaks = [
+        ("enumerate_spectrum", lambda *args: lines(*args)[:2]),
+        ("steklov_eigenvalue", lambda *args: (1.0 + 1e-6) * sigma(*args)),
+        ("enumerate_spectrum", lambda *args: [one_more(ln) for ln in lines(*args)]),
+        ("sigma_21_closed", lambda *args: (1.0 + 1e-6) * sigma_21(*args)),
+        ("multiplicity", lambda *args: count(*args) + 1),
+    ]
+    assert theorem21_bruteforce(spec)
+    for name, broken in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, name, broken)
+            assert not theorem21_bruteforce(spec), name
+
+
 def test_spectrum_structure_report(monkeypatch):
     grid = GridSpec(n_values=(2, 3), L_values=(1.5, 5.0))
     report = spectrum_structure_report(grid)
@@ -189,6 +236,8 @@ def test_spectrum_structure_report(monkeypatch):
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(n_values=())
+    with pytest.raises(ValueError, match="dimensions must be >= 2"):
+        GridSpec(n_values=(1,))
     with pytest.raises(ValueError):
         GridSpec(L_values=(0.9,))
     with pytest.raises(ValueError, match="finite"):

@@ -202,6 +202,13 @@ def test_hole_must_sit_strictly_inside():
         Rectangle(0.0, 1.0)
 
 
+def test_outer_must_be_a_shape():
+    # a bare number or a tuple of half-extents is no outer shape
+    for outer in (5.0, (5.0, 5.0)):
+        with pytest.raises(TypeError, match="outer must be one of Disk"):
+            DomainSpec(outer, (0.0, 0.0), 1.0)
+
+
 @pytest.mark.parametrize("make", [
     Disk, lambda x: Ellipse(x, 1.0), lambda x: Ellipse(1.0, x),
     lambda x: Rectangle(x, 1.0), lambda x: Rectangle(1.0, x),

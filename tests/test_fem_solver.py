@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ def test_stiffness_rejects_a_nan_vertex():
         assemble_stiffness(mesh)
 
 
+def test_stiffness_rejects_coordinates_whose_squares_overflow():
+    # at 1e160 the element products overflow and the entries are inf/inf;
+    # the NaN fails the row-sum check, which "raise if x > tol" would pass
+    mesh = single_triangle_mesh([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]])
+    with np.errstate(all="ignore"), pytest.raises(FemError, match="row sums"):
+        assemble_stiffness(mesh)
+
+
 def test_boundary_mass_single_edge_block():
     mesh = single_triangle_mesh([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     mesh = Mesh(
@@ -202,6 +211,14 @@ def test_dtn_rejects_vertices_that_are_not_integer_indices(coarse_mesh):
             dtn_schur(K, vertices)
     assert np.array_equal(dtn_schur(K, np.flatnonzero(mask)),
                           dtn_schur(K, list(np.flatnonzero(mask))))
+
+
+def test_dtn_rejects_an_empty_vertex_set_and_a_lost_kernel():
+    with pytest.raises(ValueError, match="empty Steklov vertex set"):
+        dtn_schur(PATH_GRAPH, np.array([], dtype=int))
+    # the identity has no kernel: its Schur complement keeps none either
+    with pytest.raises(FemError, match="lost the constant kernel"):
+        dtn_schur(sparse.identity(3), [0, 1])
 
 
 def test_stiffness_needs_a_square_matrix_and_one_point_per_vertex():
@@ -347,6 +364,43 @@ def test_mixed_problem_sees_only_outer_boundary(fine_solutions):
     # the double mixed eigenvalue splits only by discretization
     mu1, mu2 = sn.eigenvalues[1], sn.eigenvalues[2]
     assert abs(mu2 - mu1) / mu1 < 1e-2
+
+
+def test_solve_eigs_rejects_a_solve_that_is_not_the_grounded_inverse(
+    coarse_mesh
+):
+    # a solve scaled by 1e15 puts the spectrum at roundoff, and one that is
+    # not symmetric gives Ritz vectors that are not M-orthonormal
+    stiffness = factor_stiffness(coarse_mesh)
+    M = assemble_boundary_mass(coarse_mesh)
+
+    def scaled(f):
+        return 1e15 * stiffness.solve(f)
+
+    def skewed(f):
+        u = stiffness.solve(f)
+        return u + 0.5 * np.roll(u, 1, axis=0)
+
+    for solve_with, message in ((scaled, "at roundoff or below"),
+                                (skewed, "not M-orthonormal")):
+        stand_in = SimpleNamespace(K=stiffness.K, solve=solve_with)
+        with pytest.raises(FemError, match=message):
+            solve_eigs(stand_in, M, 3)
+
+
+def test_a_bare_solve_names_no_problem(coarse_mesh):
+    # the boundary mass decides the problem, so only `solve_on_mesh`, which
+    # assembles it, names the problem, with the mesh and the spec
+    stiffness = factor_stiffness(coarse_mesh)
+    for problem in PROBLEMS:
+        M = assemble_boundary_mass(coarse_mesh, problem)
+        bare = solve_eigs(stiffness, M, 3)
+        assert (bare.problem, bare.mesh, bare.spec) == (None, None, None)
+        sol = solve_on_mesh(coarse_mesh, problem, 3, spec=ANNULUS,
+                            stiffness=stiffness)
+        assert (sol.problem, sol.mesh, sol.spec) == (problem, coarse_mesh, ANNULUS)
+        assert np.array_equal(sol.eigenvalues, bare.eigenvalues)
+        assert np.array_equal(sol.eigenvectors, bare.eigenvectors)
 
 
 def test_second_stiffness_kernel_raises(coarse_mesh):
@@ -683,6 +737,20 @@ def test_convergence_study_on_annulus():
     )
     table = asdict(study)
     assert [row["h"] for row in table["rows"]] == [0.8, 0.4, 0.2]
+
+
+def test_convergence_study_without_closed_form_uses_richardson_alone():
+    # an off-centre hole has no closed form: no level has an error or an
+    # order, and the study's order and limit are Richardson's
+    spec = DomainSpec(Disk(5.0), (1.5, 0.0), 1.0)
+    h_list = [0.5, 0.25, 0.125]
+    study = convergence_study(spec, "steklov", h_list, k=3)
+    assert study.reference is None
+    assert all(row.error is None and row.order is None for row in study.rows)
+    tracked = [row.eigenvalues[1] for row in study.rows]
+    assert (study.extrapolated, study.observed_order) == _richardson(h_list, tracked)
+    assert 1.5 < study.observed_order < 2.5
+    assert tracked[-1] > study.extrapolated
 
 
 def test_convergence_study_on_round_ellipse_uses_closed_form():

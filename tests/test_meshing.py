@@ -44,6 +44,12 @@ def annulus_spec(r_outer=5.0, r_hole=1.0):
     return DomainSpec(Disk(r_outer), (0.0, 0.0), r_hole)
 
 
+def settle_from_qhull(spec, h, pts, n_fixed):
+    """`_settle` of `pts` from `_build`'s triangulation of them by Qhull on
+    every point, as the relaxation settles a cloud it has just built."""
+    return meshing._settle(spec, h, pts, n_fixed, meshing._build(spec, h, pts))
+
+
 def polygon_area(poly):
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
@@ -180,7 +186,7 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, (simplices, _) = meshing._settle(spec, 0.5, pts, len(fixed))
+    kept, fh, (simplices, _) = settle_from_qhull(spec, 0.5, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
     assert np.array_equal(fh, size_field(spec, 0.5, kept[len(fixed):]))
@@ -195,13 +201,14 @@ def test_settle_drops_points_inside_the_standoff():
 def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch, center, h, graded
 ):
-    # a settle that builds a new triangulation evaluates the outer distance
-    # once on the free points (the standoff), then in `size_field` on the
-    # free points where GRADE_FRACTION*|d_hole| < h, and once on the centroids
-    # of the Delaunay simplices.  `size_field` evaluates it only there, at
-    # the points and at the bar midpoints alike: on none of the y-axis
-    # ellipse's, whose clearance grades nothing, and on the thin gap's
-    # near-hole ones, every graded bar among them
+    # `_build` evaluates the outer distance once, on the centroids of the
+    # Delaunay simplices; a settle evaluates it once on the free points (the
+    # standoff), then in `size_field` on the free points where
+    # GRADE_FRACTION*|d_hole| < h, and its flip repair evaluates nothing.
+    # `size_field` evaluates it only there, at the points and at the bar
+    # midpoints alike: on none of the y-axis ellipse's, whose clearance
+    # grades nothing, and on the thin gap's near-hole ones, every graded bar
+    # among them
     spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
@@ -213,12 +220,15 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
         return outer_signed_distance(shape, p)
 
     monkeypatch.setattr(domains, "outer_signed_distance", counted)
-    kept, _, (simplices, _) = meshing._settle(spec, h, pts, len(fixed))
-    centroids = len(meshing.Delaunay(kept).simplices)  # one per Qhull simplex
+    full = meshing._build(spec, h, pts)
+    assert calls == [len(meshing.Delaunay(pts).simplices)]  # one per simplex
+    calls.clear()
+    kept, _, (simplices, _) = meshing._settle(spec, h, pts, len(fixed), full)
+    assert np.array_equal(kept, pts)  # the standoff keeps every seed
     free = pts[len(fixed):]
     near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, free)) < h
     sized = [np.count_nonzero(near)] if graded else []
-    assert calls == [len(pts) - len(fixed), *sized, centroids]
+    assert calls == [len(pts) - len(fixed), *sized]
     assert not graded or 0 < sized[0] < len(pts) - len(fixed)
     bars = meshing._unique_edges(simplices, len(kept))[0]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
@@ -237,7 +247,7 @@ def settle_screens_reference(spec, h, pts, n_fixed):
     size fields that should agree: the settle's at its free points and
     `size_field` there and at the midpoints of its bars, each against the
     grading formula with the outer distance at every point."""
-    kept, fh, (simplices, _) = meshing._settle(spec, h, pts, n_fixed)
+    kept, fh, (simplices, _) = settle_from_qhull(spec, h, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(kept))[0]
     full = meshing.Delaunay(kept).simplices
     centroids = kept[full].mean(axis=1)
@@ -312,7 +322,7 @@ def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch
         assert graded
     if isinstance(spec.outer, Rectangle):  # kept at GEPS = 0, dropped at 1e-3
         monkeypatch.setattr(meshing, "GEPS", 0.0)
-        assert len(want) < len(meshing._settle(spec, h, pts, n_fixed)[2][0])
+        assert len(want) < len(meshing._build(spec, h, pts)[0])
 
 
 def min_angle_reference(vertices, triangles):
@@ -383,7 +393,7 @@ def sorted_edges(triangles):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    kept, _, (simplices, _) = meshing._settle(
+    kept, _, (simplices, _) = settle_from_qhull(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
     )
     bars = meshing._unique_edges(simplices, len(kept))[0]
@@ -469,7 +479,7 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)[0]])
-    pts, _, (simplices, _) = meshing._settle(spec, 0.25, pts, n_fixed)
+    pts, _, (simplices, _) = settle_from_qhull(spec, 0.25, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
     z = pts[:, 0] + 1j * pts[:, 1]
@@ -547,6 +557,20 @@ def test_flip_repair_falls_back_on_an_inverted_triangle():
     assert np.any(meshing._triangle_signed_areas(moved, tri) <= 0)
     twin = meshing._twins(tri, len(pts))
     assert meshing._flip_to_delaunay(moved, tri, twin) is None
+
+
+def test_flip_repair_gives_up_after_max_flip_rounds(monkeypatch):
+    # the repair of test_flip_repair_equals_qhull_after_a_small_move flips
+    # in its first round and finds nothing to flip in its second
+    pts, tri = square_with_random_interior(400, 3)
+    moved = pts.copy()
+    moved[4:] += np.random.default_rng(4).uniform(-1e-3, 1e-3, (400, 2))
+    twin = meshing._twins(tri, len(pts))
+    monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 2)
+    assert meshing._flip_to_delaunay(moved, tri, twin) is not None
+    monkeypatch.setattr(meshing, "MAX_FLIP_ROUNDS", 1)
+    assert meshing._flip_to_delaunay(moved, tri, twin) is None
+    assert meshing._flip_to_delaunay(pts, tri, twin) is not None  # no flip
 
 
 def lattice_cells(pts):
@@ -718,13 +742,16 @@ MESH_SPECS = {
 
 
 def qhull_at_every_settle(patch):
-    """Make every `_settle` start from Qhull on every point: it gets no
-    previous triangulation to repair and no seed lattice."""
-    settle = meshing._settle
+    """Make every triangulation come from Qhull on every point: `_build`
+    gets no seed lattice, and every `_settle` gets a new `_build` of its
+    points in place of the previous triangulation to repair."""
+    build, settle = meshing._build, meshing._settle
 
-    def from_qhull(spec, h, pts, n_fixed, full=None, lattice=None):
-        return settle(spec, h, pts, n_fixed)
+    def from_qhull(spec, h, pts, n_fixed, full):
+        return settle(spec, h, pts, n_fixed, build(spec, h, pts))
 
+    patch.setattr(meshing, "_build", lambda spec, h, pts, lattice=None:
+                  build(spec, h, pts))
     patch.setattr(meshing, "_settle", from_qhull)
 
 
@@ -737,9 +764,10 @@ def assert_same_mesh(got, want):
 
 @pytest.mark.parametrize("name", MESH_SPECS)
 def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
-    # the default mesh calls Qhull once; every settle can call it instead.
-    # Either way the half-edges are paired once per Qhull call, and every
-    # settle builds the same triangles, so the meshes are bit-identical
+    # the default mesh calls Qhull once; the build before the first settle
+    # and every settle can call it instead.  Either way the half-edges are
+    # paired once per Qhull call, and every settle builds the same
+    # triangles, so the meshes are bit-identical
     spec, h = MESH_SPECS[name], 0.25
     calls = {"qhull": 0, "settle": 0, "twins": 0}
 
@@ -758,7 +786,7 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     calls["qhull"] = calls["settle"] = calls["twins"] = 0
     qhull_at_every_settle(monkeypatch)
     qhull_mesh = triangulate(spec, h)
-    assert calls["qhull"] == calls["twins"] == calls["settle"]
+    assert calls["qhull"] == calls["twins"] == calls["settle"] + 1
     assert_same_mesh(mesh, qhull_mesh)
 
 
@@ -832,26 +860,28 @@ FIRST_SETTLE_CASES = {
 
 @pytest.mark.parametrize("name", FIRST_SETTLE_CASES)
 def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
-    # the first settle from the lattice and Qhull on the band gives the
-    # triangles of the settle from Qhull on every point (up to their order
-    # and rotation) with their own twins.  Qhull sees only the band, and
-    # every kept triangle off Qhull's list, a lattice triangle, has a corner
-    # off the band: one whose corners are all band points would double a
-    # Qhull triangle or, across a tie, overlap one
+    # the build from the lattice and Qhull on the band gives the triangles
+    # of the build from Qhull on every point (up to their order and
+    # rotation) with their own twins, and so does the first settle of each.
+    # Qhull sees only the band, and every kept triangle off Qhull's list, a
+    # lattice triangle, has a corner off the band: one whose corners are
+    # all band points would double a Qhull triangle or, across a tie,
+    # overlap one
     spec, h = FIRST_SETTLE_CASES[name]
     pts, n_fixed, lattice = seeded_cloud(spec, h)
     qhull = record_calls(monkeypatch, "Delaunay")
-    want = meshing._settle(spec, h, pts, n_fixed)
-    got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
+    builds = [meshing._build(spec, h, pts), meshing._build(spec, h, pts, lattice)]
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and 2 * seen[1] < seen[0] == len(pts)
+    want, got = (meshing._settle(spec, h, pts, n_fixed, full) for full in builds)
     for a, b in zip(got[:2], want[:2]):
         assert np.array_equal(a, b)
-    for tri, twin in (got[2], want[2]):
+    for tri, twin in builds + [got[2], want[2]]:
         assert np.array_equal(twin, meshing._twins(tri, len(pts)))
-    assert got[2][0].dtype == want[2][0].dtype
-    assert np.array_equal(meshing._canonical_order(got[2][0]),
-                          meshing._canonical_order(want[2][0]))
+    for (tri, _), (qhull_tri, _) in ((builds[1], builds[0]), (got[2], want[2])):
+        assert tri.dtype == qhull_tri.dtype
+        assert np.array_equal(meshing._canonical_order(tri),
+                              meshing._canonical_order(qhull_tri))
 
     tri = meshing._lattice_start(pts, lattice)
     points, band_qhull = qhull[2]
@@ -878,8 +908,9 @@ def test_lattice_start_rejects_the_lattice_triangles_around_a_seed(monkeypatch):
     side = 0.5 * (corners[t, 0] + corners[t, 1])
     pts = np.vstack([pts, centre[t] + 1.6 * (side - centre[t])])
     qhull = record_calls(monkeypatch, "Delaunay")
-    got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
-    want = meshing._settle(spec, h, pts, n_fixed)
+    got = meshing._settle(spec, h, pts, n_fixed,
+                          meshing._build(spec, h, pts, lattice))
+    want = settle_from_qhull(spec, h, pts, n_fixed)
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and seen[0] < seen[1] == len(pts)
     assert np.array_equal(meshing._canonical_order(got[2][0]),
@@ -921,20 +952,52 @@ def test_lattice_start_falls_back_when_its_triangles_do_not_tile_the_hull(
 
 def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
     # a lattice corner moved 0.1 h inside the outer boundary falls to the
-    # standoff, and the settle is the one from Qhull on every point
+    # standoff: the settle of the lattice start drops it and rebuilds, and
+    # is the one from Qhull on every point
     spec, h = golden.TABLE1_DOMAINS["annulus"], 0.25
     pts, n_fixed, lattice = seeded_cloud(spec, h)
     pts[lattice[0, 0]] = 0.995 * pts[0]  # pts[0] lies on the radius-5 circle
+    full = meshing._build(spec, h, pts, lattice)
 
     def forbidden(pts, lattice):
         raise AssertionError("lattice start")
 
     monkeypatch.setattr(meshing, "_lattice_start", forbidden)
-    got = meshing._settle(spec, h, pts, n_fixed, lattice=lattice)
-    want = meshing._settle(spec, h, pts, n_fixed)
+    got = meshing._settle(spec, h, pts, n_fixed, full)
+    want = settle_from_qhull(spec, h, pts, n_fixed)
     assert len(got[0]) == len(pts) - 1
     for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
         assert np.array_equal(a, b)
+
+
+def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
+    # a seed moved halfway past the far side of one of its triangles, deep
+    # in the annulus, inverts that triangle and keeps the standoff: the
+    # repair gives up, and the settle is the one from Qhull on every point
+    spec, h = golden.TABLE1_DOMAINS["annulus"], 0.25
+    pts, n_fixed, lattice = seeded_cloud(spec, h)
+    full = meshing._build(spec, h, pts, lattice)
+    tri = full[0]
+    deep = region_signed_distance(spec, pts[tri].mean(axis=1)) < -2.0 * h
+    t = tri[np.flatnonzero(deep & (tri.min(axis=1) >= n_fixed))[0]]
+    mid = pts[t[1:]].mean(axis=0)
+    moved = pts.copy()
+    moved[t[0]] = mid + 0.5 * (mid - pts[t[0]])
+    assert meshing._flip_to_delaunay(moved, *full) is None
+    builds = record_calls(monkeypatch, "_build")
+    got = meshing._settle(spec, h, moved, n_fixed, full)
+    assert len(builds) == 1 and len(got[0]) == len(pts)
+    want = settle_from_qhull(spec, h, moved, n_fixed)
+    for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+        assert np.array_equal(a, b)
+
+
+def test_build_raises_without_interior_triangles():
+    # the hole polyline alone: every Qhull triangle lies in the hole
+    spec, h = golden.TABLE1_DOMAINS["annulus"], 0.25
+    hole = boundary_polylines(spec, h)[1]
+    with pytest.raises(MeshError, match="no interior triangles"):
+        meshing._build(spec, h, hole)
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
@@ -1040,8 +1103,8 @@ def mesh_and_least_standoff(spec, h):
     settle, force_step = meshing._settle, meshing._force_step
     fh, depths = [], []
 
-    def settled(spec, h, pts, n_fixed, full=None, lattice=None):
-        result = settle(spec, h, pts, n_fixed, full, lattice)
+    def settled(spec, h, pts, n_fixed, full):
+        result = settle(spec, h, pts, n_fixed, full)
         fh[:] = [result[1]]
         return result
 
@@ -1102,6 +1165,17 @@ def test_random_admissible_geometry_meshes_and_solves(spec):
     with pytest.MonkeyPatch.context() as patch:
         qhull_at_every_settle(patch)
         assert_same_mesh(mesh, triangulate(spec, h))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(spec=admissible_specs(0.5), h=st.sampled_from([0.5, 0.25]))
+def test_the_first_settle_drops_no_seed(spec, h):
+    # seeds lie SEED_MARGIN*fh inside the region, past the standoff
+    # ESCAPE_FRACTION*fh, by the same per-point measures
+    seeds = meshing._seed_points(spec, h)[0]
+    sd, fh = region_signed_distance(spec, seeds), size_field(spec, h, seeds)
+    assert np.all(sd < -meshing.SEED_MARGIN * fh)
+    assert np.all(sd <= -ESCAPE_FRACTION * fh)  # the settle's standoff test
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -1219,6 +1293,37 @@ def test_validate_rejects_missing_boundary_edge():
     mesh = hand_ring_mesh()
     mesh.boundary_edges[0] = [0, 2]
     with pytest.raises(MeshError, match="does not match"):
+        validate_mesh(mesh)
+
+
+def test_validate_rejects_bad_indices_and_unused_vertices():
+    mesh = hand_ring_mesh()
+    for bad in (16, -1):
+        mesh.triangles[0, 0] = bad
+        with pytest.raises(MeshError, match="index out of range"):
+            validate_mesh(mesh)
+    mesh = hand_ring_mesh()
+    mesh.vertices = np.vstack([mesh.vertices, [[0.0, 0.0]]])
+    with pytest.raises(MeshError, match="vertices not used by any triangle"):
+        validate_mesh(mesh)
+
+
+def test_validate_rejects_a_non_manifold_edge():
+    # a second copy of a triangle puts its inner edge on three triangles
+    mesh = hand_ring_mesh()
+    mesh.triangles = np.vstack([mesh.triangles, mesh.triangles[:1]])
+    with pytest.raises(MeshError, match="non-manifold edge"):
+        validate_mesh(mesh)
+
+
+def test_validate_rejects_a_boundary_pinched_at_a_vertex():
+    # two triangles meeting at vertex 0 only: it joins four boundary edges
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                         [0.0, -1.0]])
+    triangles = np.array([[0, 1, 2], [0, 3, 4]])
+    edges = np.array([[0, 1], [1, 2], [2, 0], [0, 3], [3, 4], [4, 0]])
+    mesh = Mesh(vertices, triangles, edges, n_outer=3, h=1.0)
+    with pytest.raises(MeshError, match="do not form closed loops"):
         validate_mesh(mesh)
 
 
