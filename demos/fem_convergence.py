@@ -24,7 +24,7 @@ def show_study(study):
 def main():
     spec = DomainSpec(Disk(5.0), (0.0, 0.0), 1.0)
     for problem in ("steklov", "steklov_neumann"):
-        study = convergence_study(spec, problem, [0.5, 0.25, 0.125], k=3)
+        study = convergence_study(spec, problem, [0.5, 0.25, 0.125])
         show_study(study)
 
 

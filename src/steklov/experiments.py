@@ -147,6 +147,8 @@ class SweepSpec:
             raise ValueError(f"path must be one of {SWEEP_PATHS}")
         if not self.centers:
             raise ValueError("sweep needs at least one center")
+        object.__setattr__(self, "hole_radius", float(self.hole_radius))
+        object.__setattr__(self, "h", float(self.h))
         centers = tuple(DomainSpec(self.outer, c, self.hole_radius).hole_center
                         for c in self.centers)
         object.__setattr__(self, "centers", centers)
@@ -421,15 +423,16 @@ def _richardson(h_list, values):
     return v2 + (v2 - v1) / (r**p - 1.0), p
 
 
-def convergence_study(spec, problem, h_list, k=6):
+def convergence_study(spec, problem, h_list):
     """Refine the mesh over `h_list` and track the first nonzero eigenvalue.
 
     Needs at least three finite, positive, strictly descending mesh sizes
-    whose last three share one refinement ratio, a known problem and an
-    integer k >= 2; the inputs are checked before any mesh is built.  On a
-    concentric annulus every level is compared against the closed form and
-    the observed order is the least-squares slope of the error; otherwise
-    the order comes from the extrapolation differences alone.
+    whose last three share one refinement ratio and a known problem; the
+    inputs are checked before any mesh is built.  Each level solves for
+    three eigenvalues, as `four_eigenvalues` does.  On a concentric
+    annulus every level is compared against the closed form and the
+    observed order is the least-squares slope of the error; otherwise the
+    order comes from the extrapolation differences alone.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
@@ -443,12 +446,10 @@ def convergence_study(spec, problem, h_list, k=6):
     if abs(h1 / h2 - h0 / h1) > 1e-9 * (h0 / h1):
         raise ValueError("refinement ratio must be fixed across levels")
     check_problem(problem)
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValueError(f"k must be an integer at least 2, got {k!r}")
     reference = _concentric_reference(spec, problem)
     tracked, rows = [], []
     for h in h_list:
-        sol = solve(spec, h, k, problem)
+        sol = solve(spec, h, 3, problem)
         tracked.append(float(sol.eigenvalues[1]))
         error = order = None
         if reference is not None:

@@ -8,17 +8,15 @@ graded size field.  A settle (each retriangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
 (the standoff), brings the triangulation to the kept points, and returns
 them, the size field at the kept interior ones and the region's
-triangles with their half-edge twins; the relaxation builds bars and
-target sizes (`size_field` at the bar midpoints, which skips the outer
-distance where the size is h) from every settle but the final one, the
-bars from the settle's twins (each edge once, from its lower or its hull
-half-edge; `_bars`), so no loop settle dedupes edges by a sort of all
-half-edges.  A settle calls `region_signed_distance` and `size_field` on
-the free points only (the boundary points are never dropped, and nothing
-reads their size).  A relaxation that has not settled after MAX_ITER
-iterations raises MeshError.  Seeding uses a low-discrepancy sequence
-instead of a random generator, so everything is deterministic for a
-fixed spec and h.
+triangles with their half-edge twins; the relaxation builds bars (each
+edge once, by `_unique_edges`) and target sizes (`size_field` at the bar
+midpoints, which skips the outer distance where the size is h) from
+every settle but the final one.  A settle calls `region_signed_distance`
+and `size_field` on the free points only (the boundary points are never
+dropped, and nothing reads their size).  A relaxation that has not
+settled after MAX_ITER iterations raises MeshError.  Seeding uses a
+low-discrepancy sequence instead of a random generator, so everything is
+deterministic for a fixed spec and h.
 
 The triangulation is built once and repaired at every settle.  `_build`
 starts it from the seed lattice, whose triangles `_seed_points` returns
@@ -38,13 +36,15 @@ every edge passes the flip test the triangles are the region's part of a
 Delaunay triangulation.  Of the two diagonals of a quad cocircular up to
 rounding (as across the axis of a mirror-symmetric domain; both give the
 same P1 stiffness) the test takes the one through the lowest-index
-vertex.  It also runs once on each new triangulation, so every start
-builds the same triangles, and the same mesh bit for bit.  Qhull meets
-every point again only at a settle whose standoff drops a point or whose
-repair fails (an inverted triangle, or MAX_FLIP_ROUNDS): 3 of the 2,013
-settles of the cases tools/mesh_identity.py records, each after a drop.
-The first settle drops no seed: seeds lie SEED_MARGIN*fh inside the
-region, past the standoff ESCAPE_FRACTION*fh, by the same measures.
+vertex.  The settle is the only place that flips: `_build` returns its
+triangles unflipped, and the settle that takes them settles their ties
+in the pass that repairs them, so every start gives the same triangles,
+and the same mesh bit for bit.  Qhull meets every point again only at a
+settle whose standoff drops a point or whose repair fails (an inverted
+triangle, or MAX_FLIP_ROUNDS): 3 of the 2,013 settles of the cases
+tools/mesh_identity.py records, each after a drop.  The first settle
+drops no seed: seeds lie SEED_MARGIN*fh inside the region, past the
+standoff ESCAPE_FRACTION*fh, by the same measures.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
 force step.  PTOL is chosen by what it does to the eigenvalues (see the
@@ -107,9 +107,9 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 # ties: the four points are cocircular up to rounding and either diagonal
 # is Delaunay.  Mirror-symmetric domains produce such quads at about 4e-14.
 # Over the 172 meshes that tools/mesh_identity.py records, a repair between
-# two settles takes at most five rounds of flips, and the pass after Qhull
-# at most three.  A repair that reaches MAX_FLIP_ROUNDS is handed to
-# `_build`; a pass in `_build` that does leaves Qhull's triangles.
+# two settles takes at most five rounds of flips, and the pass on a new
+# build at most three.  A settle whose pass reaches MAX_FLIP_ROUNDS calls
+# `_build`; a pass on a new build that does leaves Qhull's triangles.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -171,15 +171,6 @@ def _half_edge_keys(tri, n):
     n vertices (tri[t, k] to tri[t, (k+1) % 3]); keys sort like (i, j) rows."""
     a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
     return np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
-
-
-def _bars(tri, twin, n):
-    """The edges of the triangulation `tri` over n vertices with half-edge
-    twins `twin` (see `_twins`), as `_unique_edges` lists them: each once,
-    from its lower half-edge or its hull half-edge, sorted by key."""
-    one = (twin > np.arange(len(twin))) | (twin < 0)
-    key = np.sort(_half_edge_keys(tri, n)[one])
-    return np.column_stack([key // n, key % n]).astype(tri.dtype)
 
 
 def _unique_edges(triangles, n):
@@ -426,8 +417,7 @@ def _build(spec, h, pts, lattice=None):
     triangles `lattice` (see `_seed_points`), or Qhull on every point
     without a lattice or when that fails.  The simplices whose centroid
     lies more than GEPS*h inside the region by `region_signed_distance`
-    are kept, and one `_flip_to_delaunay` pass settles their ties (should
-    it fail, the triangles stand)."""
+    are kept, unflipped: the settle that takes them settles their ties."""
     tri = None if lattice is None else _lattice_start(pts, lattice)
     if tri is None:
         tri = Delaunay(pts).simplices
@@ -438,8 +428,7 @@ def _build(spec, h, pts, lattice=None):
     tri = tri[sd < -GEPS * h]
     if len(tri) == 0:
         raise MeshError("triangulation produced no interior triangles")
-    full = tri, _twins(tri, len(pts))
-    return _flip_to_delaunay(pts, *full) or full
+    return tri, _twins(tri, len(pts))
 
 
 def _settle(spec, h, pts, n_fixed, full):
@@ -449,15 +438,21 @@ def _settle(spec, h, pts, n_fixed, full):
     (triangles, twins) of the previous settle or of `_build`, to the kept
     points.  Returns (pts, fh, full): the kept points, the size field at
     those after the first n_fixed, and the region's counterclockwise
-    triangles with their half-edge twins.  When the standoff kept every
-    point `_flip_to_delaunay` repairs `full` at the new positions;
-    otherwise, or when that fails, `_build` triangulates the kept points."""
+    triangles with their half-edge twins.  `_build` triangulates the kept
+    points when the standoff drops one; one `_flip_to_delaunay` pass then
+    repairs the triangles at the new positions.  If it fails on the
+    previous triangles, `_build` triangulates the kept points and the pass
+    runs once more; if it fails on a new build, Qhull's triangles stand."""
     free = pts[n_fixed:]
     sd, fh = region_signed_distance(spec, free), size_field(spec, h, free)
     keep_free = sd <= -ESCAPE_FRACTION * fh
-    full = _flip_to_delaunay(pts, *full) if keep_free.all() else None
+    fresh = not keep_free.all()  # then `full` is rebuilt before the pass
     pts, fh = pts[np.append(np.ones(n_fixed, bool), keep_free)], fh[keep_free]
-    return pts, fh, full or _build(spec, h, pts)
+    if fresh:
+        full = _build(spec, h, pts)
+    while (flipped := _flip_to_delaunay(pts, *full)) is None and not fresh:
+        full, fresh = _build(spec, h, pts), True
+    return pts, fh, flipped or full
 
 
 def _incidence(ends, n):
@@ -501,13 +496,13 @@ def _relax(spec, h, fixed):
 
     `_build` triangulates the seeded cloud once, from the seed lattice's
     triangles (see `_seed_points`).  Each settle repairs the triangles and
-    half-edge twins of the one before (the first, those of `_build`) by
-    edge flips, and calls `_build` only when its standoff drops a point or
-    the repair fails, so the half-edges are paired once per Qhull call.
-    Between settles the positions live in one complex array z = x + iy, an
-    (n, 2) point array viewed as complex, and what changes only at a
-    settle (bars from its twins and D, target lengths, interior sizes) is
-    built once per loop settle."""
+    half-edge twins of the one before (the first, those of `_build`, whose
+    ties it settles) by edge flips, and calls `_build` only when its
+    standoff drops a point or the repair fails, so the half-edges are
+    paired once per Qhull call.  Between settles the positions live in one
+    complex array z = x + iy, an (n, 2) point array viewed as complex, and
+    what changes only at a settle (bars by `_unique_edges` and D, target
+    lengths, interior sizes) is built once per loop settle."""
     last = None  # positions at the most recent settle
     n_fixed = len(fixed)
     seeds, lattice = _seed_points(spec, h)
@@ -521,7 +516,7 @@ def _relax(spec, h, fixed):
             pts, fh_free, full = _settle(
                 spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
             last = z = pts.view(complex).ravel()
-            bars = _bars(*full, len(z))
+            bars = _unique_edges(full[0], len(z))[0]
             b0, b1 = bars.T
             mids = (0.5 * (z.take(b0) + z.take(b1)).view(float)).reshape(-1, 2)
             h_bars = size_field(spec, h, mids)

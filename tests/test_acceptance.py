@@ -159,7 +159,7 @@ def test_criterion_4_fem_convergence_oracle():
     start = time.perf_counter()
     spec = DomainSpec(Disk(5.0), (0.0, 0.0), 1.0)
     studies = {
-        problem: convergence_study(spec, problem, [0.5, 0.25, 0.125], k=3)
+        problem: convergence_study(spec, problem, [0.5, 0.25, 0.125])
         for problem in ("steklov", "steklov_neumann")
     }
     elapsed = time.perf_counter() - start

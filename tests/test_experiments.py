@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from steklov import fem_solver
@@ -54,6 +55,18 @@ def test_sweep_spec_normalizes_centers():
     spec = SweepSpec(Disk(5.0), 1.0, "axis-x", [[1, 0], (2.5, 0)], H)
     assert spec.centers == ((1.0, 0.0), (2.5, 0.0))
     assert spec.domain(1).hole_center == (2.5, 0.0)
+
+
+def test_sweep_spec_stores_python_floats():
+    # a NumPy or int radius and h are stored as floats, as DomainSpec stores
+    # its radius: the result serializes to JSON and echoes 1.0 for 1
+    spec = SweepSpec(Disk(5.0), np.float32(1), "axis-x", ((0.5, 0.0),),
+                     np.float32(0.5))
+    assert type(spec.hole_radius) is float and type(spec.h) is float
+    data = json.loads(json.dumps(run_sweep(spec).as_dict()))
+    assert (data["hole_radius"], data["h"]) == (1.0, 0.5)
+    spec = SweepSpec(Disk(5.0), 1, "axis-x", ((0.5, 0.0),), 1)
+    assert repr((spec.hole_radius, spec.h)) == "(1.0, 1.0)"
 
 
 @pytest.mark.parametrize(

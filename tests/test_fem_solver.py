@@ -711,8 +711,6 @@ def test_convergence_study_validation(monkeypatch):
         convergence_study(ANNULUS, "steklov", [0.5, 0.25])
     with pytest.raises(ValueError, match="descending"):
         convergence_study(ANNULUS, "steklov", [0.25, 0.5, 0.125])
-    with pytest.raises(ValueError, match="k must be an integer at least 2"):
-        convergence_study(ANNULUS, "steklov", [0.5, 0.25, 0.125], k=1)
     for h_list in ([0.5, 0.25, 0.0], [0.5, 0.25, float("nan")],
                    [float("inf"), 0.5, 0.25], [0.5, 0.25, -0.125]):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -720,12 +718,10 @@ def test_convergence_study_validation(monkeypatch):
     for spec in (ANNULUS, OFF_CENTRE_ELLIPSE):
         with pytest.raises(ValueError, match="unknown problem 'dirichlet'"):
             convergence_study(spec, "dirichlet", [0.5, 0.25, 0.125])
-        with pytest.raises(ValueError, match="k must be an integer"):
-            convergence_study(spec, "steklov", [0.5, 0.25, 0.125], k=3.0)
 
 
 def test_convergence_study_on_annulus():
-    study = convergence_study(ANNULUS, "steklov", [0.8, 0.4, 0.2], k=4)
+    study = convergence_study(ANNULUS, "steklov", [0.8, 0.4, 0.2])
     assert isinstance(study, ConvergenceStudy)
     sigma_11 = steklov_eigenvalue(AnnulusSpec(2, 1.0, 5.0), 1, 1)
     assert study.reference == pytest.approx(sigma_11, rel=1e-12)
@@ -744,7 +740,7 @@ def test_convergence_study_without_closed_form_uses_richardson_alone():
     # order, and the study's order and limit are Richardson's
     spec = DomainSpec(Disk(5.0), (1.5, 0.0), 1.0)
     h_list = [0.5, 0.25, 0.125]
-    study = convergence_study(spec, "steklov", h_list, k=3)
+    study = convergence_study(spec, "steklov", h_list)
     assert study.reference is None
     assert all(row.error is None and row.order is None for row in study.rows)
     tracked = [row.eigenvalues[1] for row in study.rows]
@@ -756,7 +752,7 @@ def test_convergence_study_without_closed_form_uses_richardson_alone():
 def test_convergence_study_on_round_ellipse_uses_closed_form():
     # a centred Ellipse(5, 5) is the same concentric annulus as Disk(5)
     spec = DomainSpec(Ellipse(5.0, 5.0), (0.0, 0.0), 1.0)
-    study = convergence_study(spec, "steklov", [0.8, 0.4, 0.2], k=4)
+    study = convergence_study(spec, "steklov", [0.8, 0.4, 0.2])
     sigma_11 = steklov_eigenvalue(AnnulusSpec(2, 1.0, 5.0), 1, 1)
     assert study.reference == pytest.approx(sigma_11, rel=1e-12)
     assert all(row.error is not None for row in study.rows)

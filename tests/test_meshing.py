@@ -769,24 +769,13 @@ def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
     # paired once per Qhull call, and every settle builds the same
     # triangles, so the meshes are bit-identical
     spec, h = MESH_SPECS[name], 0.25
-    calls = {"qhull": 0, "settle": 0, "twins": 0}
-
-    def counted(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(meshing, "Delaunay", counted("qhull", meshing.Delaunay))
-    monkeypatch.setattr(meshing, "_settle", counted("settle", meshing._settle))
-    monkeypatch.setattr(meshing, "_twins", counted("twins", meshing._twins))
+    calls = count_calls(monkeypatch, "Delaunay", "_settle", "_twins")
     mesh = triangulate(spec, h)
-    assert calls["qhull"] == calls["twins"] == 1 and calls["settle"] > 1
-    calls["qhull"] = calls["settle"] = calls["twins"] = 0
+    assert calls["Delaunay"] == calls["_twins"] == 1 and calls["_settle"] > 1
+    calls.update(dict.fromkeys(calls, 0))
     qhull_at_every_settle(monkeypatch)
     qhull_mesh = triangulate(spec, h)
-    assert calls["qhull"] == calls["twins"] == calls["settle"] + 1
+    assert calls["Delaunay"] == calls["_twins"] == calls["_settle"] + 1
     assert_same_mesh(mesh, qhull_mesh)
 
 
@@ -850,6 +839,24 @@ def record_calls(patch, name):
     return calls
 
 
+def count_calls(patch, *names):
+    """Wrap each `meshing.<name>` to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(key):
+        fn = getattr(meshing, key)
+
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for key in names:
+        patch.setattr(meshing, key, counted(key))
+    return calls
+
+
 FIRST_SETTLE_CASES = {
     **{f"{name}-h{h}": (spec, h) for name, spec in golden.TABLE1_DOMAINS.items()
        for h in (0.25, 0.125, 0.0625)},
@@ -860,13 +867,14 @@ FIRST_SETTLE_CASES = {
 
 @pytest.mark.parametrize("name", FIRST_SETTLE_CASES)
 def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
-    # the build from the lattice and Qhull on the band gives the triangles
-    # of the build from Qhull on every point (up to their order and
-    # rotation) with their own twins, and so does the first settle of each.
-    # Qhull sees only the band, and every kept triangle off Qhull's list, a
-    # lattice triangle, has a corner off the band: one whose corners are
-    # all band points would double a Qhull triangle or, across a tie,
-    # overlap one
+    # the first settle of the build from the lattice and Qhull on the band
+    # gives the triangles of the first settle of the build from Qhull on
+    # every point (up to their order and rotation; the raw builds can take
+    # different diagonals of a tie, which the settle's flip pass settles),
+    # and each build and settle carries its own twins.  Qhull sees only the
+    # band, and every kept triangle off Qhull's list, a lattice triangle,
+    # has a corner off the band: one whose corners are all band points
+    # would double a Qhull triangle or, across a tie, overlap one
     spec, h = FIRST_SETTLE_CASES[name]
     pts, n_fixed, lattice = seeded_cloud(spec, h)
     qhull = record_calls(monkeypatch, "Delaunay")
@@ -878,10 +886,10 @@ def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
         assert np.array_equal(a, b)
     for tri, twin in builds + [got[2], want[2]]:
         assert np.array_equal(twin, meshing._twins(tri, len(pts)))
-    for (tri, _), (qhull_tri, _) in ((builds[1], builds[0]), (got[2], want[2])):
-        assert tri.dtype == qhull_tri.dtype
-        assert np.array_equal(meshing._canonical_order(tri),
-                              meshing._canonical_order(qhull_tri))
+    dtypes = {tri.dtype for tri, _ in builds + [got[2], want[2]]}
+    assert len(dtypes) == 1
+    assert np.array_equal(meshing._canonical_order(got[2][0]),
+                          meshing._canonical_order(want[2][0]))
 
     tri = meshing._lattice_start(pts, lattice)
     points, band_qhull = qhull[2]
@@ -951,23 +959,36 @@ def test_lattice_start_falls_back_when_its_triangles_do_not_tile_the_hull(
 
 
 def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
-    # a lattice corner moved 0.1 h inside the outer boundary falls to the
-    # standoff: the settle of the lattice start drops it and rebuilds, and
-    # is the one from Qhull on every point
-    spec, h = golden.TABLE1_DOMAINS["annulus"], 0.25
-    pts, n_fixed, lattice = seeded_cloud(spec, h)
-    pts[lattice[0, 0]] = 0.995 * pts[0]  # pts[0] lies on the radius-5 circle
-    full = meshing._build(spec, h, pts, lattice)
+    # a lattice corner moved 0.5% of the way in from a point of the outer
+    # boundary (0.1 h inside on the annulus, 0.06 h on the ellipse) falls to
+    # the standoff: the settle of the lattice start drops it and rebuilds,
+    # and is the one from Qhull on every point.  Its flip pass settles the
+    # new build's ties, so a second pass changes nothing
+    clouds = []
+    for name in ("annulus", "ellipse"):
+        spec, h = golden.TABLE1_DOMAINS[name], 0.25
+        pts, n_fixed, lattice = seeded_cloud(spec, h)
+        pts[lattice[0, 0]] = 0.995 * pts[0]  # pts[0] lies on the outer boundary
+        full = meshing._build(spec, h, pts, lattice)
+        clouds.append((spec, h, pts, n_fixed, full))
 
     def forbidden(pts, lattice):
         raise AssertionError("lattice start")
 
     monkeypatch.setattr(meshing, "_lattice_start", forbidden)
-    got = meshing._settle(spec, h, pts, n_fixed, full)
-    want = settle_from_qhull(spec, h, pts, n_fixed)
-    assert len(got[0]) == len(pts) - 1
-    for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
-        assert np.array_equal(a, b)
+    for spec, h, pts, n_fixed, full in clouds:
+        got = meshing._settle(spec, h, pts, n_fixed, full)
+        want = settle_from_qhull(spec, h, pts, n_fixed)
+        assert len(got[0]) == len(pts) - 1
+        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+            assert np.array_equal(a, b)
+        again = meshing._flip_to_delaunay(got[0], *got[2])
+        assert np.array_equal(again[0], got[2][0])
+    # Qhull's triangulation of the ellipse's kept points takes some ties the
+    # other way
+    qhull = meshing._build(spec, h, got[0])[0]
+    assert not np.array_equal(meshing._canonical_order(qhull),
+                              meshing._canonical_order(got[2][0]))
 
 
 def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
@@ -1002,43 +1023,31 @@ def test_build_raises_without_interior_triangles():
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
 def test_final_settle_builds_no_bars(monkeypatch, name):
-    # bars (from the twins) and their sizes come from every settle but the
-    # last, and `validate_mesh` dedupes the mesh's edges once.  `size_field`
-    # also runs at the points of every settle and once on the coarse seed
-    # grid; these domains are not graded, so seeding probes no finer grid
-    calls = {"_settle": 0, "size_field": 0, "_bars": 0, "_unique_edges": 0}
-
-    def counted(key):
-        fn = getattr(meshing, key)
-
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapped
-
-    for key in calls:
-        monkeypatch.setattr(meshing, key, counted(key))
+    # one build, one flip pass per settle (the first settles the build's
+    # ties), and bars and their sizes from every settle but the last, while
+    # `validate_mesh` dedupes the mesh's edges once more.  `size_field` also
+    # runs at the points of every settle and once on the coarse seed grid;
+    # these domains are not graded, so seeding probes no finer grid
+    calls = count_calls(monkeypatch, "_settle", "size_field", "_build",
+                        "_flip_to_delaunay", "_unique_edges")
     triangulate(golden.TABLE1_DOMAINS[name], 0.25)
-    assert calls["_settle"] > 1
-    assert calls["_bars"] == calls["_settle"] - 1
-    assert calls["size_field"] == calls["_settle"] + calls["_bars"] + 1
-    assert calls["_unique_edges"] == 1
+    assert calls["_settle"] > 1 and calls["_build"] == 1
+    assert calls["_flip_to_delaunay"] == calls["_unique_edges"] == calls["_settle"]
+    assert calls["size_field"] == 2 * calls["_settle"]
 
 
-@pytest.mark.parametrize("name", MESH_SPECS)
-def test_bars_from_the_twins_are_the_unique_edges_at_every_settle(
+@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+def test_settles_keep_qhulls_triangles_when_every_flip_pass_fails(
     monkeypatch, name
 ):
-    # a loop settle's bars come from its twins, carried through the flip
-    # repairs since the last Qhull call: `_unique_edges`' bars, dtype too
-    settles = record_calls(monkeypatch, "_settle")
-    triangulate(MESH_SPECS[name], 0.25)
-    assert len(settles) > 2
-    for _, (pts, _, (tri, twin)) in settles:
-        got = meshing._bars(tri, twin, len(pts))
-        want = meshing._unique_edges(tri, len(pts))[0]
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # each settle's pass fails on the previous triangles, and again on
+    # `_build`'s, so Qhull runs once more per settle and its triangles
+    # stand: the mesh still validates
+    monkeypatch.setattr(meshing, "_flip_to_delaunay", lambda pts, tri, twin: None)
+    calls = count_calls(monkeypatch, "_settle", "Delaunay")
+    validate_mesh(triangulate(golden.TABLE1_DOMAINS[name], 0.25))
+    assert calls["_settle"] > 1
+    assert calls["Delaunay"] == calls["_settle"] + 1
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
