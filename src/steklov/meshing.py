@@ -7,16 +7,19 @@ density-matched grid and repel each other until edge lengths track the
 graded size field.  A settle (each retriangulation, including a final one
 of the settled cloud) deletes interior points too close to a boundary
 (the standoff), brings the triangulation to the kept points, and returns
-them, the size field at the kept interior ones and the region's
-triangles with their half-edge twins; the relaxation builds bars (each
-edge once, by `_unique_edges`) and target sizes (`size_field` at the bar
-midpoints, which skips the outer distance where the size is h) from
-every settle but the final one.  A settle calls `region_signed_distance`
-and `size_field` on the free points only (the boundary points are never
-dropped, and nothing reads their size).  A relaxation that has not
-settled after MAX_ITER iterations raises MeshError.  Seeding uses a
-low-discrepancy sequence instead of a random generator, so everything is
-deterministic for a fixed spec and h.
+them, the live ones among them (those that still move), the size field
+there and the region's triangles with their half-edge twins; the
+relaxation builds bars (each edge once, by `_unique_edges`) and target
+sizes (`size_field` at the bar midpoints, which skips the outer distance
+where the size is h) from every settle but the final one.  The first
+settle freezes the free points deeper than FREEZE_DEPTH*h, where the seed
+lattice is already at rest and the size is h: they never move again.  A
+settle calls `region_signed_distance` and `size_field` on the live
+points only (the boundary points are never dropped, and nothing reads
+their size), and the bars are those of the triangles with a live corner.
+A relaxation that has not settled after MAX_ITER iterations raises
+MeshError.  Seeding uses a low-discrepancy sequence instead of a random
+generator, so everything is deterministic for a fixed spec and h.
 
 The triangulation is built once and repaired at every settle.  `_build`
 starts it from the seed lattice, whose triangles `_seed_points` returns
@@ -30,21 +33,24 @@ sort.  No point moves more than TTOL*fh between settles, and Lawson edge
 flips repair the previous triangles at the new positions, carrying the
 half-edge pairing along (each flip updates only the half-edges it moved,
 their partners and its new diagonal), so no flip round sorts anything.
-The hull edges, the two boundary polylines, are fixed Delaunay edges (no
-point enters the hole's circle), so once every triangle is positive and
-every edge passes the flip test the triangles are the region's part of a
-Delaunay triangulation.  Of the two diagonals of a quad cocircular up to
-rounding (as across the axis of a mirror-symmetric domain; both give the
-same P1 stiffness) the test takes the one through the lowest-index
-vertex.  The settle is the only place that flips: `_build` returns its
-triangles unflipped, and the settle that takes them settles their ties
-in the pass that repairs them, so every start gives the same triangles,
-and the same mesh bit for bit.  Qhull meets every point again only at a
-settle whose standoff drops a point or whose repair fails (an inverted
-triangle, or MAX_FLIP_ROUNDS): 3 of the 2,013 settles of the cases
-tools/mesh_identity.py records, each after a drop.  The first settle
-drops no seed: seeds lie SEED_MARGIN*fh inside the region, past the
-standoff ESCAPE_FRACTION*fh, by the same measures.
+A repair's first round tests only the edges of the triangles with a
+live corner: every other edge passed at the previous settle, and its
+quad has not moved since.  The hull edges, the two boundary
+polylines, are fixed Delaunay edges (no point enters the hole's circle),
+so once every triangle is positive and every edge passes the flip test
+the triangles are the region's part of a Delaunay triangulation.  Of the
+two diagonals of a quad cocircular up to rounding (as across the axis of
+a mirror-symmetric domain; both give the same P1 stiffness) the test
+takes the one through the lowest-index vertex.  The settle is the only
+place that flips: `_build` returns its triangles unflipped, and the
+settle that takes them settles their ties in the pass that repairs them,
+so every start gives the same triangles, and the same mesh bit for bit.
+Qhull meets every point again only at a settle whose standoff drops a
+point or whose repair fails (an inverted triangle, or MAX_FLIP_ROUNDS):
+3 of the 1,192 settles of the cases tools/mesh_identity.py records, each
+after a drop.  The first settle drops no seed: seeds lie SEED_MARGIN*fh
+inside the region, past the standoff ESCAPE_FRACTION*fh, by the same
+measures.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
 force step.  PTOL is chosen by what it does to the eigenvalues (see the
@@ -92,12 +98,23 @@ __all__ = [
 # points stay (ESCAPE_FRACTION - TTOL)*fh inside the region in between.
 FSCALE = 1.2
 DELTA_T = 0.2
-TTOL = 0.1
+# TTOL is the largest of 0.15, 0.2 and 0.25 whose eigenvalues on every
+# benchmark mesh drift less than 2e-5 relative from those at DistMesh's 0.1
+# with no frozen point, and whose force steps over the 174 cases of
+# tools/mesh_identity.py exceed those by at most 2%: at FREEZE_DEPTH = 4,
+# 0.15 drifts 2.01e-5, and 0.25 takes 2.6% more steps.
+TTOL = 0.2
 # PTOL is the largest of 2e-3, 4e-3, 8e-3 and 1.6e-2 whose eigenvalues on
 # every benchmark mesh drift less than 1e-4 relative (the benchmark's
 # EIG_DRIFT_TOL) from those at 2e-3; 1.6e-2 drifts 1.7e-4.
 PTOL = 8e-3
 ESCAPE_FRACTION = 0.3
+# The first settle freezes the free points deeper than FREEZE_DEPTH*h:
+# their feature size exceeds 2*FREEZE_DEPTH*h, so their size is h, and the
+# seed lattice there is at rest.  FREEZE_DEPTH is the smallest of 4, 6 and
+# 8 whose benchmark eigenvalues, at TTOL as chosen, keep within TTOL's
+# 2e-5 (4 drifts 1.3e-5).
+FREEZE_DEPTH = 4
 SEED_MARGIN = 0.45
 MAX_ITER = 1500
 GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
@@ -107,9 +124,10 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 # ties: the four points are cocircular up to rounding and either diagonal
 # is Delaunay.  Mirror-symmetric domains produce such quads at about 4e-14.
 # Over the 172 meshes that tools/mesh_identity.py records, a repair between
-# two settles takes at most five rounds of flips, and the pass on a new
-# build at most three.  A settle whose pass reaches MAX_FLIP_ROUNDS calls
-# `_build`; a pass on a new build that does leaves Qhull's triangles.
+# two settles takes at most five rounds of flips, the first settle's pass
+# on the lattice start at most five, and a pass on a Qhull rebuild none.
+# A settle whose pass reaches MAX_FLIP_ROUNDS calls `_build`; a pass on a
+# new build that does leaves Qhull's triangles.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -280,11 +298,13 @@ def _twins(tri, n):
     return twin
 
 
-def _flip_to_delaunay(pts, tri, twin):
+def _flip_to_delaunay(pts, tri, twin, start=None):
     """Lawson-flip the counterclockwise triangulation `tri` of `pts`, with
     half-edge twins `twin` (see `_twins`), until every edge passes the
     test below; return the new (tri, twin), or None when a triangle is not
-    positive or after MAX_FLIP_ROUNDS rounds.
+    positive or after MAX_FLIP_ROUNDS rounds.  `start`, a mask over the
+    triangles, holds those whose corners may have moved since every edge
+    last passed; None when any edge may fail.
 
     The triangles (a, b, c) and (b, a, d) across an edge a -> b form the
     counterclockwise quad a, d, b, c, tested at its lowest-index vertex v
@@ -299,8 +319,10 @@ def _flip_to_delaunay(pts, tri, twin):
     each set of cocircular points.
 
     Each round takes every interior edge of a triangle that changed in the
-    previous round (every edge in the first) straight from `twin` and
-    tests its quad.  It then flips the failing edges that are the
+    previous round (in the first, of `start`, or every edge) straight from
+    `twin` and tests its quad; every edge outside `start` passed before
+    and its quad has not moved, so a pass from `start` tests every edge
+    that can fail.  It then flips the failing edges that are the
     lowest-numbered failing edge of both their triangles, which makes the
     flips of a round independent.  A flip rewrites one vertex of each
     triangle in place: (a, b, c) and (b, a, d) become (a, d, c) and
@@ -310,10 +332,16 @@ def _flip_to_delaunay(pts, tri, twin):
     flat = tri.reshape(-1)  # vertex at the start of each half-edge
     step = np.tile(np.int8([1, 1, -2]), len(tri))  # h + step[h] follows h
     where = np.append(np.arange(len(twin)), -1)  # new slots; where[-1] = -1
-    if np.any(_triangle_signed_areas(pts, tri) <= 0):
-        return None
-    e1 = np.flatnonzero(twin > np.arange(len(twin)))  # every edge, once
+    # the triangles whose edges the next round tests
+    changed = np.ones(len(tri), bool) if start is None else start
     for _ in range(MAX_FLIP_ROUNDS):
+        if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
+            return None
+        h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
+        e2 = twin[h]
+        # each interior edge once: from its lower half-edge, or from the one
+        # in a changed triangle when the other's triangle is not
+        e1 = h[(e2 > h) | ((e2 >= 0) & ~changed[e2 // 3])]
         e2 = twin[e1]  # a -> b and b -> a
         n1, n2 = e1 + step[e1], e2 + step[e2]  # b -> c and a -> d
         a, b, c, d = flat[e1], flat[e2], flat[n1 + step[n1]], flat[n2 + step[n2]]
@@ -355,13 +383,6 @@ def _flip_to_delaunay(pts, tri, twin):
         hull = partner < 0
         twin[partner[~hull]] = dest[~hull]
         twin[n1], twin[n2] = n2, n1
-        if np.any(_triangle_signed_areas(pts, tri[changed]) <= 0):
-            return None
-        h = (3 * np.flatnonzero(changed)[:, None] + [0, 1, 2]).ravel()
-        e2 = twin[h]
-        # each interior edge once: from its lower half-edge, or from the one
-        # in a changed triangle when the other's triangle did not change
-        e1 = h[(e2 > h) | ((e2 >= 0) & ~changed[e2 // 3])]
     return None
 
 
@@ -431,28 +452,56 @@ def _build(spec, h, pts, lattice=None):
     return tri, _twins(tri, len(pts))
 
 
-def _settle(spec, h, pts, n_fixed, full):
-    """Drop the points after the first n_fixed that lie within
-    ESCAPE_FRACTION*fh of the boundary by `region_signed_distance` and
-    `size_field`, which measure only them, and bring `full`, the
-    (triangles, twins) of the previous settle or of `_build`, to the kept
-    points.  Returns (pts, fh, full): the kept points, the size field at
-    those after the first n_fixed, and the region's counterclockwise
-    triangles with their half-edge twins.  `_build` triangulates the kept
-    points when the standoff drops one; one `_flip_to_delaunay` pass then
-    repairs the triangles at the new positions.  If it fails on the
-    previous triangles, `_build` triangulates the kept points and the pass
-    runs once more; if it fails on a new build, Qhull's triangles stand."""
-    free = pts[n_fixed:]
-    sd, fh = region_signed_distance(spec, free), size_field(spec, h, free)
-    keep_free = sd <= -ESCAPE_FRACTION * fh
-    fresh = not keep_free.all()  # then `full` is rebuilt before the pass
-    pts, fh = pts[np.append(np.ones(n_fixed, bool), keep_free)], fh[keep_free]
+def _with_live_corner(tri, live, n):
+    """Mask of the triangles `tri`, over n points, with a corner in `live`."""
+    is_live = np.zeros(n, bool)
+    is_live[live] = True
+    return is_live[tri[:, 0]] | is_live[tri[:, 1]] | is_live[tri[:, 2]]
+
+
+def _settle(spec, h, pts, n_fixed, live, full):
+    """Drop the points of `live`, the ascending indices of the free points
+    that move, that lie within ESCAPE_FRACTION*fh of the boundary by
+    `region_signed_distance` and `size_field`, which measure only them, and
+    bring `full`, the (triangles, twins) of the previous settle or of
+    `_build`, to the kept points.  `live` is None at the first settle: then
+    every free point is measured, and those deeper than FREEZE_DEPTH*h are
+    frozen, left out of the returned `live` for good.  Returns (pts, live,
+    fh, full): the kept points, the indices of the live ones among them,
+    the size field there, and the region's counterclockwise triangles with
+    their half-edge twins.
+
+    `_build` triangulates the kept points when the standoff drops one; one
+    `_flip_to_delaunay` pass then repairs the triangles at the new
+    positions, from those with a live corner on the previous triangles
+    and from every edge on a new build or at the first settle.  If it
+    fails on the previous triangles, `_build` triangulates the kept points
+    and the pass runs once more; if it fails on a new build, Qhull's
+    triangles stand."""
+    first = live is None
+    if first:
+        live = np.arange(n_fixed, len(pts))
+    moving = pts[live]
+    sd, fh = region_signed_distance(spec, moving), size_field(spec, h, moving)
+    keep = sd <= -ESCAPE_FRACTION * fh
+    fresh = not keep.all()  # then `full` is rebuilt before the pass
     if fresh:
+        kept = np.ones(len(pts), bool)
+        kept[live[~keep]] = False
+        pts, live = pts[kept], (np.cumsum(kept) - 1)[live[keep]]
+        sd, fh = sd[keep], fh[keep]
         full = _build(spec, h, pts)
-    while (flipped := _flip_to_delaunay(pts, *full)) is None and not fresh:
-        full, fresh = _build(spec, h, pts), True
-    return pts, fh, flipped or full
+    if first:
+        shallow = sd >= -FREEZE_DEPTH * h
+        live, fh = live[shallow], fh[shallow]
+    start = None
+    if not (fresh or first):
+        start = _with_live_corner(full[0], live, len(pts))
+    flipped = _flip_to_delaunay(pts, *full, start)
+    if flipped is None and not fresh:
+        full = _build(spec, h, pts)
+        flipped = _flip_to_delaunay(pts, *full)
+    return pts, live, fh, flipped or full
 
 
 def _incidence(ends, n):
@@ -475,8 +524,9 @@ def _force_step(z, ends, D, h_want, h_sq, n_fixed):
     their signed incidence matrix (see `_incidence`).  `h_want` is FSCALE
     times the size field at the bar midpoints and `h_sq` the sum of the
     squared size field there.  Bars shorter than their target length push
-    their ends apart; the first n_fixed points stay.  Returns the new
-    positions and the step length of each interior point."""
+    their ends apart; the first n_fixed points (fixed or frozen, see
+    `_band`) stay.  Returns the new positions and the step length of each
+    other point."""
     m = len(h_want)
     vec = np.take(z, ends[:m]) - np.take(z, ends[m:])  # take beats z[b0]
     lengths = np.maximum(np.abs(vec), 1e-300)
@@ -490,6 +540,32 @@ def _force_step(z, ends, D, h_want, h_sq, n_fixed):
     return z + DELTA_T * total, DELTA_T * np.abs(total[n_fixed:])
 
 
+def _band(spec, h, pts, live, tri):
+    """The force problem of the points `live` (ascending indices into
+    `pts`) on the triangles `tri`: the bars of the triangles with a live
+    corner, by `_unique_edges`, over the band of points they touch, the
+    anchors (fixed or frozen ends, which the force step keeps) first and
+    then `live`.  Returns (z, ends, D, h_want, h_sq, n_anchors) for
+    `_force_step`: the band's positions z = x + iy, the bars' ends by band
+    index and their incidence matrix, FSCALE times the size field at the
+    bar midpoints, the sum of its squares, and the number of anchors."""
+    bars = _unique_edges(tri[_with_live_corner(tri, live, len(pts))],
+                         len(pts))[0]
+    anchor = np.zeros(len(pts), bool)
+    anchor[bars] = True
+    anchor[live] = False
+    band = np.concatenate([np.flatnonzero(anchor), live])
+    index = np.empty(len(pts), np.intp)
+    index[band] = np.arange(len(band))
+    z = pts.view(complex).ravel().take(band)
+    ends = index[bars.T.ravel()]  # bars[:, 0], then bars[:, 1]
+    b0, b1 = ends[:len(bars)], ends[len(bars):]
+    h_bars = size_field(spec, h, (0.5 * (z.take(b0) + z.take(b1))).view(float)
+                        .reshape(-1, 2))
+    return (z, ends, _incidence(ends, len(z)), h_bars * FSCALE,
+            np.sum(h_bars**2), len(band) - len(live))
+
+
 def _relax(spec, h, fixed):
     """Seed the region and move the seeds until bar lengths track the size
     field; the boundary points `fixed` stay, and lead the returned points.
@@ -499,39 +575,38 @@ def _relax(spec, h, fixed):
     half-edge twins of the one before (the first, those of `_build`, whose
     ties it settles) by edge flips, and calls `_build` only when its
     standoff drops a point or the repair fails, so the half-edges are
-    paired once per Qhull call.  Between settles the positions live in one
-    complex array z = x + iy, an (n, 2) point array viewed as complex, and
-    what changes only at a settle (bars by `_unique_edges` and D, target
-    lengths, interior sizes) is built once per loop settle."""
-    last = None  # positions at the most recent settle
+    paired once per Qhull call.  The first settle freezes the points deeper
+    than FREEZE_DEPTH*h, where the seed lattice is at rest: they never move
+    again, and everything after it covers the live points and the
+    triangles with a live corner only.  Between settles the band's
+    positions live in one complex array z = x + iy (see `_band`), built
+    once per loop settle with the bars, D, target lengths and sizes, and
+    written back to the points at the next settle."""
     n_fixed = len(fixed)
     seeds, lattice = _seed_points(spec, h)
     pts = np.vstack([fixed, seeds])
     full = _build(spec, h, pts, lattice + n_fixed)  # triangles and twins
     del seeds, lattice  # held through the loop, they raise the peak memory
-    z = pts.view(complex).ravel()
+    pts, live, fh, full = _settle(spec, h, pts, n_fixed, None, full)
+    z, ends, D, h_want, h_sq, n_anchors = _band(spec, h, pts, live, full[0])
+    last = z  # positions at the most recent settle
     for _ in range(MAX_ITER):
-        if last is None or np.max(np.abs(z - last)[n_fixed:] / fh_free,
-                                  initial=0.0) > TTOL:
-            pts, fh_free, full = _settle(
-                spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
-            last = z = pts.view(complex).ravel()
-            bars = _unique_edges(full[0], len(z))[0]
-            b0, b1 = bars.T
-            mids = (0.5 * (z.take(b0) + z.take(b1)).view(float)).reshape(-1, 2)
-            h_bars = size_field(spec, h, mids)
-            ends = bars.T.ravel()  # bars[:, 0], then bars[:, 1]
-            D = _incidence(ends, len(z))
-            h_want, h_sq = h_bars * FSCALE, np.sum(h_bars**2)
-
-        z, step = _force_step(z, ends, D, h_want, h_sq, n_fixed)
-        if len(step) == 0 or np.max(step / fh_free) < PTOL:
+        if len(live) == 0:
             break
+        z, step = _force_step(z, ends, D, h_want, h_sq, n_anchors)
+        if np.max(step / fh) < PTOL:
+            break
+        if np.max(np.abs(z - last)[n_anchors:] / fh) > TTOL:
+            pts.view(complex).ravel()[live] = z[n_anchors:]
+            pts, live, fh, full = _settle(spec, h, pts, n_fixed, live, full)
+            z, ends, D, h_want, h_sq, n_anchors = _band(
+                spec, h, pts, live, full[0])
+            last = z
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
-    pts, _, (simplices, _) = _settle(
-        spec, h, z.view(float).reshape(-1, 2), n_fixed, full)
+    pts.view(complex).ravel()[live] = z[n_anchors:]
+    pts, _, _, (simplices, _) = _settle(spec, h, pts, n_fixed, live, full)
     return pts, simplices
 
 

@@ -231,8 +231,8 @@ def test_stiffness_needs_a_square_matrix_and_one_point_per_vertex():
 def test_solve_on_mesh_rejects_the_stiffness_of_other_vertices(coarse_mesh):
     # coarse_mesh and the same disk with its hole at (0.5, 0) both have 386
     # vertices, so the other mesh's stiffness, or its factor under this
-    # mesh's K, fits every shape and gives (0, 0.17955852, 0.18022725)
-    # with no error of its own
+    # mesh's K, fits every shape and gives (0, 0.17955839, 0.18022725)
+    # with no error of its own; the mesh's own gives the dense reference
     other = triangulate(DomainSpec(Disk(5.0), (0.5, 0.0), 1.0), 0.5)
     assert other.vertex_count == coarse_mesh.vertex_count
     swapped = factor_stiffness(other)
@@ -242,8 +242,13 @@ def test_solve_on_mesh_rejects_the_stiffness_of_other_vertices(coarse_mesh):
             solve_on_mesh(coarse_mesh, "steklov", 3, stiffness=stiffness)
     own = solve_on_mesh(coarse_mesh, "steklov", 3,
                         stiffness=factor_stiffness(coarse_mesh))
-    assert np.allclose(own.eigenvalues, [0.0, 0.18027665, 0.1802914],
-                       rtol=1e-7, atol=0.0)
+    K = assemble_stiffness(coarse_mesh)
+    M = assemble_boundary_mass(coarse_mesh, "steklov")
+    b = spectral_vertices(M)
+    want = eigh(dtn_schur(K, b), M[b][:, b].toarray(),
+                eigvals_only=True, subset_by_index=[0, 2])
+    assert own.eigenvalues[0] == 0.0
+    assert np.allclose(own.eigenvalues[1:], want[1:], rtol=1e-9, atol=0.0)
     assert np.array_equal(own.eigenvalues,
                           solve_on_mesh(coarse_mesh, "steklov", 3).eigenvalues)
 

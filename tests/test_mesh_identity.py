@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from steklov import golden, meshing
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "mesh_identity.py"
 
 
@@ -15,17 +17,20 @@ def load_tool():
     return module
 
 
-def write_record(path, errors, meshes, labels=None):
+def write_record(path, errors, meshes, labels=None, counts=None):
     """A record of len(errors) cases, labelled case-i-h0.5 unless `labels`
     says otherwise; `meshes` maps a case index to its (vertices,
     triangles, eigenvalues) or (vertices, triangles, eigenvalues, boundary
-    edges), the boundary edges BOUNDARY by default."""
+    edges), the boundary edges BOUNDARY by default, and `counts` maps a
+    case index to its call counts."""
     arrays = {}
     for i, (vertices, triangles, eigs, *boundary) in meshes.items():
         arrays[f"{i}/vertices"] = np.asarray(vertices, float)
         arrays[f"{i}/triangles"] = np.asarray(triangles)
         arrays[f"{i}/boundary_edges"] = np.asarray((boundary or [BOUNDARY])[0])
         arrays[f"{i}/eigs"] = np.asarray(eigs, float)
+    for i, calls in (counts or {}).items():
+        arrays[f"{i}/counts"] = np.asarray(calls)
     labels = labels or [f"case-{i}-h0.5" for i in range(len(errors))]
     np.savez_compressed(
         path, labels=np.array(labels), errors=np.array(errors), **arrays
@@ -111,3 +116,35 @@ def test_compare_fails_when_a_raised_error_differs(tmp_path, capsys):
     assert "cases whose raised error differs: 1\n" in out
     assert "  case-1-h0.5: MeshError: degenerate | meshed\n" in out
     assert tool.main(["--compare", str(after), str(after)]) == 0
+
+
+def test_compare_sums_the_call_counts_per_group_of_each_record_that_has_them(
+    tmp_path, capsys
+):
+    tool = load_tool()
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    labels = ["table1-annulus-h0.25", "random-disk-0-h0.5", "random-disk-1-h0.5"]
+    meshes = {i: (SQUARE, TRIANGLES, EIGS) for i in range(3)}
+    write_record(before, [""] * 3, meshes, labels)  # a record from before counts
+    write_record(after, [""] * 3, meshes, labels,
+                 {0: [6, 30, 1], 1: [4, 20, 1], 2: [5, 25, 2]})
+    assert tool.compare(before, after) == 0
+    out = capsys.readouterr().out
+    assert ("calls per group (_settle, _force_step, Delaunay):\n"
+            "  golden h=0.25: B 6, 30, 1\n"
+            "  random h=0.5: B 9, 45, 3\n"
+            "  all: B 15, 75, 4\n") in out
+    assert tool.compare(after, after) == 0
+    assert "  all: A 15, 75, 4 | B 15, 75, 4\n" in capsys.readouterr().out
+    assert tool.compare(before, before) == 0
+    assert "calls per group" not in capsys.readouterr().out
+
+
+def test_counted_calls_counts_the_mesher_calls_and_restores_them():
+    tool = load_tool()
+    originals = [getattr(meshing, name) for name in tool.COUNTED]
+    with tool.counted_calls() as counts:
+        meshing.triangulate(golden.TABLE1_DOMAINS["annulus"], 0.5)
+    assert counts["_settle"] > 1 and counts["Delaunay"] == 1
+    assert counts["_force_step"] > counts["_settle"]
+    assert [getattr(meshing, name) for name in tool.COUNTED] == originals

@@ -46,8 +46,10 @@ def annulus_spec(r_outer=5.0, r_hole=1.0):
 
 def settle_from_qhull(spec, h, pts, n_fixed):
     """`_settle` of `pts` from `_build`'s triangulation of them by Qhull on
-    every point, as the relaxation settles a cloud it has just built."""
-    return meshing._settle(spec, h, pts, n_fixed, meshing._build(spec, h, pts))
+    every point, as the relaxation settles a cloud it has just built (the
+    first settle, which freezes the deep points)."""
+    return meshing._settle(spec, h, pts, n_fixed, None,
+                           meshing._build(spec, h, pts))
 
 
 def polygon_area(poly):
@@ -186,10 +188,11 @@ def test_settle_drops_points_inside_the_standoff():
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, fh, (simplices, _) = settle_from_qhull(spec, 0.5, pts, len(fixed))
+    kept, live, fh, (simplices, _) = settle_from_qhull(spec, 0.5, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
-    assert np.array_equal(fh, size_field(spec, 0.5, kept[len(fixed):]))
+    assert np.array_equal(live, [len(fixed), len(fixed) + 1])  # none frozen
+    assert np.array_equal(fh, size_field(spec, 0.5, kept[live]))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
 
 
@@ -202,9 +205,10 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch, center, h, graded
 ):
     # `_build` evaluates the outer distance once, on the centroids of the
-    # Delaunay simplices; a settle evaluates it once on the free points (the
-    # standoff), then in `size_field` on the free points where
+    # Delaunay simplices; the first settle evaluates it once on the free
+    # points (the standoff), then in `size_field` on the free points where
     # GRADE_FRACTION*|d_hole| < h, and its flip repair evaluates nothing.
+    # A later settle does the same on the live points only.
     # `size_field` evaluates it only there, at the points and at the bar
     # midpoints alike: on none of the y-axis ellipse's, whose clearance
     # grades nothing, and on the thin gap's near-hole ones, every graded bar
@@ -223,13 +227,17 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     full = meshing._build(spec, h, pts)
     assert calls == [len(meshing.Delaunay(pts).simplices)]  # one per simplex
     calls.clear()
-    kept, _, (simplices, _) = meshing._settle(spec, h, pts, len(fixed), full)
+    kept, live, _, full = meshing._settle(spec, h, pts, len(fixed), None, full)
     assert np.array_equal(kept, pts)  # the standoff keeps every seed
-    free = pts[len(fixed):]
-    near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, free)) < h
-    sized = [np.count_nonzero(near)] if graded else []
-    assert calls == [len(pts) - len(fixed), *sized]
-    assert not graded or 0 < sized[0] < len(pts) - len(fixed)
+    assert 0 < len(live) < len(pts) - len(fixed)  # and freezes some
+    first, calls[:] = calls[:], []
+    meshing._settle(spec, h, pts, len(fixed), live, full)
+    for got, moving in ((first, pts[len(fixed):]), (calls, pts[live])):
+        near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, moving)) < h
+        sized = [np.count_nonzero(near)] if graded else []
+        assert got == [len(moving), *sized]
+        assert not graded or 0 < sized[0] < len(moving)
+    simplices = full[0]
     bars = meshing._unique_edges(simplices, len(kept))[0]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
     near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, mids)) < h
@@ -244,10 +252,10 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
 
 def settle_screens_reference(spec, h, pts, n_fixed):
     """The Qhull simplices that `_settle` on pts should keep, and pairs of
-    size fields that should agree: the settle's at its free points and
+    size fields that should agree: the settle's at its live points and
     `size_field` there and at the midpoints of its bars, each against the
     grading formula with the outer distance at every point."""
-    kept, fh, (simplices, _) = settle_from_qhull(spec, h, pts, n_fixed)
+    kept, live, fh, (simplices, _) = settle_from_qhull(spec, h, pts, n_fixed)
     bars = meshing._unique_edges(simplices, len(kept))[0]
     full = meshing.Delaunay(kept).simplices
     centroids = kept[full].mean(axis=1)
@@ -256,7 +264,7 @@ def settle_screens_reference(spec, h, pts, n_fixed):
     # flips keep the count of the triangles they start from
     assert len(simplices) == len(want)
     formula = graded_size(spec, h, kept)
-    return want, [(fh, formula[n_fixed:]), (size_field(spec, h, kept), formula),
+    return want, [(fh, formula[live]), (size_field(spec, h, kept), formula),
                   (size_field(spec, h, mids), graded_size(spec, h, mids))]
 
 
@@ -393,7 +401,7 @@ def sorted_edges(triangles):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    kept, _, (simplices, _) = settle_from_qhull(
+    kept, _, _, (simplices, _) = settle_from_qhull(
         spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
     )
     bars = meshing._unique_edges(simplices, len(kept))[0]
@@ -457,9 +465,10 @@ def modulus(vec):
     return np.abs(vec[:, 0] + 1j * vec[:, 1])
 
 
-def force_step_on_point_array(pts, bars, h_bars, n_fixed):
+def force_step_on_point_array(pts, bars, h_bars, moving):
     """Reference relaxation step on an (n, 2) position array: the same
-    floating-point operations as `_force_step`, in the same order."""
+    floating-point operations as `_force_step`, in the same order, with
+    only the points `moving` (ascending indices) free to move."""
     vec = pts[bars[:, 0]] - pts[bars[:, 1]]
     lengths = np.maximum(modulus(vec), 1e-300)
     scale = math.sqrt(np.sum(lengths**2) / np.sum(h_bars**2))
@@ -469,8 +478,10 @@ def force_step_on_point_array(pts, bars, h_bars, n_fixed):
     total = np.zeros((len(pts), 2))
     np.add.at(total, bars[:, 0], force)
     np.add.at(total, bars[:, 1], -force)
-    total[:n_fixed] = 0.0
-    step = meshing.DELTA_T * modulus(total[n_fixed:])
+    still = np.ones(len(pts), bool)
+    still[moving] = False
+    total[still] = 0.0
+    step = meshing.DELTA_T * modulus(total[moving])
     return pts + meshing.DELTA_T * total, step
 
 
@@ -479,12 +490,14 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)[0]])
-    pts, _, (simplices, _) = settle_from_qhull(spec, 0.25, pts, n_fixed)
+    pts, live, _, (simplices, _) = settle_from_qhull(spec, 0.25, pts, n_fixed)
+    start = pts.copy()
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
     z = pts[:, 0] + 1j * pts[:, 1]
+    free = np.arange(n_fixed, len(pts))
     for _ in range(20):
-        pts, want_step = force_step_on_point_array(pts, bars, h_bars, n_fixed)
+        pts, want_step = force_step_on_point_array(pts, bars, h_bars, free)
         z, step = meshing._force_step(
             z,
             bars.T.ravel(),
@@ -494,6 +507,23 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
             n_fixed,
         )
         assert np.array_equal(z.real, pts[:, 0]) and np.array_equal(z.imag, pts[:, 1])
+        assert np.array_equal(step, want_step)
+    assert np.max(step) > 0
+    # `_band`'s step: the bars of the triangles with a live corner, over
+    # the anchors (their fixed and frozen ends, held) and then the live points
+    pts = start
+    bars = meshing._unique_edges(
+        simplices[np.isin(simplices, live).any(axis=1)], len(pts))[0]
+    h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
+    band = np.concatenate([np.setdiff1d(bars, live), live])
+    z, ends, D, h_want, h_sq, n_anchors = meshing._band(
+        spec, 0.25, pts, live, simplices)
+    assert 0 < n_anchors and len(live) < len(pts) - n_fixed
+    for _ in range(20):
+        pts, want_step = force_step_on_point_array(pts, bars, h_bars, live)
+        z, step = meshing._force_step(z, ends, D, h_want, h_sq, n_anchors)
+        assert np.array_equal(z.real, pts[band, 0])
+        assert np.array_equal(z.imag, pts[band, 1])
         assert np.array_equal(step, want_step)
     assert np.max(step) > 0
 
@@ -744,15 +774,19 @@ MESH_SPECS = {
 def qhull_at_every_settle(patch):
     """Make every triangulation come from Qhull on every point: `_build`
     gets no seed lattice, and every `_settle` gets a new `_build` of its
-    points in place of the previous triangulation to repair."""
-    build, settle = meshing._build, meshing._settle
+    points in place of the previous triangulation to repair, and flips
+    from every edge of it."""
+    build, settle, flip = meshing._build, meshing._settle, meshing._flip_to_delaunay
 
-    def from_qhull(spec, h, pts, n_fixed, full):
-        return settle(spec, h, pts, n_fixed, build(spec, h, pts))
+    def from_qhull(spec, h, pts, n_fixed, live, full):
+        return settle(spec, h, pts, n_fixed, live, build(spec, h, pts))
 
     patch.setattr(meshing, "_build", lambda spec, h, pts, lattice=None:
                   build(spec, h, pts))
     patch.setattr(meshing, "_settle", from_qhull)
+    # each pass over a new build starts from every edge
+    patch.setattr(meshing, "_flip_to_delaunay",
+                  lambda pts, tri, twin, start=None: flip(pts, tri, twin))
 
 
 def assert_same_mesh(got, want):
@@ -881,15 +915,16 @@ def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
     builds = [meshing._build(spec, h, pts), meshing._build(spec, h, pts, lattice)]
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and 2 * seen[1] < seen[0] == len(pts)
-    want, got = (meshing._settle(spec, h, pts, n_fixed, full) for full in builds)
-    for a, b in zip(got[:2], want[:2]):
+    want, got = (meshing._settle(spec, h, pts, n_fixed, None, full)
+                 for full in builds)
+    for a, b in zip(got[:3], want[:3]):
         assert np.array_equal(a, b)
-    for tri, twin in builds + [got[2], want[2]]:
+    for tri, twin in builds + [got[3], want[3]]:
         assert np.array_equal(twin, meshing._twins(tri, len(pts)))
-    dtypes = {tri.dtype for tri, _ in builds + [got[2], want[2]]}
+    dtypes = {tri.dtype for tri, _ in builds + [got[3], want[3]]}
     assert len(dtypes) == 1
-    assert np.array_equal(meshing._canonical_order(got[2][0]),
-                          meshing._canonical_order(want[2][0]))
+    assert np.array_equal(meshing._canonical_order(got[3][0]),
+                          meshing._canonical_order(want[3][0]))
 
     tri = meshing._lattice_start(pts, lattice)
     points, band_qhull = qhull[2]
@@ -916,13 +951,13 @@ def test_lattice_start_rejects_the_lattice_triangles_around_a_seed(monkeypatch):
     side = 0.5 * (corners[t, 0] + corners[t, 1])
     pts = np.vstack([pts, centre[t] + 1.6 * (side - centre[t])])
     qhull = record_calls(monkeypatch, "Delaunay")
-    got = meshing._settle(spec, h, pts, n_fixed,
+    got = meshing._settle(spec, h, pts, n_fixed, None,
                           meshing._build(spec, h, pts, lattice))
     want = settle_from_qhull(spec, h, pts, n_fixed)
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and seen[0] < seen[1] == len(pts)
-    assert np.array_equal(meshing._canonical_order(got[2][0]),
-                          meshing._canonical_order(want[2][0]))
+    assert np.array_equal(meshing._canonical_order(got[3][0]),
+                          meshing._canonical_order(want[3][0]))
 
 
 def triangle_keys(rows, n):
@@ -977,18 +1012,18 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
 
     monkeypatch.setattr(meshing, "_lattice_start", forbidden)
     for spec, h, pts, n_fixed, full in clouds:
-        got = meshing._settle(spec, h, pts, n_fixed, full)
+        got = meshing._settle(spec, h, pts, n_fixed, None, full)
         want = settle_from_qhull(spec, h, pts, n_fixed)
         assert len(got[0]) == len(pts) - 1
-        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+        for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
             assert np.array_equal(a, b)
-        again = meshing._flip_to_delaunay(got[0], *got[2])
-        assert np.array_equal(again[0], got[2][0])
+        again = meshing._flip_to_delaunay(got[0], *got[3])
+        assert np.array_equal(again[0], got[3][0])
     # Qhull's triangulation of the ellipse's kept points takes some ties the
     # other way
     qhull = meshing._build(spec, h, got[0])[0]
     assert not np.array_equal(meshing._canonical_order(qhull),
-                              meshing._canonical_order(got[2][0]))
+                              meshing._canonical_order(got[3][0]))
 
 
 def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
@@ -1006,10 +1041,10 @@ def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
     moved[t[0]] = mid + 0.5 * (mid - pts[t[0]])
     assert meshing._flip_to_delaunay(moved, *full) is None
     builds = record_calls(monkeypatch, "_build")
-    got = meshing._settle(spec, h, moved, n_fixed, full)
+    got = meshing._settle(spec, h, moved, n_fixed, None, full)
     assert len(builds) == 1 and len(got[0]) == len(pts)
     want = settle_from_qhull(spec, h, moved, n_fixed)
-    for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+    for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
         assert np.array_equal(a, b)
 
 
@@ -1043,11 +1078,105 @@ def test_settles_keep_qhulls_triangles_when_every_flip_pass_fails(
     # each settle's pass fails on the previous triangles, and again on
     # `_build`'s, so Qhull runs once more per settle and its triangles
     # stand: the mesh still validates
-    monkeypatch.setattr(meshing, "_flip_to_delaunay", lambda pts, tri, twin: None)
+    monkeypatch.setattr(meshing, "_flip_to_delaunay",
+                        lambda pts, tri, twin, start=None: None)
     calls = count_calls(monkeypatch, "_settle", "Delaunay")
     validate_mesh(triangulate(golden.TABLE1_DOMAINS[name], 0.25))
     assert calls["_settle"] > 1
     assert calls["Delaunay"] == calls["_settle"] + 1
+
+
+# the table-1 domains and the thin-gap centres of golden tables 2 and 3
+BAND_CASES = {
+    **{name: (spec, 0.25) for name, spec in golden.TABLE1_DOMAINS.items()},
+    "ellipse-1.9-0": (DomainSpec(golden.ELLIPSE_OUTER, (1.9, 0.0), 1.0), 0.25),
+    "ellipse-0-6.5": (DomainSpec(golden.ELLIPSE_OUTER, (0.0, 6.5), 1.0), 0.25),
+}
+
+
+@pytest.mark.parametrize("name", BAND_CASES)
+def test_frozen_points_leave_triangulate_at_their_seeds(monkeypatch, name):
+    # the first settle freezes the free points deeper than FREEZE_DEPTH*h,
+    # and nothing moves them after it: each is a mesh vertex, bit for bit
+    spec, h = BAND_CASES[name]
+    settle, frozen = meshing._settle, []
+
+    def first_settle(spec, h, pts, n_fixed, live, full):
+        result = settle(spec, h, pts, n_fixed, live, full)
+        if live is None:
+            assert len(result[0]) == len(pts)  # the first settle drops no seed
+            deep = np.setdiff1d(np.arange(n_fixed, len(pts)), result[1])
+            frozen.append(pts[deep])  # a copy, at the seed positions
+        return result
+
+    monkeypatch.setattr(meshing, "_settle", first_settle)
+    mesh = triangulate(spec, h)
+    (seeds,) = frozen
+    assert 0.1 * mesh.vertex_count < len(seeds)
+    depth = -region_signed_distance(spec, seeds)
+    assert np.all(depth > meshing.FREEZE_DEPTH * h)
+    assert np.all(np.isin(seeds.view(complex), mesh.vertices.view(complex)))
+
+
+def assert_delaunay_everywhere(mesh):
+    """One `_flip_to_delaunay` pass from every edge of the mesh flips
+    nothing."""
+    tri = mesh.triangles
+    got = meshing._flip_to_delaunay(mesh.vertices, tri,
+                                    meshing._twins(tri, mesh.vertex_count))
+    assert got is not None and np.array_equal(got[0], tri)
+
+
+@pytest.mark.parametrize("name", BAND_CASES)
+def test_meshes_are_delaunay_across_the_frozen_points(name):
+    # the first settle's pass settles every edge, ties too; later passes
+    # start from the triangles with a live corner, and no other point
+    # moves, so no edge among those fails afterwards
+    assert_delaunay_everywhere(triangulate(*BAND_CASES[name]))
+
+
+@pytest.mark.parametrize("name", BAND_CASES)
+def test_band_pass_flips_like_a_full_pass_at_every_loop_settle(
+    monkeypatch, name
+):
+    # a pass that starts from the triangles with a live corner, a small
+    # share of them, gives the triangles and twins of a pass from every edge
+    spec, h = BAND_CASES[name]
+    flip, shares = meshing._flip_to_delaunay, []
+
+    def compared(pts, tri, twin, start=None):
+        got = flip(pts, tri, twin, start)
+        if start is not None:
+            want = flip(pts, tri, twin)
+            assert got is not None and want is not None
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            shares.append(np.count_nonzero(start) / len(tri))
+        return got
+
+    monkeypatch.setattr(meshing, "_flip_to_delaunay", compared)
+    calls = count_calls(monkeypatch, "_settle", "_build")
+    triangulate(spec, h)
+    # every settle after the first, unless its standoff dropped a point
+    assert len(shares) == calls["_settle"] - calls["_build"] > 1
+    assert max(shares) < 0.9
+
+
+@pytest.mark.parametrize("name", [*sorted(golden.TABLE1_DOMAINS), "ellipse-0-6.5"])
+def test_a_tighter_settle_tolerance_moves_no_eigenvalue_past_the_drift_bound(
+    monkeypatch, name
+):
+    # TTOL is the largest settle tolerance whose eigenvalues stay within
+    # 2e-5 relative of those at DistMesh's 0.1, which settles more often
+    spec, h = BAND_CASES[name]
+    calls = count_calls(monkeypatch, "_settle")
+    got = four_eigenvalues(triangulate(spec, h))
+    settles = calls["_settle"]
+    monkeypatch.setattr(meshing, "TTOL", 0.1)
+    want = four_eigenvalues(triangulate(spec, h))
+    assert calls["_settle"] - settles > settles
+    for q, value in got.items():
+        assert value == pytest.approx(want[q], rel=2e-5, abs=0.0), q
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
@@ -1107,14 +1236,14 @@ def admissible_specs(draw, h):
 
 def mesh_and_least_standoff(spec, h):
     """`triangulate(spec, h)`, and the least depth inside the region over
-    the interior points after every force step, in units of the size field
-    at the most recent settle."""
+    the live points after every force step, in units of the size field at
+    the most recent settle (the frozen points do not move)."""
     settle, force_step = meshing._settle, meshing._force_step
     fh, depths = [], []
 
-    def settled(spec, h, pts, n_fixed, full):
-        result = settle(spec, h, pts, n_fixed, full)
-        fh[:] = [result[1]]
+    def settled(spec, h, pts, n_fixed, live, full):
+        result = settle(spec, h, pts, n_fixed, live, full)
+        fh[:] = [result[2]]  # at the live points, which the force step moves
         return result
 
     def stepped(z, ends, D, h_want, h_sq, n_fixed):
@@ -1131,11 +1260,12 @@ def mesh_and_least_standoff(spec, h):
     return mesh, min(depths)
 
 
-@pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
+@pytest.mark.parametrize("name", BAND_CASES)
 def test_interior_points_keep_the_standoff_between_settles(name):
     # each settle drops the interior points within ESCAPE_FRACTION*fh of
-    # the boundary, and none moves more than TTOL*fh before the next one
-    _, depth = mesh_and_least_standoff(golden.TABLE1_DOMAINS[name], 0.25)
+    # the boundary, and none moves more than TTOL*fh before the next one;
+    # the thin-gap centres grade the size field
+    _, depth = mesh_and_least_standoff(*BAND_CASES[name])
     assert depth >= ESCAPE_FRACTION - meshing.TTOL
 
 
@@ -1160,14 +1290,15 @@ def test_size_field_equals_the_grading_formula_in_the_bounding_box(
 @settings(max_examples=9, derandomize=True, database=None, deadline=None)
 @given(spec=admissible_specs(0.5))
 def test_random_admissible_geometry_meshes_and_solves(spec):
-    # the mesh is valid, the interior points keep the standoff between
-    # settles, each mixed eigenvalue is at least the Steklov one (its
-    # quotient integrates over less boundary), and the flip repair gives
-    # the mesh of Qhull at every settle, bit for bit
+    # the mesh is valid and Delaunay, the interior points keep the standoff
+    # between settles, each mixed eigenvalue is at least the Steklov one
+    # (its quotient integrates over less boundary), and the flip repair
+    # gives the mesh of Qhull at every settle, bit for bit
     h = 0.5
     assert spec.clearance >= h / 10.0
     mesh, depth = mesh_and_least_standoff(spec, h)
     validate_mesh(mesh)
+    assert_delaunay_everywhere(mesh)
     assert depth >= ESCAPE_FRACTION - meshing.TTOL
     got = four_eigenvalues(mesh)
     assert got["mu1"] >= got["sigma1"] and got["mu2"] >= got["sigma2"]

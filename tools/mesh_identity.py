@@ -5,13 +5,16 @@
 
 `--write` meshes every case with the `steklov` package found on the path
 and stores its vertices, triangles, boundary edges and (sigma1, sigma2,
-mu1, mu2), or the error that `triangulate` raised.  Point PYTHONPATH at
-another checkout's `src` to record that tree.  `--compare` reports how far
+mu1, mu2), or the error that `triangulate` raised, and the number of calls
+each case made to the mesher's `_settle`, `_force_step` and Qhull
+(`Delaunay`).  Point PYTHONPATH at another checkout's `src` to record that
+tree.  `--compare` reports how far
 two records agree: bit-identical meshes (vertices, triangles and boundary
 edges, values and dtypes), meshes with identical triangles, the largest vertex move, the
 largest relative eigenvalue drift and each record's smallest triangle
 angle, each with the case it comes from, the largest drift per case group
 (golden or random cases, by the mesh size h that ends the label), and
+the call counts summed per group, for each record that holds them, and
 every case whose raised error differs.  It exits with status 1 when some
 case's raised error differs, and 0 otherwise.
 
@@ -24,18 +27,22 @@ The case set is fixed (174 cases):
 """
 
 import argparse
+import contextlib
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 
-from steklov import golden
+from steklov import golden, meshing
 from steklov.domains import Disk, DomainSpec, Ellipse, Rectangle
 from steklov.experiments import four_eigenvalues
 from steklov.meshing import MeshError, mesh_min_angle, triangulate
 
 SEED = 20241018
 RANDOM_PER_SHAPE = 40
+# the mesher functions whose calls a record counts; `meshing` looks each
+# up through its globals, so a wrapper set on the module sees every call
+COUNTED = ("_settle", "_force_step", "Delaunay")
 
 
 def _random_spec(rng, shape):
@@ -86,18 +93,42 @@ def cases():
     return out
 
 
+@contextlib.contextmanager
+def counted_calls():
+    """Count the calls to each function in COUNTED while the block runs;
+    yields the counts, a dict by name."""
+    counts = dict.fromkeys(COUNTED, 0)
+    originals = {name: getattr(meshing, name) for name in COUNTED}
+
+    def counted(name):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapped
+
+    try:
+        for name in COUNTED:
+            setattr(meshing, name, counted(name))
+        yield counts
+    finally:
+        for name, fn in originals.items():
+            setattr(meshing, name, fn)
+
+
 def write(path):
     arrays = {}
     labels, errors = [], []
     for i, (label, spec, h) in enumerate(cases()):
         labels.append(label)
         try:
-            mesh = triangulate(spec, h)
+            with counted_calls() as counts:
+                mesh = triangulate(spec, h)
         except (MeshError, ValueError) as exc:
             errors.append(f"{type(exc).__name__}: {exc}")
             print(f"{label}: {errors[-1]}", file=sys.stderr)
             continue
         errors.append("")
+        arrays[f"{i}/counts"] = np.array([counts[name] for name in COUNTED])
         values = four_eigenvalues(mesh)
         arrays[f"{i}/vertices"] = mesh.vertices
         arrays[f"{i}/triangles"] = mesh.triangles
@@ -119,6 +150,7 @@ def compare(path_a, path_b):
     meshed = same_error = identical = same_triangles = 0
     vertex_move = 0.0, None  # (largest, its case)
     groups = {}  # (kind, h): [cases, (largest eigenvalue drift, its case)]
+    calls = {}  # (kind, h): {record name: summed counts}
     min_angle = {"A": (np.inf, None), "B": (np.inf, None)}  # (smallest, case)
     mismatched = []
     for i, label in enumerate(labels):
@@ -143,12 +175,15 @@ def compare(path_a, path_b):
         ea, eb = a[f"{i}/eigs"], b[f"{i}/eigs"]
         drift = float(np.max(np.abs(ea - eb) / np.abs(eb)))
         kind = "random" if label.startswith("random-") else "golden"
-        group = groups.setdefault(
-            (kind, float(label.rpartition("-h")[2])), [0, (0.0, None)])
+        key = kind, float(label.rpartition("-h")[2])
+        group = groups.setdefault(key, [0, (0.0, None)])
         group[0] += 1
         if drift > group[1][0]:
             group[1] = drift, label
         for name, record in (("A", a), ("B", b)):
+            if f"{i}/counts" in record.files:
+                summed = calls.setdefault(key, {})
+                summed[name] = summed.get(name, 0) + record[f"{i}/counts"]
             angle = mesh_min_angle(SimpleNamespace(
                 vertices=record[f"{i}/vertices"], triangles=record[f"{i}/triangles"]))
             if angle < min_angle[name][0]:
@@ -166,6 +201,18 @@ def compare(path_a, path_b):
     for (kind, h), (count, (value, label)) in sorted(groups.items()):
         print(f"  {kind} h={h:g}, {count} meshed: {value:.3g}"
               + (f" ({label})" if value > 0 else ""))
+    if calls:
+        print(f"calls per group ({', '.join(COUNTED)}):")
+        total = {}
+        for summed in calls.values():
+            for name, counts in summed.items():
+                total[name] = total.get(name, 0) + counts
+        rows = [(f"{kind} h={h:g}", summed)
+                for (kind, h), summed in sorted(calls.items())]
+        for title, summed in rows + [("all", total)]:
+            print(f"  {title}: " + " | ".join(
+                f"{name} " + ", ".join(str(n) for n in counts)
+                for name, counts in sorted(summed.items())))
     print("smallest triangle angle: " + ", ".join(
         f"{name} {value:.1f} deg ({label})"
         for name, (value, label) in min_angle.items()))
