@@ -71,16 +71,21 @@ def multiplicity(n: int, l: int) -> int:
     return num // den
 
 
+def is_integer(x):
+    """Whether x is a Python or numpy integer, a bool not included."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_dimension(n):
     """n as a Python int; ValueError unless it is an integer >= 2."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not is_integer(n) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
     return int(n)
 
 
 def _check_degree(l):
     """l as a Python int; ValueError unless it is an integer >= 0."""
-    if not isinstance(l, (int, np.integer)) or l < 0:
+    if not is_integer(l) or l < 0:
         raise ValueError(f"degree must be an integer >= 0, got {l}")
     return int(l)
 
@@ -273,7 +278,7 @@ def check_problem_and_k(problem, k):
     """ValueError unless `problem` is one of PROBLEMS and k an integer >= 1:
     the checks on a request for k eigenvalues that need no domain."""
     check_problem(problem)
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_integer(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 

@@ -25,7 +25,7 @@ negative inside a shape, polylines are (N, 2) arrays that close implicitly
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Union
 
@@ -58,6 +58,12 @@ MIN_CLOSED_SEGMENTS = 8
 DENSE_FLOOR = 4096
 
 
+def _store_floats(shape):
+    """Store each size of the frozen `shape` as a Python float."""
+    for f in fields(shape):
+        object.__setattr__(shape, f.name, float(getattr(shape, f.name)))
+
+
 @dataclass(frozen=True)
 class Disk:
     """Disk of the given radius centered at the origin."""
@@ -69,6 +75,7 @@ class Disk:
         if not 0 < self.radius < math.inf:
             raise ValueError(
                 f"disk radius must be positive and finite, got {self.radius}")
+        _store_floats(self)
 
     @property
     def area(self):
@@ -100,6 +107,7 @@ class Ellipse:
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise ValueError("ellipse semi-axes must be positive and finite, "
                              f"got ({self.a}, {self.b})")
+        _store_floats(self)
 
     @property
     def area(self):
@@ -140,6 +148,7 @@ class Rectangle:
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError("rectangle sides must be positive and finite, "
                              f"got ({self.width}, {self.height})")
+        _store_floats(self)
 
     @property
     def area(self):

@@ -39,7 +39,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from steklov.closed_form import check_problem, check_problem_and_k, clusters
+from steklov.closed_form import (check_problem, check_problem_and_k, clusters,
+                                  is_integer)
 from steklov.domains import DomainSpec
 from steklov.meshing import Mesh, triangulate
 from steklov.quadrature import boundary_rule
@@ -291,7 +292,7 @@ def solve_eigs(stiffness, M, k):
     if s.size == 0:
         raise FemError(
             "M is singular: no vertex carries the spectral condition")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k < s.size):
+    if not (is_integer(k) and 1 <= k < s.size):
         raise ValueError(
             f"k must be an integer at least 1 and below the {s.size} "
             f"spectral vertices, got {k}")

@@ -11,15 +11,15 @@ them, the live ones among them (those that still move), the size field
 there and the region's triangles with their half-edge twins; the
 relaxation builds bars (each edge once, by `_unique_edges`) and target
 sizes (`size_field` at the bar midpoints, which skips the outer distance
-where the size is h) from every settle but the final one.  The first
-settle freezes the free points deeper than FREEZE_DEPTH*h, where the seed
-lattice is already at rest and the size is h: they never move again.  A
-settle calls `region_signed_distance` and `size_field` on the live
-points only (the boundary points are never dropped, and nothing reads
-their size), and the bars are those of the triangles with a live corner.
-A relaxation that has not settled after MAX_ITER iterations raises
-MeshError.  Seeding uses a low-discrepancy sequence instead of a random
-generator, so everything is deterministic for a fixed spec and h.
+where the size is h) from every settle but the final one.  Seeding picks
+the live points: the seeds deeper than FREEZE_DEPTH*h, where the seed
+lattice is already at rest and the size is h, never move.  A settle calls
+`region_signed_distance` and `size_field` on the live points only (the
+boundary points are never dropped, and nothing reads their size), and the
+bars are those of the triangles with a live corner.  A relaxation that
+has not settled after MAX_ITER iterations raises MeshError.  Seeding uses
+a low-discrepancy sequence instead of a random generator, so everything
+is deterministic for a fixed spec and h.
 
 The triangulation is built once and repaired at every settle.  `_build`
 starts it from the seed lattice, whose triangles `_seed_points` returns
@@ -34,23 +34,22 @@ flips repair the previous triangles at the new positions, carrying the
 half-edge pairing along (each flip updates only the half-edges it moved,
 their partners and its new diagonal), so no flip round sorts anything.
 A repair's first round tests only the edges of the triangles with a
-live corner: every other edge passed at the previous settle, and its
+live corner: every other edge passed in the previous pass, and its
 quad has not moved since.  The hull edges, the two boundary
 polylines, are fixed Delaunay edges (no point enters the hole's circle),
 so once every triangle is positive and every edge passes the flip test
 the triangles are the region's part of a Delaunay triangulation.  Of the
 two diagonals of a quad cocircular up to rounding (as across the axis of
 a mirror-symmetric domain; both give the same P1 stiffness) the test
-takes the one through the lowest-index vertex.  The settle is the only
-place that flips: `_build` returns its triangles unflipped, and the
-settle that takes them settles their ties in the pass that repairs them,
-so every start gives the same triangles, and the same mesh bit for bit.
-Qhull meets every point again only at a settle whose standoff drops a
-point or whose repair fails (an inverted triangle, or MAX_FLIP_ROUNDS):
-3 of the 1,192 settles of the cases tools/mesh_identity.py records, each
-after a drop.  The first settle drops no seed: seeds lie SEED_MARGIN*fh
-inside the region, past the standoff ESCAPE_FRACTION*fh, by the same
-measures.
+takes the one through the lowest-index vertex.  A new triangulation
+takes one flip pass from every edge in `_build`, which settles its ties,
+so every start gives the same triangles, and the same mesh bit for bit;
+a settle's pass starts from the triangles with a live corner.  Qhull
+meets every point again only at a settle whose standoff drops a point or
+whose repair fails (an inverted triangle, or MAX_FLIP_ROUNDS): 3 of the
+1,020 settles of the cases tools/mesh_identity.py records, each after a
+drop.  No seed needs the standoff: seeds lie SEED_MARGIN*fh inside the
+region, past ESCAPE_FRACTION*fh, by the same per-point measures.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
 force step.  PTOL is chosen by what it does to the eigenvalues (see the
@@ -109,7 +108,7 @@ TTOL = 0.2
 # EIG_DRIFT_TOL) from those at 2e-3; 1.6e-2 drifts 1.7e-4.
 PTOL = 8e-3
 ESCAPE_FRACTION = 0.3
-# The first settle freezes the free points deeper than FREEZE_DEPTH*h:
+# The seeds deeper than FREEZE_DEPTH*h never move (see `_seed_points`):
 # their feature size exceeds 2*FREEZE_DEPTH*h, so their size is h, and the
 # seed lattice there is at rest.  FREEZE_DEPTH is the smallest of 4, 6 and
 # 8 whose benchmark eigenvalues, at TTOL as chosen, keep within TTOL's
@@ -124,10 +123,11 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 # ties: the four points are cocircular up to rounding and either diagonal
 # is Delaunay.  Mirror-symmetric domains produce such quads at about 4e-14.
 # Over the 172 meshes that tools/mesh_identity.py records, a repair between
-# two settles takes at most five rounds of flips, the first settle's pass
-# on the lattice start at most five, and a pass on a Qhull rebuild none.
-# A settle whose pass reaches MAX_FLIP_ROUNDS calls `_build`; a pass on a
-# new build that does leaves Qhull's triangles.
+# two settles takes at most five rounds of flips, `_build`'s pass on the
+# lattice start at most five, and its pass on a Qhull rebuild none.  A
+# settle whose pass reaches MAX_FLIP_ROUNDS calls `_build`; a pass on a
+# lattice start that does sends `_build` to Qhull, and one on Qhull's
+# triangles leaves them.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -232,8 +232,10 @@ def _hex_triangles(count):
 
 
 def _seed_points(spec: DomainSpec, h: float):
-    """Interior starting points with density matched to the size field, and
-    the triangles of the coarse lattice among them.
+    """Interior starting points with density matched to the size field, the
+    triangles of the coarse lattice among them, the ascending indices of
+    the live seeds (those within FREEZE_DEPTH*h of the boundary) and the
+    size field there.
 
     A coarse hexagonal grid covers the ungraded bulk (where the size field
     equals h).  Its kept points lead the seeds, and its triangles whose
@@ -246,7 +248,7 @@ def _seed_points(spec: DomainSpec, h: float):
     coarse, count = _hex_grid(-a, a, -b, b, h)
     sd, fh = region_signed_distance(spec, coarse), size_field(spec, h, coarse)
     keep = (fh >= h * (1.0 - 1e-9)) & (sd < -SEED_MARGIN * fh)
-    seeds = [coarse[keep]]
+    parts = [(coarse[keep], sd[keep], fh[keep])]
     lattice = _hex_triangles(count)
     lattice = (np.cumsum(keep) - 1)[lattice[keep[lattice].all(axis=1)]]
 
@@ -261,10 +263,13 @@ def _seed_points(spec: DomainSpec, h: float):
             )[0]
             sd_f, fh_f = region_signed_distance(spec, fine), size_field(spec, h, fine)
             cand = (fh_f < h * (1.0 - 1e-9)) & (sd_f < -SEED_MARGIN * fh_f)
-            fine, fh_f = fine[cand], fh_f[cand]
+            fine, sd_f, fh_f = fine[cand], sd_f[cand], fh_f[cand]
             u = np.mod(np.arange(1, len(fine) + 1) * _WEYL, 1.0)
-            seeds.append(fine[u < (fh_min / fh_f) ** 2])
-    return np.vstack(seeds), lattice
+            thin = u < (fh_min / fh_f) ** 2
+            parts.append((fine[thin], sd_f[thin], fh_f[thin]))
+    seeds, sd, fh = (np.concatenate(part) for part in zip(*parts))
+    live = np.flatnonzero(sd >= -FREEZE_DEPTH * h)
+    return seeds, lattice, live, fh[live]
 
 
 def _incircle(p, a, b, c, d):
@@ -432,16 +437,14 @@ def _lattice_start(pts, lattice):
     return tri.astype(simplices.dtype)  # Qhull's index type, as in the fallback
 
 
-def _build(spec, h, pts, lattice=None):
-    """The region's counterclockwise triangles of `pts` and their half-edge
-    twins (see `_twins`): `_lattice_start` from the seed lattice's
-    triangles `lattice` (see `_seed_points`), or Qhull on every point
-    without a lattice or when that fails.  The simplices whose centroid
-    lies more than GEPS*h inside the region by `region_signed_distance`
-    are kept, unflipped: the settle that takes them settles their ties."""
-    tri = None if lattice is None else _lattice_start(pts, lattice)
+def _region_triangles(spec, h, pts, lattice):
+    """The simplices of `_lattice_start` (None when it fails) from the seed
+    lattice's triangles `lattice`, or of Qhull on every point, whose
+    centroid lies deeper than GEPS*h in the region, and their twins."""
+    tri = (Delaunay(pts).simplices if lattice is None
+           else _lattice_start(pts, lattice))
     if tri is None:
-        tri = Delaunay(pts).simplices
+        return None
     t0, t1, t2 = tri.T
     z = pts.view(complex).ravel()  # complex gathers beat (n, 2) row gathers
     centroids = (z.take(t0) + z.take(t1) + z.take(t2)).view(float) / 3.0
@@ -452,6 +455,19 @@ def _build(spec, h, pts, lattice=None):
     return tri, _twins(tri, len(pts))
 
 
+def _build(spec, h, pts, lattice=None):
+    """The region's counterclockwise Delaunay triangles of `pts` and their
+    half-edge twins: `_region_triangles`, from the seed lattice's triangles
+    `lattice` or from Qhull, after one `_flip_to_delaunay` pass from every
+    edge, which settles their ties.  A lattice start that fails or whose
+    pass fails gives way to Qhull; Qhull's triangles stand if theirs does."""
+    full = _region_triangles(spec, h, pts, lattice)
+    flipped = None if full is None else _flip_to_delaunay(pts, *full)
+    if flipped is None and lattice is not None:
+        return _build(spec, h, pts)
+    return flipped or full
+
+
 def _with_live_corner(tri, live, n):
     """Mask of the triangles `tri`, over n points, with a corner in `live`."""
     is_live = np.zeros(n, bool)
@@ -459,49 +475,33 @@ def _with_live_corner(tri, live, n):
     return is_live[tri[:, 0]] | is_live[tri[:, 1]] | is_live[tri[:, 2]]
 
 
-def _settle(spec, h, pts, n_fixed, live, full):
-    """Drop the points of `live`, the ascending indices of the free points
-    that move, that lie within ESCAPE_FRACTION*fh of the boundary by
+def _settle(spec, h, pts, live, full):
+    """Drop the points of `live`, the ascending indices of the points that
+    move, that lie within ESCAPE_FRACTION*fh of the boundary by
     `region_signed_distance` and `size_field`, which measure only them, and
     bring `full`, the (triangles, twins) of the previous settle or of
-    `_build`, to the kept points.  `live` is None at the first settle: then
-    every free point is measured, and those deeper than FREEZE_DEPTH*h are
-    frozen, left out of the returned `live` for good.  Returns (pts, live,
-    fh, full): the kept points, the indices of the live ones among them,
-    the size field there, and the region's counterclockwise triangles with
-    their half-edge twins.
+    `_build`, to the kept points.  Returns (pts, live, fh, full): the kept
+    points, the indices of the live ones among them, the size field there,
+    and the region's counterclockwise triangles with their half-edge twins.
 
-    `_build` triangulates the kept points when the standoff drops one; one
-    `_flip_to_delaunay` pass then repairs the triangles at the new
-    positions, from those with a live corner on the previous triangles
-    and from every edge on a new build or at the first settle.  If it
-    fails on the previous triangles, `_build` triangulates the kept points
-    and the pass runs once more; if it fails on a new build, Qhull's
-    triangles stand."""
-    first = live is None
-    if first:
-        live = np.arange(n_fixed, len(pts))
+    One `_flip_to_delaunay` pass repairs the previous triangles at the new
+    positions, from those with a live corner: every other edge passed in
+    the previous pass, and its quad has not moved.  `_build` triangulates
+    the kept points instead when the standoff drops one or the pass
+    fails."""
     moving = pts[live]
     sd, fh = region_signed_distance(spec, moving), size_field(spec, h, moving)
     keep = sd <= -ESCAPE_FRACTION * fh
-    fresh = not keep.all()  # then `full` is rebuilt before the pass
-    if fresh:
+    if keep.all():
+        flipped = _flip_to_delaunay(
+            pts, *full, _with_live_corner(full[0], live, len(pts)))
+        if flipped is not None:
+            return pts, live, fh, flipped
+    else:
         kept = np.ones(len(pts), bool)
         kept[live[~keep]] = False
-        pts, live = pts[kept], (np.cumsum(kept) - 1)[live[keep]]
-        sd, fh = sd[keep], fh[keep]
-        full = _build(spec, h, pts)
-    if first:
-        shallow = sd >= -FREEZE_DEPTH * h
-        live, fh = live[shallow], fh[shallow]
-    start = None
-    if not (fresh or first):
-        start = _with_live_corner(full[0], live, len(pts))
-    flipped = _flip_to_delaunay(pts, *full, start)
-    if flipped is None and not fresh:
-        full = _build(spec, h, pts)
-        flipped = _flip_to_delaunay(pts, *full)
-    return pts, live, fh, flipped or full
+        pts, live, fh = pts[kept], (np.cumsum(kept) - 1)[live[keep]], fh[keep]
+    return pts, live, fh, _build(spec, h, pts)
 
 
 def _incidence(ends, n):
@@ -571,23 +571,22 @@ def _relax(spec, h, fixed):
     field; the boundary points `fixed` stay, and lead the returned points.
 
     `_build` triangulates the seeded cloud once, from the seed lattice's
-    triangles (see `_seed_points`).  Each settle repairs the triangles and
-    half-edge twins of the one before (the first, those of `_build`, whose
-    ties it settles) by edge flips, and calls `_build` only when its
-    standoff drops a point or the repair fails, so the half-edges are
-    paired once per Qhull call.  The first settle freezes the points deeper
-    than FREEZE_DEPTH*h, where the seed lattice is at rest: they never move
-    again, and everything after it covers the live points and the
-    triangles with a live corner only.  Between settles the band's
+    triangles (see `_seed_points`).  Only the seeds that `_seed_points`
+    finds within FREEZE_DEPTH*h of the boundary are live; the deeper ones,
+    where the seed lattice is at rest, never move, and everything after
+    the build covers the live points and the triangles with a live corner
+    only.  Each settle repairs the triangles and half-edge twins of the one
+    before (the first, those of `_build`) by edge flips, and calls `_build`
+    only when its standoff drops a point or the repair fails, so the
+    half-edges are paired once per Qhull call.  Between settles the band's
     positions live in one complex array z = x + iy (see `_band`), built
     once per loop settle with the bars, D, target lengths and sizes, and
     written back to the points at the next settle."""
-    n_fixed = len(fixed)
-    seeds, lattice = _seed_points(spec, h)
-    pts = np.vstack([fixed, seeds])
-    full = _build(spec, h, pts, lattice + n_fixed)  # triangles and twins
-    del seeds, lattice  # held through the loop, they raise the peak memory
-    pts, live, fh, full = _settle(spec, h, pts, n_fixed, None, full)
+    seeds, lattice, live, fh = _seed_points(spec, h)
+    pts, live = np.vstack([fixed, seeds]), live + len(fixed)
+    lattice += len(fixed)
+    del seeds  # held through `_build`'s flip pass, it raises the peak memory
+    full = _build(spec, h, pts, lattice)  # triangles and twins
     z, ends, D, h_want, h_sq, n_anchors = _band(spec, h, pts, live, full[0])
     last = z  # positions at the most recent settle
     for _ in range(MAX_ITER):
@@ -598,7 +597,7 @@ def _relax(spec, h, fixed):
             break
         if np.max(np.abs(z - last)[n_anchors:] / fh) > TTOL:
             pts.view(complex).ravel()[live] = z[n_anchors:]
-            pts, live, fh, full = _settle(spec, h, pts, n_fixed, live, full)
+            pts, live, fh, full = _settle(spec, h, pts, live, full)
             z, ends, D, h_want, h_sq, n_anchors = _band(
                 spec, h, pts, live, full[0])
             last = z
@@ -606,7 +605,7 @@ def _relax(spec, h, fixed):
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
     pts.view(complex).ravel()[live] = z[n_anchors:]
-    pts, _, _, (simplices, _) = _settle(spec, h, pts, n_fixed, live, full)
+    pts, _, _, (simplices, _) = _settle(spec, h, pts, live, full)
     return pts, simplices
 
 

@@ -408,6 +408,24 @@ def test_annulus_spec_validation():
     json.dumps([asdict(ln) for ln in lines])
 
 
+def test_integer_checks_reject_bools():
+    # a bool is an int to isinstance, but no dimension, degree or count
+    spec = AnnulusSpec(2, 1.0, 5.0)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            multiplicity(bad, 1)
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            AnnulusSpec(bad, 1.0, 2.0)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            multiplicity(2, bad)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            sn_eigenvalue(spec, bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            closed_form.check_problem_and_k("steklov", bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            enumerate_spectrum(spec, "steklov", bad)
+
+
 def test_bad_branch_and_degree():
     spec = AnnulusSpec(2, 1.0, 5.0)
     with pytest.raises(ValueError):

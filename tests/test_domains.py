@@ -1,5 +1,6 @@
 """Tests for the planar domain geometry helpers."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -216,6 +217,21 @@ def test_outer_must_be_a_shape():
 def test_outer_shapes_reject_infinite_sizes(make):
     with pytest.raises(ValueError, match="positive and finite, got .*inf"):
         make(math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    Disk, lambda x: Ellipse(x, 2 * x), lambda x: Rectangle(x, 2 * x),
+], ids=["disk", "ellipse", "rectangle"])
+@pytest.mark.parametrize(
+    "size", [np.float32(5.0), 5, np.int64(5), np.float64(5.0)],
+    ids=["float32", "int", "int64", "float64"])
+def test_outer_shapes_store_their_sizes_as_python_floats(make, size):
+    # as DomainSpec stores its hole: the plain-data echo serialises, and the
+    # shape prints and compares as the float it stands for
+    shape = make(size)
+    assert all(type(getattr(shape, f.name)) is float for f in fields(shape))
+    assert shape == make(5.0) and repr(shape) == repr(make(5.0))
+    json.dumps(DomainSpec(shape, (0, 0), 1.0).as_dict())
 
 
 def test_symmetry_flags():

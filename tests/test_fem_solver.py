@@ -327,6 +327,11 @@ def test_solve_eigs_input_validation(monkeypatch, coarse_mesh):
             solve(spec, 2.5, k)
         with pytest.raises(ValueError, match="k must be an integer"):
             solve_on_mesh(coarse_mesh, "steklov", k)
+    for k in (True, False):  # a bool is an int to isinstance, but no count
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve(spec, 0.5, k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_eigs(path, np.eye(3), k)
     with pytest.raises(ValueError, match="unknown problem"):
         solve(spec, 2.5, 3, problem="dirichlet")
     with pytest.raises(ValueError, match="unknown problem"):

@@ -45,10 +45,9 @@ def annulus_spec(r_outer=5.0, r_hole=1.0):
 
 
 def settle_from_qhull(spec, h, pts, n_fixed):
-    """`_settle` of `pts` from `_build`'s triangulation of them by Qhull on
-    every point, as the relaxation settles a cloud it has just built (the
-    first settle, which freezes the deep points)."""
-    return meshing._settle(spec, h, pts, n_fixed, None,
+    """`_settle` of `pts`, every point past the first n_fixed live, from
+    `_build`'s triangulation of them by Qhull on every point."""
+    return meshing._settle(spec, h, pts, np.arange(n_fixed, len(pts)),
                            meshing._build(spec, h, pts))
 
 
@@ -191,7 +190,7 @@ def test_settle_drops_points_inside_the_standoff():
     kept, live, fh, (simplices, _) = settle_from_qhull(spec, 0.5, pts, len(fixed))
     bars = meshing._unique_edges(simplices, len(kept))[0]
     assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
-    assert np.array_equal(live, [len(fixed), len(fixed) + 1])  # none frozen
+    assert np.array_equal(live, [len(fixed), len(fixed) + 1])  # renumbered
     assert np.array_equal(fh, size_field(spec, 0.5, kept[live]))
     assert simplices.max() < len(kept) and bars.max() < len(kept)
 
@@ -205,10 +204,10 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     monkeypatch, center, h, graded
 ):
     # `_build` evaluates the outer distance once, on the centroids of the
-    # Delaunay simplices; the first settle evaluates it once on the free
-    # points (the standoff), then in `size_field` on the free points where
-    # GRADE_FRACTION*|d_hole| < h, and its flip repair evaluates nothing.
-    # A later settle does the same on the live points only.
+    # Delaunay simplices, and its flip pass evaluates nothing.  A settle
+    # evaluates it once on the live points (the standoff), then in
+    # `size_field` on the live points where GRADE_FRACTION*|d_hole| < h,
+    # and its flip repair evaluates nothing.
     # `size_field` evaluates it only there, at the points and at the bar
     # midpoints alike: on none of the y-axis ellipse's, whose clearance
     # grades nothing, and on the thin gap's near-hole ones, every graded bar
@@ -216,7 +215,9 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     spec = DomainSpec(Ellipse(3.0, 8.33), center, 1.0)
     outer, inner = boundary_polylines(spec, h)
     fixed = np.vstack([outer, inner])
-    pts = np.vstack([fixed, meshing._seed_points(spec, h)[0]])
+    seeds, _, live, _ = meshing._seed_points(spec, h)
+    pts, live = np.vstack([fixed, seeds]), live + len(fixed)
+    assert 0 < len(live) < len(seeds)  # seeding freezes some
     calls = []
 
     def counted(shape, p):
@@ -227,16 +228,13 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     full = meshing._build(spec, h, pts)
     assert calls == [len(meshing.Delaunay(pts).simplices)]  # one per simplex
     calls.clear()
-    kept, live, _, full = meshing._settle(spec, h, pts, len(fixed), None, full)
+    kept, _, _, full = meshing._settle(spec, h, pts, live, full)
     assert np.array_equal(kept, pts)  # the standoff keeps every seed
-    assert 0 < len(live) < len(pts) - len(fixed)  # and freezes some
-    first, calls[:] = calls[:], []
-    meshing._settle(spec, h, pts, len(fixed), live, full)
-    for got, moving in ((first, pts[len(fixed):]), (calls, pts[live])):
-        near = domains.GRADE_FRACTION * np.abs(hole_signed_distance(spec, moving)) < h
-        sized = [np.count_nonzero(near)] if graded else []
-        assert got == [len(moving), *sized]
-        assert not graded or 0 < sized[0] < len(moving)
+    d_hole = hole_signed_distance(spec, pts[live])
+    near = domains.GRADE_FRACTION * np.abs(d_hole) < h
+    sized = [np.count_nonzero(near)] if graded else []
+    assert calls == [len(live), *sized]
+    assert not graded or 0 < sized[0] < len(live)
     simplices = full[0]
     bars = meshing._unique_edges(simplices, len(kept))[0]
     mids = 0.5 * (kept[bars[:, 0]] + kept[bars[:, 1]])
@@ -489,8 +487,10 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     spec = DomainSpec(golden.ELLIPSE_OUTER, (0.0, 2.5), 1.0)
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
-    pts = np.vstack([outer, inner, meshing._seed_points(spec, 0.25)[0]])
-    pts, live, _, (simplices, _) = settle_from_qhull(spec, 0.25, pts, n_fixed)
+    seeds, _, live, _ = meshing._seed_points(spec, 0.25)
+    pts = np.vstack([outer, inner, seeds])
+    pts, live, _, (simplices, _) = meshing._settle(
+        spec, 0.25, pts, live + n_fixed, meshing._build(spec, 0.25, pts))
     start = pts.copy()
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
@@ -778,8 +778,8 @@ def qhull_at_every_settle(patch):
     from every edge of it."""
     build, settle, flip = meshing._build, meshing._settle, meshing._flip_to_delaunay
 
-    def from_qhull(spec, h, pts, n_fixed, live, full):
-        return settle(spec, h, pts, n_fixed, live, build(spec, h, pts))
+    def from_qhull(spec, h, pts, live, full):
+        return settle(spec, h, pts, live, build(spec, h, pts))
 
     patch.setattr(meshing, "_build", lambda spec, h, pts, lattice=None:
                   build(spec, h, pts))
@@ -798,10 +798,10 @@ def assert_same_mesh(got, want):
 
 @pytest.mark.parametrize("name", MESH_SPECS)
 def test_flip_repair_meshes_equal_qhull_meshes(monkeypatch, name):
-    # the default mesh calls Qhull once; the build before the first settle
-    # and every settle can call it instead.  Either way the half-edges are
-    # paired once per Qhull call, and every settle builds the same
-    # triangles, so the meshes are bit-identical
+    # the default mesh calls Qhull once, on the band; the first build and
+    # every settle can call it on every point instead.  Either way the
+    # half-edges are paired once per Qhull call, and every settle builds
+    # the same triangles, so the meshes are bit-identical
     spec, h = MESH_SPECS[name], 0.25
     calls = count_calls(monkeypatch, "Delaunay", "_settle", "_twins")
     mesh = triangulate(spec, h)
@@ -829,7 +829,7 @@ def seeded_cloud(spec, h):
     the number of boundary points and the lattice triangles over the
     cloud."""
     outer, inner = boundary_polylines(spec, h)
-    seeds, lattice = meshing._seed_points(spec, h)
+    seeds, lattice = meshing._seed_points(spec, h)[:2]
     n_fixed = len(outer) + len(inner)
     return np.vstack([outer, inner, seeds]), n_fixed, lattice + n_fixed
 
@@ -841,7 +841,7 @@ def test_seed_lattice_triangles_are_the_lattice_cells(name):
     # (Qhull's others span the hole and the lattice's ragged edge); no two
     # of them form a quad that the flip test reads as a tie
     h = 0.125
-    seeds, lattice = meshing._seed_points(golden.TABLE1_DOMAINS[name], h)
+    seeds, lattice = meshing._seed_points(golden.TABLE1_DOMAINS[name], h)[:2]
     areas = meshing._triangle_signed_areas(seeds, lattice)
     assert np.all(areas > 0)
     assert areas == pytest.approx(math.sqrt(3.0) / 4.0 * h**2, rel=1e-12)
@@ -891,7 +891,7 @@ def count_calls(patch, *names):
     return calls
 
 
-FIRST_SETTLE_CASES = {
+BUILD_CASES = {
     **{f"{name}-h{h}": (spec, h) for name, spec in golden.TABLE1_DOMAINS.items()
        for h in (0.25, 0.125, 0.0625)},
     "ellipse-1.9-0": (DomainSpec(golden.ELLIPSE_OUTER, (1.9, 0.0), 1.0), 0.125),
@@ -899,32 +899,28 @@ FIRST_SETTLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", FIRST_SETTLE_CASES)
+@pytest.mark.parametrize("name", BUILD_CASES)
 def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
-    # the first settle of the build from the lattice and Qhull on the band
-    # gives the triangles of the first settle of the build from Qhull on
-    # every point (up to their order and rotation; the raw builds can take
-    # different diagonals of a tie, which the settle's flip pass settles),
-    # and each build and settle carries its own twins.  Qhull sees only the
-    # band, and every kept triangle off Qhull's list, a lattice triangle,
-    # has a corner off the band: one whose corners are all band points
-    # would double a Qhull triangle or, across a tie, overlap one
-    spec, h = FIRST_SETTLE_CASES[name]
+    # the build from the lattice and Qhull on the band gives the triangles
+    # of the build from Qhull on every point (up to their order and
+    # rotation; the raw triangulations can take different diagonals of a
+    # tie, which the build's flip pass settles), and each build carries its
+    # own twins.  Qhull sees only the band, and every kept triangle off
+    # Qhull's list, a lattice triangle, has a corner off the band: one
+    # whose corners are all band points would double a Qhull triangle or,
+    # across a tie, overlap one
+    spec, h = BUILD_CASES[name]
     pts, n_fixed, lattice = seeded_cloud(spec, h)
     qhull = record_calls(monkeypatch, "Delaunay")
-    builds = [meshing._build(spec, h, pts), meshing._build(spec, h, pts, lattice)]
+    want, got = builds = [meshing._build(spec, h, pts),
+                          meshing._build(spec, h, pts, lattice)]
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and 2 * seen[1] < seen[0] == len(pts)
-    want, got = (meshing._settle(spec, h, pts, n_fixed, None, full)
-                 for full in builds)
-    for a, b in zip(got[:3], want[:3]):
-        assert np.array_equal(a, b)
-    for tri, twin in builds + [got[3], want[3]]:
+    for tri, twin in builds:
         assert np.array_equal(twin, meshing._twins(tri, len(pts)))
-    dtypes = {tri.dtype for tri, _ in builds + [got[3], want[3]]}
-    assert len(dtypes) == 1
-    assert np.array_equal(meshing._canonical_order(got[3][0]),
-                          meshing._canonical_order(want[3][0]))
+    assert got[0].dtype == want[0].dtype
+    assert np.array_equal(meshing._canonical_order(got[0]),
+                          meshing._canonical_order(want[0]))
 
     tri = meshing._lattice_start(pts, lattice)
     points, band_qhull = qhull[2]
@@ -941,7 +937,7 @@ def test_lattice_start_settles_like_qhull_on_every_point(monkeypatch, name):
 def test_lattice_start_rejects_the_lattice_triangles_around_a_seed(monkeypatch):
     # a seed 0.8 circumradii from a lattice triangle's centre, past the
     # middle of one side, lies inside that triangle's circumcircle and its
-    # neighbour's: the query rejects both, and the settle still takes the
+    # neighbour's: the query rejects both, and the build still takes the
     # lattice start and gives the triangles of Qhull on every point
     spec, h = golden.TABLE1_DOMAINS["rectangle"], 0.25
     pts, n_fixed, lattice = seeded_cloud(spec, h)
@@ -951,13 +947,12 @@ def test_lattice_start_rejects_the_lattice_triangles_around_a_seed(monkeypatch):
     side = 0.5 * (corners[t, 0] + corners[t, 1])
     pts = np.vstack([pts, centre[t] + 1.6 * (side - centre[t])])
     qhull = record_calls(monkeypatch, "Delaunay")
-    got = meshing._settle(spec, h, pts, n_fixed, None,
-                          meshing._build(spec, h, pts, lattice))
-    want = settle_from_qhull(spec, h, pts, n_fixed)
+    got = meshing._build(spec, h, pts, lattice)
+    want = meshing._build(spec, h, pts)
     seen = [len(points) for points, _ in qhull]
     assert len(seen) == 2 and seen[0] < seen[1] == len(pts)
-    assert np.array_equal(meshing._canonical_order(got[3][0]),
-                          meshing._canonical_order(want[3][0]))
+    assert np.array_equal(meshing._canonical_order(got[0]),
+                          meshing._canonical_order(want[0]))
 
 
 def triangle_keys(rows, n):
@@ -997,8 +992,8 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
     # a lattice corner moved 0.5% of the way in from a point of the outer
     # boundary (0.1 h inside on the annulus, 0.06 h on the ellipse) falls to
     # the standoff: the settle of the lattice start drops it and rebuilds,
-    # and is the one from Qhull on every point.  Its flip pass settles the
-    # new build's ties, so a second pass changes nothing
+    # and is the one from Qhull on every point.  The new build's flip pass
+    # settles its ties, so a second pass changes nothing
     clouds = []
     for name in ("annulus", "ellipse"):
         spec, h = golden.TABLE1_DOMAINS[name], 0.25
@@ -1012,7 +1007,7 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
 
     monkeypatch.setattr(meshing, "_lattice_start", forbidden)
     for spec, h, pts, n_fixed, full in clouds:
-        got = meshing._settle(spec, h, pts, n_fixed, None, full)
+        got = meshing._settle(spec, h, pts, np.arange(n_fixed, len(pts)), full)
         want = settle_from_qhull(spec, h, pts, n_fixed)
         assert len(got[0]) == len(pts) - 1
         for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
@@ -1020,7 +1015,9 @@ def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
         again = meshing._flip_to_delaunay(got[0], *got[3])
         assert np.array_equal(again[0], got[3][0])
     # Qhull's triangulation of the ellipse's kept points takes some ties the
-    # other way
+    # other way: `_build` keeps it when its flip pass fails
+    monkeypatch.setattr(meshing, "_flip_to_delaunay",
+                        lambda pts, tri, twin, start=None: None)
     qhull = meshing._build(spec, h, got[0])[0]
     assert not np.array_equal(meshing._canonical_order(qhull),
                               meshing._canonical_order(got[3][0]))
@@ -1041,7 +1038,7 @@ def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
     moved[t[0]] = mid + 0.5 * (mid - pts[t[0]])
     assert meshing._flip_to_delaunay(moved, *full) is None
     builds = record_calls(monkeypatch, "_build")
-    got = meshing._settle(spec, h, moved, n_fixed, None, full)
+    got = meshing._settle(spec, h, moved, np.arange(n_fixed, len(pts)), full)
     assert len(builds) == 1 and len(got[0]) == len(pts)
     want = settle_from_qhull(spec, h, moved, n_fixed)
     for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
@@ -1058,32 +1055,35 @@ def test_build_raises_without_interior_triangles():
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
 def test_final_settle_builds_no_bars(monkeypatch, name):
-    # one build, one flip pass per settle (the first settles the build's
-    # ties), and bars and their sizes from every settle but the last, while
-    # `validate_mesh` dedupes the mesh's edges once more.  `size_field` also
-    # runs at the points of every settle and once on the coarse seed grid;
-    # these domains are not graded, so seeding probes no finer grid
+    # one build and one flip pass in it (which settles the build's ties)
+    # and in each settle, and bars and their sizes from the build and every
+    # settle but the last, while `validate_mesh` dedupes the mesh's edges
+    # once more.  `size_field` also runs at the points of every settle and
+    # once on the coarse seed grid; these domains are not graded, so
+    # seeding probes no finer grid
     calls = count_calls(monkeypatch, "_settle", "size_field", "_build",
                         "_flip_to_delaunay", "_unique_edges")
     triangulate(golden.TABLE1_DOMAINS[name], 0.25)
     assert calls["_settle"] > 1 and calls["_build"] == 1
-    assert calls["_flip_to_delaunay"] == calls["_unique_edges"] == calls["_settle"]
-    assert calls["size_field"] == 2 * calls["_settle"]
+    assert (calls["_flip_to_delaunay"] == calls["_unique_edges"]
+            == calls["_settle"] + 1)
+    assert calls["size_field"] == 2 * calls["_settle"] + 1
 
 
 @pytest.mark.parametrize("name", sorted(golden.TABLE1_DOMAINS))
 def test_settles_keep_qhulls_triangles_when_every_flip_pass_fails(
     monkeypatch, name
 ):
-    # each settle's pass fails on the previous triangles, and again on
-    # `_build`'s, so Qhull runs once more per settle and its triangles
-    # stand: the mesh still validates
+    # the first build's pass fails on the lattice start, so Qhull runs on
+    # every point; each settle's pass fails on the previous triangles, and
+    # again on `_build`'s, so Qhull runs once more per settle and its
+    # triangles stand: the mesh still validates
     monkeypatch.setattr(meshing, "_flip_to_delaunay",
                         lambda pts, tri, twin, start=None: None)
     calls = count_calls(monkeypatch, "_settle", "Delaunay")
     validate_mesh(triangulate(golden.TABLE1_DOMAINS[name], 0.25))
     assert calls["_settle"] > 1
-    assert calls["Delaunay"] == calls["_settle"] + 1
+    assert calls["Delaunay"] == calls["_settle"] + 2  # + the band's
 
 
 # the table-1 domains and the thin-gap centres of golden tables 2 and 3
@@ -1095,23 +1095,13 @@ BAND_CASES = {
 
 
 @pytest.mark.parametrize("name", BAND_CASES)
-def test_frozen_points_leave_triangulate_at_their_seeds(monkeypatch, name):
-    # the first settle freezes the free points deeper than FREEZE_DEPTH*h,
-    # and nothing moves them after it: each is a mesh vertex, bit for bit
+def test_frozen_points_leave_triangulate_at_their_seeds(name):
+    # seeding leaves the seeds deeper than FREEZE_DEPTH*h out of the live
+    # points, and nothing moves them: each is a mesh vertex, bit for bit
     spec, h = BAND_CASES[name]
-    settle, frozen = meshing._settle, []
-
-    def first_settle(spec, h, pts, n_fixed, live, full):
-        result = settle(spec, h, pts, n_fixed, live, full)
-        if live is None:
-            assert len(result[0]) == len(pts)  # the first settle drops no seed
-            deep = np.setdiff1d(np.arange(n_fixed, len(pts)), result[1])
-            frozen.append(pts[deep])  # a copy, at the seed positions
-        return result
-
-    monkeypatch.setattr(meshing, "_settle", first_settle)
+    seeds, _, live, _ = meshing._seed_points(spec, h)
+    seeds = np.delete(seeds, live, axis=0)
     mesh = triangulate(spec, h)
-    (seeds,) = frozen
     assert 0.1 * mesh.vertex_count < len(seeds)
     depth = -region_signed_distance(spec, seeds)
     assert np.all(depth > meshing.FREEZE_DEPTH * h)
@@ -1129,7 +1119,7 @@ def assert_delaunay_everywhere(mesh):
 
 @pytest.mark.parametrize("name", BAND_CASES)
 def test_meshes_are_delaunay_across_the_frozen_points(name):
-    # the first settle's pass settles every edge, ties too; later passes
+    # the build's pass settles every edge, ties too; the settles' passes
     # start from the triangles with a live corner, and no other point
     # moves, so no edge among those fails afterwards
     assert_delaunay_everywhere(triangulate(*BAND_CASES[name]))
@@ -1157,8 +1147,9 @@ def test_band_pass_flips_like_a_full_pass_at_every_loop_settle(
     monkeypatch.setattr(meshing, "_flip_to_delaunay", compared)
     calls = count_calls(monkeypatch, "_settle", "_build")
     triangulate(spec, h)
-    # every settle after the first, unless its standoff dropped a point
-    assert len(shares) == calls["_settle"] - calls["_build"] > 1
+    # every settle but those whose standoff dropped a point, each of which
+    # calls `_build` once more than the first build
+    assert len(shares) == calls["_settle"] - (calls["_build"] - 1) > 1
     assert max(shares) < 0.9
 
 
@@ -1237,13 +1228,19 @@ def admissible_specs(draw, h):
 def mesh_and_least_standoff(spec, h):
     """`triangulate(spec, h)`, and the least depth inside the region over
     the live points after every force step, in units of the size field at
-    the most recent settle (the frozen points do not move)."""
-    settle, force_step = meshing._settle, meshing._force_step
+    the seeds or the most recent settle (the frozen points do not move)."""
+    seed_points, settle = meshing._seed_points, meshing._settle
+    force_step = meshing._force_step
     fh, depths = [], []
 
-    def settled(spec, h, pts, n_fixed, live, full):
-        result = settle(spec, h, pts, n_fixed, live, full)
-        fh[:] = [result[2]]  # at the live points, which the force step moves
+    def seeded(spec, h):
+        result = seed_points(spec, h)
+        fh[:] = [result[3]]  # at the live seeds, which the force step moves
+        return result
+
+    def settled(spec, h, pts, live, full):
+        result = settle(spec, h, pts, live, full)
+        fh[:] = [result[2]]  # at the live points
         return result
 
     def stepped(z, ends, D, h_want, h_sq, n_fixed):
@@ -1253,6 +1250,7 @@ def mesh_and_least_standoff(spec, h):
         return z, step
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meshing, "_seed_points", seeded)
         patch.setattr(meshing, "_settle", settled)
         patch.setattr(meshing, "_force_step", stepped)
         mesh = triangulate(spec, h)
@@ -1309,13 +1307,18 @@ def test_random_admissible_geometry_meshes_and_solves(spec):
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(spec=admissible_specs(0.5), h=st.sampled_from([0.5, 0.25]))
-def test_the_first_settle_drops_no_seed(spec, h):
+def test_seeds_keep_the_standoff_and_seeding_picks_the_live_ones(spec, h):
     # seeds lie SEED_MARGIN*fh inside the region, past the standoff
-    # ESCAPE_FRACTION*fh, by the same per-point measures
-    seeds = meshing._seed_points(spec, h)[0]
+    # ESCAPE_FRACTION*fh, by the same per-point measures, and the live
+    # seeds and their sizes are those that these measures and FREEZE_DEPTH
+    # give at the returned seeds, bit for bit
+    seeds, _, live, live_fh = meshing._seed_points(spec, h)
     sd, fh = region_signed_distance(spec, seeds), size_field(spec, h, seeds)
     assert np.all(sd < -meshing.SEED_MARGIN * fh)
     assert np.all(sd <= -ESCAPE_FRACTION * fh)  # the settle's standoff test
+    want = np.flatnonzero(sd >= -meshing.FREEZE_DEPTH * h)
+    assert live.dtype == want.dtype and np.array_equal(live, want)
+    assert live_fh.dtype == fh.dtype and np.array_equal(live_fh, fh[want])
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
