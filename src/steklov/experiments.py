@@ -145,7 +145,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.path not in SWEEP_PATHS:
             raise ValueError(f"path must be one of {SWEEP_PATHS}")
-        if not self.centers:
+        if len(self.centers) == 0:
             raise ValueError("sweep needs at least one center")
         object.__setattr__(self, "hole_radius", float(self.hole_radius))
         object.__setattr__(self, "h", float(self.h))

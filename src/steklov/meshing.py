@@ -4,52 +4,38 @@ The generator is a force-based relaxation over a Delaunay triangulation
 (truss smoothing in the style of Persson & Strang): boundary vertices are
 fixed where `boundary_polylines` placed them, interior points start on a
 density-matched grid and repel each other until edge lengths track the
-graded size field.  A settle (each retriangulation, including a final one
-of the settled cloud) deletes interior points too close to a boundary
-(the standoff), brings the triangulation to the kept points, and returns
-them, the live ones among them (those that still move), the size field
-there and the region's triangles with their half-edge twins; the
-relaxation builds bars (each edge once, by `_unique_edges`) and target
-sizes (`size_field` at the bar midpoints, which skips the outer distance
-where the size is h) from every settle but the final one.  Seeding picks
-the live points: the seeds deeper than FREEZE_DEPTH*h, where the seed
-lattice is already at rest and the size is h, never move.  A settle calls
-`region_signed_distance` and `size_field` on the live points only (the
-boundary points are never dropped, and nothing reads their size), and the
-bars are those of the triangles with a live corner.  A relaxation that
-has not settled after MAX_ITER iterations raises MeshError.  Seeding uses
-a low-discrepancy sequence instead of a random generator, so everything
-is deterministic for a fixed spec and h.
+graded size field.  Seeding picks the live points: the seeds deeper than
+FREEZE_DEPTH*h, where the seed lattice is already at rest and the size is
+h, never move.  A settle (each retriangulation, including a final one of
+the settled cloud) moves the live points too close to a boundary back
+onto that standoff (`_project`), brings the triangulation to the points,
+and returns the size field at the live points and the region's triangles
+with their half-edge twins; the relaxation builds bars (each edge of a
+triangle with a live corner once, by `_unique_edges`) and target sizes
+(`size_field` at the bar midpoints) from every settle but the final one.
+No point is added or removed after seeding, so each keeps its index from
+`_seed_points` to the mesh.  A relaxation that has not settled after
+MAX_ITER iterations raises MeshError.  Seeding is deterministic (a
+low-discrepancy sequence, not a random generator), and so is the mesh.
 
 The triangulation is built once and repaired at every settle.  `_build`
-starts it from the seed lattice, whose triangles `_seed_points` returns
-by index: those clear of every other point are Delaunay as they stand,
-and Qhull triangulates only the band of points left over, along the
-boundary and in graded gaps (`_lattice_start`; every point when these
-triangles do not tile the hull).  The 2-D simplices arrive
-counterclockwise, the centroid filter keeps those inside the region (the
-hole's fan goes), and the half-edges of the rest are paired once, by a
-sort.  No point moves more than TTOL*fh between settles, and Lawson edge
+starts it from the seed lattice's triangles, which `_seed_points` returns
+by index, and Qhull triangulates only the band of points left over
+(`_lattice_start`); the centroid filter keeps the simplices inside the
+region, and their half-edges are paired once, by a sort.  Lawson edge
 flips repair the previous triangles at the new positions, carrying the
-half-edge pairing along (each flip updates only the half-edges it moved,
-their partners and its new diagonal), so no flip round sorts anything.
-A repair's first round tests only the edges of the triangles with a
-live corner: every other edge passed in the previous pass, and its
-quad has not moved since.  The hull edges, the two boundary
-polylines, are fixed Delaunay edges (no point enters the hole's circle),
-so once every triangle is positive and every edge passes the flip test
-the triangles are the region's part of a Delaunay triangulation.  Of the
-two diagonals of a quad cocircular up to rounding (as across the axis of
-a mirror-symmetric domain; both give the same P1 stiffness) the test
-takes the one through the lowest-index vertex.  A new triangulation
-takes one flip pass from every edge in `_build`, which settles its ties,
-so every start gives the same triangles, and the same mesh bit for bit;
-a settle's pass starts from the triangles with a live corner.  Qhull
-meets every point again only at a settle whose standoff drops a point or
-whose repair fails (an inverted triangle, or MAX_FLIP_ROUNDS): 3 of the
-1,020 settles of the cases tools/mesh_identity.py records, each after a
-drop.  No seed needs the standoff: seeds lie SEED_MARGIN*fh inside the
-region, past ESCAPE_FRACTION*fh, by the same per-point measures.
+pairing along, so no flip round sorts anything.  The hull edges, the two
+boundary polylines, are fixed Delaunay edges (no point enters the hole's
+circle), so once every triangle is positive and every edge passes the flip
+test the triangles are the region's part of a Delaunay triangulation.  Of
+the two diagonals of a quad cocircular up to rounding (as across the axis
+of a mirror-symmetric domain) the test takes the one through the
+lowest-index vertex, so every start gives the same mesh bit for bit.
+Qhull meets every point again only at a settle whose repair fails (an
+inverted triangle, or MAX_FLIP_ROUNDS), which none of the 1,020 settles of
+the cases tools/mesh_identity.py records does.  No seed needs the
+standoff: seeds lie SEED_MARGIN*fh inside the region, past
+ESCAPE_FRACTION*fh, by the same per-point measures.
 
 The relaxation stops once no interior point moves more than PTOL*fh in a
 force step.  PTOL is chosen by what it does to the eigenvalues (see the
@@ -92,9 +78,10 @@ __all__ = [
 
 # Relaxation parameters (edge-length overshoot, pseudo-time step, move
 # tolerances for retriangulation and convergence, boundary standoff).
-# `_settle` enforces the standoff at each triangulation, and no point moves
-# more than TTOL*fh before the next one, so with TTOL < ESCAPE_FRACTION
-# points stay (ESCAPE_FRACTION - TTOL)*fh inside the region in between.
+# A settle follows every force step that takes a live point more than
+# TTOL*fh from where the last one left it on the standoff, so after every
+# other step the live points lie (ESCAPE_FRACTION - TTOL)*fh inside; the
+# step a settle follows can go further (0.0966*fh on one recorded case).
 FSCALE = 1.2
 DELTA_T = 0.2
 # TTOL is the largest of 0.15, 0.2 and 0.25 whose eigenvalues on every
@@ -116,6 +103,9 @@ ESCAPE_FRACTION = 0.3
 FREEZE_DEPTH = 4
 SEED_MARGIN = 0.45
 MAX_ITER = 1500
+# `_project` took at most two steps at any settle: one at 3 and two at 3 of
+# tools/mesh_identity.py's 174 cases, one at 15 and two at 45 hypothesis draws.
+MAX_PROJECT_STEPS = 5
 GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 
 # In-circle determinants within FLIP_TIE_RTOL of their permanent (the sum of
@@ -123,11 +113,10 @@ GEPS = 1e-3  # DistMesh's geps: kept centroids lie GEPS*h inside the region
 # ties: the four points are cocircular up to rounding and either diagonal
 # is Delaunay.  Mirror-symmetric domains produce such quads at about 4e-14.
 # Over the 172 meshes that tools/mesh_identity.py records, a repair between
-# two settles takes at most five rounds of flips, `_build`'s pass on the
-# lattice start at most five, and its pass on a Qhull rebuild none.  A
-# settle whose pass reaches MAX_FLIP_ROUNDS calls `_build`; a pass on a
-# lattice start that does sends `_build` to Qhull, and one on Qhull's
-# triangles leaves them.
+# two settles takes at most five rounds of flips, and `_build`'s pass on the
+# lattice start at most five.  A settle whose pass reaches MAX_FLIP_ROUNDS
+# calls `_build`; a pass on a lattice start that does sends `_build` to
+# Qhull, and one on Qhull's triangles leaves them.
 FLIP_TIE_RTOL = 1e-10
 MAX_FLIP_ROUNDS = 50
 
@@ -476,32 +465,46 @@ def _with_live_corner(tri, live, n):
 
 
 def _settle(spec, h, pts, live, full):
-    """Drop the points of `live`, the ascending indices of the points that
-    move, that lie within ESCAPE_FRACTION*fh of the boundary by
-    `region_signed_distance` and `size_field`, which measure only them, and
-    bring `full`, the (triangles, twins) of the previous settle or of
-    `_build`, to the kept points.  Returns (pts, live, fh, full): the kept
-    points, the indices of the live ones among them, the size field there,
-    and the region's counterclockwise triangles with their half-edge twins.
+    """Project the points `live` (ascending indices) onto the standoff in
+    place (`_project`), then repair `full`, the (triangles, twins) of the
+    previous settle or of `_build`, by one `_flip_to_delaunay` pass from the
+    triangles with a live corner (no other quad has moved), or triangulate
+    anew (`_build`) when that fails.  Returns (fh, full): the size field at
+    the live points, and the region's triangles with their half-edge twins."""
+    fh = _project(spec, h, pts, live)
+    flipped = _flip_to_delaunay(
+        pts, *full, _with_live_corner(full[0], live, len(pts)))
+    return fh, flipped or _build(spec, h, pts)
 
-    One `_flip_to_delaunay` pass repairs the previous triangles at the new
-    positions, from those with a live corner: every other edge passed in
-    the previous pass, and its quad has not moved.  `_build` triangulates
-    the kept points instead when the standoff drops one or the pass
-    fails."""
-    moving = pts[live]
-    sd, fh = region_signed_distance(spec, moving), size_field(spec, h, moving)
-    keep = sd <= -ESCAPE_FRACTION * fh
-    if keep.all():
-        flipped = _flip_to_delaunay(
-            pts, *full, _with_live_corner(full[0], live, len(pts)))
-        if flipped is not None:
-            return pts, live, fh, flipped
-    else:
-        kept = np.ones(len(pts), bool)
-        kept[live[~keep]] = False
-        pts, live, fh = pts[kept], (np.cumsum(kept) - 1)[live[keep]], fh[keep]
-    return pts, live, fh, _build(spec, h, pts)
+
+def _project(spec, h, pts, live):
+    """Move each point of `live` within ESCAPE_FRACTION*fh of the boundary
+    (by `region_signed_distance` and `size_field`) back along the distance's
+    gradient until it passes that test; returns fh at `live`.  Each step is
+    Newton's on g = sd + ESCAPE_FRACTION*fh along the gradient, both by
+    central differences with DistMesh's step sqrt(eps)*h, aimed 1e-9*fh
+    past g = 0 so that the re-measured test holds strictly."""
+    p = pts[live]
+    sd, fh = region_signed_distance(spec, p), size_field(spec, h, p)
+    out = np.flatnonzero(sd > -ESCAPE_FRACTION * fh)
+    step = math.sqrt(np.finfo(float).eps) * h
+    dx = step * np.eye(2)[:, None]  # (axis, 1, 2)
+    for _ in range(MAX_PROJECT_STEPS):
+        if len(out) == 0:
+            break
+        q = np.stack([p[out] + dx, p[out] - dx]).reshape(-1, 2)
+        sd_q = region_signed_distance(spec, q).reshape(2, 2, -1)  # (sign, axis, point)
+        g_q = sd_q + ESCAPE_FRACTION * size_field(spec, h, q).reshape(2, 2, -1)
+        grad, dg = sd_q[0] - sd_q[1], g_q[0] - g_q[1]  # 2*step times the gradients
+        g = sd[out] + (ESCAPE_FRACTION + 1e-9) * fh[out]
+        p[out] -= (2 * step * g / np.sum(dg * grad, axis=0))[:, None] * grad.T
+        pts[live[out]] = p[out]
+        sd[out], fh[out] = (region_signed_distance(spec, p[out]),
+                            size_field(spec, h, p[out]))
+        out = out[sd[out] > -ESCAPE_FRACTION * fh[out]]
+    if len(out):
+        raise MeshError(f"projection did not converge in {MAX_PROJECT_STEPS} steps")
+    return fh
 
 
 def _incidence(ends, n):
@@ -575,13 +578,11 @@ def _relax(spec, h, fixed):
     finds within FREEZE_DEPTH*h of the boundary are live; the deeper ones,
     where the seed lattice is at rest, never move, and everything after
     the build covers the live points and the triangles with a live corner
-    only.  Each settle repairs the triangles and half-edge twins of the one
-    before (the first, those of `_build`) by edge flips, and calls `_build`
-    only when its standoff drops a point or the repair fails, so the
-    half-edges are paired once per Qhull call.  Between settles the band's
-    positions live in one complex array z = x + iy (see `_band`), built
-    once per loop settle with the bars, D, target lengths and sizes, and
-    written back to the points at the next settle."""
+    only.  Each settle moves points in place and repairs the triangles and
+    half-edge twins of the one before (the first, those of `_build`).
+    Between settles the band's positions live in one complex array
+    z = x + iy (see `_band`), built once per loop settle with the bars, D,
+    target lengths and sizes, and written back at the next settle."""
     seeds, lattice, live, fh = _seed_points(spec, h)
     pts, live = np.vstack([fixed, seeds]), live + len(fixed)
     lattice += len(fixed)
@@ -597,16 +598,14 @@ def _relax(spec, h, fixed):
             break
         if np.max(np.abs(z - last)[n_anchors:] / fh) > TTOL:
             pts.view(complex).ravel()[live] = z[n_anchors:]
-            pts, live, fh, full = _settle(spec, h, pts, live, full)
-            z, ends, D, h_want, h_sq, n_anchors = _band(
-                spec, h, pts, live, full[0])
+            fh, full = _settle(spec, h, pts, live, full)
+            z, ends, D, h_want, h_sq, n_anchors = _band(spec, h, pts, live, full[0])
             last = z
     else:
         raise MeshError(f"relaxation did not converge in {MAX_ITER} iterations")
 
     pts.view(complex).ravel()[live] = z[n_anchors:]
-    pts, _, _, (simplices, _) = _settle(spec, h, pts, live, full)
-    return pts, simplices
+    return pts, _settle(spec, h, pts, live, full)[1][0]
 
 
 def _canonical_order(triangles):

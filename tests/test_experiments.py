@@ -57,6 +57,16 @@ def test_sweep_spec_normalizes_centers():
     assert spec.domain(1).hole_center == (2.5, 0.0)
 
 
+def test_sweep_spec_takes_centers_as_an_array():
+    # the same centres as an (n, 2) array, or none as a (0, 2) one
+    centers = np.array([[0.5, 0.0], [1.0, 0.0]])
+    spec = SweepSpec(Disk(5.0), 1.0, "axis-x", centers, 0.5)
+    assert spec.centers == ((0.5, 0.0), (1.0, 0.0))
+    assert spec == SweepSpec(Disk(5.0), 1.0, "axis-x", centers.tolist(), 0.5)
+    with pytest.raises(ValueError, match="center"):
+        SweepSpec(Disk(5.0), 1.0, "axis-x", np.zeros((0, 2)), 0.5)
+
+
 def test_sweep_spec_stores_python_floats():
     # a NumPy or int radius and h are stored as floats, as DomainSpec stores
     # its radius: the result serializes to JSON and echoes 1.0 for 1

@@ -68,6 +68,7 @@ def test_compare_names_the_cases_behind_the_largest_differences(tmp_path, capsys
         "bit-identical meshes: 2 of 4",
         "identical triangles: 3 of 4",
         "largest vertex move: 1e-09 (disk-0.0-0.0-h0.125)",
+        "cases whose vertex count differs: 0",
         "largest relative eigenvalue drift: 1e-06 (random-disk-0-h0.5)",
         "largest relative eigenvalue drift per group:",
         "  golden h=0.125, 1 meshed: 0",
@@ -80,6 +81,32 @@ def test_compare_names_the_cases_behind_the_largest_differences(tmp_path, capsys
     ]
     assert tool.compare(before, before) == 0
     assert "largest vertex move: 0\n" in capsys.readouterr().out
+
+
+def test_compare_lists_a_vertex_count_change_apart_from_the_largest_move(
+    tmp_path, capsys
+):
+    # a mesh that gained a vertex has no vertex move; the largest move is
+    # that of the meshes with the same vertex count in both records
+    tool = load_tool()
+    moved, grown = np.array(SQUARE), np.vstack([SQUARE, [[0.5, 0.5]]])
+    moved[2] += 1e-9
+    fan = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    labels = ["random-ellipse-0-h0.5", "random-disk-1-h0.5"]
+    write_record(before, ["", ""], {i: (SQUARE, TRIANGLES, EIGS) for i in range(2)},
+                 labels)
+    write_record(after, ["", ""], {
+        0: (grown, fan, [0.1, 0.2, 0.3, 0.4 * (1 + 1e-4)]),
+        1: (moved, TRIANGLES, EIGS),
+    }, labels)
+    assert tool.compare(before, after) == 0
+    out = capsys.readouterr().out
+    assert ("largest vertex move: 1e-09 (random-disk-1-h0.5)\n"
+            "cases whose vertex count differs: 1\n"
+            "  random-ellipse-0-h0.5: nv 4 | 5, eigenvalue drift 0.0001, "
+            "smallest angle 45.0 | 45.0 deg\n") in out
+    assert "inf" not in out
 
 
 def test_compare_counts_a_boundary_change_as_not_bit_identical(tmp_path, capsys):

@@ -46,7 +46,8 @@ def annulus_spec(r_outer=5.0, r_hole=1.0):
 
 def settle_from_qhull(spec, h, pts, n_fixed):
     """`_settle` of `pts`, every point past the first n_fixed live, from
-    `_build`'s triangulation of them by Qhull on every point."""
+    `_build`'s triangulation of them by Qhull on every point; it moves the
+    points in `pts` that the standoff projects."""
     return meshing._settle(spec, h, pts, np.arange(n_fixed, len(pts)),
                            meshing._build(spec, h, pts))
 
@@ -181,18 +182,26 @@ def test_thin_gap_ellipse_meshes_cleanly():
     )
 
 
-def test_settle_drops_points_inside_the_standoff():
-    spec = annulus_spec()  # size field is h = 0.5 near the outer circle
+def test_settle_projects_points_inside_the_standoff():
+    # the band point moves straight back along the radius, to 1e-9 fh past
+    # the standoff 0.3 h inside; every other point stays, bit for bit, and
+    # every point keeps its index
+    spec = annulus_spec()  # size field is h = 0.5 everywhere
     outer, inner = boundary_polylines(spec, 0.5)
     fixed = np.vstack([outer, inner])
     band, clear = [4.9, 0.0], [0.0, 4.8]  # 0.2 h and 0.4 h inside
     pts = np.vstack([fixed, [[0.0, 2.5], band, clear]])
-    kept, live, fh, (simplices, _) = settle_from_qhull(spec, 0.5, pts, len(fixed))
-    bars = meshing._unique_edges(simplices, len(kept))[0]
-    assert np.array_equal(kept, np.vstack([fixed, [[0.0, 2.5], clear]]))
-    assert np.array_equal(live, [len(fixed), len(fixed) + 1])  # renumbered
-    assert np.array_equal(fh, size_field(spec, 0.5, kept[live]))
-    assert simplices.max() < len(kept) and bars.max() < len(kept)
+    before = pts.copy()
+    fh, (simplices, twin) = settle_from_qhull(spec, 0.5, pts, len(fixed))
+    live = np.arange(len(fixed), len(pts))
+    assert np.array_equal(np.delete(pts, -2, axis=0), np.delete(before, -2, axis=0))
+    assert pts[-2, 1] == 0.0 and pts[-2, 0] < band[0]
+    depth = -region_signed_distance(spec, pts[-2:-1])[0]
+    assert ESCAPE_FRACTION * 0.5 < depth <= (ESCAPE_FRACTION + 2e-9) * 0.5
+    assert np.array_equal(fh, size_field(spec, 0.5, pts[live]))
+    assert np.array_equal(np.unique(simplices), np.arange(len(pts)))
+    assert np.all(meshing._triangle_signed_areas(pts, simplices) > 0)
+    assert np.array_equal(twin, meshing._twins(simplices, len(pts)))
 
 
 @pytest.mark.parametrize(
@@ -228,8 +237,9 @@ def test_settle_evaluates_the_outer_distance_in_full_only_on_the_points(
     full = meshing._build(spec, h, pts)
     assert calls == [len(meshing.Delaunay(pts).simplices)]  # one per simplex
     calls.clear()
-    kept, _, _, full = meshing._settle(spec, h, pts, live, full)
-    assert np.array_equal(kept, pts)  # the standoff keeps every seed
+    kept = pts.copy()
+    _, full = meshing._settle(spec, h, pts, live, full)
+    assert np.array_equal(kept, pts)  # every seed meets the standoff
     d_hole = hole_signed_distance(spec, pts[live])
     near = domains.GRADE_FRACTION * np.abs(d_hole) < h
     sized = [np.count_nonzero(near)] if graded else []
@@ -252,8 +262,25 @@ def settle_screens_reference(spec, h, pts, n_fixed):
     """The Qhull simplices that `_settle` on pts should keep, and pairs of
     size fields that should agree: the settle's at its live points and
     `size_field` there and at the midpoints of its bars, each against the
-    grading formula with the outer distance at every point."""
-    kept, live, fh, (simplices, _) = settle_from_qhull(spec, h, pts, n_fixed)
+    grading formula with the outer distance at every point.
+
+    The settle's projection moves only the points short of the standoff,
+    each until it meets it.  The reference projects before Qhull
+    triangulates: Qhull's region triangles leave out a point outside the
+    region, which flips cannot bring back (in `_relax` no point leaves the
+    region without inverting a triangle, which sends the settle to
+    `_build`)."""
+    before, live = pts.copy(), np.arange(n_fixed, len(pts))
+    projected = meshing._project(spec, h, pts, live)
+    short = np.ones(len(pts), bool)
+    short[live] = (region_signed_distance(spec, before[live])
+                   > -ESCAPE_FRACTION * size_field(spec, h, before[live]))
+    assert np.array_equal(pts[~short], before[~short])
+    assert np.all(region_signed_distance(spec, pts[live])
+                  <= -ESCAPE_FRACTION * projected)
+    kept = pts.copy()
+    fh, (simplices, _) = settle_from_qhull(spec, h, pts, n_fixed)
+    assert np.array_equal(pts, kept) and np.array_equal(fh, projected)
     bars = meshing._unique_edges(simplices, len(kept))[0]
     full = meshing.Delaunay(kept).simplices
     centroids = kept[full].mean(axis=1)
@@ -297,7 +324,7 @@ SCREEN_CASES = {
 def test_settle_screens_match_the_full_evaluations_bit_for_bit(name, monkeypatch):
     # `size_field`'s clearance and hole rules skip the outer distance; the
     # sizes equal the grading formula's bit for bit on the seeded cloud, on
-    # the cloud moved by up to 0.3 h (the standoff drops some points), on
+    # the cloud moved by up to 0.3 h (the standoff projects some points), on
     # the relaxed mesh, and on the boundary with a point 2e-3 h inside each
     # outer edge's midpoint, all fixed so the standoff keeps them: on
     # straight sides their triangles have a centroid distance of
@@ -399,10 +426,10 @@ def sorted_edges(triangles):
 def test_bars_are_the_sorted_unique_simplex_edges():
     spec = DomainSpec(Ellipse(3.0, 8.33), (1.2, 0.0), 1.0)
     mesh = triangulate(spec, 0.25)
-    kept, _, _, (simplices, _) = settle_from_qhull(
-        spec, 0.25, mesh.vertices, len(mesh.boundary_edges)
+    _, (simplices, _) = settle_from_qhull(
+        spec, 0.25, mesh.vertices.copy(), len(mesh.boundary_edges)
     )
-    bars = meshing._unique_edges(simplices, len(kept))[0]
+    bars = meshing._unique_edges(simplices, mesh.vertex_count)[0]
     rows = np.unique(sorted_edges(simplices), axis=0)
     assert bars.dtype == rows.dtype and np.array_equal(bars, rows)
     edges, counts = meshing._unique_edges(mesh.triangles, mesh.vertex_count)
@@ -488,9 +515,9 @@ def test_force_step_matches_the_point_array_step_bit_for_bit():
     outer, inner = boundary_polylines(spec, 0.25)
     n_fixed = len(outer) + len(inner)
     seeds, _, live, _ = meshing._seed_points(spec, 0.25)
-    pts = np.vstack([outer, inner, seeds])
-    pts, live, _, (simplices, _) = meshing._settle(
-        spec, 0.25, pts, live + n_fixed, meshing._build(spec, 0.25, pts))
+    pts, live = np.vstack([outer, inner, seeds]), live + n_fixed
+    _, (simplices, _) = meshing._settle(
+        spec, 0.25, pts, live, meshing._build(spec, 0.25, pts))
     start = pts.copy()
     bars = meshing._unique_edges(simplices, len(pts))[0]
     h_bars = size_field(spec, 0.25, 0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
@@ -988,39 +1015,48 @@ def test_lattice_start_falls_back_when_its_triangles_do_not_tile_the_hull(
     assert_same_mesh(fallback, mesh)
 
 
-def test_lattice_start_falls_back_when_the_standoff_drops_a_point(monkeypatch):
+def test_lattice_start_settles_like_qhull_when_the_standoff_projects_a_point(
+    monkeypatch,
+):
     # a lattice corner moved 0.5% of the way in from a point of the outer
-    # boundary (0.1 h inside on the annulus, 0.06 h on the ellipse) falls to
-    # the standoff: the settle of the lattice start drops it and rebuilds,
-    # and is the one from Qhull on every point.  The new build's flip pass
-    # settles its ties, so a second pass changes nothing
+    # boundary (0.1 h inside on the annulus, 0.06 h on the ellipse) falls
+    # short of the standoff: the settle of the lattice start projects it
+    # back, moves nothing else and repairs its triangles with no new build,
+    # to those of the settle from Qhull on every point (up to their order
+    # and rotation), each with its own twins.  The repair settles their
+    # ties, so a second pass changes nothing
     clouds = []
     for name in ("annulus", "ellipse"):
         spec, h = golden.TABLE1_DOMAINS[name], 0.25
         pts, n_fixed, lattice = seeded_cloud(spec, h)
-        pts[lattice[0, 0]] = 0.995 * pts[0]  # pts[0] lies on the outer boundary
+        corner = lattice[0, 0]
+        pts[corner] = 0.995 * pts[0]  # pts[0] lies on the outer boundary
         full = meshing._build(spec, h, pts, lattice)
-        clouds.append((spec, h, pts, n_fixed, full))
+        clouds.append((spec, h, pts, n_fixed, corner, full))
 
-    def forbidden(pts, lattice):
-        raise AssertionError("lattice start")
-
-    monkeypatch.setattr(meshing, "_lattice_start", forbidden)
-    for spec, h, pts, n_fixed, full in clouds:
+    builds = record_calls(monkeypatch, "_build")
+    for spec, h, pts, n_fixed, corner, full in clouds:
+        before, want_pts = pts.copy(), pts.copy()
         got = meshing._settle(spec, h, pts, np.arange(n_fixed, len(pts)), full)
-        want = settle_from_qhull(spec, h, pts, n_fixed)
-        assert len(got[0]) == len(pts) - 1
-        for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
-            assert np.array_equal(a, b)
-        again = meshing._flip_to_delaunay(got[0], *got[3])
-        assert np.array_equal(again[0], got[3][0])
-    # Qhull's triangulation of the ellipse's kept points takes some ties the
+        assert builds == []
+        want = settle_from_qhull(spec, h, want_pts, n_fixed)
+        builds.clear()
+        moved = np.flatnonzero(np.any(pts != before, axis=1))
+        assert np.array_equal(moved, [corner])
+        assert np.array_equal(pts, want_pts) and np.array_equal(got[0], want[0])
+        for (tri, twin) in (got[1], want[1]):
+            assert np.array_equal(twin, meshing._twins(tri, len(pts)))
+        assert np.array_equal(meshing._canonical_order(got[1][0]),
+                              meshing._canonical_order(want[1][0]))
+        again = meshing._flip_to_delaunay(pts, *got[1])
+        assert np.array_equal(again[0], got[1][0])
+    # Qhull's triangulation of the ellipse's points takes some ties the
     # other way: `_build` keeps it when its flip pass fails
     monkeypatch.setattr(meshing, "_flip_to_delaunay",
                         lambda pts, tri, twin, start=None: None)
-    qhull = meshing._build(spec, h, got[0])[0]
+    qhull = meshing._build(spec, h, pts)[0]
     assert not np.array_equal(meshing._canonical_order(qhull),
-                              meshing._canonical_order(got[3][0]))
+                              meshing._canonical_order(got[1][0]))
 
 
 def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
@@ -1038,10 +1074,11 @@ def test_settle_rebuilds_when_the_repair_fails(monkeypatch):
     moved[t[0]] = mid + 0.5 * (mid - pts[t[0]])
     assert meshing._flip_to_delaunay(moved, *full) is None
     builds = record_calls(monkeypatch, "_build")
-    got = meshing._settle(spec, h, moved, np.arange(n_fixed, len(pts)), full)
-    assert len(builds) == 1 and len(got[0]) == len(pts)
+    got_pts = moved.copy()
+    got = meshing._settle(spec, h, got_pts, np.arange(n_fixed, len(pts)), full)
+    assert len(builds) == 1 and np.array_equal(got_pts, moved)
     want = settle_from_qhull(spec, h, moved, n_fixed)
-    for a, b in zip(got[:3] + got[3], want[:3] + want[3]):
+    for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
         assert np.array_equal(a, b)
 
 
@@ -1147,8 +1184,8 @@ def test_band_pass_flips_like_a_full_pass_at_every_loop_settle(
     monkeypatch.setattr(meshing, "_flip_to_delaunay", compared)
     calls = count_calls(monkeypatch, "_settle", "_build")
     triangulate(spec, h)
-    # every settle but those whose standoff dropped a point, each of which
-    # calls `_build` once more than the first build
+    # every settle but those whose repair failed, each of which calls
+    # `_build` once more than the first build
     assert len(shares) == calls["_settle"] - (calls["_build"] - 1) > 1
     assert max(shares) < 0.9
 
@@ -1225,13 +1262,14 @@ def admissible_specs(draw, h):
     )
 
 
-def mesh_and_least_standoff(spec, h):
-    """`triangulate(spec, h)`, and the least depth inside the region over
-    the live points after every force step, in units of the size field at
-    the seeds or the most recent settle (the frozen points do not move)."""
+def standoff_record(spec, h):
+    """`triangulate(spec, h)`, the least depth inside the region over the
+    live points after each force step, in units of the size field at the
+    seeds or the most recent settle (the frozen points do not move), and
+    a mask of the steps that a settle follows."""
     seed_points, settle = meshing._seed_points, meshing._settle
     force_step = meshing._force_step
-    fh, depths = [], []
+    fh, depths, settled_after = [], [], []
 
     def seeded(spec, h):
         result = seed_points(spec, h)
@@ -1240,7 +1278,8 @@ def mesh_and_least_standoff(spec, h):
 
     def settled(spec, h, pts, live, full):
         result = settle(spec, h, pts, live, full)
-        fh[:] = [result[2]]  # at the live points
+        fh[:] = [result[0]]  # at the live points
+        settled_after.append(len(depths) - 1)
         return result
 
     def stepped(z, ends, D, h_want, h_sq, n_fixed):
@@ -1255,16 +1294,121 @@ def mesh_and_least_standoff(spec, h):
         patch.setattr(meshing, "_force_step", stepped)
         mesh = triangulate(spec, h)
     assert len(depths) > 1
-    return mesh, min(depths)
+    return mesh, np.array(depths), np.isin(np.arange(len(depths)), settled_after)
+
+
+def mesh_and_least_standoff(spec, h):
+    """`triangulate(spec, h)`, and the least depth inside the region over
+    the live points after every force step (see `standoff_record`)."""
+    mesh, depths, _ = standoff_record(spec, h)
+    return mesh, depths.min()
 
 
 @pytest.mark.parametrize("name", BAND_CASES)
 def test_interior_points_keep_the_standoff_between_settles(name):
-    # each settle drops the interior points within ESCAPE_FRACTION*fh of
-    # the boundary, and none moves more than TTOL*fh before the next one;
-    # the thin-gap centres grade the size field
+    # each settle projects the live points within ESCAPE_FRACTION*fh of
+    # the boundary onto that standoff, and a settle follows every force
+    # step that takes a live point more than TTOL*fh from where the last
+    # settle left it; on these domains the live points keep
+    # (ESCAPE_FRACTION - TTOL)*fh after the steps a settle follows too,
+    # which not every domain does (see the next test); the thin-gap centres
+    # grade the size field
     _, depth = mesh_and_least_standoff(*BAND_CASES[name])
     assert depth >= ESCAPE_FRACTION - meshing.TTOL
+
+
+# the cases of tools/mesh_identity.py whose settles project points
+PROJECTING_CASES = {
+    "random-ellipse-14-h0.5": (DomainSpec(
+        Ellipse(2.2674402018276676, 5.624828233629676),
+        (-0.6624341007303451, -0.1946334039284734), 1.4661838539964944), 0.5),
+    "random-rectangle-18-h0.25": (DomainSpec(
+        Rectangle(4.654956482465018, 3.7514329476665806),
+        (-0.42183084852762165, -0.4798924302160843), 1.3192858909787075), 0.25),
+    "random-rectangle-21-h0.5": (DomainSpec(
+        Rectangle(8.22498454967047, 3.8494805842984725),
+        (-0.7938358927772762, -0.29915286145537623), 1.457406252339013), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", PROJECTING_CASES)
+def test_live_points_keep_the_standoff_after_every_step_no_settle_follows(name):
+    # after a step that no settle follows, every live point lies within
+    # TTOL*fh of where the last settle left it, at least ESCAPE_FRACTION*fh
+    # inside, so (ESCAPE_FRACTION - TTOL)*fh inside; the step that a settle
+    # follows can go further (to 0.0966*fh on random-rectangle-21), and the
+    # settle projects the point back.  No point leaves after seeding: the
+    # mesh has every seed, in seeding's order, the frozen ones where
+    # seeding put them, and a smallest angle of at least 25 degrees
+    spec, h = PROJECTING_CASES[name]
+    mesh, depths, settled_after = standoff_record(spec, h)
+    floor = ESCAPE_FRACTION - meshing.TTOL
+    assert np.all(depths[~settled_after] >= floor)
+    if name == "random-rectangle-21-h0.5":
+        assert np.min(depths[settled_after]) < floor
+    seeds, _, live, _ = meshing._seed_points(spec, h)
+    n_fixed = len(mesh.boundary_edges)
+    assert mesh.vertex_count == n_fixed + len(seeds)
+    assert np.array_equal(np.delete(mesh.vertices[n_fixed:], live, axis=0),
+                          np.delete(seeds, live, axis=0))
+    validate_mesh(mesh)
+    assert mesh_min_angle(mesh) >= 25.0
+
+
+def test_projection_that_does_not_converge_raises(monkeypatch):
+    # random-rectangle-18's size field grows inward where it projects, so
+    # the first step leaves its points a little short
+    spec, h = PROJECTING_CASES["random-rectangle-18-h0.25"]
+    monkeypatch.setattr(meshing, "MAX_PROJECT_STEPS", 1)
+    with pytest.raises(MeshError, match="projection did not converge in 1 steps"):
+        triangulate(spec, h)
+    monkeypatch.setattr(meshing, "MAX_PROJECT_STEPS", 2)
+    validate_mesh(triangulate(spec, h))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(spec=admissible_specs(0.5), h=st.sampled_from([0.5, 0.25]),
+       seed=st.integers(0, 2**32 - 1))
+def test_settle_projects_every_live_point_onto_the_standoff(spec, h, seed):
+    # half the live seeds within 1.5 fh of the boundary, each moved outward
+    # along the distance's normal by up to 0.4 times its size (so some of
+    # them short of the standoff), with the triangles of the seeds, as a
+    # settle gets them after force steps.  The settle moves only the points
+    # short of the standoff, each until it meets the standoff at the size
+    # it returns; the fixed and frozen points, and the others, stay bit for
+    # bit, and the triangles are positive, cover the polygonal region and
+    # are Delaunay
+    outer, inner = boundary_polylines(spec, h)
+    seeds, _, live, _ = meshing._seed_points(spec, h)
+    n_fixed = len(outer) + len(inner)
+    pts, live = np.vstack([outer, inner, seeds]), live + n_fixed
+    full = meshing._build(spec, h, pts)
+    rng = np.random.default_rng(seed)
+    sd, fh = region_signed_distance(spec, pts[live]), size_field(spec, h, pts[live])
+    pick = (sd > -1.5 * fh) & (rng.random(len(live)) < 0.5)
+    p, sd, fh = pts[live[pick]], sd[pick], fh[pick]
+    e = 1e-6 * h * np.eye(2)
+    normal = np.column_stack([region_signed_distance(spec, p + e[k])
+                              - region_signed_distance(spec, p - e[k])
+                              for k in (0, 1)])
+    normal /= np.hypot(*normal.T)[:, None]
+    pts[live[pick]] = p + (rng.uniform(0.0, 0.4, len(p)) * fh)[:, None] * normal
+    before = pts.copy()
+    short = (region_signed_distance(spec, before[live])
+             > -ESCAPE_FRACTION * size_field(spec, h, before[live]))
+    fh, (tri, twin) = meshing._settle(spec, h, pts, live, full)
+    moved = np.flatnonzero(np.any(pts != before, axis=1))
+    assert np.array_equal(moved, live[short])
+    assert np.all(region_signed_distance(spec, pts[live]) <= -ESCAPE_FRACTION * fh)
+    assert np.array_equal(fh, size_field(spec, h, pts[live]))
+    areas = meshing._triangle_signed_areas(pts, tri)
+    assert np.all(areas > 0)
+    area = polygon_area(outer) + polygon_area(inner)  # inner is clockwise
+    assert np.sum(areas) == pytest.approx(area, rel=1e-12)
+    assert np.array_equal(np.unique(tri), np.arange(len(pts)))
+    assert np.array_equal(twin, meshing._twins(tri, len(pts)))
+    again = meshing._flip_to_delaunay(pts, tri, twin)
+    assert again is not None and np.array_equal(again[0], tri)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

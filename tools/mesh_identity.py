@@ -10,9 +10,12 @@ each case made to the mesher's `_settle`, `_force_step` and Qhull
 (`Delaunay`).  Point PYTHONPATH at another checkout's `src` to record that
 tree.  `--compare` reports how far
 two records agree: bit-identical meshes (vertices, triangles and boundary
-edges, values and dtypes), meshes with identical triangles, the largest vertex move, the
-largest relative eigenvalue drift and each record's smallest triangle
-angle, each with the case it comes from, the largest drift per case group
+edges, values and dtypes), meshes with identical triangles, the largest
+vertex move among the meshes with the same vertex count in both, each
+case whose vertex count differs (with its eigenvalue drift and each
+record's smallest angle), the largest relative eigenvalue drift and each
+record's smallest triangle angle, each with the case it comes from, the
+largest drift per case group
 (golden or random cases, by the mesh size h that ends the label), and
 the call counts summed per group, for each record that holds them, and
 every case whose raised error differs.  It exits with status 1 when some
@@ -152,7 +155,7 @@ def compare(path_a, path_b):
     groups = {}  # (kind, h): [cases, (largest eigenvalue drift, its case)]
     calls = {}  # (kind, h): {record name: summed counts}
     min_angle = {"A": (np.inf, None), "B": (np.inf, None)}  # (smallest, case)
-    mismatched = []
+    mismatched, resized = [], []
     for i, label in enumerate(labels):
         err_a, err_b = str(a["errors"][i]), str(b["errors"][i])
         if err_a != err_b:
@@ -169,9 +172,10 @@ def compare(path_a, path_b):
         same_triangles += tri_equal
         identical += (tri_equal and np.array_equal(va, vb) and np.array_equal(ba, bb)
                       and (va.dtype, ta.dtype, ba.dtype) == (vb.dtype, tb.dtype, bb.dtype))
-        move = float(np.max(np.abs(va - vb))) if va.shape == vb.shape else np.inf
-        if move > vertex_move[0]:
-            vertex_move = move, label
+        if va.shape == vb.shape:
+            move = float(np.max(np.abs(va - vb)))
+            if move > vertex_move[0]:
+                vertex_move = move, label
         ea, eb = a[f"{i}/eigs"], b[f"{i}/eigs"]
         drift = float(np.max(np.abs(ea - eb) / np.abs(eb)))
         kind = "random" if label.startswith("random-") else "golden"
@@ -180,23 +184,34 @@ def compare(path_a, path_b):
         group[0] += 1
         if drift > group[1][0]:
             group[1] = drift, label
+        angles = []
         for name, record in (("A", a), ("B", b)):
             if f"{i}/counts" in record.files:
                 summed = calls.setdefault(key, {})
                 summed[name] = summed.get(name, 0) + record[f"{i}/counts"]
-            angle = mesh_min_angle(SimpleNamespace(
-                vertices=record[f"{i}/vertices"], triangles=record[f"{i}/triangles"]))
-            if angle < min_angle[name][0]:
-                min_angle[name] = angle, label
+            angles.append(mesh_min_angle(SimpleNamespace(
+                vertices=record[f"{i}/vertices"], triangles=record[f"{i}/triangles"])))
+            if angles[-1] < min_angle[name][0]:
+                min_angle[name] = angles[-1], label
+        if va.shape != vb.shape:
+            resized.append(f"  {label}: nv {len(va)} | {len(vb)}, eigenvalue "
+                           f"drift {drift:.3g}, smallest angle {angles[0]:.1f} | "
+                           f"{angles[1]:.1f} deg")
     print(f"cases: {len(labels)}, meshed in both: {meshed}, "
           f"raised the same error in both: {same_error}")
     print(f"bit-identical meshes: {identical} of {meshed}")
     print(f"identical triangles: {same_triangles} of {meshed}")
     eig_drift = max((group[1] for group in groups.values()),
                     key=lambda pair: pair[0], default=(0.0, None))
-    for name, (value, label) in (("largest vertex move", vertex_move),
-                                 ("largest relative eigenvalue drift", eig_drift)):
+
+    def largest(name, value, label):
         print(f"{name}: {value:.3g}" + (f" ({label})" if value > 0 else ""))
+
+    largest("largest vertex move", *vertex_move)
+    print(f"cases whose vertex count differs: {len(resized)}")
+    for line in resized:
+        print(line)
+    largest("largest relative eigenvalue drift", *eig_drift)
     print("largest relative eigenvalue drift per group:")
     for (kind, h), (count, (value, label)) in sorted(groups.items()):
         print(f"  {kind} h={h:g}, {count} meshed: {value:.3g}"
